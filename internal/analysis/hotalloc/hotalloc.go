@@ -54,6 +54,7 @@ var Required = map[string][]string{
 		"Pipeline.step", "Pipeline.completeStage", "Pipeline.fetchStage",
 		"Pipeline.renameStage", "Pipeline.issueStage", "Pipeline.retireStage",
 		"Pipeline.schedule", "Pipeline.newUop",
+		"Pipeline.setReady", "Pipeline.allocRS", "Pipeline.unwaitRS",
 	},
 	"rix/internal/emu":    {"Emulator.Step", "Streamer.Next"},
 	"rix/internal/sample": {"warmer.observe"},

@@ -153,6 +153,44 @@ func TestRASSnapshotSharing(t *testing.T) {
 	}
 }
 
+// TestRASSnapshotAllocFree: once released snapshots have stocked the
+// shadow pool, a fetch-like stream of push/pop/snapshot/release traffic
+// allocates nothing, and restores stay exact.
+func TestRASSnapshotAllocFree(t *testing.T) {
+	r := NewRAS(32)
+	live := make([]RASSnap, 0, 128)
+	want := make([]uint64, 32)
+	round := func() {
+		for i := 0; i < 64; i++ {
+			if i%3 == 2 {
+				r.Pop()
+			} else {
+				r.Push(uint64(0x1000 + 4*i))
+			}
+			live = append(live, r.Snapshot(), r.Snapshot())
+		}
+		mid := live[len(live)/2]
+		copy(want, mid.shadow.stack)
+		tos := mid.Tos()
+		for _, s := range live {
+			r.Release(s)
+		}
+		live = live[:0]
+		r.Restore(mid) // released but not yet reused: still exact
+		if r.tos != tos {
+			t.Fatalf("restored tos = %d, want %d", r.tos, tos)
+		}
+		for i, v := range want[:tos] {
+			if r.stack[i] != v {
+				t.Fatalf("restored entry %d = %#x, want %#x", i, r.stack[i], v)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Errorf("steady-state snapshot round allocated %v times, want 0", n)
+	}
+}
+
 func TestRASOverflow(t *testing.T) {
 	r := NewRAS(4)
 	for i := 0; i < 10; i++ {

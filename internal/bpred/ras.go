@@ -9,18 +9,26 @@ package bpred
 // and the simulators of this era): each snapshot captures the whole
 // stack, created lazily and shared until the next push/pop, so the cost
 // is one copy per call/return fetched rather than per instruction.
+//
+// Shadows are reference-counted and recycled: Release hands a dead
+// snapshot's shadow back, and Snapshot refills from that pool before
+// allocating. A pipeline releases every snapshot its in-flight
+// instructions held, so the pool is bounded by the in-flight window and
+// steady-state snapshotting allocates nothing.
 type RAS struct {
 	stack []uint64
 	tos   int // number of live entries (also the call depth)
 	depth int // unclamped call depth (can exceed stack size)
 
-	snap *rasShadow // current shared shadow copy; nil when stale
+	snap *rasShadow   // current shared shadow copy; nil when stale
+	free []*rasShadow // shadows no live snapshot refers to
 }
 
 type rasShadow struct {
 	stack []uint64
 	tos   int
 	depth int
+	refs  int // live snapshots sharing this shadow
 }
 
 // RASSnap is the per-instruction checkpoint restored on squashes. The
@@ -57,7 +65,7 @@ func (r *RAS) Depth() int { return r.depth }
 
 // Push records a return address at a call.
 func (r *RAS) Push(addr uint64) {
-	r.snap = nil
+	r.dropSnap()
 	if r.tos < len(r.stack) {
 		r.stack[r.tos] = addr
 		r.tos++
@@ -70,7 +78,7 @@ func (r *RAS) Push(addr uint64) {
 
 // Pop predicts a return target.
 func (r *RAS) Pop() (uint64, bool) {
-	r.snap = nil
+	r.dropSnap()
 	if r.depth > 0 {
 		r.depth--
 	}
@@ -82,14 +90,50 @@ func (r *RAS) Pop() (uint64, bool) {
 }
 
 // Snapshot captures the full state for squash repair. Snapshots taken
-// between two stack mutations share one shadow copy.
+// between two stack mutations share one shadow copy, drawn from the
+// recycled pool when it has one.
 func (r *RAS) Snapshot() RASSnap {
 	if r.snap == nil {
-		sh := &rasShadow{stack: make([]uint64, len(r.stack)), tos: r.tos, depth: r.depth}
+		var sh *rasShadow
+		if n := len(r.free); n > 0 {
+			sh = r.free[n-1]
+			r.free = r.free[:n-1]
+		} else {
+			sh = &rasShadow{stack: make([]uint64, len(r.stack))} //rix:alloc-ok — pool refill, bounded by the in-flight window
+		}
 		copy(sh.stack, r.stack)
+		sh.tos, sh.depth = r.tos, r.depth
 		r.snap = sh
 	}
+	r.snap.refs++
 	return RASSnap{shadow: r.snap}
+}
+
+// Release declares a snapshot dead. Once no live snapshot shares its
+// shadow, the shadow returns to the pool; its contents stay intact until
+// the next Snapshot reuses it, so a snapshot may still be restored after
+// its release as long as no Snapshot intervenes. Releasing the zero
+// RASSnap is a no-op; snapshots never released are simply not recycled.
+func (r *RAS) Release(s RASSnap) {
+	sh := s.shadow
+	if sh == nil {
+		return
+	}
+	sh.refs--
+	if sh.refs == 0 && sh != r.snap {
+		r.free = append(r.free, sh)
+	}
+}
+
+// dropSnap retires the current shared shadow after a stack mutation,
+// recycling it if no live snapshot holds it.
+func (r *RAS) dropSnap() {
+	if sh := r.snap; sh != nil {
+		r.snap = nil
+		if sh.refs == 0 {
+			r.free = append(r.free, sh)
+		}
+	}
 }
 
 // Restore rewinds to a snapshot (exact: full shadow copy-back).
@@ -101,5 +145,5 @@ func (r *RAS) Restore(s RASSnap) {
 	copy(r.stack, s.shadow.stack)
 	r.tos = s.shadow.tos
 	r.depth = s.shadow.depth
-	r.snap = nil
+	r.dropSnap()
 }

@@ -150,7 +150,7 @@ func (r *RAS) SetState(st RASState) error {
 	copy(r.stack, st.Stack)
 	r.tos = st.Tos
 	r.depth = st.Depth
-	r.snap = nil
+	r.dropSnap()
 	return nil
 }
 
@@ -172,7 +172,7 @@ func (r *RAS) CopyFrom(src *RAS) error {
 	copy(r.stack, src.stack)
 	r.tos = src.tos
 	r.depth = src.depth
-	r.snap = nil
+	r.dropSnap()
 	return nil
 }
 

@@ -58,7 +58,7 @@ func (pl *Pipeline) execComplete(u *uop) {
 		old := pl.val(u.oldDest.P) // conditional moves
 		v := isa.EvalOp(u.in.Op, a, b, old, u.in.Imm)
 		if u.hasDest {
-			pl.rf.SetReady(u.destPreg, v)
+			pl.setReady(u.destPreg, v)
 		}
 		u.execDone = true
 		u.doneCyc = pl.now
@@ -110,7 +110,7 @@ func (pl *Pipeline) loadAddrGen(u *uop) {
 func (pl *Pipeline) loadAccess(u *uop) {
 	var match *uop
 	for i := pl.lsqIndexOf(u) - 1; i >= 0; i-- {
-		v := pl.lsq[(pl.lsqHead+i)%len(pl.lsq)]
+		v := pl.lsq[wrap(pl.lsqHead+i, len(pl.lsq))]
 		if !v.isStore {
 			continue
 		}
@@ -176,7 +176,7 @@ func width(op isa.Opcode) uint64 {
 func (pl *Pipeline) loadComplete(u *uop, v uint64) {
 	u.loadValue = v
 	if u.hasDest {
-		pl.rf.SetReady(u.destPreg, v)
+		pl.setReady(u.destPreg, v)
 	}
 	u.execDone = true
 	u.doneCyc = pl.now
@@ -196,7 +196,7 @@ func (pl *Pipeline) storeExec(u *uop) {
 	// address, mis-speculated.
 	n := pl.lsqLen
 	for i := pl.lsqIndexOf(u) + 1; i < n; i++ {
-		v := pl.lsq[(pl.lsqHead+i)%len(pl.lsq)]
+		v := pl.lsq[wrap(pl.lsqHead+i, len(pl.lsq))]
 		if !v.isLoad || !v.addrValid || v.squashed {
 			continue
 		}

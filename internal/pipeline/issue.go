@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"rix/internal/isa"
 	"rix/internal/regfile"
 )
@@ -20,20 +22,7 @@ func priorityOf(u *uop) int {
 	}
 }
 
-// srcReady reports whether all of u's register sources have values.
-func (pl *Pipeline) srcReady(u *uop) bool {
-	if u.in.Op.ReadsRa() && !pl.ready(u.src1.P) {
-		return false
-	}
-	if u.in.Op.ReadsRb() && !pl.ready(u.src2.P) {
-		return false
-	}
-	if (u.in.Op == isa.CMOVEQ || u.in.Op == isa.CMOVNE) && !pl.ready(u.oldDest.P) {
-		return false
-	}
-	return true
-}
-
+// ready reports whether source register p has its value.
 func (pl *Pipeline) ready(p regfile.PReg) bool {
 	return p == regfile.ZeroReg || pl.rf.Ready(p)
 }
@@ -57,7 +46,7 @@ func (pl *Pipeline) loadMayIssue(u *uop) bool {
 // addresses.
 func (pl *Pipeline) olderStoresResolved(u *uop) bool {
 	for i := pl.lsqIndexOf(u) - 1; i >= 0; i-- {
-		v := pl.lsq[(pl.lsqHead+i)%len(pl.lsq)]
+		v := pl.lsq[wrap(pl.lsqHead+i, len(pl.lsq))]
 		if v.isStore && !v.addrValid {
 			return false
 		}
@@ -75,7 +64,9 @@ func (pl *Pipeline) lsqIndexOf(u *uop) int {
 }
 
 // issueStage selects up to IssueWidth ready instructions under the
-// per-class port constraints and dispatches them to execution.
+// per-class port constraints and dispatches them to execution. It walks
+// only the wakeup ready mask, in slot order; the CHT check still sees
+// every ready load every cycle, which its statistics count.
 //
 //rix:hotpath
 func (pl *Pipeline) issueStage() {
@@ -86,17 +77,14 @@ func (pl *Pipeline) issueStage() {
 	budget := pl.cfg.IssueWidth
 
 	cand := pl.cand[:0] // scratch preallocated to NumRS: no per-cycle allocation
-	for _, u := range pl.rs {
-		if u == nil || u.issued || u.squashed {
-			continue
+	for k, b := range pl.wake.ready {
+		for ; b != 0; b &= b - 1 {
+			u := pl.rs[k*64+bits.TrailingZeros64(b)]
+			if u.isLoad && !pl.loadMayIssue(u) {
+				continue
+			}
+			cand = append(cand, u)
 		}
-		if !pl.srcReady(u) {
-			continue
-		}
-		if u.isLoad && !pl.loadMayIssue(u) {
-			continue
-		}
-		cand = append(cand, u)
 	}
 	if len(cand) == 0 {
 		return
@@ -105,10 +93,10 @@ func (pl *Pipeline) issueStage() {
 	// total and matches what sort.Slice produced.
 	for i := 1; i < len(cand); i++ {
 		u := cand[i]
-		pu := priorityOf(u)
+		pu := u.prio
 		j := i - 1
 		for j >= 0 {
-			pj := priorityOf(cand[j])
+			pj := cand[j].prio
 			if pj < pu || (pj == pu && cand[j].seq < u.seq) {
 				break
 			}
@@ -161,9 +149,7 @@ func (pl *Pipeline) issue(u *uop) {
 	u.issued = true
 	u.issueCyc = pl.now
 	pl.Stats.Executed++
-	pl.rs[u.rsIdx] = nil
-	u.rsIdx = -1
-	pl.rsUsed--
+	pl.freeRS(u)
 
 	switch {
 	case u.isLoad:

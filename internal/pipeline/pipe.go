@@ -144,9 +144,10 @@ type Pipeline struct {
 	fqHead int
 	fqLen  int
 
-	// Reservation stations.
+	// Reservation stations and their wakeup/select masks (wakeup.go).
 	rs     []*uop
 	rsUsed int
+	wake   wakeup
 
 	// LSQ: ring of memory operations in program order.
 	lsq     []*uop
@@ -270,11 +271,11 @@ type BootState struct {
 }
 
 // Scratch is the recyclable allocation state of a finished pipeline:
-// the uop and event pools, the ROB/RS/LSQ/fetch-queue rings, the
-// producer map, and the trace-window ring. The sampling engine threads
-// one Scratch through its per-window pipelines so steady-state window
-// simulation allocates almost nothing. A Scratch is single-owner: hand
-// it to at most one NewFrom at a time.
+// the uop and event pools, the ROB/RS/LSQ/fetch-queue rings, the RS
+// wakeup masks, the producer map, and the trace-window ring. The
+// sampling engine threads one Scratch through its per-window pipelines
+// so steady-state window simulation allocates almost nothing. A Scratch
+// is single-owner: hand it to at most one NewFrom at a time.
 type Scratch struct {
 	uops   []*uop
 	events [][]event
@@ -285,6 +286,7 @@ type Scratch struct {
 	lsq    []*uop
 	fq     []*uop
 	cand   []*uop
+	wake   wakeup
 	win    []emu.TraceRec
 }
 
@@ -293,12 +295,17 @@ func (s *Scratch) fits(cfg Config) bool {
 	return s != nil &&
 		len(s.rob) == cfg.ROBSize &&
 		len(s.rs) == cfg.NumRS &&
+		s.wake.fits(cfg.NumRS, cfg.PhysRegs) &&
 		len(s.lsq) == cfg.LSQSize &&
 		len(s.fq) == cfg.FetchQueue &&
 		len(s.prod) == cfg.PhysRegs &&
 		len(s.events) == eventHorizon &&
-		len(s.win) >= cfg.ROBSize+cfg.FetchQueue+8
+		len(s.win) >= winCap(cfg)
 }
+
+// winCap is the trace-window ring sizing hint: the in-flight window
+// (ROB + fetch queue) plus slack.
+func winCap(cfg Config) int { return cfg.ROBSize + cfg.FetchQueue + 8 }
 
 // Recycle strips a finished pipeline for parts, returning a Scratch a
 // successor pipeline of the same configuration can adopt through
@@ -331,6 +338,8 @@ func (pl *Pipeline) Recycle() *Scratch {
 	for i := range pl.cand {
 		pl.cand[i] = nil
 	}
+	// The wakeup masks need no reset: draining freed every station,
+	// which leaves them all-zero (TestWakeupMatchesScan checks).
 	return &Scratch{
 		uops:   pl.uopFree,
 		events: pl.events,
@@ -341,6 +350,7 @@ func (pl *Pipeline) Recycle() *Scratch {
 		lsq:    pl.lsq,
 		fq:     pl.fq,
 		cand:   pl.cand[:0],
+		wake:   pl.wake,
 		win:    pl.win.buf,
 	}
 }
@@ -405,6 +415,7 @@ func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) 
 		pl.uopFree = s.uops
 		pl.prod = s.prod
 		pl.cand = s.cand[:0]
+		pl.wake = s.wake
 		winBuf = s.win
 	} else {
 		pl.rob = make([]*uop, cfg.ROBSize)
@@ -415,8 +426,9 @@ func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) 
 		pl.uopFree = make([]*uop, 0, cfg.ROBSize+cfg.FetchQueue+1)
 		pl.cand = make([]*uop, 0, cfg.NumRS)
 		pl.prod = make([]*uop, cfg.PhysRegs)
+		pl.wake = newWakeup(cfg.NumRS, cfg.PhysRegs)
 	}
-	pl.win.init(src, cfg.ROBSize+cfg.FetchQueue+8, winBuf)
+	pl.win.init(src, winCap(cfg), winBuf)
 	pl.integ = core.New(cfg.Policy, cfg.IT, cfg.LISP, pl.rf)
 	if boot != nil {
 		if boot.IT != nil {
@@ -627,17 +639,30 @@ func (pl *Pipeline) newUop() *uop {
 	return u
 }
 
-// freeUop returns a dead uop to the pool. Fields are cleared on reuse,
-// not here, so callers (e.g. squash recovery reading checkpoint
-// snapshots) may still read the carcass until the next newUop. Stale
-// completion events are fenced by the (seq, squashed) guard in
-// completeStage.
-func (pl *Pipeline) freeUop(u *uop) { pl.uopFree = append(pl.uopFree, u) }
+// freeUop returns a dead uop to the pool and its RAS checkpoint to the
+// RAS's shadow pool. Fields are cleared on reuse, not here, so callers
+// (e.g. squash recovery reading checkpoint snapshots) may still read the
+// carcass until the next newUop — a released RAS shadow likewise stays
+// intact until the next fetch snapshots. Stale completion events are
+// fenced by the (seq, squashed) guard in completeStage.
+func (pl *Pipeline) freeUop(u *uop) {
+	pl.ras.Release(u.rasSnap)
+	pl.uopFree = append(pl.uopFree, u)
+}
+
+// wrap reduces a ring index in [0, 2n) to [0, n) without a division:
+// exact for any ring size, where a mask would need a power of two.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
+}
 
 // fqPush appends a fetched uop; the ring is sized to cfg.FetchQueue and
 // callers check fqLen first.
 func (pl *Pipeline) fqPush(u *uop) {
-	pl.fq[(pl.fqHead+pl.fqLen)%len(pl.fq)] = u
+	pl.fq[wrap(pl.fqHead+pl.fqLen, len(pl.fq))] = u
 	pl.fqLen++
 }
 
@@ -645,7 +670,7 @@ func (pl *Pipeline) fqPush(u *uop) {
 func (pl *Pipeline) fqPop() *uop {
 	u := pl.fq[pl.fqHead]
 	pl.fq[pl.fqHead] = nil
-	pl.fqHead = (pl.fqHead + 1) % len(pl.fq)
+	pl.fqHead = wrap(pl.fqHead+1, len(pl.fq))
 	pl.fqLen--
 	return u
 }
@@ -656,7 +681,7 @@ func (pl *Pipeline) fqPop() *uop {
 func (pl *Pipeline) fqDrain() *uop {
 	var oldest *uop
 	for i := 0; i < pl.fqLen; i++ {
-		pos := (pl.fqHead + i) % len(pl.fq)
+		pos := wrap(pl.fqHead+i, len(pl.fq))
 		v := pl.fq[pos]
 		pl.fq[pos] = nil
 		v.squashed = true
@@ -730,7 +755,7 @@ func (pl *Pipeline) auditRegisters() error {
 // drainInFlight squashes everything still in flight (post-halt cleanup).
 func (pl *Pipeline) drainInFlight() {
 	for pl.robLen > 0 {
-		tail := (pl.robHead + pl.robLen - 1) % len(pl.rob)
+		tail := wrap(pl.robHead+pl.robLen-1, len(pl.rob))
 		u := pl.rob[tail]
 		pl.undoUop(u)
 		pl.rob[tail] = nil

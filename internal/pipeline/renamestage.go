@@ -106,8 +106,7 @@ func (pl *Pipeline) renameStage() {
 			u.src2 = pl.front.Get(u.in.Rb)
 		}
 		// Conditional moves read the prior destination mapping.
-		cmov := u.in.Op == isa.CMOVEQ || u.in.Op == isa.CMOVNE
-		if cmov {
+		if isCMOV(u.in.Op) {
 			u.oldDest = pl.front.Get(u.in.Rd)
 		}
 
@@ -148,7 +147,7 @@ func (pl *Pipeline) renameStage() {
 			pl.prod[p] = u
 			// Link values of direct/indirect calls are known at rename.
 			if u.in.Op.IsCall() {
-				pl.rf.SetReady(p, u.pc+isa.InstrBytes)
+				pl.setReady(p, u.pc+isa.InstrBytes)
 				pl.prod[p] = nil
 			}
 		}
@@ -162,13 +161,13 @@ func (pl *Pipeline) renameStage() {
 			u.src1, u.src2, outMap, u.oldDest, u.integrated)
 
 		// Dispatch.
-		u.robPos = (pl.robHead + pl.robLen) % len(pl.rob)
+		u.robPos = wrap(pl.robHead+pl.robLen, len(pl.rob))
 		pl.rob[u.robPos] = u
 		pl.robLen++
 		if isMem {
 			u.isLoad = u.in.Op.IsLoad()
 			u.isStore = u.in.Op.IsStore()
-			u.lsqPos = (pl.lsqHead + pl.lsqLen) % len(pl.lsq)
+			u.lsqPos = wrap(pl.lsqHead+pl.lsqLen, len(pl.lsq))
 			pl.lsq[u.lsqPos] = u
 			pl.lsqLen++
 		}
@@ -191,19 +190,6 @@ func (pl *Pipeline) renameStage() {
 			}
 		}
 	}
-}
-
-// allocRS places a uop in a free reservation station.
-func (pl *Pipeline) allocRS(u *uop) {
-	for i := range pl.rs {
-		if pl.rs[i] == nil {
-			pl.rs[i] = u
-			u.rsIdx = i
-			pl.rsUsed++
-			return
-		}
-	}
-	panic("pipeline: RS allocation failed after pre-check")
 }
 
 // renameRedirect handles an integrated branch whose recorded outcome

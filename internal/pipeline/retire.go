@@ -83,7 +83,7 @@ func (pl *Pipeline) retireStage() {
 		}
 
 		pl.rob[pl.robHead] = nil
-		pl.robHead = (pl.robHead + 1) % len(pl.rob)
+		pl.robHead = wrap(pl.robHead+1, len(pl.rob))
 		pl.robLen--
 		if u.lsqPos >= 0 {
 			pl.popLSQHead(u)
@@ -110,7 +110,7 @@ func (pl *Pipeline) popLSQHead(u *uop) {
 		panic("pipeline: retiring memory op is not the LSQ head")
 	}
 	pl.lsq[pl.lsqHead] = nil
-	pl.lsqHead = (pl.lsqHead + 1) % len(pl.lsq)
+	pl.lsqHead = wrap(pl.lsqHead+1, len(pl.lsq))
 	pl.lsqLen--
 }
 

@@ -19,9 +19,7 @@ func (pl *Pipeline) undoUop(u *uop) {
 		}
 	}
 	if u.rsIdx >= 0 {
-		pl.rs[u.rsIdx] = nil
-		u.rsIdx = -1
-		pl.rsUsed--
+		pl.unwaitRS(u)
 	}
 }
 
@@ -39,7 +37,7 @@ func (pl *Pipeline) squashFrom(u *uop, inclusive bool) {
 	oldest := pl.fqDrain()
 
 	for pl.robLen > 0 {
-		tail := (pl.robHead + pl.robLen - 1) % len(pl.rob)
+		tail := wrap(pl.robHead+pl.robLen-1, len(pl.rob))
 		v := pl.rob[tail]
 		if v == u && !inclusive {
 			break
@@ -65,7 +63,7 @@ func (pl *Pipeline) squashFrom(u *uop, inclusive bool) {
 
 // popLSQTail removes a squashed memory op, which must be the LSQ tail.
 func (pl *Pipeline) popLSQTail(v *uop) {
-	tail := (pl.lsqHead + pl.lsqLen - 1) % len(pl.lsq)
+	tail := wrap(pl.lsqHead+pl.lsqLen-1, len(pl.lsq))
 	if pl.lsq[tail] != v {
 		panic("pipeline: squashed memory op is not the LSQ tail")
 	}

@@ -10,6 +10,19 @@
 // against the program's golden architectural trace. A mismatch on an
 // integrated instruction is a mis-integration (flush + LISP training, as
 // in the paper); a mismatch anywhere else is a simulator bug and panics.
+//
+// Issue is wakeup/select rather than a per-cycle scan of the stations.
+// Bitmasks over RS slots record which slots are occupied, which are
+// ready, and, per physical register, which slots wait on it. Allocation
+// registers each distinct unready source in its register's wait mask;
+// publishing a value (setReady, the only path by which a register
+// becomes ready) clears that mask and moves every slot whose last source
+// arrived into the ready mask; issueStage selects from the ready mask
+// alone, in the same (priority, age) order as before. This is exact
+// because a register a waiting consumer names cannot become unready
+// again: the consumer's source mapping holds the register's reference
+// count until a younger overwriter retires, so Alloc cannot reclaim it
+// while the consumer sits in a station.
 package pipeline
 
 import (
@@ -52,6 +65,7 @@ type uop struct {
 	// Scheduling state.
 	needsRS  bool
 	rsIdx    int // -1 when not occupying a reservation station
+	prio     int // priorityOf, computed once at RS allocation
 	issued   bool
 	execDone bool
 	issueCyc uint64

@@ -12,9 +12,11 @@ import (
 // most the in-flight window (ROB + fetch queue), so steady-state memory
 // is O(ROB) regardless of trace length. The ring grows (doubling) only if
 // a consumer outruns the sizing hint — a safety valve, not a steady state.
+// Its capacity is a power of two, so ring positions are masked rather
+// than divided.
 type traceWindow struct {
 	src  emu.TraceSource
-	buf  []emu.TraceRec // ring storage
+	buf  []emu.TraceRec // ring storage; len is a power of two
 	base int            // trace index of buf[head]
 	head int
 	n    int
@@ -22,21 +24,25 @@ type traceWindow struct {
 	peak int  // high-water occupancy, exported via Stats.TraceWindowPeak
 }
 
-// init binds the window to a source. A recycled ring buffer (Scratch)
-// of at least capHint records is adopted instead of allocating; ring
-// capacity never affects behavior (grow is a safety valve, and peak
-// tracks occupancy, not size).
+// init binds the window to a source, rounding capHint up to a power of
+// two. A recycled ring buffer (Scratch) of that size is adopted instead
+// of allocating; ring capacity never affects behavior (grow is a safety
+// valve, and peak tracks occupancy, not size).
 func (w *traceWindow) init(src emu.TraceSource, capHint int, buf []emu.TraceRec) {
-	if capHint < 16 {
-		capHint = 16
+	size := 16
+	for size < capHint {
+		size *= 2
 	}
 	w.src = src
-	if len(buf) >= capHint {
+	if len(buf) >= size && len(buf)&(len(buf)-1) == 0 {
 		w.buf = buf
 	} else {
-		w.buf = make([]emu.TraceRec, capHint)
+		w.buf = make([]emu.TraceRec, size)
 	}
 }
+
+// pos maps a ring offset from head to its storage index.
+func (w *traceWindow) pos(off int) int { return (w.head + off) & (len(w.buf) - 1) }
 
 // has reports whether trace record i exists, pulling from the source as
 // needed. Indices below the release point are gone by contract.
@@ -64,14 +70,14 @@ func (w *traceWindow) at(i int) emu.TraceRec {
 	if !w.has(i) {
 		panic(fmt.Sprintf("pipeline: trace index %d beyond end of stream", i))
 	}
-	return w.buf[(w.head+(i-w.base))%len(w.buf)]
+	return w.buf[w.pos(i-w.base)]
 }
 
 func (w *traceWindow) push(rec emu.TraceRec) {
 	if w.n == len(w.buf) {
 		w.grow()
 	}
-	w.buf[(w.head+w.n)%len(w.buf)] = rec
+	w.buf[w.pos(w.n)] = rec
 	w.n++
 	if w.n > w.peak {
 		w.peak = w.n
@@ -81,7 +87,7 @@ func (w *traceWindow) push(rec emu.TraceRec) {
 func (w *traceWindow) grow() {
 	nb := make([]emu.TraceRec, 2*len(w.buf))
 	for i := 0; i < w.n; i++ {
-		nb[i] = w.buf[(w.head+i)%len(w.buf)]
+		nb[i] = w.buf[w.pos(i)]
 	}
 	w.buf, w.head = nb, 0
 }
@@ -96,7 +102,7 @@ func (w *traceWindow) release(lo int) {
 	if d > w.n {
 		d = w.n
 	}
-	w.head = (w.head + d) % len(w.buf)
+	w.head = w.pos(d)
 	w.base += d
 	w.n -= d
 }

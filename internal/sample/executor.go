@@ -98,9 +98,14 @@ func newPoolExecutor(sched *Scheduler, hooks *Hooks) *poolExecutor {
 func (x *poolExecutor) Width() int { return x.sched.Size() }
 
 func (x *poolExecutor) Run(ctx context.Context, job WindowJob) (WindowResult, error) {
+	if err := ctx.Err(); err != nil {
+		return WindowResult{}, err // discarded before submission: no task queued
+	}
 	t := &schedTask{cell: x.cell, out: make(chan *winOut, 1)}
 	t.run = func(sl *slot) *winOut { return runWindowJob(ctx, job, sl) }
-	x.sched.submit(t)
+	if err := x.sched.submit(t); err != nil {
+		return WindowResult{}, err
+	}
 	select {
 	case r := <-t.out:
 		if r.err != nil {

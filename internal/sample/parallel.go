@@ -3,6 +3,7 @@ package sample
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"rix/internal/core"
 	"rix/internal/emu"
@@ -114,6 +115,12 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 		depth = nb
 	}
 	flights := make([]*inflight, nb)
+	// No goroutine outlives the run: every exit path waits for each
+	// window's executor goroutine (released by the cancel below, so the
+	// wait is short), and only then may the deferred Close of an
+	// ephemeral pool run — a straggler can never submit to a closed pool.
+	var running sync.WaitGroup
+	defer running.Wait()
 	// Cancel whatever is still in flight on every exit path, so an error
 	// (or ctx cancellation) never leaves this run's jobs occupying a
 	// shared executor.
@@ -146,7 +153,9 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 		jctx, cancel := context.WithCancel(ctx)
 		fl := &inflight{guess: guess, cancel: cancel, out: make(chan outcome, 1)}
 		job := WindowJob{Prog: p, Config: cfg, Sampling: sp, Boundary: *b, Feedback: guess}
+		running.Add(1)
 		go func() {
+			defer running.Done()
 			res, err := exec.Run(jctx, job)
 			fl.out <- outcome{res: res, err: err}
 		}()

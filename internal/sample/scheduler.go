@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -42,8 +43,13 @@ type Scheduler struct {
 	queue chan *schedTask
 	wg    sync.WaitGroup
 	size  int
-	close sync.Once
+
+	mu     sync.RWMutex // orders submits against Close
+	closed bool
 }
+
+// ErrSchedulerClosed is the error for a window submitted after Close.
+var ErrSchedulerClosed = errors.New("sample: window scheduler is closed")
 
 // schedTask is one speculatively dispatched detail window in the shared
 // queue.
@@ -119,17 +125,32 @@ func NewScheduler(slots int) *Scheduler {
 func (s *Scheduler) Size() int { return s.size }
 
 // Close stops the pool after the in-flight and queued jobs drain. Call
-// only after every run sharing the scheduler has returned; submitting
-// after Close panics. Close is idempotent.
+// only after every run sharing the scheduler has returned; a window
+// submitted after Close fails with ErrSchedulerClosed. Close is
+// idempotent.
 func (s *Scheduler) Close() {
-	s.close.Do(func() { close(s.queue) })
+	s.mu.Lock()
+	if !s.closed {
+		s.closed = true
+		close(s.queue)
+	}
+	s.mu.Unlock()
 	s.wg.Wait()
 }
 
 // submit enqueues one window job. Blocks only when the queue is full
 // (every slot busy and the backlog at capacity) — safe, because workers
-// never block and therefore always drain the queue.
-func (s *Scheduler) submit(t *schedTask) { s.queue <- t }
+// never block and therefore always drain the queue, so a Close waiting
+// behind a blocked submit is delayed, never deadlocked.
+func (s *Scheduler) submit(t *schedTask) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return ErrSchedulerClosed
+	}
+	s.queue <- t
+	return nil
+}
 
 // worker owns one slot and executes queued window jobs until Close.
 func (s *Scheduler) worker(id int) {
