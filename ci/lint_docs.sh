@@ -34,9 +34,8 @@ for f in worker worker-idle coordinator; do
   fi
 done
 
-# go test / gofmt / go vet flags quoted in CI and benchmarking docs
-# (vettool is go vet's own flag, quoted in the rixvet instructions).
-toolchain="bench benchmem benchtime race run count cover l vettool"
+# go test / gofmt / go vet flags quoted in CI and benchmarking docs.
+toolchain="bench benchmem benchtime race run count cover l"
 
 fail=0
 for doc in README.md EXPERIMENTS.md doc/ARCHITECTURE.md doc/FORMATS.md; do

@@ -165,7 +165,7 @@ func buildRequest(bench, file string, o sim.Options, sampleSpec, ckptDir string,
 		o.Sampling = &sp
 	}
 	req := &run.Request{Options: o, CheckpointDir: ckptDir, Resume: resume}
-	if o.Sampling != nil && !resume {
+	if o.Sampling != nil {
 		sampled.Apply(req)
 	}
 	switch {

@@ -1,8 +1,6 @@
 // Command rixvet runs the project's static-analysis suite
 // (internal/analysis): hotalloc, snapshotpure, eventenum, ctxflow, and
-// gobversion. It has two modes:
-//
-// Standalone — the everyday and CI entry point:
+// gobversion:
 //
 //	rixvet ./...                  # analyze every package in the module
 //	rixvet -only hotalloc ./...   # one analyzer
@@ -14,25 +12,13 @@
 // no network, no module cache — the standard library is type-checked
 // from GOROOT source. Exit status is 1 when any analyzer reports a
 // finding.
-//
-// Vettool — the go-vet integration, speaking enough of the unitchecker
-// protocol (-V=full version stamp, a JSON .cfg file per package, a
-// facts file written to VetxOutput) to be used as:
-//
-//	go vet -vettool=$(command -v rixvet) ./...
-//
-// In this mode the toolchain hands rixvet already-compiled export data,
-// so analysis is per-package incremental and cached by the go command.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
@@ -54,21 +40,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rixvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		listFlag    = fs.Bool("list", false, "print the analyzer suite and exit")
-		onlyFlag    = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-		jsonFlag    = fs.Bool("json", false, "emit findings as JSON")
-		updateFlag  = fs.Bool("update-gob-golden", false, "regenerate the gobversion structure golden instead of checking it")
-		versionFlag = fs.String("V", "", "print version and exit (go vet protocol; only -V=full is supported)")
+		listFlag   = fs.Bool("list", false, "print the analyzer suite and exit")
+		onlyFlag   = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+		jsonFlag   = fs.Bool("json", false, "emit findings as JSON")
+		updateFlag = fs.Bool("update-gob-golden", false, "regenerate the gobversion structure golden instead of checking it")
 	)
-	if len(args) == 1 && args[0] == "-flags" {
-		// go vet probes supported flags before the first real run.
-		return printFlags(fs, stdout, stderr)
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *versionFlag != "" {
-		return printVersion(stdout, *versionFlag)
 	}
 	if *listFlag {
 		for _, a := range suite.Analyzers {
@@ -82,12 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	gobversion.Update = *updateFlag
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vettool(rest[0], analyzers, stderr)
-	}
-	return standalone(rest, analyzers, *jsonFlag, stdout, stderr)
+	return standalone(fs.Args(), analyzers, *jsonFlag, stdout, stderr)
 }
 
 // selectAnalyzers filters the suite by the -only flag.
@@ -197,166 +170,6 @@ func emit(findings []finding, asJSON bool, stdout, stderr io.Writer) int {
 	}
 	if len(findings) > 0 {
 		return 1
-	}
-	return 0
-}
-
-// printFlags answers go vet's -flags probe: a JSON description of every
-// flag the tool accepts, so the go command knows what it may forward.
-func printFlags(fs *flag.FlagSet, stdout, stderr io.Writer) int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	fs.VisitAll(func(f *flag.Flag) {
-		isBool := false
-		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok {
-			isBool = b.IsBoolFlag()
-		}
-		flags = append(flags, jsonFlag{f.Name, isBool, f.Usage})
-	})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		fmt.Fprintln(stderr, "rixvet:", err)
-		return 2
-	}
-	stdout.Write(data)
-	return 0
-}
-
-// printVersion implements the -V=full stamp the go command uses as a
-// cache key for vettool runs: tool name plus a content hash of the
-// executable.
-func printVersion(stdout io.Writer, mode string) int {
-	if mode != "full" {
-		fmt.Fprintln(stdout, "rixvet version devel")
-		return 0
-	}
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Fprintf(stdout, "rixvet version devel buildID=%x\n", h.Sum(nil))
-	return 0
-}
-
-// vetConfig is the subset of the go vet .cfg JSON rixvet consumes —
-// the same shape x/tools' unitchecker reads.
-type vetConfig struct {
-	ID          string
-	Compiler    string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-}
-
-// vettool analyzes one package from a go vet .cfg file: parse the listed
-// files, type-check against the toolchain's export data, run the suite,
-// and write the (empty) facts file go vet expects.
-func vettool(cfgPath string, analyzers []*analysis.Analyzer, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "rixvet:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "rixvet: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// Dependency packages are analyzed only for facts (VetxOnly); rixvet
-	// exports none, so just satisfy the protocol and stay silent.
-	if cfg.VetxOnly {
-		return writeVetx(cfg.VetxOutput, stderr)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintln(stderr, "rixvet:", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	// Resolve imports through the export data go vet hands us: vetted
-	// import path -> canonical path -> compiled package file.
-	lookup := func(path string) (io.ReadCloser, error) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, lookup)
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		fmt.Fprintf(stderr, "rixvet: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-	var findings []finding
-	for _, a := range analyzers {
-		fs, err := applyAnalyzer(a, fset, files, tpkg, info)
-		if err != nil {
-			fmt.Fprintf(stderr, "rixvet: %s: %s: %v\n", a.Name, cfg.ImportPath, err)
-			return 2
-		}
-		findings = append(findings, fs...)
-	}
-	if code := writeVetx(cfg.VetxOutput, stderr); code != 0 {
-		return code
-	}
-	reported := 0
-	for _, f := range findings {
-		// go vet feeds test files through too; rixvet checks shipped code
-		// (the standalone loader never loads _test.go), so keep the two
-		// modes consistent.
-		if strings.HasSuffix(strings.SplitN(f.Pos, ":", 2)[0], "_test.go") {
-			continue
-		}
-		fmt.Fprintf(stderr, "%s: [%s] %s\n", f.Pos, f.Analyzer, f.Message)
-		reported++
-	}
-	if reported > 0 {
-		return 1
-	}
-	return 0
-}
-
-// writeVetx writes the (empty) facts file go vet requires to exist.
-func writeVetx(path string, stderr io.Writer) int {
-	if path == "" {
-		return 0
-	}
-	if err := os.WriteFile(path, nil, 0o666); err != nil {
-		fmt.Fprintln(stderr, "rixvet:", err)
-		return 2
 	}
 	return 0
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -16,37 +15,6 @@ func TestListMode(t *testing.T) {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
-	}
-}
-
-func TestFlagsProbe(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-flags"}, &out, &errb); code != 0 {
-		t.Fatalf("-flags exited %d: %s", code, errb.String())
-	}
-	var flags []struct {
-		Name string
-		Bool bool
-	}
-	if err := json.Unmarshal(out.Bytes(), &flags); err != nil {
-		t.Fatalf("-flags output is not JSON: %v\n%s", err, out.String())
-	}
-	byName := map[string]bool{}
-	for _, f := range flags {
-		byName[f.Name] = f.Bool
-	}
-	if !byName["json"] || byName["only"] {
-		t.Errorf("flag Bool-ness wrong: %v", byName)
-	}
-}
-
-func TestVersionStamp(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-V=full"}, &out, &errb); code != 0 {
-		t.Fatalf("-V=full exited %d", code)
-	}
-	if !strings.HasPrefix(out.String(), "rixvet version ") {
-		t.Errorf("bad version stamp: %q", out.String())
 	}
 }
 

@@ -3,7 +3,6 @@ package run
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"rix/internal/asm"
@@ -71,7 +70,7 @@ type Options struct {
 	// taking precedence over both it and the request's Executor/
 	// WorkerDir fields (from which Do would otherwise construct a
 	// cross-process coordinator itself). The caller owns its lifecycle.
-	// Ignored for detail and resume runs.
+	// Ignored for detail runs.
 	Executor sample.Executor
 }
 
@@ -269,21 +268,20 @@ func execute(ctx context.Context, c *config, req *Request, bw workload.Built, re
 	sc := sample.Config{
 		Sampling:      *req.Options.Sampling,
 		CheckpointDir: req.CheckpointDir,
-		Parallel:      req.Parallel,
-		Windows:       req.Jobs,
 		WarmJobs:      req.WarmJobs,
 		WarmStride:    req.WarmStride,
 		CacheDir:      req.CheckpointCache,
 		CacheMaxBytes: int64(req.CacheMaxMB) << 20,
 		CacheMaxAge:   time.Duration(req.CacheMaxAgeSec) * time.Second,
 		Scheduler:     c.Scheduler,
+		Executor:      c.Executor,
 		MaxInstrs:     req.MaxInstrs,
 	}
 	if c.hasObs {
 		sc.Hooks = sampleHooks(c, ev)
 	}
-	sc.Executor = c.Executor
-	if sc.Executor == nil && req.Executor == ExecProc {
+	switch {
+	case sc.Executor == nil && req.Executor == ExecProc:
 		// Construct the cross-process coordinator from the request's own
 		// fields: window jobs travel through WorkerDir's windows/
 		// subdirectory for `rixsim -worker` processes to claim. Jobs
@@ -294,22 +292,20 @@ func execute(ctx context.Context, c *config, req *Request, bw workload.Built, re
 			return err
 		}
 		sc.Executor = coord
+	case sc.Executor == nil && sc.Scheduler == nil && req.Jobs > 1:
+		// No shared pool injected: this run's windows get a pool of
+		// their own, Jobs slots wide, for the run's lifetime.
+		sched := sample.NewScheduler(req.Jobs)
+		defer sched.Close()
+		sc.Scheduler = sched
 	}
 	// Wave telemetry is part of the Result, observer or not: count
-	// dispatches and discards on top of whatever event hooks are
-	// installed. Both fire from the coordinating goroutine, but WindowDone
-	// (and thus a future reader of these counters) may run concurrently in
-	// Resume mode, so keep them atomic.
-	var dispatched, discarded atomic.Uint64
-	prevSched, prevDisc := sc.Hooks.WindowScheduled, sc.Hooks.WindowDiscarded
-	sc.Hooks.WindowScheduled = func(index int) {
-		dispatched.Add(1)
-		if prevSched != nil {
-			prevSched(index)
-		}
-	}
+	// discards on top of whatever event hooks are installed (every hook
+	// fires from the coordinating goroutine).
+	var discarded uint64
+	prevDisc := sc.Hooks.WindowDiscarded
 	sc.Hooks.WindowDiscarded = func(index int) {
-		discarded.Add(1)
+		discarded++
 		if prevDisc != nil {
 			prevDisc(index)
 		}
@@ -324,15 +320,15 @@ func execute(ctx context.Context, c *config, req *Request, bw workload.Built, re
 		return err
 	}
 	res.Stats = est.Agg
-	res.Sampled = summarize(est, dispatched.Load(), discarded.Load())
+	res.Sampled = summarize(est, discarded)
 	return nil
 }
 
 // procConfig builds the cross-process coordinator configuration for an
 // ExecProc request, adapting its worker-lifecycle callbacks to the
 // typed event stream. The callbacks fire from the coordinator's
-// per-window collection goroutines — concurrently, like WindowDone in
-// resume mode — so each builds its Event as a local value.
+// per-window collection goroutines — concurrently — so each builds its
+// Event as a local value.
 func procConfig(c *config, req *Request, ev Event) procexec.Config {
 	pc := procexec.Config{Width: req.Jobs}
 	if !c.hasObs {
@@ -362,11 +358,11 @@ func procConfig(c *config, req *Request, ev Event) procexec.Config {
 }
 
 // sampleHooks adapts the sampling engine's callbacks to the typed event
-// stream. Progress and CheckpointWritten fire from the sequential run
-// goroutine; WindowDone may also fire concurrently from Resume/
-// Continue's worker pool, so every hook builds its Event as a local
-// value — nothing shared is mutated (window-rate events are far off the
-// hot path, so the per-call value is free).
+// stream. Most hooks fire from the run's own goroutine, but the warm
+// shard and slot-steal hooks fire from worker goroutines, so every hook
+// builds its Event as a local value — nothing shared is mutated
+// (window-rate events are far off the hot path, so the per-call value
+// is free).
 func sampleHooks(c *config, ev Event) sample.Hooks {
 	var lastProgress uint64
 	every := c.ProgressEvery

@@ -121,10 +121,10 @@ type Event struct {
 // Observer receives a run's typed progress events. Observe is called
 // synchronously from the goroutines executing the run, so it must be
 // fast and must not block. It must also be safe for concurrent use:
-// a ModeResume run fires WindowDone from its bounded worker pool (one
-// event per re-run window, in completion order), and an Observer
-// shared across engine cells (see runner.Engine.Observer) sees every
-// cell's events concurrently.
+// warm-shard, slot-steal and cross-process worker events fire from
+// worker goroutines, and an Observer shared across engine cells (see
+// runner.Engine.Observer) sees every cell's events concurrently.
+// WindowDone events of one run arrive in window index order.
 type Observer interface {
 	Observe(Event)
 }

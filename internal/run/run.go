@@ -79,19 +79,16 @@ type Request struct {
 	// run in CheckpointDir. Requires Options.Sampling and CheckpointDir.
 	Resume bool `json:"resume,omitempty"`
 
-	// Parallel bounds the worker pool re-running checkpointed windows in
-	// ModeResume (default 1).
-	Parallel int `json:"parallel,omitempty"`
-
-	// Jobs bounds window-level parallelism for ModeSampled: >1 selects
+	// Jobs bounds window-level parallelism. For ModeSampled, >1 selects
 	// the two-phase engine (one warm pass, then up to Jobs detail windows
 	// in flight on a worker pool), 1 forces the sequential engine, 0
 	// leaves the choice to the caller's default (sequential unless a
 	// checkpoint cache or warm set makes the two-phase path worthwhile).
-	// When the caller supplies a shared pool (WithScheduler), the pool's
-	// slot count governs instead and Jobs records the intended size for
-	// request-serialization fidelity. The estimate is bit-identical in
-	// every case.
+	// For ModeResume it sizes the pool re-running the checkpointed
+	// windows (default 1). When the caller supplies a shared pool
+	// (WithScheduler), the pool's slot count governs instead and Jobs
+	// records the intended size for request-serialization fidelity. The
+	// estimate is bit-identical in every case.
 	Jobs int `json:"jobs,omitempty"`
 
 	// WarmJobs bounds warm-pass shard workers for ModeSampled: >1 shards
@@ -135,8 +132,7 @@ type Request struct {
 	// pool, ExecProc dispatches them as job manifests under WorkerDir
 	// for `rixsim -worker` processes to claim (see
 	// internal/sample/procexec). The estimate is bit-identical either
-	// way. Does not apply to resume runs, which re-execute checkpoints
-	// locally.
+	// way. A resume run executes its re-run windows the same way.
 	Executor string `json:"executor,omitempty"`
 
 	// WorkerDir is the cache directory shared with the worker
@@ -239,9 +235,6 @@ func (r *Request) Validate() error {
 	if r.Executor != "" && r.Options.Sampling == nil {
 		return fmt.Errorf("run: Executor is only meaningful for sampled runs (set Options.Sampling)")
 	}
-	if r.Executor != "" && r.Resume {
-		return fmt.Errorf("run: resume re-executes checkpoints on a local worker pool; Executor does not apply")
-	}
 	if r.Executor == ExecProc && r.WorkerDir == "" {
 		return fmt.Errorf("run: Executor %q needs WorkerDir (the cache directory shared with the workers)", ExecProc)
 	}
@@ -303,16 +296,15 @@ func (s *Sampled) DetailFraction() float64 {
 }
 
 // summarize flattens a sample.Estimate into the serializable Sampled
-// form. dispatched/discarded are the run's wave-telemetry tallies; a
-// sequential run (which never dispatches speculatively) passes 0 and is
-// normalized to Dispatched = Settled.
-func summarize(est *sample.Estimate, dispatched, discarded uint64) *Sampled {
+// form. discarded is the run's wave-telemetry tally of misspeculated
+// windows. Every window of a completed run settles exactly once and
+// every other dispatch was discarded, so dispatched = settled +
+// discarded — a sequential run (which never dispatches speculatively)
+// counts each window as one dispatch.
+func summarize(est *sample.Estimate, discarded uint64) *Sampled {
 	settled := uint64(len(est.Windows))
-	if dispatched == 0 {
-		dispatched = settled
-	}
 	s := &Sampled{
-		WindowsDispatched: dispatched,
+		WindowsDispatched: settled + discarded,
 		WindowsSettled:    settled,
 		WindowsDiscarded:  discarded,
 		Sampling:          est.Sampling,

@@ -71,8 +71,8 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown executor", run.Request{Workload: "gzip", Options: sim.Options{Sampling: &sp},
 			Executor: "threads"}, "unknown Executor"},
 		{"executor without sampling", run.Request{Workload: "gzip", Executor: run.ExecPool}, "only meaningful for sampled"},
-		{"executor with resume", run.Request{Workload: "gzip", Resume: true, CheckpointDir: "/tmp/x",
-			Options: sim.Options{Sampling: &sp}, Executor: run.ExecPool}, "Executor does not apply"},
+		{"valid executor with resume", run.Request{Workload: "gzip", Resume: true, CheckpointDir: "/tmp/x",
+			Options: sim.Options{Sampling: &sp}, Executor: run.ExecPool}, ""},
 		{"proc without worker dir", run.Request{Workload: "gzip", Options: sim.Options{Sampling: &sp},
 			Executor: run.ExecProc}, "needs WorkerDir"},
 		{"worker dir without proc", run.Request{Workload: "gzip", Options: sim.Options{Sampling: &sp},
@@ -113,7 +113,7 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 			Sampling:    &sp,
 		},
 		CheckpointDir: "/tmp/ck",
-		Parallel:      4,
+		Jobs:          4,
 		MaxInstrs:     1 << 22,
 		Executor:      run.ExecProc,
 		WorkerDir:     "/tmp/wd",
@@ -399,7 +399,7 @@ func TestSampledCancellationAndResume(t *testing.T) {
 
 	resumeLog := &eventLog{}
 	resumed, err := run.Do(context.Background(),
-		run.Request{Workload: "gzip", Options: o, CheckpointDir: dir, Resume: true, Parallel: 4},
+		run.Request{Workload: "gzip", Options: o, CheckpointDir: dir, Resume: true, Jobs: 4},
 		run.WithObserver(resumeLog))
 	if err != nil {
 		t.Fatal(err)
@@ -418,6 +418,47 @@ func TestSampledCancellationAndResume(t *testing.T) {
 	}
 	if resumed.Mode != run.ModeResume {
 		t.Errorf("mode = %s, want resume", resumed.Mode)
+	}
+}
+
+// TestResumeTwoPhaseBitEqual: a two-phase run (Jobs: 2) cancelled in
+// its window phase leaves provisional checkpoints carrying the warm
+// pass's LISP; a Resume request on a two-slot pool must still reproduce
+// the uninterrupted run's aggregate and windows.
+func TestResumeTwoPhaseBitEqual(t *testing.T) {
+	defer leakCheck(t)()
+	sp := sample.DefaultSampling()
+	o := sim.Options{Integration: sim.IntReverse, Sampling: &sp}
+	uninterrupted, err := run.Do(context.Background(), run.Request{Workload: "crafty", Options: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	obs := run.ObserverFunc(func(e run.Event) {
+		if e.Kind == run.WindowDone && e.Window == 1 {
+			cancel()
+		}
+	})
+	_, err = run.Do(ctx, run.Request{Workload: "crafty", Options: o, CheckpointDir: dir, Jobs: 2},
+		run.WithObserver(obs))
+	if err != context.Canceled {
+		t.Fatalf("cancelled two-phase Do returned %v, want context.Canceled", err)
+	}
+
+	resumed, err := run.Do(context.Background(),
+		run.Request{Workload: "crafty", Options: o, CheckpointDir: dir, Resume: true, Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed.Stats, uninterrupted.Stats) {
+		t.Errorf("resumed aggregate differs from uninterrupted:\nresumed:       %+v\nuninterrupted: %+v",
+			resumed.Stats, uninterrupted.Stats)
+	}
+	if !reflect.DeepEqual(resumed.Sampled.Windows, uninterrupted.Sampled.Windows) {
+		t.Errorf("resumed window summaries differ from uninterrupted")
 	}
 }
 

@@ -2,7 +2,9 @@ package sample_test
 
 import (
 	"context"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,7 +124,7 @@ func TestCheckpointResumeBitEqual(t *testing.T) {
 		t.Fatalf("%d checkpoints for %d windows", len(paths), len(direct.Windows))
 	}
 
-	resumed, err := sample.Resume(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir, Parallel: 4})
+	resumed, err := sample.Resume(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir, Scheduler: newPool(t, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestContinueCancelledRunBitEqual(t *testing.T) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 
-	resumed, err := sample.Continue(bg, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir, Parallel: 4})
+	resumed, err := sample.Continue(bg, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir, Scheduler: newPool(t, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +236,120 @@ func TestContinueCancelledRunBitEqual(t *testing.T) {
 	}
 	if !reflect.DeepEqual(direct.Agg, resumed.Agg) {
 		t.Errorf("aggregate Stats differ:\nuninterrupted: %+v\ncontinued:     %+v", direct.Agg, resumed.Agg)
+	}
+}
+
+// TestContinueCancelledTwoPhaseBitEqual: a checkpointing two-phase run
+// writes every boundary checkpoint up front with the warm pass's
+// untrained LISP and rewrites each one only as its window settles, so a
+// run cancelled in its window phase leaves stale provisional files
+// behind. Continue must chain the feedback over them: its windows and
+// aggregate equal the uninterrupted sequential run's, and afterwards
+// every checkpoint decodes equal to the sequential run's. crafty trains
+// its LISP mid-run, so a stale boot LISP shows there.
+func TestContinueCancelledTwoPhaseBitEqual(t *testing.T) {
+	bg := context.Background()
+	cfg, err := sim.Options{Integration: sim.IntReverse}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"gzip", "crafty"} {
+		t.Run(name, func(t *testing.T) {
+			bw := buildBench(t, name)
+			seqDir := t.TempDir()
+			direct, err := sample.Run(bg, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: seqDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(direct.Windows) < 4 {
+				t.Fatalf("only %d windows; want a multi-window run to interrupt", len(direct.Windows))
+			}
+
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(bg)
+			defer cancel()
+			sc := sample.Config{CheckpointDir: dir, Scheduler: newPool(t, 2)}
+			sc.Hooks.WindowDone = func(w sample.WindowStat) {
+				if w.Index == 1 {
+					cancel()
+				}
+			}
+			if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sc); err != context.Canceled {
+				t.Fatalf("cancelled two-phase run returned %v, want context.Canceled", err)
+			}
+
+			resumed, err := sample.Continue(bg, bw.Prog, bw.DynLen, cfg,
+				sample.Config{CheckpointDir: dir, Scheduler: newPool(t, 2)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resumed.Windows) != len(direct.Windows) {
+				t.Fatalf("continue produced %d windows, uninterrupted %d", len(resumed.Windows), len(direct.Windows))
+			}
+			for i := range direct.Windows {
+				if !reflect.DeepEqual(direct.Windows[i], resumed.Windows[i]) {
+					t.Errorf("window %d differs from the uninterrupted run", i)
+				}
+			}
+			if !reflect.DeepEqual(direct.Agg, resumed.Agg) {
+				t.Errorf("aggregate Stats differ:\nuninterrupted: %+v\ncontinued:     %+v", direct.Agg, resumed.Agg)
+			}
+
+			want, err := sample.Checkpoints(seqDir, bw.Prog.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sample.Checkpoints(dir, bw.Prog.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d checkpoints after Continue, sequential run wrote %d", len(got), len(want))
+			}
+			for i := range want {
+				a, err := sample.LoadCheckpoint(want[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := sample.LoadCheckpoint(got[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("checkpoint %d after Continue differs from the sequential run's", i)
+				}
+			}
+		})
+	}
+}
+
+// TestResumeRejectsGap: Resume chains the boot feedback from window 0,
+// so a checkpoint set with a window missing cannot be re-run; the error
+// names the missing window.
+func TestResumeRejectsGap(t *testing.T) {
+	bg := context.Background()
+	bw := buildBench(t, "gzip")
+	cfg, err := sim.Options{Integration: sim.IntReverse}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := sample.Run(bg, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := sample.Checkpoints(dir, bw.Prog.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 4 {
+		t.Fatalf("only %d checkpoints; want a multi-window run", len(paths))
+	}
+	if err := os.Remove(paths[2]); err != nil {
+		t.Fatal(err)
+	}
+	_, err = sample.Resume(bg, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "missing window 2") {
+		t.Fatalf("Resume over a gap returned %v, want an error naming window 2", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"rix/internal/emu"
 	"rix/internal/pipeline"
@@ -109,12 +108,30 @@ func Checkpoints(dir, program string) ([]string, error) {
 	return paths, nil
 }
 
+// saveBoundary persists boundary b of p's run, under sc's window
+// layout, into sc.CheckpointDir; partial marks a cancellation flush.
+func saveBoundary(sc *Config, p *prog.Program, b Boundary, partial bool) (string, error) {
+	return SaveCheckpoint(sc.CheckpointDir, &Checkpoint{
+		Format:   CheckpointFormat,
+		Program:  p.Name,
+		Index:    b.Index,
+		Start:    b.Start,
+		Partial:  partial,
+		Sampling: sc.Sampling,
+		Emu:      b.Emu,
+		Warm:     b.Warm,
+	})
+}
+
 // RunCheckpoint executes one measurement window from its checkpoint —
 // the sharding primitive: any process holding the program and one
 // checkpoint file can produce that window's Stats, bit-identical to the
-// direct sampled run's. Partial (cancellation-flush) checkpoints are not
-// window boundaries and are rejected; Continue is the path that
-// finishes an interrupted run.
+// direct sampled run's. The window boots with the LISP the checkpoint
+// stores, so a provisional checkpoint of a two-phase run that has not
+// been rewritten yet (doc/FORMATS.md) does not reproduce its window
+// exactly. Partial (cancellation-flush) checkpoints are not window
+// boundaries and are rejected; Continue is the path that finishes an
+// interrupted run.
 func RunCheckpoint(ctx context.Context, p *prog.Program, ck *Checkpoint, cfg pipeline.Config, sp Sampling) (*WindowStat, error) {
 	if ck.Program != p.Name {
 		return nil, fmt.Errorf("sample: checkpoint is for %q, not %q", ck.Program, p.Name)
@@ -129,7 +146,8 @@ func RunCheckpoint(ctx context.Context, p *prog.Program, ck *Checkpoint, cfg pip
 		return nil, fmt.Errorf("sample: checkpoint window layout %s does not match requested %s",
 			ck.Sampling, sp)
 	}
-	stats, _, err := runDetail(ctx, p, cfg, ck.Emu, ck.Warm, sp)
+	b := Boundary{Index: ck.Index, Start: ck.Start, Emu: ck.Emu, Warm: ck.Warm}
+	res, err := ExecuteWindow(ctx, WindowJob{Prog: p, Config: cfg, Sampling: sp, Boundary: b, Feedback: ck.Warm.LISP})
 	if err != nil {
 		if ctx.Err() != nil && err == ctx.Err() {
 			return nil, err
@@ -140,80 +158,67 @@ func RunCheckpoint(ctx context.Context, p *prog.Program, ck *Checkpoint, cfg pip
 		Index:        ck.Index,
 		Start:        ck.Start,
 		MeasuredFrom: ck.Start + sp.Warmup,
-		Stats:        *stats,
+		Stats:        res.Stats,
 	}, nil
 }
 
-// runCheckpointSet re-runs a set of checkpoint files across a bounded
-// worker pool, returning the windows they measure in path order.
-// Partial checkpoints contribute no window and are skipped. Cancelling
-// ctx stops scheduling; in-flight windows see the same ctx. Each
-// completed window fires Hooks.WindowDone — from the worker goroutine,
-// in completion (not index) order — so observers see every measured
-// window of a Resume/Continue, not just the sequential tail.
-func runCheckpointSet(ctx context.Context, p *prog.Program, paths []string, cfg pipeline.Config, sc Config) ([]WindowStat, error) {
-	windows := make([]*WindowStat, len(paths))
-	errs := make([]error, len(paths))
-	sem := make(chan struct{}, sc.Parallel)
-	var wg sync.WaitGroup
-	done := ctx.Done()
-sched:
-	for i, path := range paths {
-		select {
-		case <-done:
-			errs[i] = ctx.Err()
-			break sched
-		case sem <- struct{}{}:
-		}
-		wg.Add(1)
-		go func(i int, path string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			ck, err := LoadCheckpoint(path)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if ck.Partial {
-				return
-			}
-			ws, err := RunCheckpoint(ctx, p, ck, cfg, sc.Sampling)
-			if err != nil {
-				if ctx.Err() != nil && err == ctx.Err() {
-					errs[i] = err
-				} else {
-					errs[i] = fmt.Errorf("checkpoint %s: %w", path, err)
-				}
-				return
-			}
-			windows[i] = ws
-			if sc.Hooks.WindowDone != nil {
-				sc.Hooks.WindowDone(*ws)
-			}
-		}(i, path)
+// loadCheckpointSet reads p's checkpoints in sc.CheckpointDir into a
+// WarmSet of their window boundaries, for the window coordinator to
+// re-run, and returns the newest checkpoint read (Continue's starting
+// point). Every file must belong to p and carry sc's window layout;
+// rejections name the offending file. A partial (cancellation)
+// checkpoint contributes no boundary and may only be the newest. The
+// indices must run contiguously from 0: the coordinator re-derives each
+// window's boot feedback by chaining from window 0, which no gap can be
+// bridged over, so a missing window is an error naming its index.
+func loadCheckpointSet(p *prog.Program, sc Config) (*WarmSet, *Checkpoint, error) {
+	paths, err := Checkpoints(sc.CheckpointDir, p.Name)
+	if err != nil {
+		return nil, nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
+	if len(paths) == 0 {
+		return nil, nil, fmt.Errorf("sample: no checkpoints for %s in %s", p.Name, sc.CheckpointDir)
+	}
+	// Newest first: it is where Continue resumes, so a layout mismatch
+	// names that file.
+	cks := make([]*Checkpoint, len(paths))
+	for i := len(paths) - 1; i >= 0; i-- {
+		ck, err := LoadCheckpoint(paths[i])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		if ck.Program != p.Name {
+			return nil, nil, fmt.Errorf("sample: checkpoint %s is for %q, not %q", paths[i], ck.Program, p.Name)
+		}
+		if err := validateLayout(sc.Sampling, ck.Sampling); err != nil {
+			return nil, nil, fmt.Errorf("checkpoint %s: %w", paths[i], err)
+		}
+		cks[i] = ck
+	}
+	set := &WarmSet{Program: p.Name, Sampling: sc.Sampling}
+	for i, ck := range cks {
+		if ck.Index != i || (ck.Partial && i != len(cks)-1) {
+			return nil, nil, fmt.Errorf("sample: checkpoints of %s in %s are missing window %d; feedback cannot chain across the gap",
+				p.Name, sc.CheckpointDir, i)
+		}
+		if !ck.Partial {
+			set.Boundaries = append(set.Boundaries, Boundary{Index: ck.Index, Start: ck.Start, Emu: ck.Emu, Warm: ck.Warm})
 		}
 	}
-	var out []WindowStat
-	for _, w := range windows {
-		if w != nil {
-			out = append(out, *w)
-		}
-	}
-	return out, nil
+	return set, cks[len(cks)-1], nil
 }
 
 // Resume re-runs every checkpointed window of p in sc.CheckpointDir and
 // aggregates them — the restart-after-interruption and shard-merge path
 // for a checkpoint set whose run completed. dynLen scales whole-run
-// estimates exactly as in Run. The result is bit-identical to the
-// direct sampled run that wrote the checkpoints. A partial
-// (cancellation) checkpoint contributes no window; use Continue to
-// finish an interrupted run instead of merely re-measuring its prefix.
+// estimates exactly as in Run. The windows run on the two-phase
+// engine's coordinator (sc.Executor, sc.Scheduler, or a one-slot pool),
+// which chains the feedback from window 0 and rewrites each checkpoint
+// with it as its window settles, so the result is bit-identical to the
+// uninterrupted direct run even when the files are a two-phase run's
+// provisional ones. A partial (cancellation) checkpoint contributes no
+// window; use Continue to finish an interrupted run instead of merely
+// re-measuring its prefix.
 func Resume(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, sc Config) (*Estimate, error) {
 	sc, err := sc.normalized()
 	if err != nil {
@@ -222,20 +227,17 @@ func Resume(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Confi
 	if sc.CheckpointDir == "" {
 		return nil, fmt.Errorf("sample: Resume needs Config.CheckpointDir")
 	}
-	paths, err := Checkpoints(sc.CheckpointDir, p.Name)
+	set, _, err := loadCheckpointSet(p, sc)
 	if err != nil {
 		return nil, err
 	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("sample: no checkpoints for %s in %s", p.Name, sc.CheckpointDir)
-	}
-	windows, err := runCheckpointSet(ctx, p, paths, cfg, sc)
-	if err != nil {
-		return nil, err
-	}
-	if len(windows) == 0 {
+	if len(set.Boundaries) == 0 {
 		return nil, fmt.Errorf("sample: no completed windows for %s in %s (the run was interrupted before any window boundary; use Continue to finish it)",
 			p.Name, sc.CheckpointDir)
+	}
+	windows, _, err := runParallel(ctx, p, cfg, sc, set)
+	if err != nil {
+		return nil, err
 	}
 	total := uint64(dynLen)
 	if total == 0 {
@@ -252,14 +254,16 @@ func Resume(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Confi
 }
 
 // Continue finishes an interrupted sampled run from its checkpoint
-// directory: every window before the newest checkpoint is re-run from
-// disk (in parallel, exactly as Resume), and the run then proceeds
+// directory: every window before the newest checkpoint is re-run on the
+// coordinator exactly as in Resume, and the run then proceeds
 // sequentially from the newest checkpoint — a window boundary or a
 // partial cancellation flush — through the rest of the program, writing
 // further checkpoints as it goes. The aggregate is bit-identical to the
 // uninterrupted run's: re-run windows reproduce their stats exactly,
-// and the continuation restores the emulator and warmer (including the
-// chained LISP feedback) to the exact state the interrupted run held.
+// and the continuation restores the emulator and warmer to the exact
+// state the interrupted run held, with the LISP feedback the re-run
+// prefix chained (which supersedes a provisional checkpoint's stale
+// one).
 //
 // A checkpoint set whose run already completed just re-measures every
 // window (the final fast-forward discovers the program's halt), so
@@ -272,22 +276,14 @@ func Continue(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 	if sc.CheckpointDir == "" {
 		return nil, fmt.Errorf("sample: Continue needs Config.CheckpointDir")
 	}
-	paths, err := Checkpoints(sc.CheckpointDir, p.Name)
+	set, last, err := loadCheckpointSet(p, sc)
 	if err != nil {
 		return nil, err
 	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("sample: no checkpoints for %s in %s", p.Name, sc.CheckpointDir)
+	if !last.Partial {
+		set.Boundaries = set.Boundaries[:len(set.Boundaries)-1]
 	}
-	last, err := LoadCheckpoint(paths[len(paths)-1])
-	if err != nil {
-		return nil, err
-	}
-	if err := validateLayout(sc.Sampling, last.Sampling); err != nil {
-		return nil, fmt.Errorf("checkpoint %s: %w", paths[len(paths)-1], err)
-	}
-
-	windows, err := runCheckpointSet(ctx, p, paths[:len(paths)-1], cfg, sc)
+	windows, fb, err := runParallel(ctx, p, cfg, sc, set)
 	if err != nil {
 		return nil, err
 	}
@@ -299,6 +295,11 @@ func Continue(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 	w, err := warmerFromSnapshot(cfg, last.Warm)
 	if err != nil {
 		return nil, err
+	}
+	if fb != nil {
+		if err := w.adoptFeedback(*fb); err != nil {
+			return nil, err
+		}
 	}
 	cont, err := runFrom(ctx, p, e, w, last.Index, cfg, sc)
 	windows = append(windows, cont...)

@@ -61,24 +61,15 @@ type Executor interface {
 	Width() int
 }
 
-// ExecuteWindow runs one window job locally on freshly built boot
-// structures — the execution primitive behind every executor that does
-// not hold pooled scheduler slots (the cross-process worker mode most
-// of all). It is runDetail with the job's feedback spliced into the
-// warm snapshot, so its result is bit-identical to the pooled path's:
-// the checkpoint-parity tests pin fresh-boot and pooled-boot execution
-// to the same bytes.
+// ExecuteWindow runs one window job locally on a fresh slot — the
+// execution primitive behind every executor that does not hold pooled
+// scheduler slots (the cross-process worker mode most of all). A fresh
+// slot's boot builds the same structures a pooled slot restores in
+// place, so the result is bit-identical to the pooled path's: the
+// checkpoint-parity tests pin fresh-boot and pooled-boot execution to
+// the same bytes.
 func ExecuteWindow(ctx context.Context, job WindowJob) (WindowResult, error) {
-	if err := job.Sampling.Validate(); err != nil {
-		return WindowResult{}, err
-	}
-	warm := job.Boundary.Warm
-	warm.LISP = job.Feedback
-	stats, fb, err := runDetail(ctx, job.Prog, job.Config, job.Boundary.Emu, warm, job.Sampling)
-	if err != nil {
-		return WindowResult{}, err
-	}
-	return WindowResult{Index: job.Boundary.Index, Stats: *stats, Feedback: fb.LISP}, nil
+	return new(slot).run(ctx, job)
 }
 
 // poolExecutor adapts the in-process work-stealing Scheduler to the
@@ -101,17 +92,13 @@ func (x *poolExecutor) Run(ctx context.Context, job WindowJob) (WindowResult, er
 	if err := ctx.Err(); err != nil {
 		return WindowResult{}, err // discarded before submission: no task queued
 	}
-	t := &schedTask{cell: x.cell, out: make(chan *winOut, 1)}
-	t.run = func(sl *slot) *winOut { return runWindowJob(ctx, job, sl) }
+	t := &schedTask{cell: x.cell, ctx: ctx, job: job, out: make(chan outcome, 1)}
 	if err := x.sched.submit(t); err != nil {
 		return WindowResult{}, err
 	}
 	select {
-	case r := <-t.out:
-		if r.err != nil {
-			return WindowResult{}, r.err
-		}
-		return WindowResult{Index: job.Boundary.Index, Stats: r.stat, Feedback: r.fb}, nil
+	case o := <-t.out:
+		return o.res, o.err
 	case <-ctx.Done():
 		// Cancelled while queued or executing: flag the task so an idle
 		// worker skips it entirely; a worker already running it aborts at

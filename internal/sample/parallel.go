@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"rix/internal/core"
-	"rix/internal/emu"
 	"rix/internal/pipeline"
 	"rix/internal/prog"
 )
@@ -51,7 +50,7 @@ func runTwoPhase(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.
 		// the bound.
 		return nil, fmt.Errorf("sample: %s did not halt within %d instructions", p.Name, sc.MaxInstrs)
 	}
-	windows, err := runParallel(ctx, p, cfg, sc, set)
+	windows, _, err := runParallel(ctx, p, cfg, sc, set)
 	if err != nil {
 		return nil, err
 	}
@@ -60,14 +59,6 @@ func runTwoPhase(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.
 		total = set.Total
 	}
 	return aggregate(sc.Sampling, detailPad(cfg), windows, total), nil
-}
-
-// winOut is one speculatively executed window's result, as delivered by
-// a scheduler pool slot.
-type winOut struct {
-	stat pipeline.Stats
-	fb   core.LISPState // window's final LISP: the next window's requirement
-	err  error
 }
 
 // outcome is one in-flight window's delivery from its executor
@@ -89,20 +80,23 @@ type inflight struct {
 
 // runParallel schedules every boundary's detail window onto an Executor
 // — sc.Executor when set, otherwise the in-process pool (the run's own
-// Config.Scheduler, or an ephemeral pool of sc.Windows slots) —
-// returning WindowStats in index order.
-func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc Config, set *WarmSet) ([]WindowStat, error) {
+// Config.Scheduler, or an ephemeral one-slot pool) — returning
+// WindowStats in index order and the last settled window's final LISP
+// (nil when no window settled or the policy does not chain feedback).
+// The boundaries must be the run's windows 0..n-1 without gaps: window
+// 0 boots with its boundary's own LISP, every later one with the chained
+// feedback, whatever LISP its boundary stored.
+func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc Config, set *WarmSet) ([]WindowStat, *core.LISPState, error) {
 	sp := sc.Sampling
 	nb := len(set.Boundaries)
+	if nb == 0 {
+		return nil, nil, nil
+	}
 	exec := sc.Executor
 	if exec == nil {
 		sched := sc.Scheduler
 		if sched == nil {
-			width := sc.Windows
-			if width > nb {
-				width = nb
-			}
-			sched = NewScheduler(width)
+			sched = NewScheduler(1)
 			defer sched.Close()
 		}
 		exec = newPoolExecutor(sched, &sc.Hooks)
@@ -177,9 +171,9 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 		b := &set.Boundaries[i]
 		if o.err != nil {
 			if ctx.Err() != nil && o.err == ctx.Err() {
-				return windows, o.err
+				return windows, nil, o.err
 			}
-			return windows, fmt.Errorf("sample: window %d of %s: %w", b.Index, p.Name, o.err)
+			return windows, nil, fmt.Errorf("sample: window %d of %s: %w", b.Index, p.Name, o.err)
 		}
 		ws := WindowStat{
 			Index:        b.Index,
@@ -202,20 +196,11 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 			// checkpoint: the boot feedback replaces the warm-pass
 			// LISP, converging on the exact bytes the sequential
 			// engine writes for this boundary.
-			warm := b.Warm
-			warm.LISP = fl.guess
-			ck := &Checkpoint{
-				Format:   CheckpointFormat,
-				Program:  p.Name,
-				Index:    b.Index,
-				Start:    b.Start,
-				Sampling: sp,
-				Emu:      b.Emu,
-				Warm:     warm,
-			}
-			path, err := SaveCheckpoint(sc.CheckpointDir, ck)
+			rb := *b
+			rb.Warm.LISP = fl.guess
+			path, err := saveBoundary(&sc, p, rb, false)
 			if err != nil {
-				return windows, err
+				return windows, nil, err
 			}
 			if sc.Hooks.CheckpointWritten != nil {
 				sc.Hooks.CheckpointWritten(path, b.Index)
@@ -241,35 +226,7 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 			next = i + 1
 		}
 	}
-	return windows, nil
-}
-
-// runWindowJob executes one detail window job on a pool worker slot's
-// pooled boot structures and recycled pipeline scratch. The window span
-// is re-derived from the emulator checkpoint (emu.ResumeStream) — the
-// path the checkpoint-equivalence tests prove bit-identical to the
-// sequential engine's in-memory record replay.
-func runWindowJob(ctx context.Context, job WindowJob, sl *slot) *winOut {
-	p, cfg, sp := job.Prog, job.Config, job.Sampling
-	warm := job.Boundary.Warm
-	warm.LISP = job.Feedback
-	boot, err := sl.bootFrom(cfg, p, job.Boundary.Emu, warm)
-	if err != nil {
-		return &winOut{err: err}
-	}
-	n := sp.Warmup + sp.Window + detailPad(cfg)
-	src, err := emu.ResumeStream(p, job.Boundary.Emu, job.Boundary.Emu.Count+n+1)
-	if err != nil {
-		return &winOut{err: err}
-	}
-	pl := pipeline.NewFrom(cfg, p, emu.Limit(src, n), boot)
-	stats, err := pl.RunWindowContext(ctx, sp.Warmup, sp.Window)
-	if err != nil {
-		return &winOut{err: err}
-	}
-	out := &winOut{stat: *stats, fb: pl.Integrator().LISP.State()}
-	sl.scratch = pl.Recycle()
-	return out
+	return windows, fb, nil
 }
 
 // lispStateEqual reports whether two serialized LISP states are

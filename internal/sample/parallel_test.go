@@ -35,7 +35,9 @@ func TestParallelEstimateBitEqual(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s [%s] sequential: %v", name, o.Label(), err)
 			}
-			par, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Windows: 4})
+			pool := sample.NewScheduler(4)
+			par, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Scheduler: pool})
+			pool.Close()
 			if err != nil {
 				t.Fatalf("%s [%s] parallel: %v", name, o.Label(), err)
 			}
@@ -157,7 +159,7 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 	var wsHits, wsWrites, stHits, stWrites int
 	var lastWarm string
 	reset := func() { wsHits, wsWrites, stHits, stWrites = 0, 0, 0, 0 }
-	sc := sample.Config{CacheDir: dir, Windows: 2, Hooks: sample.Hooks{
+	sc := sample.Config{CacheDir: dir, Scheduler: newPool(t, 2), Hooks: sample.Hooks{
 		CacheHit: func(path string) {
 			if filepath.Ext(path) == ".stride" {
 				stHits++
@@ -262,7 +264,7 @@ func TestPrepareWarmInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Windows: 4, Warm: warm})
+	par, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Scheduler: newPool(t, 4), Warm: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +331,7 @@ func TestParallelCheckpointParity(t *testing.T) {
 	if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: seqDir}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: parDir, Windows: 4}); err != nil {
+	if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: parDir, Scheduler: newPool(t, 4)}); err != nil {
 		t.Fatal(err)
 	}
 	seqPaths, err := sample.Checkpoints(seqDir, bw.Prog.Name)
@@ -356,4 +358,12 @@ func TestParallelCheckpointParity(t *testing.T) {
 			t.Errorf("checkpoint %s differs between sequential and parallel runs", filepath.Base(seqPaths[i]))
 		}
 	}
+}
+
+// newPool returns an n-slot window scheduler that is closed when the
+// test ends.
+func newPool(t testing.TB, n int) *sample.Scheduler {
+	s := sample.NewScheduler(n)
+	t.Cleanup(s.Close)
+	return s
 }

@@ -415,8 +415,11 @@ func TestSweepMidClaim(t *testing.T) {
 		// Every iteration saves a warm set and immediately sweeps the
 		// directory down to one entry, concurrently with the claims.
 		for i := 0; i < 3; i++ {
-			sc := sample.Config{CacheDir: dir, Windows: 2, CacheMaxBytes: 1}
-			if _, err := sample.Run(ctx, gz.Prog, gz.DynLen, cfg, sc); err != nil {
+			sched := sample.NewScheduler(2)
+			sc := sample.Config{CacheDir: dir, Scheduler: sched, CacheMaxBytes: 1}
+			_, err := sample.Run(ctx, gz.Prog, gz.DynLen, cfg, sc)
+			sched.Close()
+			if err != nil {
 				sweeping <- err
 				return
 			}

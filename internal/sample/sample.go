@@ -31,20 +31,22 @@
 // (emulator + warm state, including the feedback chained so far) per
 // window boundary; Resume re-runs every window from disk — bit-identical
 // to the direct run — so a run can be restarted after interruption or
-// its windows sharded across processes and machines. Each checkpoint is
-// self-contained, so Resume fans windows out across a bounded worker
-// pool (Config.Parallel).
+// its windows sharded across processes and machines (RunCheckpoint).
+// Resume feeds the stored boundaries to the two-phase engine's window
+// coordinator below, so its windows fan out over the same executors
+// (Config.Scheduler, Config.Executor).
 //
 // # Two-phase parallel engine
 //
-// Setting Config.Windows > 1 (or Config.CacheDir, or Config.Warm)
-// selects the two-phase engine: one warm pass fast-forwards the whole
-// trace, snapshotting a WarmSnapshot per window boundary (PrepareWarm
-// exposes this phase directly), then a bounded pool executes all
-// detail windows concurrently. The chained LISP feedback is the only
-// cross-window dependency, so windows dispatch speculatively in waves
-// — each settles in index order, and a misspeculated feedback guess
-// discards the rest of its wave for re-dispatch — which keeps the
+// Setting Config.Scheduler or Config.Executor (or Config.CacheDir,
+// Config.Warm, Config.Strides, or WarmJobs > 1) selects the two-phase
+// engine: one warm pass fast-forwards the whole trace, snapshotting a
+// WarmSnapshot per window boundary (PrepareWarm exposes this phase
+// directly), then a bounded pool executes all detail windows
+// concurrently. The chained LISP feedback is the only cross-window
+// dependency, so windows dispatch speculatively in waves — each
+// settles in index order, and a misspeculated feedback guess discards
+// the rest of its wave for re-dispatch — which keeps the
 // Estimate bit-identical to the sequential engine while the common
 // quiescent chain reaches full parallelism.
 //
@@ -69,7 +71,6 @@ import (
 	"math"
 	"time"
 
-	"rix/internal/core"
 	"rix/internal/emu"
 	"rix/internal/pipeline"
 	"rix/internal/prog"
@@ -103,12 +104,9 @@ const cancelCheckInterval = 1 << 12
 
 // Hooks are optional run observation callbacks. They exist so higher
 // layers (internal/run) can surface typed progress events without this
-// package knowing about them; nil fields are skipped. Progress and
-// CheckpointWritten fire synchronously from the sequential run
-// goroutine; WindowDone additionally fires from Resume/Continue's
-// bounded worker pool — one call per re-run window, concurrently and in
-// completion order — so a WindowDone hook must be safe for concurrent
-// use.
+// package knowing about them; nil fields are skipped. Unless a hook's
+// comment says otherwise it fires synchronously from the goroutine
+// that called Run, Resume or Continue.
 type Hooks struct {
 	// Progress reports the dynamic instruction count reached by the
 	// functional fast-forward, at cancelCheckInterval granularity.
@@ -117,8 +115,10 @@ type Hooks struct {
 	// window to a worker (from the coordinating goroutine, in dispatch
 	// order; re-dispatch after a feedback misspeculation fires again).
 	WindowScheduled func(index int)
-	// WindowDone fires after each measurement window completes
-	// (possibly concurrently; see above).
+	// WindowDone fires after each measurement window completes, in
+	// window index order: from the sequential loop, or from the window
+	// coordinator as it settles windows (never for a discarded
+	// speculative run). Calls never overlap.
 	WindowDone func(w WindowStat)
 	// WindowDiscarded fires when a speculatively dispatched window is
 	// cancelled because an earlier window settled with feedback that
@@ -171,18 +171,6 @@ type Config struct {
 	// cancelled mid-fast-forward.
 	CheckpointDir string
 
-	// Parallel bounds concurrently re-simulated windows in Resume and
-	// Continue's prefix (default 1).
-	Parallel int
-
-	// Windows bounds concurrently executed detail windows in Run
-	// (default 1: the classic sequential loop). Any value above 1
-	// selects the two-phase engine — one warm pass over the whole
-	// trace, then a bounded pool running windows concurrently with
-	// speculative feedback validation — whose Estimate is bit-identical
-	// to the sequential path's.
-	Windows int
-
 	// CacheDir, when non-empty, selects the two-phase engine and backs
 	// its warm pass with an on-disk content-addressed cache: the warm
 	// set is keyed by program content, window layout, warm-relevant
@@ -232,22 +220,22 @@ type Config struct {
 	Strides *StrideSet
 
 	// Scheduler, when non-nil, selects the two-phase engine and runs
-	// the detail-window phase on this shared work-stealing pool instead
-	// of an ephemeral per-run pool; the run's speculation depth is the
-	// pool's slot count (Windows is ignored). Concurrent runs may share
-	// one Scheduler: a run that settles early stops submitting, and its
-	// slots immediately serve the runs still dispatching. The caller
-	// owns the pool and must Close it only after every run sharing it
-	// has returned.
+	// the detail-window phase — and Resume/Continue's re-run windows —
+	// on this shared work-stealing pool instead of an ephemeral one-slot
+	// pool; the run's speculation depth is the pool's slot count.
+	// Concurrent runs may share one Scheduler: a run that settles early
+	// stops submitting, and its slots immediately serve the runs still
+	// dispatching. The caller owns the pool and must Close it only after
+	// every run sharing it has returned.
 	Scheduler *Scheduler
 
 	// Executor, when non-nil, selects the two-phase engine and executes
-	// the detail-window phase through this executor instead of an
-	// in-process scheduler pool (Scheduler and Windows are then
-	// ignored); its Width is the run's speculation depth. The estimate
-	// is bit-identical whichever executor runs the windows — see
-	// Executor's determinism contract. The caller owns the executor's
-	// lifecycle (e.g. procexec.Coordinator's cleanup).
+	// the detail-window phase (and Resume/Continue's re-run windows)
+	// through this executor instead of an in-process scheduler pool
+	// (Scheduler is then ignored); its Width is the run's speculation
+	// depth. The estimate is bit-identical whichever executor runs the
+	// windows — see Executor's determinism contract. The caller owns the
+	// executor's lifecycle (e.g. procexec.Coordinator's cleanup).
 	Executor Executor
 
 	// MaxInstrs bounds functional execution (default DefaultMaxInstrs).
@@ -263,12 +251,6 @@ func (c Config) normalized() (Config, error) {
 	}
 	if err := c.Sampling.Validate(); err != nil {
 		return c, err
-	}
-	if c.Parallel < 1 {
-		c.Parallel = 1
-	}
-	if c.Windows < 1 {
-		c.Windows = 1
 	}
 	if c.WarmJobs < 1 {
 		c.WarmJobs = 1
@@ -297,8 +279,8 @@ func Run(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, 
 	if err != nil {
 		return nil, err
 	}
-	if sc.Windows > 1 || sc.CacheDir != "" || sc.Warm != nil || sc.Scheduler != nil ||
-		sc.Executor != nil || sc.Strides != nil || sc.WarmJobs > 1 {
+	if sc.CacheDir != "" || sc.Warm != nil || sc.Scheduler != nil || sc.Executor != nil ||
+		sc.Strides != nil || sc.WarmJobs > 1 {
 		return runTwoPhase(ctx, p, dynLen, cfg, sc)
 	}
 	e := emu.New(p)
@@ -322,72 +304,26 @@ func Run(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, 
 // window's boot (and checkpoint). The real machine trains that table on
 // a handful of events and keeps it for the whole run; cold-LISP windows
 // systematically over-integrated. Parallelism lives across cells in the
-// runner pool, and across processes by sharding the self-contained
-// checkpoints (Resume).
+// runner pool, and across windows in the two-phase engine.
 func runFrom(ctx context.Context, p *prog.Program, e *emu.Emulator, w *warmer,
 	startIdx int, cfg pipeline.Config, sc Config) ([]WindowStat, error) {
 
 	sp := sc.Sampling
-	done := ctx.Done()
+	c := cursor{ctx: ctx, p: p, sc: &sc, e: e, w: w}
 	var windows []WindowStat
 
 	n := sp.Warmup + sp.Window + detailPad(cfg)
-	var pool bootPool
+	var sl slot
 	recs := make([]emu.TraceRec, 0, n)
-	for idx := startIdx; !e.Halted; idx++ {
-		// Fast-forward (warming) to this window's detailed start. The
-		// clamp covers jittered starts that would land inside the
-		// previous window's recorded span.
-		target := windowStart(idx, sp)
-		if target < e.Count {
-			target = e.Count
-		}
-		for e.Count < target && !e.Halted {
-			if e.Count&(cancelCheckInterval-1) == 0 {
-				if done != nil {
-					select {
-					case <-done:
-						// Flush the interruption point so Continue can
-						// pick the run up without repeating this
-						// fast-forward (best-effort: the previous
-						// boundary checkpoint already makes the run
-						// resumable).
-						if sc.CheckpointDir != "" {
-							flushPartial(sc, p, idx, e, w)
-						}
-						return windows, ctx.Err()
-					default:
-					}
-				}
-				if sc.Hooks.Progress != nil {
-					sc.Hooks.Progress(e.Count)
-				}
-			}
-			if e.Count >= sc.MaxInstrs {
-				return windows, fmt.Errorf("sample: %s did not halt within %d instructions", p.Name, sc.MaxInstrs)
-			}
-			pc := e.PC
-			rec, err := e.Step()
-			if err != nil {
-				return windows, fmt.Errorf("sample: fast-forward failed: %w", err)
-			}
-			w.observe(p.Code[rec.CodeIdx], pc, rec, e.PC)
+	for idx := startIdx; ; idx++ {
+		if err := c.seek(idx, windowStart(idx, sp), nil); err != nil {
+			return windows, err
 		}
 		if e.Halted {
 			break
 		}
-
 		if sc.CheckpointDir != "" {
-			ck := &Checkpoint{
-				Format:   CheckpointFormat,
-				Program:  p.Name,
-				Index:    idx,
-				Start:    e.Count,
-				Sampling: sp,
-				Emu:      e.State(),
-				Warm:     w.snapshot(),
-			}
-			path, err := SaveCheckpoint(sc.CheckpointDir, ck)
+			path, err := saveBoundary(&sc, p, c.boundary(idx), false)
 			if err != nil {
 				return windows, err
 			}
@@ -396,34 +332,18 @@ func runFrom(ctx context.Context, p *prog.Program, e *emu.Emulator, w *warmer,
 			}
 		}
 
-		// Boot state from the pooled structures (direct copies of the
-		// live warm state — fresh clones on the first window only), then
-		// record the window's golden records while the same pass keeps
-		// warming: the span is emulated once, and the window replays it
-		// from memory.
-		boot, err := pool.fromWarmer(cfg, e, w)
+		// Boot the window on the pooled slot (direct copies of the live
+		// warm state), then record its golden records while the same pass
+		// keeps warming: the span is emulated once, and the window
+		// replays it from memory.
+		boot, err := sl.fromWarmer(cfg, e, w)
 		if err != nil {
 			return windows, err
 		}
 		start := e.Count
 		recs = recs[:0]
-		for uint64(len(recs)) < n && !e.Halted {
-			if done != nil && e.Count&(cancelCheckInterval-1) == 0 {
-				select {
-				case <-done:
-					// The window's own boundary checkpoint (written
-					// above) already covers this interruption point.
-					return windows, ctx.Err()
-				default:
-				}
-			}
-			pc := e.PC
-			rec, err := e.Step()
-			if err != nil {
-				return windows, fmt.Errorf("sample: fast-forward failed: %w", err)
-			}
-			recs = append(recs, rec)
-			w.observe(p.Code[rec.CodeIdx], pc, rec, e.PC)
+		if err := c.span(n, &recs, nil); err != nil {
+			return windows, err
 		}
 
 		pl := pipeline.NewFrom(cfg, p, emu.FromSlice(recs), boot)
@@ -453,9 +373,100 @@ func runFrom(ctx context.Context, p *prog.Program, e *emu.Emulator, w *warmer,
 				return windows, err
 			}
 		}
-		pool.scratch = pl.Recycle()
+		sl.scratch = pl.Recycle()
 	}
 	return windows, nil
+}
+
+// cursor is the functional fast-forward shared by every linear pass —
+// the sequential engine, the warm pass and the stride pass: the
+// emulator executes each instruction and the warmer folds it in. The
+// passes differ only in what they keep along the way (window records,
+// stride snapshots), passed to its walks as plain pointers (nil: keep
+// nothing) so the per-instruction loop stays a straight step-observe
+// sequence.
+type cursor struct {
+	ctx context.Context
+	p   *prog.Program
+	sc  *Config
+	e   *emu.Emulator
+	w   *warmer
+}
+
+// seek fast-forwards to dynamic instruction target (or the program's
+// halt), polling ctx and firing Progress every cancelCheckInterval
+// instructions and enforcing sc.MaxInstrs. On cancellation it flushes a
+// partial checkpoint for window idx when sc.CheckpointDir is set, so
+// Continue can pick the run up without repeating the fast-forward
+// (best-effort: the previous boundary checkpoint already makes the run
+// resumable). A non-nil sr records stride snapshots.
+func (c *cursor) seek(idx int, target uint64, sr *strideRec) error {
+	e, w, code, sc := c.e, c.w, c.p.Code, c.sc
+	done := c.ctx.Done()
+	for end := min(target, sc.MaxInstrs); e.Count < end && !e.Halted; {
+		if e.Count&(cancelCheckInterval-1) == 0 {
+			if done != nil {
+				select {
+				case <-done:
+					if sc.CheckpointDir != "" {
+						c.flushPartial(idx)
+					}
+					return c.ctx.Err()
+				default:
+				}
+			}
+			if sc.Hooks.Progress != nil {
+				sc.Hooks.Progress(e.Count)
+			}
+		}
+		pc := e.PC
+		rec, err := e.Step()
+		if err != nil {
+			return fmt.Errorf("sample: fast-forward failed: %w", err)
+		}
+		w.observe(code[rec.CodeIdx], pc, rec, e.PC)
+		sr.capture(e, w)
+	}
+	if e.Count < target && !e.Halted {
+		return fmt.Errorf("sample: %s did not halt within %d instructions", c.p.Name, sc.MaxInstrs)
+	}
+	return nil
+}
+
+// span advances through one window's record span of n instructions (or
+// to the halt), still warming: the sequential engine replays these
+// records in the detail window, and later boundary positions depend on
+// the cursor having moved past them. A non-nil recs collects the
+// records; a non-nil sr records stride snapshots. Cancellation needs no
+// flush — the window's boundary checkpoint covers it.
+func (c *cursor) span(n uint64, recs *[]emu.TraceRec, sr *strideRec) error {
+	e, w, code := c.e, c.w, c.p.Code
+	done := c.ctx.Done()
+	for k := uint64(0); k < n && !e.Halted; k++ {
+		if done != nil && e.Count&(cancelCheckInterval-1) == 0 {
+			select {
+			case <-done:
+				return c.ctx.Err()
+			default:
+			}
+		}
+		pc := e.PC
+		rec, err := e.Step()
+		if err != nil {
+			return fmt.Errorf("sample: fast-forward failed: %w", err)
+		}
+		if recs != nil {
+			*recs = append(*recs, rec)
+		}
+		w.observe(code[rec.CodeIdx], pc, rec, e.PC)
+		sr.capture(e, w)
+	}
+	return nil
+}
+
+// boundary snapshots the cursor's position as window idx's boundary.
+func (c *cursor) boundary(idx int) Boundary {
+	return Boundary{Index: idx, Start: c.e.Count, Emu: c.e.State(), Warm: c.w.snapshot()}
 }
 
 // flushPartial writes the cancellation checkpoint: the run's state at an
@@ -465,52 +476,11 @@ func runFrom(ctx context.Context, p *prog.Program, e *emu.Emulator, w *warmer,
 // it (same index, same name). Flushing is best-effort — the run is
 // already ending with ctx.Err(), and the previous boundary checkpoint
 // keeps it resumable even if this write fails.
-func flushPartial(sc Config, p *prog.Program, idx int, e *emu.Emulator, w *warmer) {
-	ck := &Checkpoint{
-		Format:   CheckpointFormat,
-		Program:  p.Name,
-		Index:    idx,
-		Start:    e.Count,
-		Partial:  true,
-		Sampling: sc.Sampling,
-		Emu:      e.State(),
-		Warm:     w.snapshot(),
+func (c *cursor) flushPartial(idx int) {
+	path, err := saveBoundary(c.sc, c.p, c.boundary(idx), true)
+	if err == nil && c.sc.Hooks.CheckpointWritten != nil {
+		c.sc.Hooks.CheckpointWritten(path, idx)
 	}
-	if path, err := SaveCheckpoint(sc.CheckpointDir, ck); err == nil && sc.Hooks.CheckpointWritten != nil {
-		sc.Hooks.CheckpointWritten(path, idx)
-	}
-}
-
-// feedback is the DIVA-feedback state a window discovers that is worth
-// chaining from window to window (see warmer.adoptFeedback for why the
-// CHT is excluded).
-type feedback struct {
-	LISP core.LISPState
-}
-
-// runDetail boots the detailed pipeline from a window's checkpoint state
-// and runs warmup + measurement, returning the measured Stats delta and
-// the window's final feedback state. The emulator budget only needs to
-// cover the window: emu.Limit ends the stream after warmup+window+pad
-// records regardless.
-func runDetail(ctx context.Context, p *prog.Program, cfg pipeline.Config, st emu.State, ws WarmSnapshot,
-	sp Sampling) (*pipeline.Stats, feedback, error) {
-
-	boot, err := buildBoot(cfg, p, st, ws)
-	if err != nil {
-		return nil, feedback{}, err
-	}
-	n := sp.Warmup + sp.Window + detailPad(cfg)
-	src, err := emu.ResumeStream(p, st, st.Count+n+1)
-	if err != nil {
-		return nil, feedback{}, err
-	}
-	pl := pipeline.NewFrom(cfg, p, emu.Limit(src, n), boot)
-	stats, err := pl.RunWindowContext(ctx, sp.Warmup, sp.Window)
-	if err != nil {
-		return nil, feedback{}, err
-	}
-	return stats, feedback{LISP: pl.Integrator().LISP.State()}, nil
 }
 
 // detailPad is the drain pad fed beyond each measurement boundary so

@@ -1,16 +1,10 @@
 package sample
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
-
-	"rix/internal/bpred"
-	"rix/internal/core"
-	"rix/internal/emu"
-	"rix/internal/memsys"
-	"rix/internal/pipeline"
-	"rix/internal/prog"
 )
 
 // This file is the work-stealing window scheduler: a process-wide pool
@@ -56,8 +50,9 @@ var ErrSchedulerClosed = errors.New("sample: window scheduler is closed")
 type schedTask struct {
 	cell      *cellTag    // owning run, for steal detection
 	cancelled atomic.Bool // set when the owning wave misspeculates
-	run       func(*slot) *winOut
-	out       chan *winOut // buffered 1: workers never block on delivery
+	ctx       context.Context
+	job       WindowJob
+	out       chan outcome // buffered 1: workers never block on delivery
 }
 
 // cellTag identifies one sampled run for the lifetime of its window
@@ -66,39 +61,6 @@ type schedTask struct {
 // cells to the scheduler.
 type cellTag struct {
 	hooks *Hooks
-}
-
-// slot is one worker's private execution state: the recycled pipeline
-// scratch plus the pooled boot structures, reused across every window
-// (and every cell) the slot serves.
-type slot struct {
-	id       int
-	lastCell *cellTag
-	scratch  *pipeline.Scratch
-	boot     slotBoot
-}
-
-// bootGeom is the machine geometry a pooled boot set was built for.
-// A window whose configuration differs in any of these rebuilds the
-// slot's structures from scratch; within one cell — and across cells of
-// the same machine — the pooled set is restored in place.
-type bootGeom struct {
-	Pred   bpred.Config
-	Mem    memsys.Config
-	LISP   core.LISPConfig
-	Enable bool
-}
-
-// slotBoot pools one full set of window-boot structures.
-type slotBoot struct {
-	ok   bool
-	geom bootGeom
-	pred *bpred.Predictor
-	btb  *bpred.BTB
-	ras  *bpred.RAS
-	cht  *bpred.CHT
-	hier *memsys.Hierarchy
-	lisp *core.LISP
 }
 
 // NewScheduler starts a pool of `slots` worker slots (minimum 1).
@@ -169,76 +131,7 @@ func (s *Scheduler) worker(id int) {
 			t.cell.hooks.SlotStolen(id)
 		}
 		sl.lastCell = t.cell
-		t.out <- t.run(sl)
+		res, err := sl.run(t.ctx, t.job)
+		t.out <- outcome{res: res, err: err}
 	}
-}
-
-// bootFrom builds a window's pipeline boot state on the slot's pooled
-// structures: fresh allocations only when the slot has never served
-// this machine geometry, in-place SetState restores afterwards. The
-// result is bit-equivalent to buildBoot's fresh construction — SetState
-// overwrites every behavioral field, and the transient timing state and
-// diagnostic tallies are explicitly reset, exactly as the sequential
-// engine's bootPool.CopyFrom guarantees.
-func (sl *slot) bootFrom(cfg pipeline.Config, p *prog.Program, st emu.State, ws WarmSnapshot) (*pipeline.BootState, error) {
-	g := bootGeom{Pred: cfg.Pred, Mem: cfg.Mem, LISP: cfg.LISP, Enable: cfg.Policy.Enable}
-	b := &sl.boot
-	if !b.ok || b.geom != g {
-		pc := cfg.Pred.WithDefaults()
-		*b = slotBoot{
-			ok:   true,
-			geom: g,
-			pred: bpred.NewPredictor(cfg.Pred),
-			btb:  bpred.NewBTB(pc.BTBEntries),
-			ras:  bpred.NewRAS(pc.RASEntries),
-			cht:  bpred.NewCHT(pc.CHTEntries),
-			hier: memsys.New(cfg.Mem),
-		}
-	}
-	if err := b.pred.SetState(ws.Pred); err != nil {
-		return nil, err
-	}
-	b.pred.Lookups = 0
-	if err := b.btb.SetState(ws.BTB); err != nil {
-		return nil, err
-	}
-	b.btb.Lookups, b.btb.Hits = 0, 0
-	if err := b.ras.SetState(ws.RAS); err != nil {
-		return nil, err
-	}
-	if err := b.cht.SetState(ws.CHT); err != nil {
-		return nil, err
-	}
-	b.cht.Lookups, b.cht.Hits, b.cht.Trained = 0, 0, 0
-	if err := b.hier.SetWarmState(ws.Mem); err != nil {
-		return nil, err
-	}
-	b.hier.ResetTransient()
-	var lisp *core.LISP
-	if cfg.Policy.Enable && len(ws.LISP.Entries) > 0 {
-		if b.lisp == nil {
-			b.lisp = core.NewLISP(cfg.LISP)
-		}
-		if err := b.lisp.SetState(ws.LISP); err != nil {
-			return nil, err
-		}
-		b.lisp.Lookups, b.lisp.Suppressed, b.lisp.TrainInsert = 0, 0, 0
-		lisp = b.lisp
-	}
-	mem, err := emu.NewMemoryFromState(st.Mem)
-	if err != nil {
-		return nil, err
-	}
-	return &pipeline.BootState{
-		PC:      st.PC,
-		Regs:    st.Regs,
-		Mem:     mem,
-		Pred:    b.pred,
-		BTB:     b.btb,
-		RAS:     b.ras,
-		CHT:     b.cht,
-		Hier:    b.hier,
-		LISP:    lisp,
-		Scratch: sl.scratch,
-	}, nil
 }

@@ -70,7 +70,7 @@ func TestRunParallelJoinsWindows(t *testing.T) {
 	}
 	x := &lingerExecutor{width: width}
 	p := &prog.Program{Name: "linger"}
-	_, err := runParallel(context.Background(), p, pipeline.Config{}, Config{Executor: x}, set)
+	_, _, err := runParallel(context.Background(), p, pipeline.Config{}, Config{Executor: x}, set)
 	if err == nil {
 		t.Fatal("runParallel succeeded; want window 0's error")
 	}

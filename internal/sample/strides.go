@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -166,12 +167,18 @@ func newStrideRec(p *prog.Program, key string, stride uint64) *strideRec {
 }
 
 // capture snapshots the scan state when it has just reached the next
-// stride multiple. Cheap to call per instruction: one compare on the
-// miss path.
+// stride multiple. Cheap to call per instruction: small enough to
+// inline, it costs one compare on the miss path (one more when sr is
+// nil).
 func (sr *strideRec) capture(e *emu.Emulator, w *warmer) {
-	if sr == nil || e.Count != sr.next {
-		return
+	if sr != nil && e.Count == sr.next {
+		sr.take(e, w)
 	}
+}
+
+// take records the snapshot capture found due; kept out of line so
+// capture stays cheap enough to inline.
+func (sr *strideRec) take(e *emu.Emulator, w *warmer) {
 	sr.set.Strides = append(sr.set.Strides, Stride{Count: e.Count, Emu: e.State(), Warm: w.snapshot()})
 	sr.next += sr.set.Stride
 }
@@ -248,33 +255,11 @@ func validateStrides(set *StrideSet, p *prog.Program, cfg pipeline.Config) error
 // per-instruction warming to the warm pass proper, so its snapshots
 // resume into bit-identical state.
 func stridePass(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc Config, key string) (*StrideSet, error) {
-	e := emu.New(p)
-	w := newWarmer(cfg)
+	sc.CheckpointDir = "" // the stride pass persists no window checkpoints
 	sr := newStrideRec(p, key, sc.WarmStride)
-	done := ctx.Done()
-	for !e.Halted {
-		if e.Count&(cancelCheckInterval-1) == 0 {
-			if done != nil {
-				select {
-				case <-done:
-					return nil, ctx.Err()
-				default:
-				}
-			}
-			if sc.Hooks.Progress != nil {
-				sc.Hooks.Progress(e.Count)
-			}
-		}
-		if e.Count >= sc.MaxInstrs {
-			return nil, fmt.Errorf("sample: %s did not halt within %d instructions", p.Name, sc.MaxInstrs)
-		}
-		pc := e.PC
-		rec, err := e.Step()
-		if err != nil {
-			return nil, fmt.Errorf("sample: stride pass failed: %w", err)
-		}
-		w.observe(p.Code[rec.CodeIdx], pc, rec, e.PC)
-		sr.capture(e, w)
+	c := cursor{ctx: ctx, p: p, sc: &sc, e: emu.New(p), w: newWarmer(cfg)}
+	if err := c.seek(0, math.MaxUint64, sr); err != nil {
+		return nil, err
 	}
-	return sr.finish(e.Count), nil
+	return sr.finish(c.e.Count), nil
 }

@@ -7,7 +7,6 @@ import (
 	"rix/internal/isa"
 	"rix/internal/memsys"
 	"rix/internal/pipeline"
-	"rix/internal/prog"
 )
 
 // warmer is the functional-warmup half of the sampling engine: while the
@@ -39,32 +38,45 @@ import (
 //     handful of early training events shape the full machine's entire
 //     run.
 type warmer struct {
+	warmParts
+	lastLine uint64 // last I-side line touched; ^0 = none
+	lineMask uint64
+}
+
+// warmParts is one set of the long-lived structures a window boots
+// from. The warmer keeps one live set; every window executor (slot)
+// pools another, refilled per window by copy (fromWarmer) or by
+// restoring a snapshot (bootFrom).
+type warmParts struct {
 	pred *bpred.Predictor
 	btb  *bpred.BTB
 	ras  *bpred.RAS
 	cht  *bpred.CHT
 	hier *memsys.Hierarchy
-	lisp *core.LISP // feedback carrier only; never trained functionally
+	lisp *core.LISP // feedback carrier only, never trained functionally; nil when the policy is off
+}
 
-	lastLine uint64 // last I-side line touched; ^0 = none
-	lineMask uint64
+func newWarmParts(cfg pipeline.Config) warmParts {
+	pc := cfg.Pred.WithDefaults()
+	wp := warmParts{
+		pred: bpred.NewPredictor(cfg.Pred),
+		btb:  bpred.NewBTB(pc.BTBEntries),
+		ras:  bpred.NewRAS(pc.RASEntries),
+		cht:  bpred.NewCHT(pc.CHTEntries),
+		hier: memsys.New(cfg.Mem),
+	}
+	if cfg.Policy.Enable {
+		wp.lisp = core.NewLISP(cfg.LISP)
+	}
+	return wp
 }
 
 func newWarmer(cfg pipeline.Config) *warmer {
-	pc := cfg.Pred.WithDefaults()
-	w := &warmer{
-		pred:     bpred.NewPredictor(cfg.Pred),
-		btb:      bpred.NewBTB(pc.BTBEntries),
-		ras:      bpred.NewRAS(pc.RASEntries),
-		cht:      bpred.NewCHT(pc.CHTEntries),
-		hier:     memsys.New(cfg.Mem),
-		lastLine: ^uint64(0),
-		lineMask: ^(uint64(cfg.Mem.L1I.LineBytes) - 1),
+	return &warmer{
+		warmParts: newWarmParts(cfg),
+		lastLine:  ^uint64(0),
+		lineMask:  ^(uint64(cfg.Mem.L1I.LineBytes) - 1),
 	}
-	if cfg.Policy.Enable {
-		w.lisp = core.NewLISP(cfg.LISP)
-	}
-	return w
 }
 
 // observe folds one architecturally executed instruction into the warm
@@ -115,9 +127,9 @@ func (w *warmer) observe(in isa.Instr, pc uint64, rec emu.TraceRec, nextPC uint6
 // cost more IPC accuracy than per-window re-discovery does (at very
 // short windows the trade reverses — keep Window at a few hundred
 // instructions or more).
-func (w *warmer) adoptFeedback(fb feedback) error {
-	if w.lisp != nil && len(fb.LISP.Entries) > 0 {
-		if err := w.lisp.SetState(fb.LISP); err != nil {
+func (w *warmer) adoptFeedback(lisp core.LISPState) error {
+	if w.lisp != nil && len(lisp.Entries) > 0 {
+		if err := w.lisp.SetState(lisp); err != nil {
 			return err
 		}
 	}
@@ -165,165 +177,68 @@ func (w *warmer) snapshot() WarmSnapshot {
 // bit-identical to the uninterrupted run's.
 func warmerFromSnapshot(cfg pipeline.Config, ws WarmSnapshot) (*warmer, error) {
 	w := newWarmer(cfg)
-	if err := w.pred.SetState(ws.Pred); err != nil {
+	if err := w.setState(ws); err != nil {
 		return nil, err
-	}
-	if err := w.btb.SetState(ws.BTB); err != nil {
-		return nil, err
-	}
-	if err := w.ras.SetState(ws.RAS); err != nil {
-		return nil, err
-	}
-	if err := w.cht.SetState(ws.CHT); err != nil {
-		return nil, err
-	}
-	if err := w.hier.SetWarmState(ws.Mem); err != nil {
-		return nil, err
-	}
-	if w.lisp != nil && len(ws.LISP.Entries) > 0 {
-		if err := w.lisp.SetState(ws.LISP); err != nil {
-			return nil, err
-		}
 	}
 	w.lastLine = ws.LastLine
 	return w, nil
 }
 
-// cloneBoot builds a window's pipeline boot state by direct deep copies
-// of the live emulator and warm structures — the in-memory fast path.
-// It constructs exactly the state buildBoot reconstructs from a
-// serialized checkpoint, so a resumed window's Stats are bit-identical
-// to the direct run's (the checkpoint tests enforce this equivalence).
-func (w *warmer) cloneBoot(cfg pipeline.Config, e *emu.Emulator) *pipeline.BootState {
-	var lisp *core.LISP
-	if w.lisp != nil {
-		lisp = core.NewLISP(cfg.LISP)
-		if err := lisp.SetState(w.lisp.State()); err != nil {
-			panic(err) // same geometry by construction
+// setState restores a warm snapshot in place. Diagnostic tallies
+// restart at zero and the hierarchy's transient timing state is
+// emptied, so a reused set is indistinguishable from a freshly built
+// one. The LISP is restored only when the snapshot carries one.
+func (wp *warmParts) setState(ws WarmSnapshot) error {
+	if err := wp.pred.SetState(ws.Pred); err != nil {
+		return err
+	}
+	wp.pred.Lookups = 0
+	if err := wp.btb.SetState(ws.BTB); err != nil {
+		return err
+	}
+	wp.btb.Lookups, wp.btb.Hits = 0, 0
+	if err := wp.ras.SetState(ws.RAS); err != nil {
+		return err
+	}
+	if err := wp.cht.SetState(ws.CHT); err != nil {
+		return err
+	}
+	wp.cht.Lookups, wp.cht.Hits, wp.cht.Trained = 0, 0, 0
+	if err := wp.hier.SetWarmState(ws.Mem); err != nil {
+		return err
+	}
+	wp.hier.ResetTransient()
+	if wp.lisp != nil && len(ws.LISP.Entries) > 0 {
+		if err := wp.lisp.SetState(ws.LISP); err != nil {
+			return err
 		}
+		wp.lisp.Lookups, wp.lisp.Suppressed, wp.lisp.TrainInsert = 0, 0, 0
 	}
-	return &pipeline.BootState{
-		PC:   e.PC,
-		Regs: e.Regs,
-		Mem:  e.Mem.Clone(),
-		Pred: w.pred.Clone(),
-		BTB:  w.btb.Clone(),
-		RAS:  w.ras.Clone(),
-		CHT:  w.cht.Clone(),
-		Hier: w.hier.CloneWarm(),
-		LISP: lisp,
-	}
+	return nil
 }
 
-// bootPool recycles one set of window-boot structures — predictor, BTB,
-// RAS, CHT, hierarchy, LISP — plus the finished pipeline's Scratch
-// across a run's windows, so steady-state window boot performs in-place
-// copies instead of fresh clone allocations. The CopyFrom primitives
-// zero every diagnostic tally and reset the transient timing parts, so
-// a pooled boot is bit-equivalent to cloneBoot's fresh clones.
-type bootPool struct {
-	pred    *bpred.Predictor
-	btb     *bpred.BTB
-	ras     *bpred.RAS
-	cht     *bpred.CHT
-	hier    *memsys.Hierarchy
-	lisp    *core.LISP
-	scratch *pipeline.Scratch
-}
-
-// fromWarmer builds the next window's boot state from the live warmer:
-// fresh clones on first use (exactly cloneBoot), in-place copies into
-// the pooled structures afterwards. The returned BootState is owned by
-// the next pipeline until it finishes; call again only after that.
-func (bp *bootPool) fromWarmer(cfg pipeline.Config, e *emu.Emulator, w *warmer) (*pipeline.BootState, error) {
-	if bp.pred == nil {
-		boot := w.cloneBoot(cfg, e)
-		bp.pred, bp.btb, bp.ras, bp.cht = boot.Pred, boot.BTB, boot.RAS, boot.CHT
-		bp.hier, bp.lisp = boot.Hier, boot.LISP
-		boot.Scratch = bp.scratch
-		return boot, nil
+// copyFrom overwrites the set with src's behavioral state without
+// allocating; the CopyFrom primitives zero every diagnostic tally and
+// reset the transient timing parts, so the copy is indistinguishable
+// from fresh clones of src. Both sets must share one geometry.
+func (wp *warmParts) copyFrom(src *warmParts) error {
+	if err := wp.pred.CopyFrom(src.pred); err != nil {
+		return err
 	}
-	if err := bp.pred.CopyFrom(w.pred); err != nil {
-		return nil, err
+	if err := wp.btb.CopyFrom(src.btb); err != nil {
+		return err
 	}
-	if err := bp.btb.CopyFrom(w.btb); err != nil {
-		return nil, err
+	if err := wp.ras.CopyFrom(src.ras); err != nil {
+		return err
 	}
-	if err := bp.ras.CopyFrom(w.ras); err != nil {
-		return nil, err
+	if err := wp.cht.CopyFrom(src.cht); err != nil {
+		return err
 	}
-	if err := bp.cht.CopyFrom(w.cht); err != nil {
-		return nil, err
+	if err := wp.hier.CopyWarmFrom(src.hier); err != nil {
+		return err
 	}
-	if err := bp.hier.CopyWarmFrom(w.hier); err != nil {
-		return nil, err
+	if src.lisp != nil {
+		return wp.lisp.CopyFrom(src.lisp)
 	}
-	if w.lisp != nil {
-		if err := bp.lisp.CopyFrom(w.lisp); err != nil {
-			return nil, err
-		}
-	}
-	return &pipeline.BootState{
-		PC:      e.PC,
-		Regs:    e.Regs,
-		Mem:     e.Mem.Clone(),
-		Pred:    bp.pred,
-		BTB:     bp.btb,
-		RAS:     bp.ras,
-		CHT:     bp.cht,
-		Hier:    bp.hier,
-		LISP:    bp.lisp,
-		Scratch: bp.scratch,
-	}, nil
-}
-
-// buildBoot reconstructs a pipeline boot state from an emulator
-// checkpoint and a warm snapshot — the on-disk checkpoint path. It
-// yields the same state as cloneBoot over the live structures, so a
-// resumed window is bit-identical to the window the sampled run
-// executed directly.
-func buildBoot(cfg pipeline.Config, p *prog.Program, st emu.State, ws WarmSnapshot) (*pipeline.BootState, error) {
-	pc := cfg.Pred.WithDefaults()
-	pred := bpred.NewPredictor(cfg.Pred)
-	if err := pred.SetState(ws.Pred); err != nil {
-		return nil, err
-	}
-	btb := bpred.NewBTB(pc.BTBEntries)
-	if err := btb.SetState(ws.BTB); err != nil {
-		return nil, err
-	}
-	ras := bpred.NewRAS(pc.RASEntries)
-	if err := ras.SetState(ws.RAS); err != nil {
-		return nil, err
-	}
-	cht := bpred.NewCHT(pc.CHTEntries)
-	if err := cht.SetState(ws.CHT); err != nil {
-		return nil, err
-	}
-	hier := memsys.New(cfg.Mem)
-	if err := hier.SetWarmState(ws.Mem); err != nil {
-		return nil, err
-	}
-	var lisp *core.LISP
-	if cfg.Policy.Enable && len(ws.LISP.Entries) > 0 {
-		lisp = core.NewLISP(cfg.LISP)
-		if err := lisp.SetState(ws.LISP); err != nil {
-			return nil, err
-		}
-	}
-	mem, err := emu.NewMemoryFromState(st.Mem)
-	if err != nil {
-		return nil, err
-	}
-	return &pipeline.BootState{
-		PC:   st.PC,
-		Regs: st.Regs,
-		Mem:  mem,
-		Pred: pred,
-		BTB:  btb,
-		RAS:  ras,
-		CHT:  cht,
-		Hier: hier,
-		LISP: lisp,
-	}, nil
+	return nil
 }

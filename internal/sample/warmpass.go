@@ -169,92 +169,33 @@ func prepareWarm(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 // stride snapshots along the way.
 func buildWarmSet(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc Config, sr *strideRec) (*WarmSet, error) {
 	sp := sc.Sampling
-	e := emu.New(p)
-	w := newWarmer(cfg)
-	done := ctx.Done()
+	c := cursor{ctx: ctx, p: p, sc: &sc, e: emu.New(p), w: newWarmer(cfg)}
 	n := sp.Warmup + sp.Window + detailPad(cfg)
 	set := &WarmSet{Program: p.Name, Sampling: sp}
 
-	for idx := 0; !e.Halted; idx++ {
-		target := windowStart(idx, sp)
-		if target < e.Count {
-			target = e.Count
+	for idx := 0; ; idx++ {
+		if err := c.seek(idx, windowStart(idx, sp), sr); err != nil {
+			return nil, err
 		}
-		for e.Count < target && !e.Halted {
-			if e.Count&(cancelCheckInterval-1) == 0 {
-				if done != nil {
-					select {
-					case <-done:
-						if sc.CheckpointDir != "" {
-							flushPartial(sc, p, idx, e, w)
-						}
-						return nil, ctx.Err()
-					default:
-					}
-				}
-				if sc.Hooks.Progress != nil {
-					sc.Hooks.Progress(e.Count)
-				}
-			}
-			if e.Count >= sc.MaxInstrs {
-				return nil, fmt.Errorf("sample: %s did not halt within %d instructions", p.Name, sc.MaxInstrs)
-			}
-			pc := e.PC
-			rec, err := e.Step()
-			if err != nil {
-				return nil, fmt.Errorf("sample: fast-forward failed: %w", err)
-			}
-			w.observe(p.Code[rec.CodeIdx], pc, rec, e.PC)
-			sr.capture(e, w)
-		}
-		if e.Halted {
+		if c.e.Halted {
 			break
 		}
-
-		b := Boundary{Index: idx, Start: e.Count, Emu: e.State(), Warm: w.snapshot()}
+		b := c.boundary(idx)
 		set.Boundaries = append(set.Boundaries, b)
 		if sc.CheckpointDir != "" {
-			ck := &Checkpoint{
-				Format:   CheckpointFormat,
-				Program:  p.Name,
-				Index:    b.Index,
-				Start:    b.Start,
-				Sampling: sp,
-				Emu:      b.Emu,
-				Warm:     b.Warm,
-			}
-			if _, err := SaveCheckpoint(sc.CheckpointDir, ck); err != nil {
-				return nil, err
-			}
 			// CheckpointWritten fires on the authoritative settle-time
 			// rewrite, not this provisional write.
+			if _, err := saveBoundary(&sc, p, b, false); err != nil {
+				return nil, err
+			}
 		}
-
-		// Advance through the window's record span, still warming: the
-		// sequential engine consumes these records for the detail window,
-		// and later boundary positions depend on the cursor having moved.
-		var taken uint64
-		for taken < n && !e.Halted {
-			if done != nil && e.Count&(cancelCheckInterval-1) == 0 {
-				select {
-				case <-done:
-					// The provisional boundary checkpoint written above
-					// already covers this interruption point.
-					return nil, ctx.Err()
-				default:
-				}
-			}
-			pc := e.PC
-			rec, err := e.Step()
-			if err != nil {
-				return nil, fmt.Errorf("sample: fast-forward failed: %w", err)
-			}
-			taken++
-			w.observe(p.Code[rec.CodeIdx], pc, rec, e.PC)
-			sr.capture(e, w)
+		// Advance through the window's record span, still warming, to
+		// where the sequential engine's next boundary search starts.
+		if err := c.span(n, nil, sr); err != nil {
+			return nil, err
 		}
 	}
-	set.Total = e.Count
+	set.Total = c.e.Count
 	return set, nil
 }
 
@@ -387,16 +328,7 @@ func warmShard(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc Con
 		b := Boundary{Index: k, Start: starts[k], Emu: e.State(), Warm: w.snapshot()}
 		set.Boundaries[k] = b
 		if sc.CheckpointDir != "" {
-			ck := &Checkpoint{
-				Format:   CheckpointFormat,
-				Program:  p.Name,
-				Index:    b.Index,
-				Start:    b.Start,
-				Sampling: sc.Sampling,
-				Emu:      b.Emu,
-				Warm:     b.Warm,
-			}
-			if _, err := SaveCheckpoint(sc.CheckpointDir, ck); err != nil {
+			if _, err := saveBoundary(&sc, p, b, false); err != nil {
 				return err
 			}
 		}

@@ -160,7 +160,7 @@ func TestWarmShardEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{
-		Strides: str, WarmJobs: 4, Windows: 4,
+		Strides: str, WarmJobs: 4, Scheduler: newPool(t, 4),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestWarmShardSharedCacheStress(t *testing.T) {
 		for r := 0; r < runsPerBench; r++ {
 			bw := buildBench(t, name)
 			k := i*runsPerBench + r
-			sc := sample.Config{CacheDir: dir, Windows: 2, WarmJobs: 3, Strides: strs[i]}
+			sc := sample.Config{CacheDir: dir, Scheduler: newPool(t, 2), WarmJobs: 3, Strides: strs[i]}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
