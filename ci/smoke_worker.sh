@@ -12,7 +12,7 @@
 #
 # SMOKE_DIR, when set, names the shared cache directory and leaves it
 # in place afterwards (the nightly tier sets it to upload the resulting
-# .warmset/.stride cache entries as an artifact); unset, a temp dir is
+# .warmset cache entries as an artifact); unset, a temp dir is
 # used and removed.
 set -euo pipefail
 cd "$(dirname "$0")/.."

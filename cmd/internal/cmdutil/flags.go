@@ -14,22 +14,16 @@ import (
 )
 
 // SampledFlags is the flag group shared by every tool that executes
-// sampled simulations: parallelism for the two phases (detail windows
-// and warm-pass shards) plus the content-addressed checkpoint cache and
-// its bounds. Register installs the group on a FlagSet under one set of
-// names, so rixsim and rixbench stay knob-for-knob identical; after
-// flag.Parse, Apply (single run.Request) or Configure (runner.Engine)
-// copies the resolved values onto the executing side.
+// sampled simulations: the detail-window parallelism plus the
+// content-addressed checkpoint cache and its bounds. Register installs
+// the group on a FlagSet under one set of names, so rixsim and rixbench
+// stay knob-for-knob identical; after flag.Parse, Apply (single
+// run.Request) or Configure (runner.Engine) copies the resolved values
+// onto the executing side.
 type SampledFlags struct {
 	// Jobs sizes the window-scheduler pool (0 = NumCPU for a single
 	// run, the -j budget for a matrix; 1 = sequential windows).
 	Jobs int
-	// WarmJobs bounds warm-pass shard workers (0 = the Jobs budget;
-	// 1 = sequential warm pass).
-	WarmJobs int
-	// WarmStride is the stride-snapshot spacing recorded during a
-	// sequential warm pass (0 = the sampling interval).
-	WarmStride uint64
 	// Cache is the content-addressed warm-set cache directory;
 	// CacheMB / CacheAge bound it (0 = unbounded).
 	Cache    string
@@ -52,12 +46,8 @@ type SampledFlags struct {
 func (f *SampledFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Jobs, "jobs", 0,
 		"sampled window-scheduler slots (0 = the parallelism budget, 1 = sequential windows)")
-	fs.IntVar(&f.WarmJobs, "warm-jobs", 0,
-		"warm-pass shard workers once stride snapshots exist (0 = the -jobs budget, 1 = sequential warm pass)")
-	fs.Uint64Var(&f.WarmStride, "warm-stride", 0,
-		"stride-snapshot spacing in dynamic instructions, recorded on the first warm pass (0 = the sampling interval)")
 	fs.StringVar(&f.Cache, "ckpt-cache", "",
-		"content-addressed warm-set + stride-snapshot cache directory shared by sampled runs")
+		"content-addressed warm-set cache directory shared by sampled runs")
 	fs.IntVar(&f.CacheMB, "ckpt-cache-mb", 0,
 		"bound -ckpt-cache total size in MiB, LRU-evicting on save (0 = unbounded)")
 	fs.DurationVar(&f.CacheAge, "ckpt-cache-age", 0,
@@ -108,20 +98,14 @@ func (f *SampledFlags) RunWorker(ctx context.Context, verbose bool) error {
 }
 
 // Apply copies the resolved knobs onto one sampled run.Request. Only
-// call it for requests whose Options.Sampling is set — the warm-shard
-// fields are rejected by Validate otherwise.
+// call it for requests whose Options.Sampling is set — Validate rejects
+// Jobs > 1 and the cache fields otherwise.
 func (f *SampledFlags) Apply(req *run.Request) {
 	jobs := f.Jobs
 	if jobs == 0 {
 		jobs = runtime.NumCPU()
 	}
 	req.Jobs = jobs
-	warm := f.WarmJobs
-	if warm == 0 {
-		warm = jobs
-	}
-	req.WarmJobs = warm
-	req.WarmStride = f.WarmStride
 	req.CheckpointCache = f.Cache
 	if f.Cache != "" {
 		req.CacheMaxMB = f.CacheMB
@@ -138,8 +122,6 @@ func (f *SampledFlags) Apply(req *run.Request) {
 // -jobs 0 means the engine's -j budget).
 func (f *SampledFlags) Configure(e *runner.Engine) {
 	e.WindowJobs = f.Jobs
-	e.WarmJobs = f.WarmJobs
-	e.WarmStride = f.WarmStride
 	e.CheckpointCache = f.Cache
 	e.CacheMaxMB = f.CacheMB
 	e.CacheMaxAgeSec = int(f.CacheAge / time.Second)

@@ -206,9 +206,9 @@ func printEvent(e run.Event) {
 	case run.ResultCollected:
 		fmt.Fprintf(os.Stderr, "[%s] %s [%s] window %d result collected (%s)\n", time.Now().Format("15:04:05"), e.Workload, e.Label, e.Window, e.Path)
 	case run.WarmShardStarted:
-		fmt.Fprintf(os.Stderr, "[%s] %s [%s] warm shard %d started (instrs %d-%d)\n", time.Now().Format("15:04:05"), e.Workload, e.Label, e.Shard, e.SpanStart, e.SpanEnd)
+		fmt.Fprintf(os.Stderr, "[%s] %s [%s] warm pass started\n", time.Now().Format("15:04:05"), e.Workload, e.Label)
 	case run.WarmShardDone:
-		fmt.Fprintf(os.Stderr, "[%s] %s [%s] warm shard %d done (instrs %d-%d)\n", time.Now().Format("15:04:05"), e.Workload, e.Label, e.Shard, e.SpanStart, e.SpanEnd)
+		fmt.Fprintf(os.Stderr, "[%s] %s [%s] warm pass done (last boundary at instr %d)\n", time.Now().Format("15:04:05"), e.Workload, e.Label, e.SpanEnd)
 	case run.SlotStolen:
 		fmt.Fprintf(os.Stderr, "[%s] %s [%s] stole scheduler slot %d\n", time.Now().Format("15:04:05"), e.Workload, e.Label, e.Slot)
 	case run.SlotReturned:

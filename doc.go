@@ -62,15 +62,12 @@
 // submitting and its slots flow to cells still draining — with the
 // estimate bit-identical to the sequential engine and the
 // dispatched/settled/discarded window counts reported on
-// run.Result.Sampled. The warm pass itself shards over disjoint trace
-// spans (-warm-jobs workers resuming from layout-independent stride
-// snapshots, captured every -warm-stride instructions via the
-// emulator's copy-on-write memory) with the resulting warm set
-// bit-identical to the sequential pass's, and its output is reusable
-// through a content-addressed, LRU-bounded checkpoint cache
-// (run.Request.CheckpointCache, rixsim/rixbench -ckpt-cache,
-// -ckpt-cache-mb, -ckpt-cache-age) that holds both .warmset and
-// .stride entries. sim.Options.Sampling selects
+// run.Result.Sampled. The warm pass is one linear scan whose
+// boundary snapshots share pages with the emulator's copy-on-write
+// memory, and its output is reusable through a content-addressed,
+// LRU-bounded checkpoint cache (run.Request.CheckpointCache,
+// rixsim/rixbench -ckpt-cache, -ckpt-cache-mb, -ckpt-cache-age) of
+// .warmset entries. sim.Options.Sampling selects
 // sampling per cell; runner routes sampled cells automatically and
 // sizes the matrix-wide scheduler from its -j budget (Engine
 // .WindowJobs overrides), and runner.Sampled derives sampled variants

@@ -41,8 +41,7 @@ import (
 // exported-field structure is pinned by the golden.
 var Tracked = map[string][]string{
 	"rix/internal/sample": {
-		"Checkpoint", "WarmSnapshot", "WarmSet", "Boundary",
-		"StrideSet", "Stride", "Sampling",
+		"Checkpoint", "WarmSnapshot", "WarmSet", "Boundary", "Sampling",
 	},
 	"rix/internal/sample/procexec": {"Manifest", "Lease", "Result"},
 	"rix/internal/emu":             {"State", "MemState"},
@@ -56,7 +55,7 @@ var Tracked = map[string][]string{
 // recorded so the analyzer can tell "changed with a bump" from
 // "changed silently".
 var TrackedConsts = map[string][]string{
-	"rix/internal/sample":          {"CheckpointFormat", "WarmCacheFormat", "StrideCacheFormat"},
+	"rix/internal/sample":          {"CheckpointFormat", "WarmCacheFormat"},
 	"rix/internal/sample/procexec": {"ManifestFormat", "LeaseFormat", "ResultFormat"},
 }
 

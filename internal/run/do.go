@@ -268,8 +268,6 @@ func execute(ctx context.Context, c *config, req *Request, bw workload.Built, re
 	sc := sample.Config{
 		Sampling:      *req.Options.Sampling,
 		CheckpointDir: req.CheckpointDir,
-		WarmJobs:      req.WarmJobs,
-		WarmStride:    req.WarmStride,
 		CacheDir:      req.CheckpointCache,
 		CacheMaxBytes: int64(req.CacheMaxMB) << 20,
 		CacheMaxAge:   time.Duration(req.CacheMaxAgeSec) * time.Second,
@@ -358,8 +356,8 @@ func procConfig(c *config, req *Request, ev Event) procexec.Config {
 }
 
 // sampleHooks adapts the sampling engine's callbacks to the typed event
-// stream. Most hooks fire from the run's own goroutine, but the warm
-// shard and slot-steal hooks fire from worker goroutines, so every hook
+// stream. Most hooks fire from the run's own goroutine, but the
+// slot-steal hook fires from pool worker goroutines, so every hook
 // builds its Event as a local value — nothing shared is mutated
 // (window-rate events are far off the hot path, so the per-call value
 // is free).

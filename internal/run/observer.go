@@ -55,21 +55,18 @@ const (
 	// dispatched its last one — each such settle releases a scheduler
 	// slot back to the shared pool. Window is the settled index.
 	SlotReturned EventKind = "slot-returned"
-	// WarmShardStarted fires when a sharded warm pass hands one trace
-	// span to a warm worker: Shard is the span's ordinal, SpanStart the
-	// dynamic instruction count the worker resumes from (its nearest
-	// preceding stride snapshot, 0 for a fresh boot), and SpanEnd the
-	// last window boundary inside the span. Emitted from the warm
-	// workers' goroutines: the set of events is deterministic, their
-	// order is not.
+	// WarmShardStarted fires when a sampled run starts the warm pass
+	// that builds its warm set (not on a checkpoint-cache hit). The pass
+	// is one span over the whole trace, so Shard, SpanStart and SpanEnd
+	// are 0.
 	WarmShardStarted EventKind = "warm-shard-started"
-	// WarmShardDone fires when that worker has snapshotted every window
-	// boundary in its span; same fields and concurrency contract as
-	// WarmShardStarted.
+	// WarmShardDone fires when that warm pass has snapshotted every
+	// window boundary: Shard and SpanStart are 0 and SpanEnd is the last
+	// boundary's dynamic instruction. Together with WarmShardStarted it
+	// brackets the warm pass as one span.
 	WarmShardDone EventKind = "warm-shard-done"
-	// CacheHit fires when a sampled run finds its warm set — or the
-	// stride snapshots backing a sharded warm pass — in the checkpoint
-	// cache; Path names the entry (.warmset or .stride).
+	// CacheHit fires when a sampled run finds its warm set in the
+	// checkpoint cache; Path names the .warmset entry.
 	CacheHit EventKind = "cache-hit"
 	// CacheWritten fires after a sampled run persists its warm set into
 	// the checkpoint cache; Path names the entry.
@@ -121,8 +118,8 @@ type Event struct {
 // Observer receives a run's typed progress events. Observe is called
 // synchronously from the goroutines executing the run, so it must be
 // fast and must not block. It must also be safe for concurrent use:
-// warm-shard, slot-steal and cross-process worker events fire from
-// worker goroutines, and an Observer shared across engine cells (see
+// slot-steal and cross-process worker events fire from worker
+// goroutines, and an Observer shared across engine cells (see
 // runner.Engine.Observer) sees every cell's events concurrently.
 // WindowDone events of one run arrive in window index order.
 type Observer interface {

@@ -91,20 +91,6 @@ type Request struct {
 	// estimate is bit-identical in every case.
 	Jobs int `json:"jobs,omitempty"`
 
-	// WarmJobs bounds warm-pass shard workers for ModeSampled: >1 shards
-	// the warm pass across disjoint trace spans when stride snapshots
-	// are available (from CheckpointCache's layout-independent .stride
-	// entry); the boundary snapshots are bit-identical to the sequential
-	// pass's. 0 or 1 keeps the warm pass sequential — still recording a
-	// stride set into CheckpointCache for later sharded builds.
-	WarmJobs int `json:"warm_jobs,omitempty"`
-
-	// WarmStride is the spacing, in dynamic instructions, of the
-	// emulator snapshots recorded for warm-pass sharding (0 selects the
-	// sampling interval). An existing cache entry's recorded stride wins
-	// over this value.
-	WarmStride uint64 `json:"warm_stride,omitempty"`
-
 	// CheckpointCache is a directory for the content-addressed warm-set
 	// cache: a sampled run probes it before fast-forwarding and skips the
 	// warm pass on a hit. Safe to share across runs and processes; any
@@ -210,12 +196,6 @@ func (r *Request) Validate() error {
 	}
 	if r.Jobs > 1 && r.Options.Sampling == nil {
 		return fmt.Errorf("run: Jobs is only meaningful for sampled runs (set Options.Sampling)")
-	}
-	if r.WarmJobs < 0 {
-		return fmt.Errorf("run: WarmJobs must be >= 0, got %d", r.WarmJobs)
-	}
-	if (r.WarmJobs > 1 || r.WarmStride > 0) && r.Options.Sampling == nil {
-		return fmt.Errorf("run: warm-shard knobs are only meaningful for sampled runs (set Options.Sampling)")
 	}
 	if r.CheckpointCache != "" && r.Options.Sampling == nil {
 		return fmt.Errorf("run: CheckpointCache is only meaningful for sampled runs (set Options.Sampling)")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +14,7 @@ import (
 	"rix/internal/sample"
 	"rix/internal/sample/procexec"
 	"rix/internal/sim"
+	"rix/internal/testutil"
 	"rix/internal/workload"
 )
 
@@ -29,27 +29,6 @@ func buildBench(t testing.TB, name string) workload.Built {
 		t.Fatal(err)
 	}
 	return bw
-}
-
-// leakCheck snapshots the goroutine count and verifies (with retries,
-// since runtime bookkeeping lags) that it returns to the baseline.
-func leakCheck(t *testing.T) func() {
-	t.Helper()
-	before := runtime.NumGoroutine()
-	return func() {
-		t.Helper()
-		deadline := time.Now().Add(3 * time.Second)
-		for {
-			if runtime.NumGoroutine() <= before {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Errorf("goroutine leak: %d before, %d after", before, runtime.NumGoroutine())
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
 }
 
 func TestRequestValidation(t *testing.T) {
@@ -140,13 +119,21 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 	if _, err := run.UnmarshalRequest([]byte(`{"workload":"x","checkpoint-dir":"/tmp/ck"}`)); err == nil {
 		t.Error("UnmarshalRequest accepted an unknown field (typo'd key)")
 	}
+	// Stored requests carrying the removed warm-shard knobs must fail
+	// naming the field, not run with the knob silently dropped.
+	for _, field := range []string{"warm_jobs", "warm_stride"} {
+		js := `{"workload":"gzip","options":{"sampling":{"interval":20000,"window":800,"warmup":400}},"` + field + `":4}`
+		if _, err := run.UnmarshalRequest([]byte(js)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("request with %q: err = %v, want an error naming the field", field, err)
+		}
+	}
 }
 
 // TestDoDetailMatchesPipeline: the entry point reproduces a directly
 // constructed pipeline's statistics exactly for a full-detail run, and
 // the Result round-trips through JSON.
 func TestDoDetailMatchesPipeline(t *testing.T) {
-	defer leakCheck(t)()
+	testutil.NoLeaks(t)
 	bw := buildBench(t, "gzip")
 	o := sim.Options{Integration: sim.IntReverse}
 
@@ -189,7 +176,7 @@ func TestDoDetailMatchesPipeline(t *testing.T) {
 // engine and reports the same aggregate the engine does, with the
 // window summaries attached; the Result round-trips through JSON.
 func TestDoSampledMatchesEngine(t *testing.T) {
-	defer leakCheck(t)()
+	testutil.NoLeaks(t)
 	bw := buildBench(t, "gzip")
 	sp := sample.DefaultSampling()
 	o := sim.Options{Integration: sim.IntReverse, Sampling: &sp}
@@ -252,7 +239,7 @@ func (l *eventLog) kinds() map[run.EventKind]int {
 // TestObserverEventStream: a sampled checkpointing run emits the full
 // typed event vocabulary in a sane shape.
 func TestObserverEventStream(t *testing.T) {
-	defer leakCheck(t)()
+	testutil.NoLeaks(t)
 	sp := sample.DefaultSampling()
 	o := sim.Options{Integration: sim.IntReverse, Sampling: &sp}
 	log := &eventLog{}
@@ -291,7 +278,7 @@ func TestObserverEventStream(t *testing.T) {
 // over the shared directory, and the observer sees the cross-process
 // event vocabulary (worker-joined, lease-claimed, result-collected).
 func TestDoCrossProcess(t *testing.T) {
-	defer leakCheck(t)()
+	testutil.NoLeaks(t)
 	sp := sample.DefaultSampling()
 	o := sim.Options{Integration: sim.IntReverse, Sampling: &sp}
 
@@ -338,7 +325,7 @@ func TestDoCrossProcess(t *testing.T) {
 // ctx.Err() promptly and leaks no goroutines; a pre-cancelled context
 // never starts simulating.
 func TestDetailCancellation(t *testing.T) {
-	defer leakCheck(t)()
+	testutil.NoLeaks(t)
 	o := sim.Options{Integration: sim.IntReverse}
 
 	pre, cancel := context.WithCancel(context.Background())
@@ -374,7 +361,7 @@ func TestDetailCancellation(t *testing.T) {
 // (the engine-level equivalent is TestContinueCancelledRunBitEqual in
 // internal/sample).
 func TestSampledCancellationAndResume(t *testing.T) {
-	defer leakCheck(t)()
+	testutil.NoLeaks(t)
 	sp := sample.DefaultSampling()
 	o := sim.Options{Integration: sim.IntReverse, Sampling: &sp}
 
@@ -426,7 +413,7 @@ func TestSampledCancellationAndResume(t *testing.T) {
 // pass's LISP; a Resume request on a two-slot pool must still reproduce
 // the uninterrupted run's aggregate and windows.
 func TestResumeTwoPhaseBitEqual(t *testing.T) {
-	defer leakCheck(t)()
+	testutil.NoLeaks(t)
 	sp := sample.DefaultSampling()
 	o := sim.Options{Integration: sim.IntReverse, Sampling: &sp}
 	uninterrupted, err := run.Do(context.Background(), run.Request{Workload: "crafty", Options: o})
@@ -464,7 +451,7 @@ func TestResumeTwoPhaseBitEqual(t *testing.T) {
 
 // TestInlineSource: an inline-assembly request assembles and runs.
 func TestInlineSource(t *testing.T) {
-	defer leakCheck(t)()
+	testutil.NoLeaks(t)
 	const src = `
         .text
 main:   addqi t0, zero, 5

@@ -55,28 +55,9 @@ type Engine struct {
 	// to force the sequential sampled engine per cell (no pool).
 	WindowJobs int
 
-	// WarmJobs bounds each sampled cell's warm-pass shard workers. 0
-	// (the default) splits the same budget the window pool gets
-	// (WindowJobs, falling back to Parallel): a cell whose warm pass
-	// can shard — stride snapshots cached or recorded by an earlier
-	// build — fast-forwards disjoint trace spans on that many workers,
-	// overlapping with other cells' window phases. Warm workers are
-	// per-cell and transient (they exist only for the cell's warm
-	// pass), so a matrix of simultaneous cache-cold cells may briefly
-	// oversubscribe; set 1 to force sequential warm passes.
-	WarmJobs int
-
-	// WarmStride is the spacing, in dynamic instructions, of the stride
-	// snapshots a cache-cold sampled cell records during its sequential
-	// warm pass (persisted to CheckpointCache when set). 0 defaults to
-	// each cell's sampling interval.
-	WarmStride uint64
-
 	// CheckpointCache, when set, is the content-addressed warm-set cache
 	// directory passed to every sampled cell: repeat runs of the same
-	// (workload, layout, geometry) skip their warm pass entirely. It
-	// also holds the layout-independent stride snapshots (.stride
-	// entries) that let later warm passes shard across WarmJobs workers.
+	// (workload, layout, geometry) skip their warm pass entirely.
 	CheckpointCache string
 
 	// CacheMaxMB / CacheMaxAgeSec bound CheckpointCache by total size
@@ -219,11 +200,6 @@ func (e *Engine) cell(ctx context.Context, bench string, c Config, sched *sample
 	req := run.Request{Workload: bench, Label: c.Label, Options: c.Opt}
 	if c.Opt.Sampling != nil {
 		req.Jobs = slots
-		req.WarmJobs = e.WarmJobs
-		if req.WarmJobs == 0 {
-			req.WarmJobs = slots
-		}
-		req.WarmStride = e.WarmStride
 		req.CheckpointCache = e.CheckpointCache
 		if e.CheckpointCache != "" {
 			req.CacheMaxMB = e.CacheMaxMB

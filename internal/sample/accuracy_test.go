@@ -11,6 +11,7 @@ import (
 	"rix/internal/pipeline"
 	"rix/internal/sample"
 	"rix/internal/sim"
+	"rix/internal/testutil"
 	"rix/internal/workload"
 )
 
@@ -255,6 +256,7 @@ func TestContinueCancelledTwoPhaseBitEqual(t *testing.T) {
 	}
 	for _, name := range []string{"gzip", "crafty"} {
 		t.Run(name, func(t *testing.T) {
+			testutil.NoLeaks(t)
 			bw := buildBench(t, name)
 			seqDir := t.TempDir()
 			direct, err := sample.Run(bg, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: seqDir})

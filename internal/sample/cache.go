@@ -83,34 +83,22 @@ func loadWarmSet(dir, key, program string, sp Sampling) (*WarmSet, string) {
 	return &wf.Set, path
 }
 
-// saveWarmSet atomically persists a warm set under its key (tmp +
-// rename, like SaveCheckpoint): a crash mid-write leaves no partial
-// entry, and a concurrent writer of the same key simply wins the
-// rename with identical contents.
+// saveWarmSet atomically persists a warm set under its key
+// (writeGobAtomic, like SaveCheckpoint): a crash mid-write leaves no
+// partial entry, and concurrent writers of the same key each rename a
+// complete entry with identical contents.
 func saveWarmSet(dir, key string, set *WarmSet) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("sample: warm cache dir: %w", err)
 	}
 	path := warmSetPath(dir, key)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return "", fmt.Errorf("sample: warm cache: %w", err)
-	}
-	err = gob.NewEncoder(f).Encode(&warmSetFile{
+	err := writeGobAtomic(path, &warmSetFile{
 		Format:           WarmCacheFormat,
 		CheckpointFormat: CheckpointFormat,
 		Key:              key,
 		Set:              *set,
 	})
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
 	if err != nil {
-		os.Remove(tmp)
 		return "", fmt.Errorf("sample: warm cache %s: %w", path, err)
 	}
 	return path, nil

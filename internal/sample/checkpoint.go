@@ -48,32 +48,44 @@ func checkpointName(program string, idx int) string {
 
 // SaveCheckpoint atomically writes a checkpoint into dir (created if
 // missing), returning its path. A crash mid-write leaves no partial
-// file: the payload lands under a temporary name and is renamed into
-// place. A partial (cancellation) checkpoint shares its window's file
-// name, so the boundary checkpoint written when Continue reaches the
-// window start replaces it.
+// file (writeGobAtomic). A partial (cancellation) checkpoint shares its
+// window's file name, so the boundary checkpoint written when Continue
+// reaches the window start replaces it.
 func SaveCheckpoint(dir string, ck *Checkpoint) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("sample: checkpoint dir: %w", err)
 	}
 	path := filepath.Join(dir, checkpointName(ck.Program, ck.Index))
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return "", fmt.Errorf("sample: checkpoint: %w", err)
+	if err := writeGobAtomic(path, ck); err != nil {
+		return "", fmt.Errorf("sample: checkpoint %s: %w", path, err)
 	}
-	err = gob.NewEncoder(f).Encode(ck)
+	return path, nil
+}
+
+// writeGobAtomic gob-encodes v into path: the payload lands in a
+// uniquely named temporary file beside path and is renamed into place.
+// A crash mid-write leaves no partial file, and concurrent writers of
+// one path never share a temporary file, so each rename installs one
+// writer's complete payload.
+func writeGobAtomic(path string, v any) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	err = f.Chmod(0o644) // CreateTemp's 0600 would hide a shared cache from other users
+	if err == nil {
+		err = gob.NewEncoder(f).Encode(v)
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(f.Name(), path)
 	}
 	if err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("sample: checkpoint %s: %w", path, err)
+		os.Remove(f.Name())
 	}
-	return path, nil
+	return err
 }
 
 // LoadCheckpoint reads and validates one checkpoint file: the format

@@ -11,6 +11,7 @@ import (
 
 	"rix/internal/sample"
 	"rix/internal/sim"
+	"rix/internal/testutil"
 )
 
 // TestParallelEstimateBitEqual is the two-phase engine's core
@@ -59,6 +60,7 @@ func TestParallelEstimateBitEqual(t *testing.T) {
 // and the counts are deterministic (the coordinator's dispatch/settle
 // interleaving does not depend on worker timing).
 func TestSharedSchedulerBitEqual(t *testing.T) {
+	testutil.NoLeaks(t)
 	ctx := context.Background()
 	o := sim.Options{Integration: sim.IntReverse}
 	cfg, err := o.Config()
@@ -134,11 +136,11 @@ func TestSharedSchedulerBitEqual(t *testing.T) {
 }
 
 // TestWarmCacheRoundTrip drives the content-addressed cache through a
-// miss (warm pass runs, .warmset and .stride entries written), a hit
-// (warm pass skipped, bit-identical estimate), and the invalidation
-// rules: a layout change keys a different .warmset entry but reuses the
-// layout-independent .stride entry (so the rebuild shards from cached
-// snapshots), and a corrupt entry is a clean miss that gets rewritten.
+// miss (warm pass runs, .warmset entry written), a hit (warm pass
+// skipped, bit-identical estimate), and the invalidation rules: a
+// layout change keys a different entry, and a corrupt entry is a clean
+// miss that gets rewritten. The warm-pass hooks bracket every pass
+// actually built, and only those.
 func TestWarmCacheRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	bw := buildBench(t, "gzip")
@@ -154,35 +156,41 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hits and writes, tallied separately per entry kind; lastWarm is
-	// the most recently written .warmset path.
-	var wsHits, wsWrites, stHits, stWrites int
+	// Hits, writes and warm passes; lastWarm is the most recently
+	// written entry, lastEnd the last pass's reported span end.
+	var hits, writes, passes, passesDone int
 	var lastWarm string
-	reset := func() { wsHits, wsWrites, stHits, stWrites = 0, 0, 0, 0 }
+	var lastEnd uint64
+	reset := func() { hits, writes, passes, passesDone = 0, 0, 0, 0 }
 	sc := sample.Config{CacheDir: dir, Scheduler: newPool(t, 2), Hooks: sample.Hooks{
-		CacheHit: func(path string) {
-			if filepath.Ext(path) == ".stride" {
-				stHits++
-			} else {
-				wsHits++
-			}
-		},
+		CacheHit: func(string) { hits++ },
 		CacheWritten: func(path string) {
-			if filepath.Ext(path) == ".stride" {
-				stWrites++
-			} else {
-				wsWrites++
-				lastWarm = path
+			writes++
+			lastWarm = path
+		},
+		WarmShardStarted: func(shard int, start, end uint64) {
+			if shard != 0 || start != 0 || end != 0 {
+				t.Errorf("WarmShardStarted(%d, %d, %d); want (0, 0, 0)", shard, start, end)
 			}
+			passes++
+		},
+		WarmShardDone: func(shard int, start, end uint64) {
+			if shard != 0 || start != 0 {
+				t.Errorf("WarmShardDone(%d, %d, _); want shard 0 from 0", shard, start)
+			}
+			passesDone++
+			lastEnd = end
 		},
 	}}
 	first, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wsHits != 0 || wsWrites != 1 || stHits != 0 || stWrites != 1 {
-		t.Fatalf("cold run: warmset %d/%d, stride %d/%d hits/writes; want 0/1 and 0/1",
-			wsHits, wsWrites, stHits, stWrites)
+	if hits != 0 || writes != 1 || passes != 1 || passesDone != 1 {
+		t.Fatalf("cold run: %d hits, %d writes, %d/%d warm passes; want 0, 1, 1/1", hits, writes, passes, passesDone)
+	}
+	if w := first.Windows[len(first.Windows)-1]; lastEnd != w.Start {
+		t.Errorf("warm pass span ends at %d; want the last boundary, %d", lastEnd, w.Start)
 	}
 	if !reflect.DeepEqual(first, seq) {
 		t.Error("cached-miss run diverges from sequential")
@@ -192,26 +200,22 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wsHits != 1 || wsWrites != 1 || stHits != 0 || stWrites != 1 {
-		t.Fatalf("warm run: warmset %d/%d, stride %d/%d hits/writes; want 1/1 and 0/1",
-			wsHits, wsWrites, stHits, stWrites)
+	if hits != 1 || writes != 1 || passes != 1 {
+		t.Fatalf("warm run: %d hits, %d writes, %d warm passes; want 1, 1, 1", hits, writes, passes)
 	}
 	if !reflect.DeepEqual(second, seq) {
 		t.Error("cache-hit run diverges from sequential")
 	}
 
-	// A different window layout must key a different .warmset entry —
-	// but the stride entry is layout-independent, so the rebuild hits
-	// it and shards instead of rescanning from the trace head.
+	// A different window layout must key a different entry.
 	spp := sample.Sampling{Interval: 8000, Window: 400, Warmup: 200}
 	scLayout := sc
 	scLayout.Sampling = spp
 	if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, scLayout); err != nil {
 		t.Fatal(err)
 	}
-	if wsHits != 1 || wsWrites != 2 || stHits != 1 || stWrites != 1 {
-		t.Fatalf("layout change: warmset %d/%d, stride %d/%d hits/writes; want 1/2 and 1/1",
-			wsHits, wsWrites, stHits, stWrites)
+	if hits != 1 || writes != 2 || passes != 2 {
+		t.Fatalf("layout change: %d hits, %d writes, %d warm passes; want 1, 2, 2", hits, writes, passes)
 	}
 
 	// A corrupt entry is a miss: the run still succeeds, rewrites the
@@ -223,22 +227,65 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("%d warmset entries; want 2", len(entries))
 	}
-	strides, _ := filepath.Glob(filepath.Join(dir, "*.stride"))
-	if len(strides) != 1 {
-		t.Fatalf("%d stride entries; want 1", len(strides))
-	}
 	reset()
 	if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, scLayout); err != nil {
 		t.Fatal(err)
 	}
-	if wsHits != 0 || wsWrites != 1 || stHits != 1 {
-		t.Fatalf("corrupt entry: warmset %d/%d, stride hits %d; want 0/1 and 1", wsHits, wsWrites, stHits)
+	if hits != 0 || writes != 1 || passes != 1 {
+		t.Fatalf("corrupt entry: %d hits, %d writes, %d warm passes; want 0, 1, 1", hits, writes, passes)
 	}
 	if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, scLayout); err != nil {
 		t.Fatal(err)
 	}
-	if wsHits != 1 {
-		t.Fatalf("rewritten entry: %d warmset hits; want 1", wsHits)
+	if hits != 1 {
+		t.Fatalf("rewritten entry: %d warmset hits; want 1", hits)
+	}
+}
+
+// TestSharedCacheStress is the -race stress test: many concurrent
+// sampled runs sharing one cache directory, racing to build, save and
+// load the same warm-set entries. Every estimate must match the
+// sequential baseline, and no goroutine may outlive the test.
+func TestSharedCacheStress(t *testing.T) {
+	testutil.NoLeaks(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	benches := []string{"gzip", "crafty"}
+	cfg, err := (sim.Options{Integration: sim.IntReverse}).Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := make([]*sample.Estimate, len(benches))
+	for i, name := range benches {
+		bw := buildBench(t, name)
+		if seqs[i], err = sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runsPerBench = 3
+	var wg sync.WaitGroup
+	errs := make([]error, len(benches)*runsPerBench)
+	ests := make([]*sample.Estimate, len(benches)*runsPerBench)
+	for i, name := range benches {
+		for r := 0; r < runsPerBench; r++ {
+			bw := buildBench(t, name)
+			k := i*runsPerBench + r
+			sc := sample.Config{CacheDir: dir, Scheduler: newPool(t, 2)}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ests[k], errs[k] = sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sc)
+			}()
+		}
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", k, err)
+		}
+		if !reflect.DeepEqual(ests[k], seqs[k/runsPerBench]) {
+			t.Errorf("run %d: concurrent cached estimate diverges from sequential", k)
+		}
 	}
 }
 

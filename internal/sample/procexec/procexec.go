@@ -349,15 +349,19 @@ func (c *Coordinator) noteWorker(worker string) {
 }
 
 // writeGob atomically writes one gob-encoded file: the payload lands
-// under a temporary name and is renamed into place, so readers never
-// see a torn entry on a POSIX filesystem.
+// under a unique temporary name and is renamed into place, so readers
+// never see a torn entry on a POSIX filesystem and concurrent writers
+// of one path never share a temporary file.
 func writeGob(path string, v interface{}) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return fmt.Errorf("procexec: %s: %w", path, err)
 	}
-	err = gob.NewEncoder(f).Encode(v)
+	tmp := f.Name()
+	err = f.Chmod(0o644) // as readable to other workers as os.Create made it
+	if err == nil {
+		err = gob.NewEncoder(f).Encode(v)
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -9,12 +9,14 @@ import (
 	"rix/internal/workload"
 )
 
-// BenchmarkWarmPass isolates the functional fast-forward (emulation +
-// microarchitectural warming) — the part of a sampled run that touches
-// every instruction, and therefore the asymptotic floor of the sampling
-// speedup. Compare against BenchmarkEmulator (plain emulation) and
-// BenchmarkPipeline (detailed simulation) in the root package.
-func BenchmarkWarmPass(b *testing.B) {
+// BenchmarkWarmObserve isolates the functional fast-forward loop
+// (emulation + microarchitectural warming, no boundary snapshots) — the
+// part of a sampled run that touches every instruction, and therefore
+// the asymptotic floor of the sampling speedup. Compare against
+// BenchmarkEmulator (plain emulation), BenchmarkWarmPass (the whole
+// warm pass) and BenchmarkPipeline (detailed simulation) in the root
+// package.
+func BenchmarkWarmObserve(b *testing.B) {
 	bench, _ := workload.ByName("vortex")
 	bw, err := bench.Build()
 	if err != nil {

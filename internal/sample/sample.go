@@ -38,17 +38,17 @@
 //
 // # Two-phase parallel engine
 //
-// Setting Config.Scheduler or Config.Executor (or Config.CacheDir,
-// Config.Warm, Config.Strides, or WarmJobs > 1) selects the two-phase
-// engine: one warm pass fast-forwards the whole trace, snapshotting a
-// WarmSnapshot per window boundary (PrepareWarm exposes this phase
-// directly), then a bounded pool executes all detail windows
-// concurrently. The chained LISP feedback is the only cross-window
-// dependency, so windows dispatch speculatively in waves — each
-// settles in index order, and a misspeculated feedback guess discards
-// the rest of its wave for re-dispatch — which keeps the
-// Estimate bit-identical to the sequential engine while the common
-// quiescent chain reaches full parallelism.
+// Setting Config.Scheduler or Config.Executor (or Config.CacheDir or
+// Config.Warm) selects the two-phase engine: one warm pass
+// fast-forwards the whole trace, snapshotting a WarmSnapshot per
+// window boundary (PrepareWarm exposes this phase directly), then a
+// bounded pool executes all detail windows concurrently. The chained
+// LISP feedback is the only cross-window dependency, so windows
+// dispatch speculatively in waves — each settles in index order, and a
+// misspeculated feedback guess discards the rest of its wave for
+// re-dispatch — which keeps the Estimate bit-identical to the
+// sequential engine while the common quiescent chain reaches full
+// parallelism.
 //
 // Config.CacheDir names a content-addressed warm-set cache: the warm
 // pass's output is keyed by a SHA-256 over the program content, window
@@ -137,17 +137,15 @@ type Hooks struct {
 	// in-flight set, releasing a pool slot to cells still dispatching.
 	// Fires from the coordinating goroutine, deterministically.
 	SlotReturned func(index int)
-	// WarmShardStarted fires when a sharded warm pass hands one trace
-	// span to a warm worker: shard is the span's ordinal, start the
-	// dynamic instruction count the worker resumes from (its nearest
-	// preceding stride snapshot, 0 for a fresh boot), and end the last
-	// window boundary inside the span. Fires from the worker goroutines,
-	// so calls are concurrent; the set of (shard, start, end) triples is
-	// deterministic, their order is not.
+	// WarmShardStarted fires when a warm pass starts building a warm
+	// set (PrepareWarm, or the two-phase engine's first phase), never on
+	// a cache hit or an injected warm set. The pass is one span over the
+	// whole trace: shard and start are always 0, and end is 0 because
+	// the last boundary is not known yet.
 	WarmShardStarted func(shard int, start, end uint64)
-	// WarmShardDone fires when that worker has snapshotted every
-	// boundary in its span. Same concurrency contract as
-	// WarmShardStarted.
+	// WarmShardDone fires when that warm pass has snapshotted every
+	// boundary, with shard and start 0 and end the last boundary's
+	// dynamic instruction (0 when the trace has none).
 	WarmShardDone func(shard int, start, end uint64)
 	// CheckpointWritten fires after each checkpoint lands on disk.
 	CheckpointWritten func(path string, index int)
@@ -195,30 +193,6 @@ type Config struct {
 	// the run and may be shared by concurrent runs.
 	Warm *WarmSet
 
-	// WarmJobs bounds concurrent warm-pass shard workers (default 1).
-	// Any value above 1 selects the two-phase engine and shards the
-	// warm pass across disjoint trace spans when stride snapshots are
-	// available — injected via Strides or loaded from CacheDir's
-	// .stride entry. Without snapshots the pass runs sequentially and,
-	// when CacheDir is set, records a stride set as a byproduct so the
-	// next build shards.
-	WarmJobs int
-
-	// WarmStride is the spacing, in dynamic instructions, of the
-	// emulator snapshots the stride pass captures (and the sharded warm
-	// pass resumes from). 0 selects the sampling interval — one
-	// resumable point per window, the finest stride that is ever
-	// useful. Coarser strides shrink the cache entry at the cost of
-	// longer per-shard resume distances.
-	WarmStride uint64
-
-	// Strides injects a pre-built stride set (PrepareStrides), skipping
-	// both the stride pass and the cache probe and selecting the
-	// sharded warm-pass build. The set is validated against the
-	// program and machine geometry by its content-addressed key, is
-	// read-only during the run, and may be shared by concurrent runs.
-	Strides *StrideSet
-
 	// Scheduler, when non-nil, selects the two-phase engine and runs
 	// the detail-window phase — and Resume/Continue's re-run windows —
 	// on this shared work-stealing pool instead of an ephemeral one-slot
@@ -252,12 +226,6 @@ func (c Config) normalized() (Config, error) {
 	if err := c.Sampling.Validate(); err != nil {
 		return c, err
 	}
-	if c.WarmJobs < 1 {
-		c.WarmJobs = 1
-	}
-	if c.WarmStride == 0 {
-		c.WarmStride = c.Sampling.Interval
-	}
 	if c.MaxInstrs == 0 {
 		c.MaxInstrs = DefaultMaxInstrs
 	}
@@ -279,8 +247,7 @@ func Run(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, 
 	if err != nil {
 		return nil, err
 	}
-	if sc.CacheDir != "" || sc.Warm != nil || sc.Scheduler != nil || sc.Executor != nil ||
-		sc.Strides != nil || sc.WarmJobs > 1 {
+	if sc.CacheDir != "" || sc.Warm != nil || sc.Scheduler != nil || sc.Executor != nil {
 		return runTwoPhase(ctx, p, dynLen, cfg, sc)
 	}
 	e := emu.New(p)
@@ -316,7 +283,7 @@ func runFrom(ctx context.Context, p *prog.Program, e *emu.Emulator, w *warmer,
 	var sl slot
 	recs := make([]emu.TraceRec, 0, n)
 	for idx := startIdx; ; idx++ {
-		if err := c.seek(idx, windowStart(idx, sp), nil); err != nil {
+		if err := c.seek(idx, windowStart(idx, sp)); err != nil {
 			return windows, err
 		}
 		if e.Halted {
@@ -342,7 +309,7 @@ func runFrom(ctx context.Context, p *prog.Program, e *emu.Emulator, w *warmer,
 		}
 		start := e.Count
 		recs = recs[:0]
-		if err := c.span(n, &recs, nil); err != nil {
+		if err := c.span(n, &recs); err != nil {
 			return windows, err
 		}
 
@@ -378,13 +345,11 @@ func runFrom(ctx context.Context, p *prog.Program, e *emu.Emulator, w *warmer,
 	return windows, nil
 }
 
-// cursor is the functional fast-forward shared by every linear pass —
-// the sequential engine, the warm pass and the stride pass: the
-// emulator executes each instruction and the warmer folds it in. The
-// passes differ only in what they keep along the way (window records,
-// stride snapshots), passed to its walks as plain pointers (nil: keep
-// nothing) so the per-instruction loop stays a straight step-observe
-// sequence.
+// cursor is the functional fast-forward shared by both linear passes —
+// the sequential engine and the warm pass: the emulator executes each
+// instruction and the warmer folds it in. The passes differ only in
+// whether they keep each window's records (span's recs), so the
+// per-instruction loop stays a straight step-observe sequence.
 type cursor struct {
 	ctx context.Context
 	p   *prog.Program
@@ -399,8 +364,8 @@ type cursor struct {
 // partial checkpoint for window idx when sc.CheckpointDir is set, so
 // Continue can pick the run up without repeating the fast-forward
 // (best-effort: the previous boundary checkpoint already makes the run
-// resumable). A non-nil sr records stride snapshots.
-func (c *cursor) seek(idx int, target uint64, sr *strideRec) error {
+// resumable).
+func (c *cursor) seek(idx int, target uint64) error {
 	e, w, code, sc := c.e, c.w, c.p.Code, c.sc
 	done := c.ctx.Done()
 	for end := min(target, sc.MaxInstrs); e.Count < end && !e.Halted; {
@@ -425,7 +390,6 @@ func (c *cursor) seek(idx int, target uint64, sr *strideRec) error {
 			return fmt.Errorf("sample: fast-forward failed: %w", err)
 		}
 		w.observe(code[rec.CodeIdx], pc, rec, e.PC)
-		sr.capture(e, w)
 	}
 	if e.Count < target && !e.Halted {
 		return fmt.Errorf("sample: %s did not halt within %d instructions", c.p.Name, sc.MaxInstrs)
@@ -437,9 +401,9 @@ func (c *cursor) seek(idx int, target uint64, sr *strideRec) error {
 // to the halt), still warming: the sequential engine replays these
 // records in the detail window, and later boundary positions depend on
 // the cursor having moved past them. A non-nil recs collects the
-// records; a non-nil sr records stride snapshots. Cancellation needs no
-// flush — the window's boundary checkpoint covers it.
-func (c *cursor) span(n uint64, recs *[]emu.TraceRec, sr *strideRec) error {
+// records. Cancellation needs no flush — the window's boundary
+// checkpoint covers it.
+func (c *cursor) span(n uint64, recs *[]emu.TraceRec) error {
 	e, w, code := c.e, c.w, c.p.Code
 	done := c.ctx.Done()
 	for k := uint64(0); k < n && !e.Halted; k++ {
@@ -459,7 +423,6 @@ func (c *cursor) span(n uint64, recs *[]emu.TraceRec, sr *strideRec) error {
 			*recs = append(*recs, rec)
 		}
 		w.observe(code[rec.CodeIdx], pc, rec, e.PC)
-		sr.capture(e, w)
 	}
 	return nil
 }

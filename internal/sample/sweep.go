@@ -7,24 +7,23 @@ import (
 	"time"
 )
 
-// This file bounds the warm cache directory — both the per-layout
-// .warmset entries and the layout-independent .stride entries. Every
-// key writes one entry and nothing ever rewrote or removed them, so a
-// long-lived cache dir grew forever; the sweep runs best-effort after
-// each save and evicts least-recently-used entries over the configured
-// size and age bounds. Recency is the file's modification time: saves
-// stamp it by writing, and cache hits re-stamp it (touchWarmSet), so
-// eviction order is true LRU over both writers and readers — and one
-// LRU over both entry kinds, so a hot stride set outlives cold warm
-// sets and vice versa. See doc/FORMATS.md for the on-disk layout.
+// This file bounds the warm cache directory. Every key writes one
+// entry and nothing ever rewrote or removed them, so a long-lived cache
+// dir grew forever; the sweep runs best-effort after each save and
+// evicts least-recently-used entries over the configured size and age
+// bounds. Recency is the file's modification time: saves stamp it by
+// writing, and cache hits re-stamp it (touchWarmSet), so eviction order
+// is true LRU over both writers and readers. The sweep also ranks
+// .stride entries, which older builds wrote beside the .warmset ones
+// and nothing reads any more, so such directories still shrink. See
+// doc/FORMATS.md for the on-disk layout.
 
 // sweepWarmCache enforces Config.CacheMaxBytes / CacheMaxAge over dir:
 // entries older than maxAge go first, then least-recently-used entries
 // until the directory's combined .warmset + .stride total fits
-// maxBytes. A zero bound
-// disables that check. keep names the entry just written, which is
-// never evicted — the run that wrote it must find it on its next probe
-// even under a bound smaller than one entry. All failures are silently
+// maxBytes. A zero bound disables that check. keep names the entry
+// just written, which is never evicted — the run that wrote it must
+// find it on its next probe even under a bound smaller than one entry. All failures are silently
 // ignored: the sweep is advisory, and a missed eviction only costs
 // disk, never correctness (loads validate content, not directory
 // state).

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"testing"
 	"time"
 )
 
@@ -23,7 +24,7 @@ func VerifyNoLeaks(m interface{ Run() int }) {
 	before := runtime.NumGoroutine()
 	code := m.Run()
 	if code == 0 {
-		if leaked, stacks := settle(before); leaked {
+		if leaked, stacks := settle(before, time.Second); leaked {
 			fmt.Fprintf(os.Stderr,
 				"testutil: goroutine leak: %d goroutines before the tests, %d after settling\n\n%s\n",
 				before, runtime.NumGoroutine(), stacks)
@@ -33,11 +34,34 @@ func VerifyNoLeaks(m interface{ Run() int }) {
 	os.Exit(code)
 }
 
-// settle polls until the goroutine count returns to the baseline or the
-// retry budget runs out, returning the final verdict and, on a leak,
-// every goroutine stack.
-func settle(baseline int) (leaked bool, stacks []byte) {
-	for i := 0; i < 100; i++ {
+// NoLeaks checks that every goroutine a test starts is gone when the
+// test ends, not only when the package's tests all finish — call it
+// first in the test:
+//
+//	func TestX(t *testing.T) { testutil.NoLeaks(t); ... }
+//
+// It snapshots the goroutine count, and a t.Cleanup (which runs after
+// the test's own cleanups, such as closing its pools) waits up to 3 s —
+// a run's goroutines exit slowly under -race on a loaded host — for the
+// count to settle back and fails the test with every goroutine's stack
+// if it does not. Tests calling it must not run in parallel with
+// others, whose goroutines would count against them.
+func NoLeaks(t testing.TB) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		if leaked, stacks := settle(before, 3*time.Second); leaked {
+			t.Errorf("testutil: goroutine leak: %d goroutines before the test, %d after settling\n\n%s",
+				before, runtime.NumGoroutine(), stacks)
+		}
+	})
+}
+
+// settle polls until the goroutine count returns to the baseline or
+// budget runs out, returning the final verdict and, on a leak, every
+// goroutine stack.
+func settle(baseline int, budget time.Duration) (leaked bool, stacks []byte) {
+	for deadline := time.Now().Add(budget); time.Now().Before(deadline); {
 		if runtime.NumGoroutine() <= baseline {
 			return false, nil
 		}
