@@ -23,6 +23,7 @@ import (
 	"rix/internal/sample"
 	"rix/internal/sim"
 	"rix/internal/stats"
+	"rix/internal/testutil"
 	"rix/internal/workload"
 )
 
@@ -143,8 +144,8 @@ func BenchmarkPipelineStreaming(b *testing.B) {
 }
 
 // BenchmarkPipelineSampled measures the interval-sampling engine
-// end-to-end (functional fast-forward with warming + detailed windows)
-// on the configuration rixbench -sample runs. Minstr/s counts every
+// end-to-end (the warm pass feeding detailed windows to a one-slot
+// pool) on the configuration rixbench -sample runs. Minstr/s counts every
 // program instruction covered, not just the detailed ones, so the
 // number is directly comparable to BenchmarkPipelineStreaming.
 func BenchmarkPipelineSampled(b *testing.B) {
@@ -169,15 +170,17 @@ func BenchmarkPipelineSampled(b *testing.B) {
 	b.ReportMetric(float64(covered)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-// BenchmarkSampledParallel measures the two-phase sampled engine's
-// window phase: a prepared warm set is injected (Config.Warm — the
+// BenchmarkSampledParallel measures the sampled engine's windows alone:
+// a prepared warm set is injected (Config.Warm — the
 // checkpoint-cache-hit path), so each timed iteration runs only the
 // concurrent detail windows. "speedup" compares equal work: the same
 // injected warm set on a one-slot scheduler, measured untimed before
 // the loop, against the GOMAXPROCS-slot pool timed in the loop;
 // "cores" reports the host's parallelism so the benchgate can refuse to
-// judge the speedup on starved runners. The estimate is asserted
-// bit-identical to the sequential engine's every iteration.
+// judge the speedup on starved runners. The one-slot run must match the
+// naive one-window-at-a-time loop's estimate, committed in
+// testdata/golden/sampled_oracle.json, and every timed iteration's
+// aggregate must equal it bit for bit.
 func BenchmarkSampledParallel(b *testing.B) {
 	bench, _ := workload.ByName("gzip")
 	bw, err := bench.Build()
@@ -190,11 +193,6 @@ func BenchmarkSampledParallel(b *testing.B) {
 	}
 	ctx := context.Background()
 
-	// The reference estimate the parallel path must reproduce exactly.
-	seqEst, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
 	warm, err := sample.PrepareWarm(ctx, bw.Prog, cfg, sample.Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -202,13 +200,16 @@ func BenchmarkSampledParallel(b *testing.B) {
 
 	// One-slot baseline over the same warm set: a warm-up run builds
 	// the slot's boot structures, then the timed run sees the steady
-	// state, like the loop below.
+	// state, like the loop below. The warm-up's estimate is the
+	// reference the parallel path must reproduce exactly.
 	one := sample.NewScheduler(1)
 	defer one.Close()
 	oneSC := sample.Config{Scheduler: one, Warm: warm}
-	if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, oneSC); err != nil {
+	oneEst, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, oneSC)
+	if err != nil {
 		b.Fatal(err)
 	}
+	testutil.MatchOracle(b, "gzip", oneEst)
 	oneStart := time.Now()
 	if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, oneSC); err != nil {
 		b.Fatal(err)
@@ -230,8 +231,8 @@ func BenchmarkSampledParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if est.Agg != seqEst.Agg {
-			b.Fatal("parallel estimate diverges from sequential")
+		if est.Agg != oneEst.Agg {
+			b.Fatal("parallel estimate diverges from the naive loop")
 		}
 		covered += est.TotalInstrs
 	}

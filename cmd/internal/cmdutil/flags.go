@@ -22,7 +22,7 @@ import (
 // onto the executing side.
 type SampledFlags struct {
 	// Jobs sizes the window-scheduler pool (0 = NumCPU for a single
-	// run, the -j budget for a matrix; 1 = sequential windows).
+	// run, the -j budget for a matrix; 1 = one window at a time).
 	Jobs int
 	// Cache is the content-addressed warm-set cache directory;
 	// CacheMB / CacheAge bound it (0 = unbounded).
@@ -45,7 +45,7 @@ type SampledFlags struct {
 // flag.CommandLine).
 func (f *SampledFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Jobs, "jobs", 0,
-		"sampled window-scheduler slots (0 = the parallelism budget, 1 = sequential windows)")
+		"sampled window-scheduler slots (0 = the parallelism budget, 1 = one window at a time)")
 	fs.StringVar(&f.Cache, "ckpt-cache", "",
 		"content-addressed warm-set cache directory shared by sampled runs")
 	fs.IntVar(&f.CacheMB, "ckpt-cache-mb", 0,

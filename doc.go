@@ -53,18 +53,20 @@
 // rename-dependent state), per-window Stats aggregated into estimates
 // with confidence half-widths, and gob checkpoints per window boundary
 // so runs resume and windows shard across processes (doc/FORMATS.md
-// specifies the on-disk encodings). A two-phase mode fast-forwards
-// once, snapshots every window boundary, and executes the detail
-// windows speculatively on a shared work-stealing scheduler
-// (sample.Scheduler): a process-wide pool of worker slots, each
-// holding a pooled boot clone re-seeded in place per window, that all
-// sampled cells draw from — a cell that settles early stops
-// submitting and its slots flow to cells still draining — with the
-// estimate bit-identical to the sequential engine and the
+// specifies the on-disk encodings). One engine runs every sampled
+// cell: a window coordinator pulls window boundaries from the warm
+// pass — one fast-forward in index order, copying each boundary into a
+// small ring of pooled entries — and executes the detail windows
+// speculatively on a shared work-stealing scheduler (sample.Scheduler)
+// or a one-slot pool of the run's own: a process-wide pool of worker
+// slots, each holding a pooled boot clone re-seeded in place per
+// window, that all sampled cells draw from — a cell that settles early
+// stops submitting and its slots flow to cells still draining — with
+// the estimate bit-identical at every width and the
 // dispatched/settled/discarded window counts reported on
-// run.Result.Sampled. The warm pass is one linear scan whose
-// boundary snapshots share pages with the emulator's copy-on-write
-// memory, and its output is reusable through a content-addressed,
+// run.Result.Sampled. The warm pass's boundary states share pages with
+// the emulator's copy-on-write memory, and drained into a warm set it
+// is reusable through a content-addressed,
 // LRU-bounded checkpoint cache (run.Request.CheckpointCache,
 // rixsim/rixbench -ckpt-cache, -ckpt-cache-mb, -ckpt-cache-age) of
 // .warmset entries. sim.Options.Sampling selects

@@ -101,6 +101,12 @@ type Integrator struct {
 // New builds an integrator. The regfile must have been configured with
 // the matching mode (general vs squash-only).
 func New(p Policy, tcfg TableConfig, lcfg LISPConfig, rf *regfile.File) *Integrator {
+	return Seeded(p, tcfg, NewLISP(lcfg), rf)
+}
+
+// Seeded is New around an existing LISP — a window booting with
+// chained feedback — so no cold LISP is built only to be replaced.
+func Seeded(p Policy, tcfg TableConfig, lisp *LISP, rf *regfile.File) *Integrator {
 	if p.OpcodeIndex {
 		tcfg.Mode = IndexOpcode
 		tcfg.UseCallDepth = !p.NoCallDepth
@@ -111,7 +117,7 @@ func New(p Policy, tcfg TableConfig, lcfg LISPConfig, rf *regfile.File) *Integra
 	return &Integrator{
 		Policy: p,
 		Table:  NewTable(tcfg),
-		LISP:   NewLISP(lcfg),
+		LISP:   lisp,
 		RF:     rf,
 	}
 }

@@ -47,7 +47,8 @@ type Streamer struct {
 	e         *Emulator
 	err       error
 	hint      int
-	resume    *State // non-nil for resumed streams: Rewind target
+	resume    State // Rewind target of a resumed stream
+	resumed   bool
 
 	ctx  context.Context // nil = never cancelled
 	done <-chan struct{}
@@ -130,8 +131,8 @@ func (s *Streamer) Err() error { return s.err }
 // point, or the checkpoint for resumed streams. The size hint learned
 // from a completed pass is preserved.
 func (s *Streamer) Rewind() error {
-	if s.resume != nil {
-		e, err := NewFromState(s.p, *s.resume)
+	if s.resumed {
+		e, err := NewFromState(s.p, s.resume)
 		if err != nil {
 			return err
 		}
@@ -166,7 +167,7 @@ func ResumeStream(p *prog.Program, st State, maxInstrs uint64) (*Streamer, error
 	if err != nil {
 		return nil, err
 	}
-	return &Streamer{p: p, maxInstrs: maxInstrs, e: e, resume: &st}, nil
+	return &Streamer{p: p, maxInstrs: maxInstrs, e: e, resume: st, resumed: true}, nil
 }
 
 // Seek positions the stream so the next record is dynamic instruction n,

@@ -45,25 +45,35 @@ type MemState struct {
 // sharing bookkeeping and must be called from the owning goroutine.
 func (m *Memory) State() MemState {
 	st := MemState{Pages: make(map[uint64][]byte, len(m.pages))}
-	for pn, p := range m.pages {
-		st.Pages[pn] = p[:] //rix:shared — copy-on-write: the memory clones a captured page before writing to it
-	}
-	m.epoch++
-	m.lastWPN, m.lastW = 0, nil
+	m.stateInto(st.Pages)
 	return st
 }
 
-// NewMemoryFromState rebuilds an address space from a snapshot. Pages of
-// the wrong size are rejected.
+// stateInto is State into an empty page map.
+func (m *Memory) stateInto(pages map[uint64][]byte) {
+	for pn, p := range m.pages {
+		pages[pn] = p[:] //rix:shared — copy-on-write: the memory clones a captured page before writing to it
+	}
+	m.epoch++
+	m.lastWPN, m.lastW = 0, nil
+}
+
+// NewMemoryFromState rebuilds an address space from a snapshot without
+// copying it: like a Clone, the new memory shares the snapshot's page
+// arrays and copies a page privately before its first write to it, so
+// the snapshot stays frozen (and may seed any number of memories, from
+// any goroutine). Pages of the wrong size are rejected.
 func NewMemoryFromState(st MemState) (*Memory, error) {
-	m := NewMemory()
+	m := &Memory{
+		pages:  make(map[uint64]*page, len(st.Pages)),
+		epochs: make(map[uint64]uint64),
+		epoch:  1, // a missing epochs entry reads 0: every inherited page is shared
+	}
 	for pn, img := range st.Pages {
 		if len(img) != pageSize {
 			return nil, fmt.Errorf("emu: page %#x has %d bytes, want %d", pn, len(img), pageSize)
 		}
-		p := new(page)
-		copy(p[:], img)
-		m.pages[pn] = p
+		m.pages[pn] = (*page)(img) //rix:shared — copy-on-write: the memory clones the page before its first write
 	}
 	return m, nil
 }
@@ -71,16 +81,23 @@ func NewMemoryFromState(st MemState) (*Memory, error) {
 // State captures the emulator's architectural state (deep copy; the
 // emulator may keep running afterwards).
 func (e *Emulator) State() State {
-	st := State{
-		Regs:     e.Regs,
-		PC:       e.PC,
-		Halted:   e.Halted,
-		ExitCode: e.ExitCode,
-		Count:    e.Count,
-		Mem:      e.Mem.State(),
-	}
-	st.Output = append([]byte(nil), e.Output...)
+	var st State
+	e.StateInto(&st)
 	return st
+}
+
+// StateInto is State into a reused destination: dst's output buffer and
+// page map are refilled in place, so once they are sized a capture
+// allocates nothing. Whatever dst held before is overwritten, so nobody
+// may still be reading it.
+func (e *Emulator) StateInto(dst *State) {
+	dst.Regs, dst.PC, dst.Halted, dst.ExitCode, dst.Count = e.Regs, e.PC, e.Halted, e.ExitCode, e.Count
+	dst.Output = append(dst.Output[:0], e.Output...)
+	if dst.Mem.Pages == nil {
+		dst.Mem.Pages = make(map[uint64][]byte, len(e.Mem.pages))
+	}
+	clear(dst.Mem.Pages)
+	e.Mem.stateInto(dst.Mem.Pages)
 }
 
 // NewFromState rebuilds an emulator mid-execution. The program must be the

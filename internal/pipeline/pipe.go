@@ -429,14 +429,13 @@ func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) 
 		pl.wake = newWakeup(cfg.NumRS, cfg.PhysRegs)
 	}
 	pl.win.init(src, winCap(cfg), winBuf)
-	pl.integ = core.New(cfg.Policy, cfg.IT, cfg.LISP, pl.rf)
-	if boot != nil {
-		if boot.IT != nil {
-			pl.integ.Table = boot.IT
-		}
-		if boot.LISP != nil {
-			pl.integ.LISP = boot.LISP
-		}
+	if boot != nil && boot.LISP != nil {
+		pl.integ = core.Seeded(cfg.Policy, cfg.IT, boot.LISP, pl.rf)
+	} else {
+		pl.integ = core.New(cfg.Policy, cfg.IT, cfg.LISP, pl.rf)
+	}
+	if boot != nil && boot.IT != nil {
+		pl.integ.Table = boot.IT
 	}
 	pl.prb = probe{pl}
 

@@ -19,11 +19,11 @@ const (
 	// WindowDone fires after each sampled measurement window; Window is
 	// its index and Instrs the instructions it measured.
 	WindowDone EventKind = "window-done"
-	// WindowScheduled fires when the two-phase sampled engine dispatches
-	// a detail window to a worker (possibly speculatively; a window that
+	// WindowScheduled fires when the sampled engine's coordinator
+	// dispatches a detail window to a worker (possibly speculatively; a window that
 	// misspeculates on feedback is scheduled again). Window is its index.
 	WindowScheduled EventKind = "window-scheduled"
-	// WindowDiscarded fires when the two-phase engine cancels a
+	// WindowDiscarded fires when the coordinator cancels a
 	// speculatively dispatched window because an earlier settle
 	// invalidated its boot feedback; the window is scheduled again under
 	// the corrected chain. Window is its index. Dispatch, settle, and
@@ -55,15 +55,17 @@ const (
 	// dispatched its last one — each such settle releases a scheduler
 	// slot back to the shared pool. Window is the settled index.
 	SlotReturned EventKind = "slot-returned"
-	// WarmShardStarted fires when a sampled run starts the warm pass
-	// that builds its warm set (not on a checkpoint-cache hit). The pass
-	// is one span over the whole trace, so Shard, SpanStart and SpanEnd
-	// are 0.
+	// WarmShardStarted fires when a sampled run starts a warm pass from
+	// the program entry — the fast-forward that streams its window
+	// boundaries, or fills the checkpoint cache on a miss — and not on a
+	// cache hit, an injected warm set, Resume, or the pass Continue
+	// resumes from a checkpoint. The pass is one span over the whole
+	// trace, so Shard, SpanStart and SpanEnd are 0.
 	WarmShardStarted EventKind = "warm-shard-started"
-	// WarmShardDone fires when that warm pass has snapshotted every
-	// window boundary: Shard and SpanStart are 0 and SpanEnd is the last
-	// boundary's dynamic instruction. Together with WarmShardStarted it
-	// brackets the warm pass as one span.
+	// WarmShardDone fires when that warm pass reaches the program's
+	// halt, past its last window boundary: Shard and SpanStart are 0 and
+	// SpanEnd is the last boundary's dynamic instruction. Together with
+	// WarmShardStarted it brackets the warm pass as one span.
 	WarmShardDone EventKind = "warm-shard-done"
 	// CacheHit fires when a sampled run finds its warm set in the
 	// checkpoint cache; Path names the .warmset entry.

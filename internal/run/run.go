@@ -79,13 +79,10 @@ type Request struct {
 	// run in CheckpointDir. Requires Options.Sampling and CheckpointDir.
 	Resume bool `json:"resume,omitempty"`
 
-	// Jobs bounds window-level parallelism. For ModeSampled, >1 selects
-	// the two-phase engine (one warm pass, then up to Jobs detail windows
-	// in flight on a worker pool), 1 forces the sequential engine, 0
-	// leaves the choice to the caller's default (sequential unless a
-	// checkpoint cache or warm set makes the two-phase path worthwhile).
-	// For ModeResume it sizes the pool re-running the checkpointed
-	// windows (default 1). When the caller supplies a shared pool
+	// Jobs bounds window-level parallelism: a sampled or resumed run
+	// keeps up to Jobs detail windows in flight on a worker pool of
+	// that many slots, while its warm pass feeds them boundaries. 0 and
+	// 1 both mean one window at a time. When the caller supplies a shared pool
 	// (WithScheduler), the pool's slot count governs instead and Jobs
 	// records the intended size for request-serialization fidelity. The
 	// estimate is bit-identical in every case.
@@ -249,17 +246,18 @@ type Sampled struct {
 	IPCCI95         float64         `json:"ipc_ci95"`  // relative half-width on IPC
 	RateCI95        float64         `json:"rate_ci95"` // absolute half-width on integration rate
 
-	// Speculative-wave telemetry. The two-phase engine dispatches detail
+	// Speculative-wave telemetry. The coordinator dispatches detail
 	// windows speculatively on guessed feedback: WindowsDispatched counts
 	// dispatches (re-dispatches after a misspeculation count again),
 	// WindowsSettled the windows whose results were adopted, and
 	// WindowsDiscarded the dispatches cancelled by a feedback
 	// misspeculation — so Dispatched = Settled + Discarded + (in-flight
 	// at an error). A feedback-volatile workload that degrades toward
-	// sequential execution shows up here as Discarded approaching
-	// Settled, rather than as unexplained slowness. The sequential
-	// engine reports Dispatched = Settled, Discarded = 0. These counts
-	// are deterministic for a given run (unlike SlotStolen events).
+	// one window at a time shows up here as Discarded approaching
+	// Settled, rather than as unexplained slowness. A one-slot run
+	// never speculates, so it reports Dispatched = Settled,
+	// Discarded = 0. These counts are deterministic for a given run
+	// (unlike SlotStolen events).
 	WindowsDispatched uint64 `json:"windows_dispatched"`
 	WindowsSettled    uint64 `json:"windows_settled"`
 	WindowsDiscarded  uint64 `json:"windows_discarded"`
@@ -279,7 +277,7 @@ func (s *Sampled) DetailFraction() float64 {
 // form. discarded is the run's wave-telemetry tally of misspeculated
 // windows. Every window of a completed run settles exactly once and
 // every other dispatch was discarded, so dispatched = settled +
-// discarded — a sequential run (which never dispatches speculatively)
+// discarded — a one-slot run (which never dispatches speculatively)
 // counts each window as one dispatch.
 func summarize(est *sample.Estimate, discarded uint64) *Sampled {
 	settled := uint64(len(est.Windows))

@@ -391,8 +391,8 @@ func TestSampledCancellationAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The resume must report every measured window — the parallel prefix
-	// re-run from disk as well as the sequential continuation.
+	// The resume must report every measured window — the prefix re-run
+	// from disk as well as the resumed warm pass's windows.
 	if got, want := resumeLog.kinds()[run.WindowDone], len(resumed.Sampled.Windows); got != want {
 		t.Errorf("resume emitted %d window-done events for %d windows", got, want)
 	}
@@ -408,8 +408,8 @@ func TestSampledCancellationAndResume(t *testing.T) {
 	}
 }
 
-// TestResumeTwoPhaseBitEqual: a two-phase run (Jobs: 2) cancelled in
-// its window phase leaves provisional checkpoints carrying the warm
+// TestResumeTwoPhaseBitEqual: a two-slot run (Jobs: 2) cancelled with
+// windows in flight leaves provisional checkpoints carrying the warm
 // pass's LISP; a Resume request on a two-slot pool must still reproduce
 // the uninterrupted run's aggregate and windows.
 func TestResumeTwoPhaseBitEqual(t *testing.T) {
@@ -432,7 +432,7 @@ func TestResumeTwoPhaseBitEqual(t *testing.T) {
 	_, err = run.Do(ctx, run.Request{Workload: "crafty", Options: o, CheckpointDir: dir, Jobs: 2},
 		run.WithObserver(obs))
 	if err != context.Canceled {
-		t.Fatalf("cancelled two-phase Do returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled two-slot Do returned %v, want context.Canceled", err)
 	}
 
 	resumed, err := run.Do(context.Background(),

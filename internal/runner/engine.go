@@ -51,8 +51,9 @@ type Engine struct {
 	// that settles its speculative waves early simply stops submitting,
 	// and its slots immediately execute the windows other cells still
 	// have queued (work stealing). Each pool slot reuses one set of boot
-	// structures across every window it runs, whatever the cell. Set 1
-	// to force the sequential sampled engine per cell (no pool).
+	// structures across every window it runs, whatever the cell. 1
+	// gives each cell a one-slot pool of its own instead, so cells never
+	// queue behind one another's windows.
 	WindowJobs int
 
 	// CheckpointCache, when set, is the content-addressed warm-set cache
@@ -143,8 +144,7 @@ func (e *Engine) DynLen(ctx context.Context, name string) int {
 }
 
 // schedSlots resolves the shared window-scheduler pool size: the
-// explicit WindowJobs override, or the whole Parallel budget. 1 means
-// "no pool" — each sampled cell runs its classic sequential engine.
+// explicit WindowJobs override, or the whole Parallel budget.
 func (e *Engine) schedSlots() int {
 	if e.WindowJobs > 0 {
 		return e.WindowJobs
@@ -153,7 +153,8 @@ func (e *Engine) schedSlots() int {
 }
 
 // scheduler creates the shared window pool for one Run/Stream call, or
-// nil when the resolved slot count forces sequential sampled cells. The
+// nil when none is shared: cross-process cells execute nothing locally,
+// and a one-slot resolution leaves each cell its own one-slot pool. The
 // caller must call the returned release func after every cell has
 // settled.
 func (e *Engine) scheduler() (*sample.Scheduler, int, func()) {

@@ -16,8 +16,8 @@ import (
 // TestSampledWindowParallelStress runs real sampled cells through the
 // engine pool with both cell-level and window-level parallelism live at
 // once — the configuration the race detector needs to see. Every cell's
-// stats must equal a sequential (WindowJobs=1) engine's, and the
-// observer must witness the two-phase scheduler actually dispatching
+// stats must equal a one-window-at-a-time (WindowJobs=1) engine's, and
+// the observer must witness the shared scheduler actually dispatching
 // windows.
 func TestSampledWindowParallelStress(t *testing.T) {
 	if testing.Short() {
@@ -73,14 +73,14 @@ func TestSampledWindowParallelStress(t *testing.T) {
 	par := gather(parEng)
 
 	if scheduled == 0 {
-		t.Error("no WindowScheduled events: the two-phase engine never engaged")
+		t.Error("no WindowScheduled events: the shared scheduler never engaged")
 	}
 	if len(par) != len(seq) {
-		t.Fatalf("%d parallel cells vs %d sequential", len(par), len(seq))
+		t.Fatalf("%d parallel cells vs %d one-slot", len(par), len(seq))
 	}
 	for k, sst := range seq {
 		if pst, ok := par[k]; !ok || pst != sst {
-			t.Errorf("cell %s: window-parallel stats diverge from sequential", k)
+			t.Errorf("cell %s: window-parallel stats diverge from one-slot", k)
 		}
 	}
 }
@@ -165,7 +165,8 @@ func TestCrossProcessEngineParity(t *testing.T) {
 // TestSchedulerPoolResolution pins the shared-pool sizing rules that
 // replaced the old static cells×windows budget split: the pool is the
 // whole Parallel budget unless WindowJobs overrides it, and a 1-slot
-// resolution means no pool at all (sequential sampled cells).
+// resolution shares no pool: each sampled cell runs on the one-slot
+// pool sample.Run creates for it.
 func TestSchedulerPoolResolution(t *testing.T) {
 	e := &Engine{Parallel: 8}
 	if got := e.schedSlots(); got != 8 {
@@ -179,7 +180,7 @@ func TestSchedulerPoolResolution(t *testing.T) {
 	sched, slots, release := e.scheduler()
 	defer release()
 	if sched != nil || slots != 1 {
-		t.Errorf("WindowJobs=1 must disable the pool: got sched=%v slots=%d", sched, slots)
+		t.Errorf("WindowJobs=1: got sched=%v slots=%d, want a one-slot pool per cell", sched, slots)
 	}
 	e.WindowJobs = 4
 	sched, slots, release = e.scheduler()

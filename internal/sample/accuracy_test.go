@@ -98,7 +98,7 @@ func TestSampledAccuracyAcrossPresets(t *testing.T) {
 // TestCheckpointResumeBitEqual is the checkpoint round-trip guarantee: a
 // sampled run that wrote checkpoints, resumed from disk (gob decode,
 // state reconstruction, window re-execution), reproduces every window's
-// Stats and the aggregate byte-for-byte.
+// Stats and the aggregate of the naive loop byte-for-byte.
 func TestCheckpointResumeBitEqual(t *testing.T) {
 	ctx := context.Background()
 	bw := buildBench(t, "crafty")
@@ -110,9 +110,12 @@ func TestCheckpointResumeBitEqual(t *testing.T) {
 	dir := t.TempDir()
 	sc := sample.Config{CheckpointDir: dir}
 
-	direct, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sc)
+	direct, err := sample.NaiveRun(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if run, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sc); err != nil || !reflect.DeepEqual(run, direct) {
+		t.Fatalf("checkpointing run diverges from the naive loop (err %v)", err)
 	}
 	if len(direct.Windows) < 4 {
 		t.Fatalf("only %d windows; want a multi-window run", len(direct.Windows))
@@ -198,7 +201,7 @@ func TestContinueCancelledRunBitEqual(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	direct, err := sample.Run(bg, bw.Prog, bw.DynLen, cfg, sample.Config{})
+	direct, err := sample.NaiveRun(bg, bw.Prog, bw.DynLen, cfg, sample.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +243,57 @@ func TestContinueCancelledRunBitEqual(t *testing.T) {
 	}
 }
 
-// TestContinueCancelledTwoPhaseBitEqual: a checkpointing two-phase run
-// writes every boundary checkpoint up front with the warm pass's
-// untrained LISP and rewrites each one only as its window settles, so a
-// run cancelled in its window phase leaves stale provisional files
+// TestContinueFromWindowZeroFiresNoWarmHooks: when window 0 is the
+// newest checkpoint (here: a completed run's set cut back to it),
+// Continue resumes its pass at index 0. That pass is not a warm pass
+// from the program entry: the warm-pass hooks must not fire, while the
+// result still equals the naive loop's.
+func TestContinueFromWindowZeroFiresNoWarmHooks(t *testing.T) {
+	bg := context.Background()
+	bw := buildBench(t, "gzip")
+	cfg, err := sim.Options{Integration: sim.IntReverse}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	want, err := sample.NaiveRun(bg, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := sample.Checkpoints(dir, bw.Prog.Name)
+	if err != nil || len(paths) < 2 {
+		t.Fatalf("checkpoints: %v, %v; want several", paths, err)
+	}
+	for _, path := range paths[1:] {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var started, done int
+	sc := sample.Config{CheckpointDir: dir}
+	sc.Hooks.WarmShardStarted = func(int, uint64, uint64) { started++ }
+	sc.Hooks.WarmShardDone = func(int, uint64, uint64) { done++ }
+	got, err := sample.Continue(bg, bw.Prog, bw.DynLen, cfg, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if started != 0 || done != 0 {
+		t.Errorf("Continue fired WarmShardStarted %d and WarmShardDone %d times, want 0", started, done)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("continued estimate diverges from the naive loop")
+	}
+}
+
+// TestContinueCancelledTwoPhaseBitEqual: a checkpointing run writes
+// each boundary checkpoint as the warm pass reaches it, with the pass's
+// untrained LISP, and rewrites it only as its window settles, so a run
+// cancelled with windows in flight leaves stale provisional files
 // behind. Continue must chain the feedback over them: its windows and
-// aggregate equal the uninterrupted sequential run's, and afterwards
-// every checkpoint decodes equal to the sequential run's. crafty trains
-// its LISP mid-run, so a stale boot LISP shows there.
+// aggregate equal the naive loop's, and afterwards every checkpoint
+// decodes equal to the naive loop's. crafty trains its LISP mid-run, so
+// a stale boot LISP shows there.
 func TestContinueCancelledTwoPhaseBitEqual(t *testing.T) {
 	bg := context.Background()
 	cfg, err := sim.Options{Integration: sim.IntReverse}.Config()
@@ -259,7 +305,7 @@ func TestContinueCancelledTwoPhaseBitEqual(t *testing.T) {
 			testutil.NoLeaks(t)
 			bw := buildBench(t, name)
 			seqDir := t.TempDir()
-			direct, err := sample.Run(bg, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: seqDir})
+			direct, err := sample.NaiveRun(bg, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: seqDir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,7 +323,7 @@ func TestContinueCancelledTwoPhaseBitEqual(t *testing.T) {
 				}
 			}
 			if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sc); err != context.Canceled {
-				t.Fatalf("cancelled two-phase run returned %v, want context.Canceled", err)
+				t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 			}
 
 			resumed, err := sample.Continue(bg, bw.Prog, bw.DynLen, cfg,
@@ -306,7 +352,7 @@ func TestContinueCancelledTwoPhaseBitEqual(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%d checkpoints after Continue, sequential run wrote %d", len(got), len(want))
+				t.Fatalf("%d checkpoints after Continue, the naive loop wrote %d", len(got), len(want))
 			}
 			for i := range want {
 				a, err := sample.LoadCheckpoint(want[i])
@@ -318,7 +364,7 @@ func TestContinueCancelledTwoPhaseBitEqual(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(a, b) {
-					t.Errorf("checkpoint %d after Continue differs from the sequential run's", i)
+					t.Errorf("checkpoint %d after Continue differs from the naive loop's", i)
 				}
 			}
 		})

@@ -29,7 +29,7 @@ func TestConcurrentSaveSameKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := buildWarmSet(context.Background(), p, cfg, sc)
+	set, err := PrepareWarm(context.Background(), p, cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

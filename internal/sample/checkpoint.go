@@ -139,11 +139,11 @@ func saveBoundary(sc *Config, p *prog.Program, b Boundary, partial bool) (string
 // the sharding primitive: any process holding the program and one
 // checkpoint file can produce that window's Stats, bit-identical to the
 // direct sampled run's. The window boots with the LISP the checkpoint
-// stores, so a provisional checkpoint of a two-phase run that has not
-// been rewritten yet (doc/FORMATS.md) does not reproduce its window
-// exactly. Partial (cancellation-flush) checkpoints are not window
-// boundaries and are rejected; Continue is the path that finishes an
-// interrupted run.
+// stores, so a provisional checkpoint (doc/FORMATS.md), written as the
+// warm pass reached its boundary and not yet rewritten as its window
+// settled, does not reproduce its window exactly. Partial
+// (cancellation-flush) checkpoints are not window boundaries and are
+// rejected; Continue is the path that finishes an interrupted run.
 func RunCheckpoint(ctx context.Context, p *prog.Program, ck *Checkpoint, cfg pipeline.Config, sp Sampling) (*WindowStat, error) {
 	if ck.Program != p.Name {
 		return nil, fmt.Errorf("sample: checkpoint is for %q, not %q", ck.Program, p.Name)
@@ -174,22 +174,31 @@ func RunCheckpoint(ctx context.Context, p *prog.Program, ck *Checkpoint, cfg pip
 	}, nil
 }
 
-// loadCheckpointSet reads p's checkpoints in sc.CheckpointDir into a
-// WarmSet of their window boundaries, for the window coordinator to
-// re-run, and returns the newest checkpoint read (Continue's starting
-// point). Every file must belong to p and carry sc's window layout;
-// rejections name the offending file. A partial (cancellation)
-// checkpoint contributes no boundary and may only be the newest. The
+// loadCheckpointSet is Resume's and Continue's shared preamble (name is
+// the caller, for the errors): it normalizes sc, which must name a
+// CheckpointDir, reads p's checkpoints there into a WarmSet of their
+// window boundaries, for the window coordinator to re-run, and returns
+// the newest checkpoint read (Continue's starting point). Every file
+// must belong to p and carry sc's window layout; rejections name the
+// offending file. A partial (cancellation) checkpoint contributes no
+// boundary and may only be the newest. The
 // indices must run contiguously from 0: the coordinator re-derives each
 // window's boot feedback by chaining from window 0, which no gap can be
 // bridged over, so a missing window is an error naming its index.
-func loadCheckpointSet(p *prog.Program, sc Config) (*WarmSet, *Checkpoint, error) {
+func loadCheckpointSet(p *prog.Program, sc Config, name string) (Config, *WarmSet, *Checkpoint, error) {
+	sc, err := sc.normalized()
+	if err != nil {
+		return sc, nil, nil, err
+	}
+	if sc.CheckpointDir == "" {
+		return sc, nil, nil, fmt.Errorf("sample: %s needs Config.CheckpointDir", name)
+	}
 	paths, err := Checkpoints(sc.CheckpointDir, p.Name)
 	if err != nil {
-		return nil, nil, err
+		return sc, nil, nil, err
 	}
 	if len(paths) == 0 {
-		return nil, nil, fmt.Errorf("sample: no checkpoints for %s in %s", p.Name, sc.CheckpointDir)
+		return sc, nil, nil, fmt.Errorf("sample: no checkpoints for %s in %s", p.Name, sc.CheckpointDir)
 	}
 	// Newest first: it is where Continue resumes, so a layout mismatch
 	// names that file.
@@ -197,49 +206,42 @@ func loadCheckpointSet(p *prog.Program, sc Config) (*WarmSet, *Checkpoint, error
 	for i := len(paths) - 1; i >= 0; i-- {
 		ck, err := LoadCheckpoint(paths[i])
 		if err != nil {
-			return nil, nil, err
+			return sc, nil, nil, err
 		}
 		if ck.Program != p.Name {
-			return nil, nil, fmt.Errorf("sample: checkpoint %s is for %q, not %q", paths[i], ck.Program, p.Name)
+			return sc, nil, nil, fmt.Errorf("sample: checkpoint %s is for %q, not %q", paths[i], ck.Program, p.Name)
 		}
 		if err := validateLayout(sc.Sampling, ck.Sampling); err != nil {
-			return nil, nil, fmt.Errorf("checkpoint %s: %w", paths[i], err)
+			return sc, nil, nil, fmt.Errorf("checkpoint %s: %w", paths[i], err)
 		}
 		cks[i] = ck
 	}
 	set := &WarmSet{Program: p.Name, Sampling: sc.Sampling}
 	for i, ck := range cks {
 		if ck.Index != i || (ck.Partial && i != len(cks)-1) {
-			return nil, nil, fmt.Errorf("sample: checkpoints of %s in %s are missing window %d; feedback cannot chain across the gap",
+			return sc, nil, nil, fmt.Errorf("sample: checkpoints of %s in %s are missing window %d; feedback cannot chain across the gap",
 				p.Name, sc.CheckpointDir, i)
 		}
 		if !ck.Partial {
 			set.Boundaries = append(set.Boundaries, Boundary{Index: ck.Index, Start: ck.Start, Emu: ck.Emu, Warm: ck.Warm})
 		}
 	}
-	return set, cks[len(cks)-1], nil
+	return sc, set, cks[len(cks)-1], nil
 }
 
 // Resume re-runs every checkpointed window of p in sc.CheckpointDir and
 // aggregates them — the restart-after-interruption and shard-merge path
 // for a checkpoint set whose run completed. dynLen scales whole-run
-// estimates exactly as in Run. The windows run on the two-phase
-// engine's coordinator (sc.Executor, sc.Scheduler, or a one-slot pool),
-// which chains the feedback from window 0 and rewrites each checkpoint
-// with it as its window settles, so the result is bit-identical to the
-// uninterrupted direct run even when the files are a two-phase run's
-// provisional ones. A partial (cancellation) checkpoint contributes no
-// window; use Continue to finish an interrupted run instead of merely
-// re-measuring its prefix.
+// estimates exactly as in Run. The windows run on the window
+// coordinator (sc.Executor, sc.Scheduler, or a one-slot pool), which
+// chains the feedback from window 0 and rewrites each checkpoint with
+// it as its window settles, so the result is bit-identical to the
+// uninterrupted direct run even when the files are provisional ones. A
+// partial (cancellation) checkpoint contributes no window; use Continue
+// to finish an interrupted run instead of merely re-measuring its
+// prefix.
 func Resume(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, sc Config) (*Estimate, error) {
-	sc, err := sc.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if sc.CheckpointDir == "" {
-		return nil, fmt.Errorf("sample: Resume needs Config.CheckpointDir")
-	}
-	set, _, err := loadCheckpointSet(p, sc)
+	sc, set, _, err := loadCheckpointSet(p, sc, "Resume")
 	if err != nil {
 		return nil, err
 	}
@@ -247,59 +249,32 @@ func Resume(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Confi
 		return nil, fmt.Errorf("sample: no completed windows for %s in %s (the run was interrupted before any window boundary; use Continue to finish it)",
 			p.Name, sc.CheckpointDir)
 	}
-	windows, _, err := runParallel(ctx, p, cfg, sc, set)
-	if err != nil {
-		return nil, err
-	}
-	total := uint64(dynLen)
-	if total == 0 {
-		// No known dynamic length (e.g. an ad-hoc -file run): fall back
-		// to the coverage lower bound so ratios and fractions stay
-		// meaningful instead of dividing by zero.
-		for _, w := range windows {
-			if end := w.MeasuredFrom + w.Stats.Retired; end > total {
-				total = end
-			}
-		}
-	}
-	return aggregate(sc.Sampling, detailPad(cfg), windows, total), nil
+	return (&source{set: set}).run(ctx, p, dynLen, cfg, sc)
 }
 
 // Continue finishes an interrupted sampled run from its checkpoint
-// directory: every window before the newest checkpoint is re-run on the
-// coordinator exactly as in Resume, and the run then proceeds
-// sequentially from the newest checkpoint — a window boundary or a
-// partial cancellation flush — through the rest of the program, writing
-// further checkpoints as it goes. The aggregate is bit-identical to the
-// uninterrupted run's: re-run windows reproduce their stats exactly,
-// and the continuation restores the emulator and warmer to the exact
-// state the interrupted run held, with the LISP feedback the re-run
-// prefix chained (which supersedes a provisional checkpoint's stale
-// one).
+// directory. One coordinator run covers it: every window before the
+// newest checkpoint re-runs from its stored boundary exactly as in
+// Resume, and a live warm pass resumed from the newest checkpoint — a
+// window boundary or a partial cancellation flush — streams the rest of
+// the program's boundaries, writing further checkpoints as it goes. The
+// aggregate is bit-identical to the uninterrupted run's: re-run windows
+// reproduce their stats exactly, the resumed pass restores the emulator
+// and warmer to the exact state the interrupted run held, and the
+// coordinator chains the LISP feedback across both (superseding a
+// provisional checkpoint's stale one).
 //
 // A checkpoint set whose run already completed just re-measures every
-// window (the final fast-forward discovers the program's halt), so
-// Continue also subsumes Resume for whole-run re-execution.
+// window (the resumed pass discovers the program's halt), so Continue
+// also subsumes Resume for whole-run re-execution.
 func Continue(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, sc Config) (*Estimate, error) {
-	sc, err := sc.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if sc.CheckpointDir == "" {
-		return nil, fmt.Errorf("sample: Continue needs Config.CheckpointDir")
-	}
-	set, last, err := loadCheckpointSet(p, sc)
+	sc, set, last, err := loadCheckpointSet(p, sc, "Continue")
 	if err != nil {
 		return nil, err
 	}
 	if !last.Partial {
 		set.Boundaries = set.Boundaries[:len(set.Boundaries)-1]
 	}
-	windows, fb, err := runParallel(ctx, p, cfg, sc, set)
-	if err != nil {
-		return nil, err
-	}
-
 	e, err := emu.NewFromState(p, last.Emu)
 	if err != nil {
 		return nil, err
@@ -308,22 +283,9 @@ func Continue(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 	if err != nil {
 		return nil, err
 	}
-	if fb != nil {
-		if err := w.adoptFeedback(*fb); err != nil {
-			return nil, err
-		}
-	}
-	cont, err := runFrom(ctx, p, e, w, last.Index, cfg, sc)
-	windows = append(windows, cont...)
-	if err != nil {
-		return nil, err
-	}
-
-	total := uint64(dynLen)
-	if total == 0 {
-		total = e.Count
-	}
-	return aggregate(sc.Sampling, detailPad(cfg), windows, total), nil
+	src := newPass(ctx, p, cfg, &sc, e, w, last.Index, false)
+	src.set = set
+	return src.run(ctx, p, dynLen, cfg, sc)
 }
 
 // validateLayout rejects a requested window layout that does not match

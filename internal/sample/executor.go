@@ -8,7 +8,7 @@ import (
 	"rix/internal/prog"
 )
 
-// This file is the seam between the two-phase engine's scheduling layer
+// This file is the seam between the sampled engine's scheduling layer
 // and its execution layer. The coordinator (parallel.go) owns *what*
 // runs — dispatch order, index-ordered settlement, feedback validation,
 // discard-and-re-dispatch — and an Executor owns *how* one window runs:
@@ -24,13 +24,22 @@ import (
 // warm microarchitectural state at the window's detailed start;
 // Feedback is the LISP state the window boots with (the coordinator's
 // speculative chain guess), overriding the snapshot's own warm-pass
-// LISP exactly as the sequential engine's feedback chaining does.
+// LISP.
 type WindowJob struct {
 	Prog     *prog.Program
 	Config   pipeline.Config
 	Sampling Sampling
 	Boundary Boundary
 	Feedback core.LISPState
+
+	// live, set only on jobs the coordinator hands the in-process pool
+	// in a run that writes no checkpoints, holds the boundary's warm
+	// tables in place of Boundary.Warm's: the live warm pass's ring
+	// entry, lent until the job's Run returns. The window boots on a
+	// copy of them, or — own, for a window nothing can discard — on the
+	// tables themselves.
+	live *warmParts
+	own  bool
 }
 
 // WindowResult is one executed window's output: the measured statistics
@@ -43,12 +52,14 @@ type WindowResult struct {
 	Feedback core.LISPState
 }
 
-// Executor runs detail windows for the two-phase engine's coordinator.
+// Executor runs detail windows for the sampled engine's coordinator.
 //
 // Run executes one window to completion and must honor ctx: the
 // coordinator cancels a job's context when an earlier settle
 // invalidates its boot feedback (the result is discarded unread), so a
-// blocked Run would stall the corrected re-dispatch. Width is the
+// blocked Run would stall the corrected re-dispatch. Run must not read
+// the job after it returns: the coordinator refills the boundary's
+// pooled storage once every Run that used it has returned. Width is the
 // executor's concurrency capability — the coordinator keeps up to
 // Width windows in flight, so it doubles as the speculation depth.
 //
@@ -74,9 +85,9 @@ func ExecuteWindow(ctx context.Context, job WindowJob) (WindowResult, error) {
 
 // poolExecutor adapts the in-process work-stealing Scheduler to the
 // Executor interface: Run submits one schedTask into the shared queue
-// and waits for its result or the job's cancellation. All jobs from one
-// sampled run share a cellTag, so cross-cell slot handoffs keep firing
-// SlotStolen exactly as before the executor split.
+// and waits for its result, or withdraws it on the job's cancellation.
+// All jobs from one sampled run share a cellTag, so cross-cell slot
+// handoffs keep firing SlotStolen exactly as before the executor split.
 type poolExecutor struct {
 	sched *Scheduler
 	cell  *cellTag
@@ -100,11 +111,13 @@ func (x *poolExecutor) Run(ctx context.Context, job WindowJob) (WindowResult, er
 	case o := <-t.out:
 		return o.res, o.err
 	case <-ctx.Done():
-		// Cancelled while queued or executing: flag the task so an idle
-		// worker skips it entirely; a worker already running it aborts at
-		// the pipeline's next poll boundary and its late result is dropped
-		// by the task's buffered channel.
-		t.cancelled.Store(true)
+		// Cancelled while still queued: withdraw the task, and no worker
+		// will ever touch it. A worker already running it aborts at the
+		// pipeline's next poll boundary; wait for that, so the job is
+		// never read after Run returns.
+		if !t.claimed.CompareAndSwap(false, true) {
+			<-t.out
+		}
 		return WindowResult{}, ctx.Err()
 	}
 }

@@ -3,6 +3,7 @@ package sample
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rix/internal/core"
@@ -10,10 +11,12 @@ import (
 	"rix/internal/prog"
 )
 
-// This file is the second phase of the two-phase engine: the cell-side
-// coordinator that schedules a detail-window run onto an Executor
-// (executor.go) — the in-process work-stealing pool by default, a
-// cross-process worker fleet (procexec) when configured.
+// This file is the sampled engine's window coordinator: it pulls the
+// run's window boundaries from a source (warmpass.go) — the live warm
+// pass, or stored boundaries — and schedules each boundary's detail
+// window onto an Executor (executor.go): the in-process work-stealing
+// pool by default, a cross-process worker fleet (procexec) when
+// configured.
 //
 // The only cross-window dependency is the DIVA feedback chain: window
 // j+1 must boot with window j's final LISP state. The coordinator runs
@@ -24,42 +27,17 @@ import (
 // boot cancels every in-flight successor, which re-dispatch under the
 // corrected chain. The window right after a settle always boots with
 // validated feedback, so the coordinator always makes progress,
-// degrades to sequential execution under a feedback chain that mutates
+// degrades to one window at a time under a feedback chain that mutates
 // every window, and reaches full parallelism on the common quiescent
-// chain — while the aggregate stays bit-identical to the sequential
-// engine in every case.
+// chain — while the aggregate stays bit-identical to running the
+// windows one by one in every case.
 //
-// Because dispatch and settlement both happen on the coordinator
-// goroutine and window results depend only on their boot inputs, the
-// dispatch/settle interleaving — and with it the dispatched and
-// discarded counts — is deterministic for a given run, regardless of
-// which executor, how many slots, or how many competing cells execute
-// the windows.
-
-// runTwoPhase is Run's two-phase path: warm pass (or cache hit /
-// injected warm set), then the scheduled window phase, then the same
-// deterministic index-ordered aggregation as the sequential engine.
-func runTwoPhase(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, sc Config) (*Estimate, error) {
-	set, err := prepareWarm(ctx, p, cfg, sc)
-	if err != nil {
-		return nil, err
-	}
-	if set.Total > sc.MaxInstrs {
-		// The sequential fast-forward would have tripped its budget
-		// before the program halted; a cached warm set must not bypass
-		// the bound.
-		return nil, fmt.Errorf("sample: %s did not halt within %d instructions", p.Name, sc.MaxInstrs)
-	}
-	windows, _, err := runParallel(ctx, p, cfg, sc, set)
-	if err != nil {
-		return nil, err
-	}
-	total := uint64(dynLen)
-	if total == 0 {
-		total = set.Total
-	}
-	return aggregate(sc.Sampling, detailPad(cfg), windows, total), nil
-}
+// Because fetching, dispatch and settlement all happen on the
+// coordinator goroutine and window results depend only on their boot
+// inputs, the dispatch/settle interleaving — and with it the
+// dispatched and discarded counts — is deterministic for a given run,
+// regardless of which executor, how many slots, or how many competing
+// cells execute the windows.
 
 // outcome is one in-flight window's delivery from its executor
 // goroutine.
@@ -68,30 +46,26 @@ type outcome struct {
 	err error
 }
 
-// inflight tracks one dispatched window on the coordinator: the LISP
-// guess it booted with (for feedback validation and the checkpoint
-// rewrite), the cancel releasing its job context, and the buffered
-// delivery channel its executor goroutine writes exactly once.
+// inflight tracks one dispatched window on the coordinator: its job,
+// whose feedback is the LISP guess it booted with (for feedback
+// validation and the checkpoint rewrite), the cancel releasing its job
+// context, and the buffered delivery channel its executor goroutine
+// writes exactly once.
 type inflight struct {
-	guess  core.LISPState
+	job    WindowJob
 	cancel context.CancelFunc
 	out    chan outcome
 }
 
-// runParallel schedules every boundary's detail window onto an Executor
-// — sc.Executor when set, otherwise the in-process pool (the run's own
-// Config.Scheduler, or an ephemeral one-slot pool) — returning
-// WindowStats in index order and the last settled window's final LISP
-// (nil when no window settled or the policy does not chain feedback).
-// The boundaries must be the run's windows 0..n-1 without gaps: window
-// 0 boots with its boundary's own LISP, every later one with the chained
-// feedback, whatever LISP its boundary stored.
-func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc Config, set *WarmSet) ([]WindowStat, *core.LISPState, error) {
+// runParallel runs every boundary src yields as a detail window on an
+// Executor — sc.Executor when set, otherwise the in-process pool (the
+// run's own Config.Scheduler, or an ephemeral one-slot pool) —
+// returning WindowStats in index order. The boundaries must be the
+// run's windows 0, 1, 2, ... without gaps: window 0 boots with its
+// boundary's own LISP, every later one with the chained feedback,
+// whatever LISP its boundary stored.
+func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc Config, src *source) ([]WindowStat, error) {
 	sp := sc.Sampling
-	nb := len(set.Boundaries)
-	if nb == 0 {
-		return nil, nil, nil
-	}
 	exec := sc.Executor
 	if exec == nil {
 		sched := sc.Scheduler
@@ -101,14 +75,15 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 		}
 		exec = newPoolExecutor(sched, &sc.Hooks)
 	}
-	depth := exec.Width()
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > nb {
-		depth = nb
-	}
-	flights := make([]*inflight, nb)
+	// The in-process pool boots windows straight from a live entry's
+	// tables. Any other executor, and any run that writes checkpoints,
+	// gets self-contained snapshots: those bytes leave the process.
+	_, local := exec.(*poolExecutor)
+	lend := local && sc.CheckpointDir == ""
+	depth := max(exec.Width(), 1)
+	var frames []frame      // fetched boundaries, by window index
+	var flights []*inflight // in-flight windows, by window index
+	var exhausted bool      // src has no boundaries beyond frames
 	// No goroutine outlives the run: every exit path waits for each
 	// window's executor goroutine (released by the cancel below, so the
 	// wait is short), and only then may the deferred Close of an
@@ -130,50 +105,89 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 	// off the boot LISP is ignored by every window, so speculation is
 	// vacuously correct and validation is skipped.
 	chain := cfg.Policy.Enable
-	// Adopted feedback: nil until the first window settles, meaning
-	// "boot with the boundary snapshot's own (warm-pass) LISP" — which
-	// is exactly what the sequential engine's first window boots with.
-	var fb *core.LISPState
+	// Adopted feedback, once the first window has settled (haveFB);
+	// until then windows boot with their boundary's own (warm-pass) LISP.
+	var fb core.LISPState
+	var haveFB bool
 
-	dispatch := func(j int) {
-		b := &set.Boundaries[j]
-		guess := b.Warm.LISP
-		if fb != nil {
-			guess = *fb
+	// dispatch starts window j; validated says its boot feedback is
+	// final (every earlier window has settled), so nothing can ever
+	// discard it.
+	dispatch := func(j int, validated bool) {
+		f := frames[j]
+		guess := f.b.Warm.LISP
+		if haveFB {
+			guess = fb
 		}
 		if sc.Hooks.WindowScheduled != nil {
-			sc.Hooks.WindowScheduled(b.Index)
+			sc.Hooks.WindowScheduled(f.b.Index)
 		}
 		jctx, cancel := context.WithCancel(ctx)
-		fl := &inflight{guess: guess, cancel: cancel, out: make(chan outcome, 1)}
-		job := WindowJob{Prog: p, Config: cfg, Sampling: sp, Boundary: *b, Feedback: guess}
+		fl := &inflight{cancel: cancel, out: make(chan outcome, 1),
+			job: WindowJob{Prog: p, Config: cfg, Sampling: sp, Boundary: *f.b, Feedback: guess}}
+		if f.entry != nil {
+			if lend {
+				// A validated window boots on the entry's tables
+				// themselves; a speculative one may be re-dispatched, so
+				// it boots on a copy and leaves the entry pristine.
+				fl.job.live, fl.job.own = &f.entry.parts, validated
+			} else {
+				// Self-contained: the entry's boundary carries the LISP
+				// and touch cursor; add a snapshot of its tables.
+				f.entry.parts.snapshot(&fl.job.Boundary.Warm)
+			}
+		}
 		running.Add(1)
 		go func() {
 			defer running.Done()
-			res, err := exec.Run(jctx, job)
+			res, err := exec.Run(jctx, fl.job)
 			fl.out <- outcome{res: res, err: err}
 		}()
 		flights[j] = fl
 	}
 
 	next := 0 // next window index to dispatch
-	for i := 0; i < nb; i++ {
+	for i := 0; ; i++ {
 		// Keep the speculation window full: everything from the settle
 		// cursor out to the executor's width is in flight.
-		for next < nb && next < i+depth {
-			dispatch(next)
+		for next < i+depth {
+			if next == len(frames) {
+				f, ok, err := src.fetch(next)
+				if err != nil {
+					return windows, err
+				}
+				if exhausted = !ok; exhausted {
+					break
+				}
+				frames, flights = append(frames, f), append(flights, nil)
+			}
+			dispatch(next, next == i)
 			next++
+		}
+		// Look ahead to the next boundary while the windows run: the
+		// fast-forward overlaps them, and the run learns the moment it
+		// has dispatched its last window.
+		if next == len(frames) && !exhausted {
+			ok, err := src.peek(next)
+			if err != nil {
+				return windows, err
+			}
+			exhausted = !ok
+		}
+		if i == next {
+			return windows, nil // nothing in flight: every window settled
 		}
 		fl := flights[i]
 		flights[i] = nil
 		o := <-fl.out
 		fl.cancel() // settled: release the job context
-		b := &set.Boundaries[i]
+		f := frames[i]
+		b := f.b
 		if o.err != nil {
 			if ctx.Err() != nil && o.err == ctx.Err() {
-				return windows, nil, o.err
+				return windows, o.err
 			}
-			return windows, nil, fmt.Errorf("sample: window %d of %s: %w", b.Index, p.Name, o.err)
+			return windows, fmt.Errorf("sample: window %d of %s: %w", b.Index, p.Name, o.err)
 		}
 		ws := WindowStat{
 			Index:        b.Index,
@@ -185,7 +199,7 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 		if sc.Hooks.WindowDone != nil {
 			sc.Hooks.WindowDone(ws)
 		}
-		if next == nb && sc.Hooks.SlotReturned != nil {
+		if exhausted && next == len(frames) && sc.Hooks.SlotReturned != nil {
 			// The run has dispatched its last window: each settle from
 			// here on shrinks its in-flight set, releasing one executor
 			// slot to whatever cells are still dispatching.
@@ -193,52 +207,44 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 		}
 		if sc.CheckpointDir != "" {
 			// Authoritative rewrite of the provisional warm-pass
-			// checkpoint: the boot feedback replaces the warm-pass
-			// LISP, converging on the exact bytes the sequential
-			// engine writes for this boundary.
-			rb := *b
-			rb.Warm.LISP = fl.guess
+			// checkpoint: the boot feedback replaces the warm-pass LISP.
+			rb := fl.job.Boundary
+			rb.Warm.LISP = fl.job.Feedback
 			path, err := saveBoundary(&sc, p, rb, false)
 			if err != nil {
-				return windows, nil, err
+				return windows, err
 			}
 			if sc.Hooks.CheckpointWritten != nil {
 				sc.Hooks.CheckpointWritten(path, b.Index)
 			}
 		}
+		if f.entry != nil {
+			src.free = append(src.free, f.entry) // the window let go of its boundary
+		}
 		if !chain {
 			continue
 		}
-		fbNext := o.res.Feedback
-		fb = &fbNext
-		if i+1 < next && !lispStateEqual(fbNext, flights[i+1].guess) {
+		fb, haveFB = o.res.Feedback, true
+		if i+1 == next {
+			continue
+		}
+		if g := flights[i+1].job.Feedback; fb.Tick != g.Tick || !slices.Equal(fb.Entries, g.Entries) {
 			// Misspeculation: every in-flight successor booted with a
-			// chain this settle just invalidated. Cancel them and pull
-			// the dispatch cursor back, so the next settle iteration
+			// chain this settle just invalidated. Cancel them, wait for
+			// their executors to let go of their boundaries, and pull the
+			// dispatch cursor back, so the next settle iteration
 			// re-dispatches under the corrected feedback.
 			for k := i + 1; k < next; k++ {
 				flights[k].cancel()
+			}
+			for k := i + 1; k < next; k++ {
+				<-flights[k].out
 				flights[k] = nil
 				if sc.Hooks.WindowDiscarded != nil {
-					sc.Hooks.WindowDiscarded(set.Boundaries[k].Index)
+					sc.Hooks.WindowDiscarded(frames[k].b.Index)
 				}
 			}
 			next = i + 1
 		}
 	}
-	return windows, fb, nil
-}
-
-// lispStateEqual reports whether two serialized LISP states are
-// identical — the feedback-speculation validation predicate.
-func lispStateEqual(a, b core.LISPState) bool {
-	if a.Tick != b.Tick || len(a.Entries) != len(b.Entries) {
-		return false
-	}
-	for i := range a.Entries {
-		if a.Entries[i] != b.Entries[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -14,11 +14,12 @@ import (
 	"rix/internal/testutil"
 )
 
-// TestParallelEstimateBitEqual is the two-phase engine's core
-// guarantee: across the no-integration baseline and every integration
-// preset, on both a feedback-quiescent workload (gzip) and one whose
-// LISP trains mid-run (crafty, exercising the misspeculation path), the
-// parallel Estimate must equal the sequential Estimate bit-for-bit.
+// TestParallelEstimateBitEqual is the engine's core guarantee: across
+// the no-integration baseline and every integration preset, on both a
+// feedback-quiescent workload (gzip) and one whose LISP trains mid-run
+// (crafty, exercising the misspeculation path), the Estimate on a
+// one-slot and on a four-slot pool must equal the naive sequential
+// loop's (NaiveRun) bit-for-bit.
 func TestParallelEstimateBitEqual(t *testing.T) {
 	ctx := context.Background()
 	opts := []sim.Options{{Integration: sim.IntNone}}
@@ -32,9 +33,13 @@ func TestParallelEstimateBitEqual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
+			seq, err := sample.NaiveRun(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
 			if err != nil {
 				t.Fatalf("%s [%s] sequential: %v", name, o.Label(), err)
+			}
+			one, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
+			if err != nil {
+				t.Fatalf("%s [%s] one slot: %v", name, o.Label(), err)
 			}
 			pool := sample.NewScheduler(4)
 			par, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Scheduler: pool})
@@ -42,11 +47,11 @@ func TestParallelEstimateBitEqual(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s [%s] parallel: %v", name, o.Label(), err)
 			}
-			if par.Agg != seq.Agg {
-				t.Errorf("%s [%s]: parallel Agg diverges from sequential", name, o.Label())
+			if !reflect.DeepEqual(one, seq) {
+				t.Errorf("%s [%s]: one-slot Estimate diverges from the naive loop", name, o.Label())
 			}
 			if !reflect.DeepEqual(par, seq) {
-				t.Errorf("%s [%s]: parallel Estimate diverges from sequential", name, o.Label())
+				t.Errorf("%s [%s]: parallel Estimate diverges from the naive loop", name, o.Label())
 			}
 		}
 	}
@@ -55,7 +60,7 @@ func TestParallelEstimateBitEqual(t *testing.T) {
 // TestSharedSchedulerBitEqual drives two concurrent sampled runs
 // through one shared work-stealing scheduler — the cross-cell pool the
 // runner engine uses — and requires both estimates bit-identical to
-// their sequential counterparts. It also pins the wave-telemetry
+// their naive-loop counterparts. It also pins the wave-telemetry
 // invariant: every dispatched window is either settled or discarded,
 // and the counts are deterministic (the coordinator's dispatch/settle
 // interleaving does not depend on worker timing).
@@ -71,7 +76,7 @@ func TestSharedSchedulerBitEqual(t *testing.T) {
 	seq := make([]*sample.Estimate, len(benches))
 	for i, name := range benches {
 		bw := buildBench(t, name)
-		if seq[i], err = sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{}); err != nil {
+		if seq[i], err = sample.NaiveRun(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +118,7 @@ func TestSharedSchedulerBitEqual(t *testing.T) {
 	ests, tallies := run()
 	for i, name := range benches {
 		if !reflect.DeepEqual(ests[i], seq[i]) {
-			t.Errorf("%s: shared-scheduler estimate diverges from sequential", name)
+			t.Errorf("%s: shared-scheduler estimate diverges from the naive loop", name)
 		}
 		tl := tallies[i]
 		if tl.scheduled != tl.settled+tl.discarded {
@@ -151,7 +156,7 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	seq, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
+	seq, err := sample.NaiveRun(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 		t.Errorf("warm pass span ends at %d; want the last boundary, %d", lastEnd, w.Start)
 	}
 	if !reflect.DeepEqual(first, seq) {
-		t.Error("cached-miss run diverges from sequential")
+		t.Error("cached-miss run diverges from the naive loop")
 	}
 
 	second, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sc)
@@ -204,7 +209,7 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 		t.Fatalf("warm run: %d hits, %d writes, %d warm passes; want 1, 1, 1", hits, writes, passes)
 	}
 	if !reflect.DeepEqual(second, seq) {
-		t.Error("cache-hit run diverges from sequential")
+		t.Error("cache-hit run diverges from the naive loop")
 	}
 
 	// A different window layout must key a different entry.
@@ -245,7 +250,7 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 // TestSharedCacheStress is the -race stress test: many concurrent
 // sampled runs sharing one cache directory, racing to build, save and
 // load the same warm-set entries. Every estimate must match the
-// sequential baseline, and no goroutine may outlive the test.
+// naive-loop baseline, and no goroutine may outlive the test.
 func TestSharedCacheStress(t *testing.T) {
 	testutil.NoLeaks(t)
 	ctx := context.Background()
@@ -258,7 +263,7 @@ func TestSharedCacheStress(t *testing.T) {
 	seqs := make([]*sample.Estimate, len(benches))
 	for i, name := range benches {
 		bw := buildBench(t, name)
-		if seqs[i], err = sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{}); err != nil {
+		if seqs[i], err = sample.NaiveRun(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,14 +289,14 @@ func TestSharedCacheStress(t *testing.T) {
 			t.Fatalf("run %d: %v", k, err)
 		}
 		if !reflect.DeepEqual(ests[k], seqs[k/runsPerBench]) {
-			t.Errorf("run %d: concurrent cached estimate diverges from sequential", k)
+			t.Errorf("run %d: concurrent cached estimate diverges from the naive loop", k)
 		}
 	}
 }
 
 // TestPrepareWarmInjection proves the Config.Warm fast path: a
 // prepared warm set injected into Run skips the warm pass (no cache
-// involved) and reproduces the sequential estimate bit-for-bit.
+// involved) and reproduces the naive loop's estimate bit-for-bit.
 func TestPrepareWarmInjection(t *testing.T) {
 	ctx := context.Background()
 	bw := buildBench(t, "crafty")
@@ -307,7 +312,7 @@ func TestPrepareWarmInjection(t *testing.T) {
 	if len(warm.Boundaries) < 4 {
 		t.Fatalf("only %d boundaries; want a multi-window run", len(warm.Boundaries))
 	}
-	seq, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
+	seq, err := sample.NaiveRun(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +321,7 @@ func TestPrepareWarmInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(par, seq) {
-		t.Error("warm-injected parallel run diverges from sequential")
+		t.Error("warm-injected parallel run diverges from the naive loop")
 	}
 	// Rejects a mismatched layout rather than silently misusing the set.
 	bad := sample.Config{Warm: warm, Sampling: sample.Sampling{Interval: 8000, Window: 400, Warmup: 200}}
@@ -361,11 +366,11 @@ func TestCheckpointErrorsNameFile(t *testing.T) {
 }
 
 // TestParallelCheckpointParity: a parallel run with a checkpoint
-// directory must leave checkpoints equal to the sequential run's — the
+// directory must leave checkpoints equal to the naive loop's — the
 // warm-pass provisional writes are rewritten at settle time with the
 // validated feedback. Compared decoded, not byte-wise: gob's map
-// encoding makes the file bytes nondeterministic even across two
-// sequential runs.
+// encoding makes the file bytes nondeterministic even across two runs
+// of the same loop.
 func TestParallelCheckpointParity(t *testing.T) {
 	ctx := context.Background()
 	bw := buildBench(t, "crafty")
@@ -375,7 +380,7 @@ func TestParallelCheckpointParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqDir, parDir := t.TempDir(), t.TempDir()
-	if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: seqDir}); err != nil {
+	if _, err := sample.NaiveRun(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: seqDir}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: parDir, Scheduler: newPool(t, 4)}); err != nil {
@@ -390,7 +395,7 @@ func TestParallelCheckpointParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(seqPaths) == 0 || len(seqPaths) != len(parPaths) {
-		t.Fatalf("%d sequential vs %d parallel checkpoints", len(seqPaths), len(parPaths))
+		t.Fatalf("%d naive vs %d parallel checkpoints", len(seqPaths), len(parPaths))
 	}
 	for i := range seqPaths {
 		a, err := sample.LoadCheckpoint(seqPaths[i])
@@ -402,7 +407,7 @@ func TestParallelCheckpointParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("checkpoint %s differs between sequential and parallel runs", filepath.Base(seqPaths[i]))
+			t.Errorf("checkpoint %s differs between the naive loop and the parallel run", filepath.Base(seqPaths[i]))
 		}
 	}
 }

@@ -4,7 +4,7 @@
 // <cachedir>`) that claims those manifests, executes their windows, and
 // writes results back. Together they shard one sampled run's detail
 // windows across any number of cooperating processes — on one machine
-// or many sharing a filesystem — while the two-phase coordinator's
+// or many sharing a filesystem — while the window coordinator's
 // speculation logic (and therefore the estimate, bit for bit) stays
 // exactly what the in-process pool produces.
 //
@@ -38,8 +38,8 @@
 // trusted — a half-written result (worker crashed mid-rename has no
 // window for this, but a torn write on a non-atomic filesystem does)
 // is deleted and the job re-offered. The warm-cache LRU sweep ignores
-// the windows/ subdirectory (it only considers .warmset/.stride entries
-// at the cache root), so a sweep racing a claim never eats a manifest.
+// the windows/ subdirectory (it only considers .warmset entries at the
+// cache root), so a sweep racing a claim never eats a manifest.
 //
 // # Crash recovery
 //
@@ -128,7 +128,7 @@ type Result struct {
 
 // Config tunes a Coordinator. The zero value selects every default.
 type Config struct {
-	// Width is the capability hint the two-phase coordinator uses as
+	// Width is the capability hint the window coordinator uses as
 	// its speculation depth: up to Width window jobs are on offer at
 	// once (default 4). Size it to the worker fleet's total capacity.
 	Width int
@@ -301,8 +301,11 @@ func (c *Coordinator) collect(ctx context.Context, base string, window int) (sam
 			// No result yet: check the lease for liveness.
 			if info, err := os.Stat(leasePath); err == nil {
 				if !leaseSeen {
-					leaseSeen = true
+					// The claimant writes its name into the lease after
+					// creating it, so an empty or torn body is read
+					// again next poll rather than losing the name.
 					if w, err := readLease(leasePath); err == nil && w.Format == LeaseFormat {
+						leaseSeen = true
 						lastWorker = w.Worker
 						c.noteWorker(w.Worker)
 						if c.cfg.OnLeaseClaimed != nil {

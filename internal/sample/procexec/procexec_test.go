@@ -15,6 +15,7 @@ import (
 	"rix/internal/sample"
 	"rix/internal/sample/procexec"
 	"rix/internal/sim"
+	"rix/internal/testutil"
 	"rix/internal/workload"
 )
 
@@ -39,8 +40,18 @@ func fastCoord() procexec.Config {
 }
 
 func fastWorker() procexec.WorkerConfig {
-	return procexec.WorkerConfig{Poll: 2 * time.Millisecond, Heartbeat: 20 * time.Millisecond}
+	return procexec.WorkerConfig{Poll: 2 * time.Millisecond, Heartbeat: heartbeat}
 }
+
+// The crash tests' timing model: a live worker re-stamps its lease every
+// heartbeat, and a lease goes stale after orphanAfter, a multiple of it
+// — enough missed beats that a worker starved by the race detector or a
+// busy host is not mistaken for a dead one, while a lease nobody
+// heartbeats still expires quickly.
+const (
+	heartbeat   = 20 * time.Millisecond
+	orphanAfter = 5 * heartbeat
+)
 
 // startWorkers runs n in-process Work loops over dir — the same code
 // path `rixsim -worker` runs, minus the process boundary — and returns
@@ -64,7 +75,8 @@ func startWorkers(t *testing.T, dir string, n int, wc procexec.WorkerConfig) (st
 // TestCrossProcessBitEqual is the executor abstraction's core
 // guarantee: a sampled run whose windows execute on cooperating worker
 // loops over a shared directory — the cross-process mode — produces an
-// Estimate bit-identical to the sequential engine's. gzip is
+// Estimate bit-identical to the naive one-window-at-a-time loop's,
+// committed in testdata/golden/sampled_oracle.json. gzip is
 // feedback-quiescent; crafty trains its LISP mid-run, so its
 // misspeculations exercise discarded dispatches (withdrawn manifests)
 // through the file protocol.
@@ -76,10 +88,6 @@ func TestCrossProcessBitEqual(t *testing.T) {
 	}
 	for _, name := range []string{"gzip", "crafty"} {
 		bw := buildBench(t, name)
-		seq, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		dir := t.TempDir()
 		stop := startWorkers(t, dir, 2, fastWorker())
 		coord, err := procexec.New(dir, fastCoord())
@@ -91,9 +99,7 @@ func TestCrossProcessBitEqual(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s cross-process: %v", name, err)
 		}
-		if !reflect.DeepEqual(cross, seq) {
-			t.Errorf("%s: cross-process estimate diverges from sequential", name)
-		}
+		testutil.MatchOracle(t, name, cross)
 	}
 }
 
@@ -102,7 +108,7 @@ func TestCrossProcessBitEqual(t *testing.T) {
 // shared-cache-dir contention case, run under -race in CI. Distinct run
 // IDs must keep the runs' files apart; every lease must be won exactly
 // once (no double claims, tallied across all workers); and both
-// estimates must stay bit-identical to their sequential counterparts.
+// estimates must stay bit-identical to the naive loop's.
 func TestConcurrentRunsSharedDir(t *testing.T) {
 	ctx := context.Background()
 	cfg, err := (sim.Options{Integration: sim.IntReverse}).Config()
@@ -110,14 +116,6 @@ func TestConcurrentRunsSharedDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	benches := []string{"gzip", "crafty"}
-	seq := make([]*sample.Estimate, len(benches))
-	for i, name := range benches {
-		bw := buildBench(t, name)
-		if seq[i], err = sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	dir := t.TempDir()
 	var mu sync.Mutex
 	claims := map[string]int{}
@@ -151,9 +149,7 @@ func TestConcurrentRunsSharedDir(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("%s: %v", name, errs[i])
 		}
-		if !reflect.DeepEqual(ests[i], seq[i]) {
-			t.Errorf("%s: shared-dir estimate diverges from sequential", name)
-		}
+		testutil.MatchOracle(t, name, ests[i])
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -297,7 +293,7 @@ func TestWorkerCrashRedispatch(t *testing.T) {
 	job, want := oneJob(t)
 	dir := t.TempDir()
 	cc := fastCoord()
-	cc.LeaseExpiry = 50 * time.Millisecond
+	cc.LeaseExpiry = orphanAfter
 	cc.MaxRedispatch = 1
 	var mu sync.Mutex
 	var claimants []string
@@ -361,7 +357,7 @@ func TestWorkerCrashNamedInError(t *testing.T) {
 	job, _ := oneJob(t)
 	dir := t.TempDir()
 	cc := fastCoord()
-	cc.LeaseExpiry = 50 * time.Millisecond
+	cc.LeaseExpiry = orphanAfter
 	cc.MaxRedispatch = -1 // no re-dispatch budget: first orphan is fatal
 	coord, err := procexec.New(dir, cc)
 	if err != nil {
@@ -390,7 +386,7 @@ func TestWorkerCrashNamedInError(t *testing.T) {
 // claims on the same cache directory: a cache-bounded sampled run
 // (CacheMaxBytes forces a sweep after every save) loops while a
 // cross-process run dispatches window jobs into the directory's
-// windows/ subdirectory. The sweep only considers .warmset/.stride
+// windows/ subdirectory. The sweep only considers .warmset
 // entries at the cache root, so the job files must survive and both
 // estimates must stay exact. Run under -race in CI.
 func TestSweepMidClaim(t *testing.T) {
@@ -400,10 +396,6 @@ func TestSweepMidClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	bw := buildBench(t, "crafty")
-	seq, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	gz := buildBench(t, "gzip")
 
 	dir := t.TempDir()
@@ -438,9 +430,7 @@ func TestSweepMidClaim(t *testing.T) {
 	if err := <-sweeping; err != nil {
 		t.Fatalf("sweeping run: %v", err)
 	}
-	if !reflect.DeepEqual(cross, seq) {
-		t.Error("cross-process estimate diverges under concurrent LRU sweeps")
-	}
+	testutil.MatchOracle(t, "crafty", cross)
 }
 
 // TestWorkerIdleExit: a worker with an idle bound exits cleanly (nil,

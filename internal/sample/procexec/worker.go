@@ -138,7 +138,8 @@ func scanOnce(ctx context.Context, jobs string, wc WorkerConfig) (bool, error) {
 // claimLease attempts the atomic claim: exclusive creation of the lease
 // file. The Lease payload is written into the already-claimed file, so
 // a reader may observe an empty or torn lease briefly — the coordinator
-// only needs its mtime for liveness and tolerates an undecodable body.
+// needs only its mtime for liveness, and reads an undecodable body again
+// on its next poll to learn the claimant.
 func claimLease(path, base, worker string) bool {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -157,25 +158,14 @@ func claimLease(path, base, worker string) bool {
 	return true
 }
 
-// executeJob runs one claimed window: read the manifest, heartbeat the
-// lease while sample.ExecuteWindow runs, and write the result. Only a
-// worker-fatal condition (ctx cancellation) is returned as an error;
-// per-job failures are reported through the result file.
+// executeJob runs one claimed window: heartbeat the lease while the
+// manifest is read and sample.ExecuteWindow runs, and write the result.
+// Only a worker-fatal condition (ctx cancellation) is returned as an
+// error; per-job failures are reported through the result file.
 func executeJob(ctx context.Context, jobPath, leasePath, resultPath, base string, wc WorkerConfig) error {
-	m, err := readManifest(jobPath)
-	if err != nil {
-		// Corrupt manifest: a clean miss. Release the claim and move on;
-		// the coordinator that owns the job will time it out or replace
-		// it.
-		os.Remove(leasePath)
-		return nil
-	}
-	if wc.OnClaim != nil {
-		wc.OnClaim(base, m.Boundary.Index)
-	}
-
-	// Heartbeat the lease for the duration of the window so the
-	// coordinator can tell "long window" from "dead worker".
+	// Heartbeat the lease from the claim on — decoding a manifest takes
+	// time too — so the coordinator can tell "long window" from "dead
+	// worker".
 	hbCtx, hbStop := context.WithCancel(ctx)
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
@@ -193,6 +183,19 @@ func executeJob(ctx context.Context, jobPath, leasePath, resultPath, base string
 		}
 	}()
 
+	m, err := readManifest(jobPath)
+	if err != nil {
+		// Corrupt manifest: a clean miss. Release the claim and move on;
+		// the coordinator that owns the job will time it out or replace
+		// it.
+		hbStop()
+		hbWG.Wait()
+		os.Remove(leasePath)
+		return nil
+	}
+	if wc.OnClaim != nil {
+		wc.OnClaim(base, m.Boundary.Index)
+	}
 	res, runErr := sample.ExecuteWindow(ctx, sample.WindowJob{
 		Prog:     m.Prog,
 		Config:   m.Config,

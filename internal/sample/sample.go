@@ -27,28 +27,31 @@
 // sampled-vs-full accuracy bounds the engine is tuned to are
 // IPCErrBound and RateErrBound, enforced by this package's tests.
 //
+// # One engine: a warm pass feeding a window coordinator
+//
+// Every run — Run, Resume, Continue — is one window coordinator pulling
+// window boundaries from a source. The live source is the warm pass
+// itself: one fast-forward over the trace, in index order, that stops
+// at each boundary and copies the emulator and warm state into a small
+// ring of pooled entries, at most one per window in flight. A
+// materialized source serves stored boundaries instead: an injected
+// warm set (Config.Warm, built by PrepareWarm), a cache hit
+// (Config.CacheDir), or the checkpoints Resume and Continue read. The
+// coordinator runs each boundary's detail window on an executor — a
+// one-slot pool of its own by default, Config.Scheduler's shared pool,
+// or Config.Executor — and the executor's width is how many windows it
+// keeps in flight. The chained LISP feedback is the only cross-window
+// dependency, so windows dispatch speculatively: each settles in index
+// order, and a misspeculated feedback guess discards its in-flight
+// successors for re-dispatch. The Estimate is therefore bit-identical
+// at every width, and to running the windows one by one, while the
+// common quiescent chain reaches full parallelism.
+//
 // When Config.CheckpointDir is set, the run serializes one Checkpoint
 // (emulator + warm state, including the feedback chained so far) per
 // window boundary; Resume re-runs every window from disk — bit-identical
 // to the direct run — so a run can be restarted after interruption or
 // its windows sharded across processes and machines (RunCheckpoint).
-// Resume feeds the stored boundaries to the two-phase engine's window
-// coordinator below, so its windows fan out over the same executors
-// (Config.Scheduler, Config.Executor).
-//
-// # Two-phase parallel engine
-//
-// Setting Config.Scheduler or Config.Executor (or Config.CacheDir or
-// Config.Warm) selects the two-phase engine: one warm pass
-// fast-forwards the whole trace, snapshotting a WarmSnapshot per
-// window boundary (PrepareWarm exposes this phase directly), then a
-// bounded pool executes all detail windows concurrently. The chained
-// LISP feedback is the only cross-window dependency, so windows
-// dispatch speculatively in waves — each settles in index order, and a
-// misspeculated feedback guess discards the rest of its wave for
-// re-dispatch — which keeps the Estimate bit-identical to the
-// sequential engine while the common quiescent chain reaches full
-// parallelism.
 //
 // Config.CacheDir names a content-addressed warm-set cache: the warm
 // pass's output is keyed by a SHA-256 over the program content, window
@@ -71,7 +74,6 @@ import (
 	"math"
 	"time"
 
-	"rix/internal/emu"
 	"rix/internal/pipeline"
 	"rix/internal/prog"
 )
@@ -111,14 +113,13 @@ type Hooks struct {
 	// Progress reports the dynamic instruction count reached by the
 	// functional fast-forward, at cancelCheckInterval granularity.
 	Progress func(instrs uint64)
-	// WindowScheduled fires when the two-phase engine dispatches a
-	// window to a worker (from the coordinating goroutine, in dispatch
-	// order; re-dispatch after a feedback misspeculation fires again).
+	// WindowScheduled fires when the coordinator dispatches a window to
+	// its executor (in dispatch order; re-dispatch after a feedback
+	// misspeculation fires again).
 	WindowScheduled func(index int)
 	// WindowDone fires after each measurement window completes, in
-	// window index order: from the sequential loop, or from the window
-	// coordinator as it settles windows (never for a discarded
-	// speculative run). Calls never overlap.
+	// window index order, as the coordinator settles it (never for a
+	// discarded speculative run).
 	WindowDone func(w WindowStat)
 	// WindowDiscarded fires when a speculatively dispatched window is
 	// cancelled because an earlier window settled with feedback that
@@ -137,13 +138,14 @@ type Hooks struct {
 	// in-flight set, releasing a pool slot to cells still dispatching.
 	// Fires from the coordinating goroutine, deterministically.
 	SlotReturned func(index int)
-	// WarmShardStarted fires when a warm pass starts building a warm
-	// set (PrepareWarm, or the two-phase engine's first phase), never on
-	// a cache hit or an injected warm set. The pass is one span over the
-	// whole trace: shard and start are always 0, and end is 0 because
-	// the last boundary is not known yet.
+	// WarmShardStarted fires when a warm pass starts from the program
+	// entry — feeding the coordinator, or drained into a warm set by
+	// PrepareWarm or a cache miss — never on a cache hit, an injected
+	// warm set, Resume, or Continue's resumed pass. The pass is one span
+	// over the whole trace: shard and start are always 0, and end is 0
+	// because the last boundary is not known yet.
 	WarmShardStarted func(shard int, start, end uint64)
-	// WarmShardDone fires when that warm pass has snapshotted every
+	// WarmShardDone fires when that warm pass has reached every
 	// boundary, with shard and start 0 and end the last boundary's
 	// dynamic instruction (0 when the trace has none).
 	WarmShardDone func(shard int, start, end uint64)
@@ -169,12 +171,13 @@ type Config struct {
 	// cancelled mid-fast-forward.
 	CheckpointDir string
 
-	// CacheDir, when non-empty, selects the two-phase engine and backs
-	// its warm pass with an on-disk content-addressed cache: the warm
-	// set is keyed by program content, window layout, warm-relevant
-	// machine geometry, and format versions, so a repeat run skips the
-	// warm pass entirely and an invalidating change (different binary,
-	// layout, geometry, or format) is a clean miss, never a stale hit.
+	// CacheDir, when non-empty, backs the warm pass with an on-disk
+	// content-addressed cache: the warm set is keyed by program content,
+	// window layout, warm-relevant machine geometry, and format
+	// versions, so a repeat run skips the warm pass entirely and an
+	// invalidating change (different binary, layout, geometry, or
+	// format) is a clean miss, never a stale hit. A miss drains the warm
+	// pass into a set and saves it before the windows run.
 	CacheDir string
 
 	// CacheMaxBytes bounds the total size of CacheDir's .warmset
@@ -193,21 +196,20 @@ type Config struct {
 	// the run and may be shared by concurrent runs.
 	Warm *WarmSet
 
-	// Scheduler, when non-nil, selects the two-phase engine and runs
-	// the detail-window phase — and Resume/Continue's re-run windows —
-	// on this shared work-stealing pool instead of an ephemeral one-slot
-	// pool; the run's speculation depth is the pool's slot count.
+	// Scheduler, when non-nil, runs the detail windows — Run's and
+	// Resume/Continue's alike — on this shared work-stealing pool
+	// instead of an ephemeral one-slot pool; the run's speculation depth
+	// is the pool's slot count.
 	// Concurrent runs may share one Scheduler: a run that settles early
 	// stops submitting, and its slots immediately serve the runs still
 	// dispatching. The caller owns the pool and must Close it only after
 	// every run sharing it has returned.
 	Scheduler *Scheduler
 
-	// Executor, when non-nil, selects the two-phase engine and executes
-	// the detail-window phase (and Resume/Continue's re-run windows)
-	// through this executor instead of an in-process scheduler pool
-	// (Scheduler is then ignored); its Width is the run's speculation
-	// depth. The estimate is bit-identical whichever executor runs the
+	// Executor, when non-nil, executes the detail windows (Run's and
+	// Resume/Continue's alike) through this executor instead of an
+	// in-process scheduler pool (Scheduler is then ignored); its Width
+	// is the run's speculation depth. The estimate is bit-identical whichever executor runs the
 	// windows — see Executor's determinism contract. The caller owns the
 	// executor's lifecycle (e.g. procexec.Coordinator's cleanup).
 	Executor Executor
@@ -247,136 +249,61 @@ func Run(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, 
 	if err != nil {
 		return nil, err
 	}
-	if sc.CacheDir != "" || sc.Warm != nil || sc.Scheduler != nil || sc.Executor != nil {
-		return runTwoPhase(ctx, p, dynLen, cfg, sc)
+	src, err := openSource(ctx, p, cfg, &sc)
+	if err != nil {
+		return nil, err
 	}
-	e := emu.New(p)
-	w := newWarmer(cfg)
-	windows, err := runFrom(ctx, p, e, w, 0, cfg, sc)
+	return src.run(ctx, p, dynLen, cfg, sc)
+}
+
+// run executes every boundary's window on the coordinator and
+// aggregates them, scaling to dynLen or — when that is 0 — to the
+// source's observed instruction count (or, when no source knows it,
+// to the windows' coverage).
+func (s *source) run(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, sc Config) (*Estimate, error) {
+	if s.e == nil && s.set.Total > sc.MaxInstrs {
+		// A live pass would have tripped its budget before the program
+		// halted; a stored warm set must not bypass the bound.
+		return nil, fmt.Errorf("sample: %s did not halt within %d instructions", p.Name, sc.MaxInstrs)
+	}
+	windows, err := runParallel(ctx, p, cfg, sc, s)
 	if err != nil {
 		return nil, err
 	}
 	total := uint64(dynLen)
-	if total == 0 {
-		total = e.Count
+	switch {
+	case total != 0:
+	case s.e != nil:
+		total = s.e.Count
+	case s.set.Total != 0:
+		total = s.set.Total
+	default:
+		for _, w := range windows {
+			total = max(total, w.MeasuredFrom+w.Stats.Retired)
+		}
 	}
 	return aggregate(sc.Sampling, detailPad(cfg), windows, total), nil
 }
 
-// runFrom is the sequential sampling loop, starting at window startIdx
-// with a live emulator and warmer (the program entry for Run, a
-// checkpoint's restored state for Continue). Windows run in program
-// order so each one's discovered DIVA feedback — the LISP's never-aging
-// suppressions — chains into the warmer and thus into every later
-// window's boot (and checkpoint). The real machine trains that table on
-// a handful of events and keeps it for the whole run; cold-LISP windows
-// systematically over-integrated. Parallelism lives across cells in the
-// runner pool, and across windows in the two-phase engine.
-func runFrom(ctx context.Context, p *prog.Program, e *emu.Emulator, w *warmer,
-	startIdx int, cfg pipeline.Config, sc Config) ([]WindowStat, error) {
-
-	sp := sc.Sampling
-	c := cursor{ctx: ctx, p: p, sc: &sc, e: e, w: w}
-	var windows []WindowStat
-
-	n := sp.Warmup + sp.Window + detailPad(cfg)
-	var sl slot
-	recs := make([]emu.TraceRec, 0, n)
-	for idx := startIdx; ; idx++ {
-		if err := c.seek(idx, windowStart(idx, sp)); err != nil {
-			return windows, err
-		}
-		if e.Halted {
-			break
-		}
-		if sc.CheckpointDir != "" {
-			path, err := saveBoundary(&sc, p, c.boundary(idx), false)
-			if err != nil {
-				return windows, err
-			}
-			if sc.Hooks.CheckpointWritten != nil {
-				sc.Hooks.CheckpointWritten(path, idx)
-			}
-		}
-
-		// Boot the window on the pooled slot (direct copies of the live
-		// warm state), then record its golden records while the same pass
-		// keeps warming: the span is emulated once, and the window
-		// replays it from memory.
-		boot, err := sl.fromWarmer(cfg, e, w)
-		if err != nil {
-			return windows, err
-		}
-		start := e.Count
-		recs = recs[:0]
-		if err := c.span(n, &recs); err != nil {
-			return windows, err
-		}
-
-		pl := pipeline.NewFrom(cfg, p, emu.FromSlice(recs), boot)
-		stats, err := pl.RunWindowContext(ctx, sp.Warmup, sp.Window)
-		if err != nil {
-			if ctx.Err() != nil && err == ctx.Err() {
-				return windows, err
-			}
-			return windows, fmt.Errorf("sample: window %d of %s: %w", idx, p.Name, err)
-		}
-		ws := WindowStat{
-			Index:        idx,
-			Start:        start,
-			MeasuredFrom: start + sp.Warmup,
-			Stats:        *stats,
-		}
-		windows = append(windows, ws)
-		if sc.Hooks.WindowDone != nil {
-			sc.Hooks.WindowDone(ws)
-		}
-		// Feedback chaining, allocation-free: fold the window's final
-		// LISP straight into the warmer (equivalent to adoptFeedback
-		// over its serialized state — the integrator's LISP always has
-		// full geometry).
-		if w.lisp != nil {
-			if err := w.lisp.CopyFrom(pl.Integrator().LISP); err != nil {
-				return windows, err
-			}
-		}
-		sl.scratch = pl.Recycle()
-	}
-	return windows, nil
-}
-
-// cursor is the functional fast-forward shared by both linear passes —
-// the sequential engine and the warm pass: the emulator executes each
-// instruction and the warmer folds it in. The passes differ only in
-// whether they keep each window's records (span's recs), so the
-// per-instruction loop stays a straight step-observe sequence.
-type cursor struct {
-	ctx context.Context
-	p   *prog.Program
-	sc  *Config
-	e   *emu.Emulator
-	w   *warmer
-}
-
 // seek fast-forwards to dynamic instruction target (or the program's
-// halt), polling ctx and firing Progress every cancelCheckInterval
-// instructions and enforcing sc.MaxInstrs. On cancellation it flushes a
-// partial checkpoint for window idx when sc.CheckpointDir is set, so
-// Continue can pick the run up without repeating the fast-forward
-// (best-effort: the previous boundary checkpoint already makes the run
-// resumable).
-func (c *cursor) seek(idx int, target uint64) error {
-	e, w, code, sc := c.e, c.w, c.p.Code, c.sc
-	done := c.ctx.Done()
+// halt) on the way to window idx's boundary, polling ctx and firing
+// Progress every cancelCheckInterval instructions and enforcing
+// sc.MaxInstrs. On cancellation it flushes a partial checkpoint for
+// window idx when sc.CheckpointDir is set, so Continue can pick the run
+// up without repeating the fast-forward (best-effort: the previous
+// boundary checkpoint already makes the run resumable).
+func (s *source) seek(idx int, target uint64) error {
+	e, w, code, sc := s.e, s.w, s.p.Code, s.sc
+	done := s.ctx.Done()
 	for end := min(target, sc.MaxInstrs); e.Count < end && !e.Halted; {
 		if e.Count&(cancelCheckInterval-1) == 0 {
 			if done != nil {
 				select {
 				case <-done:
 					if sc.CheckpointDir != "" {
-						c.flushPartial(idx)
+						s.flushPartial(idx)
 					}
-					return c.ctx.Err()
+					return s.ctx.Err()
 				default:
 				}
 			}
@@ -392,44 +319,14 @@ func (c *cursor) seek(idx int, target uint64) error {
 		w.observe(code[rec.CodeIdx], pc, rec, e.PC)
 	}
 	if e.Count < target && !e.Halted {
-		return fmt.Errorf("sample: %s did not halt within %d instructions", c.p.Name, sc.MaxInstrs)
+		return fmt.Errorf("sample: %s did not halt within %d instructions", s.p.Name, sc.MaxInstrs)
 	}
 	return nil
 }
 
-// span advances through one window's record span of n instructions (or
-// to the halt), still warming: the sequential engine replays these
-// records in the detail window, and later boundary positions depend on
-// the cursor having moved past them. A non-nil recs collects the
-// records. Cancellation needs no flush — the window's boundary
-// checkpoint covers it.
-func (c *cursor) span(n uint64, recs *[]emu.TraceRec) error {
-	e, w, code := c.e, c.w, c.p.Code
-	done := c.ctx.Done()
-	for k := uint64(0); k < n && !e.Halted; k++ {
-		if done != nil && e.Count&(cancelCheckInterval-1) == 0 {
-			select {
-			case <-done:
-				return c.ctx.Err()
-			default:
-			}
-		}
-		pc := e.PC
-		rec, err := e.Step()
-		if err != nil {
-			return fmt.Errorf("sample: fast-forward failed: %w", err)
-		}
-		if recs != nil {
-			*recs = append(*recs, rec)
-		}
-		w.observe(code[rec.CodeIdx], pc, rec, e.PC)
-	}
-	return nil
-}
-
-// boundary snapshots the cursor's position as window idx's boundary.
-func (c *cursor) boundary(idx int) Boundary {
-	return Boundary{Index: idx, Start: c.e.Count, Emu: c.e.State(), Warm: c.w.snapshot()}
+// boundary snapshots the pass's position as window idx's boundary.
+func (s *source) boundary(idx int) Boundary {
+	return Boundary{Index: idx, Start: s.e.Count, Emu: s.e.State(), Warm: s.w.snapshot()}
 }
 
 // flushPartial writes the cancellation checkpoint: the run's state at an
@@ -439,10 +336,10 @@ func (c *cursor) boundary(idx int) Boundary {
 // it (same index, same name). Flushing is best-effort — the run is
 // already ending with ctx.Err(), and the previous boundary checkpoint
 // keeps it resumable even if this write fails.
-func (c *cursor) flushPartial(idx int) {
-	path, err := saveBoundary(c.sc, c.p, c.boundary(idx), true)
-	if err == nil && c.sc.Hooks.CheckpointWritten != nil {
-		c.sc.Hooks.CheckpointWritten(path, idx)
+func (s *source) flushPartial(idx int) {
+	path, err := saveBoundary(s.sc, s.p, s.boundary(idx), true)
+	if err == nil && s.sc.Hooks.CheckpointWritten != nil {
+		s.sc.Hooks.CheckpointWritten(path, idx)
 	}
 }
 

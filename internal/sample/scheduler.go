@@ -48,11 +48,11 @@ var ErrSchedulerClosed = errors.New("sample: window scheduler is closed")
 // schedTask is one speculatively dispatched detail window in the shared
 // queue.
 type schedTask struct {
-	cell      *cellTag    // owning run, for steal detection
-	cancelled atomic.Bool // set when the owning wave misspeculates
-	ctx       context.Context
-	job       WindowJob
-	out       chan outcome // buffered 1: workers never block on delivery
+	cell    *cellTag    // owning run, for steal detection
+	claimed atomic.Bool // set by a worker taking the task to run, or by its owner withdrawing it — whichever comes first
+	ctx     context.Context
+	job     WindowJob
+	out     chan outcome // buffered 1: workers never block on delivery
 }
 
 // cellTag identifies one sampled run for the lifetime of its window
@@ -119,10 +119,10 @@ func (s *Scheduler) worker(id int) {
 	defer s.wg.Done()
 	sl := &slot{id: id}
 	for t := range s.queue {
-		if t.cancelled.Load() {
-			// Misspeculated before starting: skip the work entirely.
-			// The owning coordinator has already stopped listening, so
-			// no result is owed.
+		if !t.claimed.CompareAndSwap(false, true) {
+			// Withdrawn before starting (a misspeculated or cancelled
+			// window): skip the work entirely. Its owner has stopped
+			// listening, so no result is owed.
 			continue
 		}
 		if sl.lastCell != nil && sl.lastCell != t.cell && t.cell.hooks.SlotStolen != nil {

@@ -12,11 +12,11 @@ import (
 
 // slot is one window executor's private state: a pooled set of boot
 // structures plus the recycled pipeline scratch, reused across every
-// window (and every cell) it runs. Each scheduler worker owns one, the
-// sequential engine owns one per run, and ExecuteWindow uses a fresh
-// one per call — a fresh slot's first boot allocates exactly the
-// structures a from-scratch boot would, and later boots restore them in
-// place, so every path boots windows bit-identically.
+// window (and every cell) it runs. Each scheduler worker owns one, and
+// ExecuteWindow uses a fresh one per call — a fresh slot's first boot
+// allocates exactly the structures a from-scratch boot would, and later
+// boots restore them in place, so every path boots windows
+// bit-identically.
 type slot struct {
 	id       int
 	lastCell *cellTag // scheduler workers: the cell last served, for steal detection
@@ -24,6 +24,7 @@ type slot struct {
 	geom    bootGeom // the geometry parts was built for; valid once parts.pred != nil
 	parts   warmParts
 	scratch *pipeline.Scratch
+	bs      pipeline.BootState // the boot state last handed to a pipeline
 }
 
 // bootGeom is the machine geometry a pooled boot set was built for.
@@ -37,71 +38,62 @@ type bootGeom struct {
 	Enable bool
 }
 
-// pool makes sure the slot holds boot structures of cfg's geometry,
-// building fresh ones when it has never served that geometry.
-func (sl *slot) pool(cfg pipeline.Config) {
-	g := bootGeom{Pred: cfg.Pred, Mem: cfg.Mem, LISP: cfg.LISP, Enable: cfg.Policy.Enable}
-	if sl.parts.pred == nil || sl.geom != g {
-		sl.geom, sl.parts = g, newWarmParts(cfg)
+// boot readies the job's boundary state — the live ring entry's tables
+// when the job owns them, else the slot's pooled set (built fresh when
+// the slot has never served cfg's geometry), copied from the entry or
+// restored from the boundary's snapshot — with the job's feedback as
+// the boot LISP, and returns the window's boot state. The result is
+// owned by the next pipeline until it finishes; boot the slot again
+// only after that.
+func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, error) {
+	wp := job.live
+	if !job.own {
+		if g := (bootGeom{Pred: cfg.Pred, Mem: cfg.Mem, LISP: cfg.LISP, Enable: cfg.Policy.Enable}); sl.parts.pred == nil || sl.geom != g {
+			sl.geom, sl.parts = g, newWarmParts(cfg)
+		}
+		wp = &sl.parts
+		var err error
+		if job.live != nil {
+			err = wp.copyFrom(job.live)
+		} else {
+			err = wp.setState(job.Boundary.Warm)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-}
-
-// boot completes a window's boot state — architectural state and boot
-// LISP (nil: the pipeline starts a cold one) set by the caller — with
-// the slot's filled structures. The result is owned by the next
-// pipeline until it finishes; refill the slot only after that.
-func (sl *slot) boot(b pipeline.BootState) *pipeline.BootState {
-	wp := &sl.parts
-	b.Pred, b.BTB, b.RAS, b.CHT, b.Hier, b.Scratch = wp.pred, wp.btb, wp.ras, wp.cht, wp.hier, sl.scratch
-	return &b
-}
-
-// fromWarmer fills the slot by direct copies of the live emulator and
-// warmer — the sequential engine's in-memory boot.
-func (sl *slot) fromWarmer(cfg pipeline.Config, e *emu.Emulator, w *warmer) (*pipeline.BootState, error) {
-	sl.pool(cfg)
-	if err := sl.parts.copyFrom(&w.warmParts); err != nil {
-		return nil, err
-	}
-	return sl.boot(pipeline.BootState{PC: e.PC, Regs: e.Regs, Mem: e.Mem.Clone(), LISP: sl.parts.lisp}), nil
-}
-
-// bootFrom fills the slot from a boundary's emulator state and warm
-// snapshot — the path of every window run from a stored boundary. It
-// yields the same state fromWarmer copies from the live structures, so
-// a window booted from a checkpoint is bit-identical to the one the
-// sequential engine ran directly.
-func (sl *slot) bootFrom(cfg pipeline.Config, st emu.State, ws WarmSnapshot) (*pipeline.BootState, error) {
-	sl.pool(cfg)
-	if err := sl.parts.setState(ws); err != nil {
-		return nil, err
-	}
+	// The feedback is the boot LISP; with none, the pipeline starts a
+	// cold one.
 	var lisp *core.LISP
-	if len(ws.LISP.Entries) > 0 {
-		lisp = sl.parts.lisp
+	if wp.lisp != nil && len(job.Feedback.Entries) > 0 {
+		if err := wp.lisp.SetState(job.Feedback); err != nil {
+			return nil, err
+		}
+		wp.lisp.Lookups, wp.lisp.Suppressed, wp.lisp.TrainInsert = 0, 0, 0
+		lisp = wp.lisp
 	}
+	st := &job.Boundary.Emu
 	mem, err := emu.NewMemoryFromState(st.Mem)
 	if err != nil {
 		return nil, err
 	}
-	return sl.boot(pipeline.BootState{PC: st.PC, Regs: st.Regs, Mem: mem, LISP: lisp}), nil
+	sl.bs = pipeline.BootState{PC: st.PC, Regs: st.Regs, Mem: mem, LISP: lisp,
+		Pred: wp.pred, BTB: wp.btb, RAS: wp.ras, CHT: wp.cht, Hier: wp.hier, Scratch: sl.scratch}
+	return &sl.bs, nil
 }
 
 // run executes one detail window job on the slot — the one window
 // runner behind the scheduler's workers, ExecuteWindow and
-// RunCheckpoint. The job's feedback replaces the boundary snapshot's
-// LISP, and the window span is re-derived from the boundary's emulator
-// state (emu.ResumeStream): the path the checkpoint-equivalence tests
-// prove bit-identical to the sequential engine's in-memory record
-// replay.
+// RunCheckpoint. The window span is re-derived from the boundary's
+// emulator state (emu.ResumeStream), so a window's result depends only
+// on its job: the checkpoint-parity tests pin it to the naive
+// sequential loop's in-memory record replay.
 func (sl *slot) run(ctx context.Context, job WindowJob) (WindowResult, error) {
 	p, cfg, sp, b := job.Prog, job.Config, job.Sampling, &job.Boundary
 	if err := sp.Validate(); err != nil {
 		return WindowResult{}, err
 	}
-	warm := b.Warm
-	warm.LISP = job.Feedback
-	boot, err := sl.bootFrom(cfg, b.Emu, warm)
+	boot, err := sl.boot(cfg, &job)
 	if err != nil {
 		return WindowResult{}, err
 	}

@@ -13,15 +13,12 @@ import (
 // evicts least-recently-used entries over the configured size and age
 // bounds. Recency is the file's modification time: saves stamp it by
 // writing, and cache hits re-stamp it (touchWarmSet), so eviction order
-// is true LRU over both writers and readers. The sweep also ranks
-// .stride entries, which older builds wrote beside the .warmset ones
-// and nothing reads any more, so such directories still shrink. See
-// doc/FORMATS.md for the on-disk layout.
+// is true LRU over both writers and readers. See doc/FORMATS.md for the
+// on-disk layout.
 
 // sweepWarmCache enforces Config.CacheMaxBytes / CacheMaxAge over dir:
 // entries older than maxAge go first, then least-recently-used entries
-// until the directory's combined .warmset + .stride total fits
-// maxBytes. A zero bound disables that check. keep names the entry
+// until the directory's .warmset total fits maxBytes. A zero bound disables that check. keep names the entry
 // just written, which is never evicted — the run that wrote it must
 // find it on its next probe even under a bound smaller than one entry. All failures are silently
 // ignored: the sweep is advisory, and a missed eviction only costs
@@ -47,7 +44,7 @@ func sweepWarmCache(dir string, maxBytes int64, maxAge time.Duration, keep strin
 		if de.IsDir() {
 			continue
 		}
-		if ext := filepath.Ext(de.Name()); ext != ".warmset" && ext != ".stride" {
+		if filepath.Ext(de.Name()) != ".warmset" {
 			continue
 		}
 		info, err := de.Info()

@@ -32,11 +32,16 @@ import (
 //
 //   - DIVA feedback — the LISP, a never-aging table — trains on
 //     microarchitectural accidents (mis-integrations) that no
-//     architectural model reproduces. The engine instead chains each
-//     completed window's final LISP state through the warmer
-//     (adoptFeedback) into every later window's boot, mirroring how a
-//     handful of early training events shape the full machine's entire
-//     run.
+//     architectural model reproduces. The window coordinator instead
+//     chains each completed window's final LISP state into the next
+//     window's boot (WindowJob.Feedback), mirroring how a handful of
+//     early training events shape the full machine's entire run. The
+//     CHT is deliberately not chained: measured at the default window
+//     length, chaining adopts collision entries born from window-boot
+//     timing accidents, and the over-conservative loads cost more IPC
+//     accuracy than per-window re-discovery does (at very short windows
+//     the trade reverses — keep Window at a few hundred instructions or
+//     more).
 type warmer struct {
 	warmParts
 	lastLine uint64 // last I-side line touched; ^0 = none
@@ -44,9 +49,9 @@ type warmer struct {
 }
 
 // warmParts is one set of the long-lived structures a window boots
-// from. The warmer keeps one live set; every window executor (slot)
-// pools another, refilled per window by copy (fromWarmer) or by
-// restoring a snapshot (bootFrom).
+// from. The warmer keeps one live set; every live ring entry and every
+// window executor (slot) pools another, refilled per boundary or window
+// by copy (copyFrom) or by restoring a snapshot (setState).
 type warmParts struct {
 	pred *bpred.Predictor
 	btb  *bpred.BTB
@@ -117,25 +122,6 @@ func (w *warmer) observe(in isa.Instr, pc uint64, rec emu.TraceRec, nextPC uint6
 	}
 }
 
-// adoptFeedback replaces the warmer's LISP with a completed window's
-// final state — the feedback-chaining path. Each window boots with the
-// accumulated state, so its final state is a superset of what the
-// warmer held; adoption is monotone, mirroring the real machine's
-// never-aging table. The CHT is deliberately not chained: measured at
-// the default window length, chaining adopts collision entries born
-// from window-boot timing accidents, and the over-conservative loads
-// cost more IPC accuracy than per-window re-discovery does (at very
-// short windows the trade reverses — keep Window at a few hundred
-// instructions or more).
-func (w *warmer) adoptFeedback(lisp core.LISPState) error {
-	if w.lisp != nil && len(lisp.Entries) > 0 {
-		if err := w.lisp.SetState(lisp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WarmSnapshot is the serializable warm state at a window boundary — the
 // microarchitectural half of a Checkpoint. LISP and CHT carry the
 // feedback chained from completed windows (the warmer itself never
@@ -156,25 +142,31 @@ type WarmSnapshot struct {
 
 // snapshot deep-copies the current warm state.
 func (w *warmer) snapshot() WarmSnapshot {
-	ws := WarmSnapshot{
-		Pred:     w.pred.State(),
-		BTB:      w.btb.State(),
-		RAS:      w.ras.State(),
-		CHT:      w.cht.State(),
-		Mem:      w.hier.WarmState(),
-		LastLine: w.lastLine,
-	}
+	ws := WarmSnapshot{LastLine: w.lastLine}
 	if w.lisp != nil {
 		ws.LISP = w.lisp.State()
 	}
+	w.warmParts.snapshot(&ws)
 	return ws
+}
+
+// snapshot deep-copies the set's tables into ws, leaving its LISP and
+// I-side touch cursor as they are.
+func (wp *warmParts) snapshot(ws *WarmSnapshot) {
+	ws.Pred = wp.pred.State()
+	ws.BTB = wp.btb.State()
+	ws.RAS = wp.ras.State()
+	ws.CHT = wp.cht.State()
+	ws.Mem = wp.hier.WarmState()
 }
 
 // warmerFromSnapshot rebuilds a live warmer from a checkpoint's warm
 // snapshot — the continuation path (Continue): the restored warmer keeps
 // folding fast-forwarded instructions into the exact state the
 // interrupted run held, so the continuation's later windows are
-// bit-identical to the uninterrupted run's.
+// bit-identical to the uninterrupted run's. Its LISP stays cold, as
+// the interrupted pass's was: the snapshot's LISP is feedback the
+// coordinator chains itself.
 func warmerFromSnapshot(cfg pipeline.Config, ws WarmSnapshot) (*warmer, error) {
 	w := newWarmer(cfg)
 	if err := w.setState(ws); err != nil {
@@ -184,10 +176,10 @@ func warmerFromSnapshot(cfg pipeline.Config, ws WarmSnapshot) (*warmer, error) {
 	return w, nil
 }
 
-// setState restores a warm snapshot in place. Diagnostic tallies
-// restart at zero and the hierarchy's transient timing state is
-// emptied, so a reused set is indistinguishable from a freshly built
-// one. The LISP is restored only when the snapshot carries one.
+// setState restores a warm snapshot's tables in place (the LISP is the
+// window boot's to set). Diagnostic tallies restart at zero and the
+// hierarchy's transient timing state is emptied, so a reused set is
+// indistinguishable from a freshly built one.
 func (wp *warmParts) setState(ws WarmSnapshot) error {
 	if err := wp.pred.SetState(ws.Pred); err != nil {
 		return err
@@ -208,19 +200,14 @@ func (wp *warmParts) setState(ws WarmSnapshot) error {
 		return err
 	}
 	wp.hier.ResetTransient()
-	if wp.lisp != nil && len(ws.LISP.Entries) > 0 {
-		if err := wp.lisp.SetState(ws.LISP); err != nil {
-			return err
-		}
-		wp.lisp.Lookups, wp.lisp.Suppressed, wp.lisp.TrainInsert = 0, 0, 0
-	}
 	return nil
 }
 
-// copyFrom overwrites the set with src's behavioral state without
-// allocating; the CopyFrom primitives zero every diagnostic tally and
-// reset the transient timing parts, so the copy is indistinguishable
-// from fresh clones of src. Both sets must share one geometry.
+// copyFrom overwrites the set's tables with src's behavioral state
+// without allocating (the LISP is the window boot's to set); the
+// CopyFrom primitives zero every diagnostic tally and reset the
+// transient timing parts, so the copy is indistinguishable from fresh
+// clones of src. Both sets must share one geometry.
 func (wp *warmParts) copyFrom(src *warmParts) error {
 	if err := wp.pred.CopyFrom(src.pred); err != nil {
 		return err
@@ -234,11 +221,5 @@ func (wp *warmParts) copyFrom(src *warmParts) error {
 	if err := wp.cht.CopyFrom(src.cht); err != nil {
 		return err
 	}
-	if err := wp.hier.CopyWarmFrom(src.hier); err != nil {
-		return err
-	}
-	if src.lisp != nil {
-		return wp.lisp.CopyFrom(src.lisp)
-	}
-	return nil
+	return wp.hier.CopyWarmFrom(src.hier)
 }

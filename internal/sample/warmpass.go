@@ -4,20 +4,20 @@ import (
 	"context"
 	"fmt"
 
+	"rix/internal/core"
 	"rix/internal/emu"
 	"rix/internal/pipeline"
 	"rix/internal/prog"
 )
 
-// This file is the first phase of the two-phase sampled engine: a
-// functional fast-forward over the whole trace that snapshots the
-// emulator and warm state at every window boundary. The boundaries are
-// mutually independent by construction — each one is exactly the
-// checkpoint the sequential engine would have written there — so the
-// second phase (parallel.go) can execute all detail windows
-// concurrently and still aggregate bit-identically. The pass is one
-// linear scan in index order, the same cursor walk as the sequential
-// engine's fast-forward.
+// This file is the warm pass: the one functional fast-forward over the
+// trace, in index order, that stops at every window boundary. Each
+// boundary is exactly the state the window needs to run on its own, so
+// the window coordinator (parallel.go) can execute windows
+// concurrently and still aggregate bit-identically. The pass is a
+// boundary source the coordinator pulls as it goes (liveSource); a
+// WarmSet is the same pass drained into memory, for injection
+// (Config.Warm) and the content-addressed cache.
 
 // WarmSet is the warm pass's output: every window boundary of one
 // (program, window layout, warm-relevant machine geometry) triple. A
@@ -25,7 +25,7 @@ import (
 // (Config.Warm), and the content-addressed cache (cache.go) persists it
 // across processes. The boundary snapshots carry the warmer's LISP as
 // of the warm pass — untrained — because DIVA feedback is discovered
-// only by detailed windows; the scheduler substitutes the chained
+// only by detailed windows; the coordinator substitutes the chained
 // feedback at boot time.
 type WarmSet struct {
 	Program    string
@@ -53,97 +53,210 @@ func PrepareWarm(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 	if err != nil {
 		return nil, err
 	}
-	return prepareWarm(ctx, p, cfg, sc)
-}
-
-// prepareWarm is PrepareWarm over an already-normalized Config.
-func prepareWarm(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc Config) (*WarmSet, error) {
-	if sc.Warm != nil {
-		if sc.Warm.Program != p.Name {
-			return nil, fmt.Errorf("sample: warm set is for %q, not %q", sc.Warm.Program, p.Name)
-		}
-		if sc.Warm.Sampling != sc.Sampling {
-			return nil, fmt.Errorf("sample: warm set layout %s does not match requested %s",
-				sc.Warm.Sampling, sc.Sampling)
-		}
-		return sc.Warm, nil
-	}
-	var key string
-	if sc.CacheDir != "" {
-		key = warmKey(p, cfg, sc.Sampling)
-		if set, path := loadWarmSet(sc.CacheDir, key, p.Name, sc.Sampling); set != nil {
-			// Re-stamp the entry so the LRU sweep ranks it as hot.
-			touchWarmSet(path)
-			if sc.Hooks.CacheHit != nil {
-				sc.Hooks.CacheHit(path)
-			}
-			return set, nil
-		}
-	}
-	if sc.Hooks.WarmShardStarted != nil {
-		sc.Hooks.WarmShardStarted(0, 0, 0)
-	}
-	set, err := buildWarmSet(ctx, p, cfg, sc)
+	src, err := openSource(ctx, p, cfg, &sc)
 	if err != nil {
 		return nil, err
 	}
-	if sc.Hooks.WarmShardDone != nil {
-		var end uint64
-		if n := len(set.Boundaries); n > 0 {
-			end = set.Boundaries[n-1].Start
-		}
-		sc.Hooks.WarmShardDone(0, 0, end)
+	if src.e == nil {
+		return src.set, nil
 	}
-	if sc.CacheDir != "" {
-		// Best-effort: a failed save costs the next run a warm pass, not
-		// this run its result.
-		if path, err := saveWarmSet(sc.CacheDir, key, set); err == nil {
-			if sc.Hooks.CacheWritten != nil {
-				sc.Hooks.CacheWritten(path)
-			}
-			sweepWarmCache(sc.CacheDir, sc.CacheMaxBytes, sc.CacheMaxAge, path)
-		}
-	}
-	return set, nil
+	return src.drain()
 }
 
-// buildWarmSet is the warm pass. It reproduces the sequential engine's
-// fast-forward exactly — including the advance through each window's
-// record span, which determines where later (jitter-clamped) boundaries
-// land — so every Boundary matches the sequential run's checkpoint at
-// the same index. When sc.CheckpointDir is set, each boundary is
-// provisionally persisted as it is snapshotted (keeping an interrupted
-// two-phase run continuable); the window phase later rewrites each file
-// with the validated feedback, converging on the exact bytes the
-// sequential engine writes.
-func buildWarmSet(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc Config) (*WarmSet, error) {
-	sp := sc.Sampling
-	c := cursor{ctx: ctx, p: p, sc: &sc, e: emu.New(p), w: newWarmer(cfg)}
-	n := sp.Warmup + sp.Window + detailPad(cfg)
-	set := &WarmSet{Program: p.Name, Sampling: sp}
+// openSource picks a run's boundary source: the injected warm set, a
+// cache hit, or else a live warm pass from the program entry. On a
+// cache miss the pass is drained into a set and saved first, so the
+// next run hits.
+func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *Config) (*source, error) {
+	if set := sc.Warm; set != nil {
+		if set.Program != p.Name {
+			return nil, fmt.Errorf("sample: warm set is for %q, not %q", set.Program, p.Name)
+		}
+		if set.Sampling != sc.Sampling {
+			return nil, fmt.Errorf("sample: warm set layout %s does not match requested %s",
+				set.Sampling, sc.Sampling)
+		}
+		return &source{set: set}, nil
+	}
+	pass := func() *source { return newPass(ctx, p, cfg, sc, emu.New(p), newWarmer(cfg), 0, true) }
+	if sc.CacheDir == "" {
+		return pass(), nil
+	}
+	key := warmKey(p, cfg, sc.Sampling)
+	if set, path := loadWarmSet(sc.CacheDir, key, p.Name, sc.Sampling); set != nil {
+		// Re-stamp the entry so the LRU sweep ranks it as hot.
+		touchWarmSet(path)
+		if sc.Hooks.CacheHit != nil {
+			sc.Hooks.CacheHit(path)
+		}
+		return &source{set: set}, nil
+	}
+	set, err := pass().drain()
+	if err != nil {
+		return nil, err
+	}
+	// Best-effort: a failed save costs the next run a warm pass, not
+	// this run its result.
+	if path, err := saveWarmSet(sc.CacheDir, key, set); err == nil {
+		if sc.Hooks.CacheWritten != nil {
+			sc.Hooks.CacheWritten(path)
+		}
+		sweepWarmCache(sc.CacheDir, sc.CacheMaxBytes, sc.CacheMaxAge, path)
+	}
+	return &source{set: set}, nil
+}
 
-	for idx := 0; ; idx++ {
-		if err := c.seek(idx, windowStart(idx, sp)); err != nil {
-			return nil, err
-		}
-		if c.e.Halted {
-			break
-		}
-		b := c.boundary(idx)
-		set.Boundaries = append(set.Boundaries, b)
-		if sc.CheckpointDir != "" {
-			// CheckpointWritten fires on the authoritative settle-time
-			// rewrite, not this provisional write.
-			if _, err := saveBoundary(&sc, p, b, false); err != nil {
-				return nil, err
-			}
-		}
-		// Advance through the window's record span, still warming, to
-		// where the sequential engine's next boundary search starts.
-		if err := c.span(n, nil); err != nil {
-			return nil, err
+// source feeds the coordinator a run's window boundaries in index
+// order: the stored ones first (a warm set, or Resume's and Continue's
+// checkpoints), then — when e is set — those the live warm pass
+// reaches. The pass is pulled by the coordinator goroutine: while the
+// dispatched windows run, it fast-forwards to the following boundary
+// and parks there (peek), and a fetch copies the boundary into a ring
+// entry. The coordinator holds at most depth entries and hands each back
+// as its window settles, so a refill allocates nothing and the pass
+// never materializes its boundaries.
+type source struct {
+	set *WarmSet // stored boundaries; nil when there are none
+
+	// The live warm pass, if any: the emulator executes each instruction
+	// and the warmer folds it in.
+	ctx   context.Context
+	p     *prog.Program
+	sc    *Config
+	e     *emu.Emulator
+	w     *warmer
+	cfg   pipeline.Config
+	lisp  core.LISPState // the warmer's LISP, which the pass never changes
+	hooks bool           // a pass from the program entry: fires the WarmShard hooks
+	idx   int            // index of the boundary the pass stands at, or reaches next
+	at    bool           // the pass stands at boundary idx (or the halt), its window's record span ahead
+	taken bool           // boundary idx is in a ring entry already
+	last  uint64         // the last boundary's start
+	ring  int            // entries built: the most the coordinator held at once
+	free  []*liveEntry   // entries ready to refill; the coordinator hands each back as its window settles
+}
+
+// liveEntry is one ring entry: a boundary whose Warm carries only the
+// LISP and touch cursor, the tables living in parts.
+type liveEntry struct {
+	b     Boundary
+	parts warmParts
+}
+
+// frame is one fetched boundary as the coordinator holds it: a stored
+// Boundary, or a live ring entry whose tables stand in for b.Warm's.
+type frame struct {
+	b     *Boundary
+	entry *liveEntry
+}
+
+// newPass starts a live warm pass at boundary idx from an emulator and
+// warmer: the program entry for Run (fromEntry), a checkpoint's
+// restored state for Continue. A pass from the program entry fires
+// WarmShardStarted now and WarmShardDone when it reaches the halt;
+// Continue's resumed pass fires neither, whatever its index.
+func newPass(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *Config,
+	e *emu.Emulator, w *warmer, idx int, fromEntry bool) *source {
+
+	s := &source{ctx: ctx, p: p, sc: sc, e: e, w: w, cfg: cfg, idx: idx, hooks: fromEntry}
+	if w.lisp != nil {
+		s.lisp = w.lisp.State()
+	}
+	if s.hooks && sc.Hooks.WarmShardStarted != nil {
+		sc.Hooks.WarmShardStarted(0, 0, 0)
+	}
+	return s
+}
+
+// peek reports whether boundary j — asked for in order, j = 0, 1, 2,
+// ... — exists, bringing the live pass to it when it is the pass's.
+func (s *source) peek(j int) (bool, error) {
+	if s.set != nil && j < len(s.set.Boundaries) {
+		return true, nil
+	}
+	if s.e == nil {
+		return false, nil
+	}
+	if !s.at || s.taken {
+		if err := s.advance(); err != nil {
+			return false, err
 		}
 	}
-	set.Total = c.e.Count
-	return set, nil
+	return !s.e.Halted, nil
+}
+
+// fetch returns boundary j (as peek orders them), or false once the
+// trace has no more.
+func (s *source) fetch(j int) (frame, bool, error) {
+	if ok, err := s.peek(j); !ok || err != nil {
+		return frame{}, false, err
+	}
+	if s.set != nil && j < len(s.set.Boundaries) {
+		return frame{b: &s.set.Boundaries[j]}, true, nil
+	}
+	if len(s.free) == 0 {
+		s.free, s.ring = append(s.free, &liveEntry{parts: newWarmParts(s.cfg)}), s.ring+1
+	}
+	en := s.free[len(s.free)-1]
+	s.free, s.taken = s.free[:len(s.free)-1], true
+	return frame{b: &en.b, entry: en}, true, s.fill(en)
+}
+
+// advance moves the pass to its next window boundary — on through the
+// record span of the one it stands at, still warming, since the span
+// decides where later (jitter-clamped) boundaries land — or to the
+// halt. It persists the boundary provisionally when sc.CheckpointDir is
+// set (keeping an interrupted run continuable; the coordinator rewrites
+// each file with the validated feedback as its window settles).
+func (s *source) advance() error {
+	sp := s.sc.Sampling
+	if s.at {
+		if err := s.seek(s.idx+1, s.e.Count+sp.Warmup+sp.Window+detailPad(s.cfg)); err != nil {
+			return err
+		}
+		s.idx++
+	}
+	if err := s.seek(s.idx, windowStart(s.idx, sp)); err != nil {
+		return err
+	}
+	s.at, s.taken = true, false
+	if s.e.Halted {
+		if s.hooks && s.sc.Hooks.WarmShardDone != nil {
+			s.sc.Hooks.WarmShardDone(0, 0, s.last)
+		}
+		return nil
+	}
+	s.last = s.e.Count
+	if s.sc.CheckpointDir != "" {
+		// CheckpointWritten fires on the authoritative settle-time
+		// rewrite, not this provisional write.
+		_, err := saveBoundary(s.sc, s.p, s.boundary(s.idx), false)
+		return err
+	}
+	return nil
+}
+
+// fill copies the boundary the pass stands at into en, reusing en's
+// storage.
+func (s *source) fill(en *liveEntry) error {
+	e, w := s.e, s.w
+	en.b.Index, en.b.Start = s.idx, e.Count
+	e.StateInto(&en.b.Emu)
+	en.b.Warm.LISP, en.b.Warm.LastLine = s.lisp, w.lastLine
+	return en.parts.copyFrom(&w.warmParts)
+}
+
+// drain runs the rest of the pass into a WarmSet of deep copies.
+func (s *source) drain() (*WarmSet, error) {
+	set := &WarmSet{Program: s.p.Name, Sampling: s.sc.Sampling}
+	for {
+		if err := s.advance(); err != nil {
+			return nil, err
+		}
+		if s.e.Halted {
+			set.Total = s.e.Count
+			return set, nil
+		}
+		set.Boundaries = append(set.Boundaries, s.boundary(s.idx))
+	}
 }
