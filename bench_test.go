@@ -15,14 +15,14 @@ import (
 
 	"rix/internal/core"
 	"rix/internal/emu"
-	"rix/internal/experiments"
+	_ "rix/internal/experiments" // registers the paper specs
 	"rix/internal/pipeline"
 	"rix/internal/prog"
 	"rix/internal/regfile"
 	"rix/internal/run"
+	"rix/internal/runner"
 	"rix/internal/sample"
 	"rix/internal/sim"
-	"rix/internal/stats"
 	"rix/internal/testutil"
 	"rix/internal/workload"
 )
@@ -33,13 +33,13 @@ var benchSubset = []string{"gzip", "crafty", "vortex", "mcf"}
 
 var (
 	cacheOnce sync.Once
-	benchC    *experiments.Cache
+	benchC    *runner.Engine
 )
 
-func benchCache(b *testing.B) *experiments.Cache {
+func benchCache(b *testing.B) *runner.Engine {
 	b.Helper()
 	cacheOnce.Do(func() {
-		c, err := experiments.NewCache(benchSubset)
+		c, err := runner.NewEngine(benchSubset)
 		if err != nil {
 			panic(err)
 		}
@@ -48,33 +48,35 @@ func benchCache(b *testing.B) *experiments.Cache {
 	return benchC
 }
 
-func runFigure(b *testing.B, f func(context.Context, *experiments.Cache) ([]*stats.Table, error)) {
+// runFigure regenerates the registered spec id (internal/experiments)
+// b.N times on the benchmark subset.
+func runFigure(b *testing.B, id string) {
 	c := benchCache(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f(context.Background(), c); err != nil {
+		if _, err := c.RunSpec(context.Background(), id); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkFigure4 regenerates the primary result (extension impact).
-func BenchmarkFigure4(b *testing.B) { runFigure(b, experiments.Figure4) }
+func BenchmarkFigure4(b *testing.B) { runFigure(b, "fig4") }
 
 // BenchmarkFigure5 regenerates the integration stream breakdowns.
-func BenchmarkFigure5(b *testing.B) { runFigure(b, experiments.Figure5) }
+func BenchmarkFigure5(b *testing.B) { runFigure(b, "fig5") }
 
 // BenchmarkFigure6 regenerates the IT associativity/size study.
-func BenchmarkFigure6(b *testing.B) { runFigure(b, experiments.Figure6) }
+func BenchmarkFigure6(b *testing.B) { runFigure(b, "fig6") }
 
 // BenchmarkFigure7 regenerates the reduced-complexity core study.
-func BenchmarkFigure7(b *testing.B) { runFigure(b, experiments.Figure7) }
+func BenchmarkFigure7(b *testing.B) { runFigure(b, "fig7") }
 
 // BenchmarkDiagnostics regenerates the §3.2/§3.5 scalar diagnostics.
-func BenchmarkDiagnostics(b *testing.B) { runFigure(b, experiments.Diagnostics) }
+func BenchmarkDiagnostics(b *testing.B) { runFigure(b, "diag") }
 
 // BenchmarkAblations regenerates the design-choice ablations.
-func BenchmarkAblations(b *testing.B) { runFigure(b, experiments.Ablations) }
+func BenchmarkAblations(b *testing.B) { runFigure(b, "ablate") }
 
 // BenchmarkPipeline measures raw simulation throughput (simulated
 // instructions per second) for the full +reverse machine. The golden
@@ -86,7 +88,7 @@ func BenchmarkPipeline(b *testing.B) {
 		for _, integ := range []string{sim.IntNone, sim.IntReverse} {
 			b.Run(name+"/"+integ, func(b *testing.B) {
 				bench, _ := workload.ByName(name)
-				p, trace, err := bench.BuildMaterialized()
+				p, trace, err := bench.BuildMaterialized(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -98,7 +100,7 @@ func BenchmarkPipeline(b *testing.B) {
 				b.ResetTimer()
 				var retired, peak uint64
 				for i := 0; i < b.N; i++ {
-					st, err := pipeline.New(cfg, p, emu.FromSlice(trace)).Run()
+					st, err := pipeline.New(cfg, p, emu.FromSlice(trace)).RunContext(context.Background())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -119,7 +121,7 @@ func BenchmarkPipeline(b *testing.B) {
 // into the pipeline at O(ROB) memory, the configuration `rixbench` runs.
 func BenchmarkPipelineStreaming(b *testing.B) {
 	bench, _ := workload.ByName("gzip")
-	bw, err := bench.Build()
+	bw, err := bench.BuildContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func BenchmarkPipelineStreaming(b *testing.B) {
 	b.ResetTimer()
 	var retired, peak uint64
 	for i := 0; i < b.N; i++ {
-		st, err := pipeline.New(cfg, bw.Prog, bw.Source()).Run()
+		st, err := pipeline.New(cfg, bw.Prog, bw.Source()).RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +152,7 @@ func BenchmarkPipelineStreaming(b *testing.B) {
 // number is directly comparable to BenchmarkPipelineStreaming.
 func BenchmarkPipelineSampled(b *testing.B) {
 	bench, _ := workload.ByName("gzip")
-	bw, err := bench.Build()
+	bw, err := bench.BuildContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func BenchmarkPipelineSampled(b *testing.B) {
 // aggregate must equal it bit for bit.
 func BenchmarkSampledParallel(b *testing.B) {
 	bench, _ := workload.ByName("gzip")
-	bw, err := bench.Build()
+	bw, err := bench.BuildContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,7 +250,7 @@ func BenchmarkSampledParallel(b *testing.B) {
 // dominated by the boundary snapshots.
 func BenchmarkWarmPass(b *testing.B) {
 	bench, _ := workload.ByName("crafty")
-	bw, err := bench.Build()
+	bw, err := bench.BuildContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -284,7 +286,7 @@ func BenchmarkWarmPass(b *testing.B) {
 // phase the scheduler actually governs.
 func BenchmarkSampledStealing(b *testing.B) {
 	bench, _ := workload.ByName("gzip")
-	bw, err := bench.Build()
+	bw, err := bench.BuildContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -356,7 +358,7 @@ func BenchmarkSampledStealing(b *testing.B) {
 // allocs/op: the batched polls must stay free and allocation-free.
 func BenchmarkPipelineObserved(b *testing.B) {
 	bench, _ := workload.ByName("gzip")
-	p, trace, err := bench.BuildMaterialized()
+	p, trace, err := bench.BuildMaterialized(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -401,7 +403,7 @@ func BenchmarkEmulator(b *testing.B) {
 }
 
 func buildProg(bench workload.Benchmark) (*prog.Program, error) {
-	bw, err := bench.Build()
+	bw, err := bench.BuildContext(context.Background())
 	if err != nil {
 		return nil, err
 	}

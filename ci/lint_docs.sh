@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# lint_docs.sh — keep the user-facing docs honest about the CLIs.
+# lint_docs.sh — keep the user-facing docs honest about the CLIs and
+# the Go API.
 #
 # Fails if README.md, EXPERIMENTS.md, doc/ARCHITECTURE.md, or
 # doc/FORMATS.md reference a `-flag` that no command under cmd/
@@ -12,6 +13,11 @@
 # lint until every doc mention is updated.
 # Go-toolchain flags that legitimately appear in doc command lines
 # (go test -bench, gofmt -l, ...) are allowlisted.
+#
+# It also fails if those docs name a Go identifier of this module that
+# no longer exists: every backticked `pkg.Ident` or `pkg.Ident.Member`
+# whose pkg is a package under internal/ (procexec standing for
+# internal/sample/procexec) must resolve with `go doc`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,7 +59,28 @@ for doc in README.md EXPERIMENTS.md doc/ARCHITECTURE.md doc/FORMATS.md; do
   done
 done
 
+pkgs=$(find internal -mindepth 1 -maxdepth 1 -type d -printf '%f\n' | paste -sd'|')
+declare -A resolved
+for doc in README.md EXPERIMENTS.md doc/ARCHITECTURE.md doc/FORMATS.md; do
+  refs=$(grep -oE "\`($pkgs|procexec)\.[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9_]*)?" "$doc" \
+    | sed 's/^`//' | sort -u)
+  for r in $refs; do
+    if [ -z "${resolved[$r]:-}" ]; then
+      pkg=${r%%.*}
+      [ "$pkg" = procexec ] && pkg=sample/procexec
+      resolved[$r]=no
+      if go doc "rix/internal/$pkg.${r#*.}" >/dev/null 2>&1; then
+        resolved[$r]=yes
+      fi
+    fi
+    if [ "${resolved[$r]}" = no ]; then
+      echo "lint_docs: $doc names \`$r\` but go doc cannot resolve it" >&2
+      fail=1
+    fi
+  done
+done
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "lint_docs: every doc-referenced flag is defined by a command"
+echo "lint_docs: every doc-referenced flag is defined by a command, every named Go identifier exists"

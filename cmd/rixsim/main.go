@@ -209,8 +209,6 @@ func printEvent(e run.Event) {
 		fmt.Fprintf(os.Stderr, "[%s] %s [%s] warm pass started\n", time.Now().Format("15:04:05"), e.Workload, e.Label)
 	case run.WarmShardDone:
 		fmt.Fprintf(os.Stderr, "[%s] %s [%s] warm pass done (last boundary at instr %d)\n", time.Now().Format("15:04:05"), e.Workload, e.Label, e.SpanEnd)
-	case run.SlotStolen:
-		fmt.Fprintf(os.Stderr, "[%s] %s [%s] stole scheduler slot %d\n", time.Now().Format("15:04:05"), e.Workload, e.Label, e.Slot)
 	case run.SlotReturned:
 		fmt.Fprintf(os.Stderr, "[%s] %s [%s] window %d settled, slot returned to pool\n", time.Now().Format("15:04:05"), e.Workload, e.Label, e.Window)
 	case run.CheckpointWritten:

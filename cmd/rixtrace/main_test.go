@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,7 +17,7 @@ func TestTraceWriterRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("gzip not registered")
 	}
-	bw, err := b.Build()
+	bw, err := b.BuildContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

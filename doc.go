@@ -10,7 +10,7 @@
 // # Streaming trace pipeline
 //
 // Golden traces are produced and consumed through the emu.TraceSource
-// contract (Next/Err/Rewind/SizeHint): the emulator is an incremental
+// contract (Next/Err): the emulator is an incremental
 // producer (emu.Stream), the pipeline buffers only a sliding window of
 // O(ROB + fetch queue) records, and workload.Built mints an independent
 // source per simulation so concurrent configs of one workload never
@@ -88,7 +88,7 @@
 //	internal/core         the paper's contribution: IT, LISP, logic
 //	internal/pipeline     13-stage 4-way out-of-order core
 //	internal/sim          named configuration presets (pure configuration facade)
-//	internal/sample       checkpointed interval-sampling engine (Run/Resume/Continue)
+//	internal/sample       checkpointed interval-sampling engine (Run/Continue)
 //	internal/run          unified run API: Request/Do/Observer/Result (serializable, cancellable)
 //	internal/workload     16 synthetic SPEC2000int stand-ins
 //	internal/runner       experiment engine over run.Do: spec registry, lazy builds, bounded pool

@@ -33,7 +33,7 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown workload %s", bench)
 	}
-	bw, err := b.Build()
+	bw, err := b.BuildContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

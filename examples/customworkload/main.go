@@ -35,7 +35,7 @@ func main() {
 			BranchFrac: 0.15,
 			Invariants: 1,
 		})
-		bw, err := b.Build()
+		bw, err := b.BuildContext(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,7 +25,7 @@
 //   - //rix:alloc-ok, //rix:ctx-ok, //rix:partial — per-line
 //     suppressions for hotalloc, ctxflow, and eventenum, for the rare
 //     deliberate exception (a cold error path inside a hot function, a
-//     compatibility shim, a filter switch). Each analyzer's doc says
+//     deliberate root context, a filter switch). Each analyzer's doc says
 //     when a suppression is legitimate.
 //
 // A suppression applies to the line it is on, or — when written as a

@@ -13,9 +13,8 @@
 //     ctx and calling the blind variant drops cancellation on the
 //     floor.
 //
-// Compatibility shims that exist precisely to mint a root context for
-// old callers are exempted with //rix:ctx-ok on the line (or the line
-// above). Package main and anything under cmd/ is exempt wholesale —
+// A deliberate root context or context drop is exempted with
+// //rix:ctx-ok on the line (or the line above). Package main and anything under cmd/ is exempt wholesale —
 // that is where roots are supposed to be created.
 package ctxflow
 

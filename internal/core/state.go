@@ -13,9 +13,9 @@ import (
 // physical registers, which exist only inside one pipeline instance, so
 // the functional fast-forward cannot warm the IT across windows; instead
 // each detailed window warms it during its warmup prefix
-// (pipeline.RunWindow). The hooks exist so pipeline.BootState can seed
-// either structure (tests, future pipeline-state checkpoints) and so
-// tooling can inspect or persist their contents.
+// (pipeline.RunWindowContext). The hooks exist so pipeline.BootState
+// can seed either structure (tests, future pipeline-state checkpoints)
+// and so tooling can inspect or persist their contents.
 
 // EntryState is one IT entry's serializable form. Zero-valued fields of
 // an invalid entry are meaningless.

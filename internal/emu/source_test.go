@@ -36,30 +36,6 @@ func TestStreamMatchesTrace(t *testing.T) {
 	if err := s.Err(); err != nil {
 		t.Errorf("clean end of stream reported error: %v", err)
 	}
-	if s.SizeHint() != len(recs) {
-		t.Errorf("size hint %d after full pass, want %d", s.SizeHint(), len(recs))
-	}
-}
-
-func TestStreamRewind(t *testing.T) {
-	p := tinyProg(t)
-	s := Stream(p, 100)
-	first, _ := s.Next()
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-	}
-	if err := s.Rewind(); err != nil {
-		t.Fatal(err)
-	}
-	again, ok := s.Next()
-	if !ok || again != first {
-		t.Errorf("rewind: got %+v ok=%v, want %+v", again, ok, first)
-	}
-	if s.SizeHint() == 0 {
-		t.Error("size hint lost across Rewind")
-	}
 }
 
 func TestStreamBudgetExhaustion(t *testing.T) {
@@ -79,48 +55,8 @@ func TestStreamBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestMaterializeSizesFromHint covers the pre-sizing fix: the adapter
-// must allocate from the source's hint rather than a fixed guess.
-func TestMaterializeSizesFromHint(t *testing.T) {
-	recs := make([]TraceRec, 5000)
-	for i := range recs {
-		recs[i].CodeIdx = uint32(i)
-	}
-	got, err := Materialize(FromSlice(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) || cap(got) != len(recs) {
-		t.Errorf("materialized len=%d cap=%d, want len=cap=%d (sized from hint)",
-			len(got), cap(got), len(recs))
-	}
-	// A hinted streamer must pre-size the same way.
-	p := tinyProg(t)
-	s := Stream(p, 100)
-	s.SetSizeHint(2)
-	out, err := Materialize(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || cap(out) != 2 {
-		t.Errorf("hinted streamer: len=%d cap=%d, want 2/2", len(out), cap(out))
-	}
-}
-
-func TestFromSliceRewind(t *testing.T) {
-	src := FromSlice([]TraceRec{{CodeIdx: 1}, {CodeIdx: 2}})
-	a, _ := src.Next()
-	if err := src.Rewind(); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := src.Next()
-	if a != b {
-		t.Errorf("rewind changed first record: %+v vs %+v", a, b)
-	}
-}
-
 // TestStreamContextCancel: a cancelled context ends the stream at the
-// next batched poll with Err() == ctx.Err(), for both Next and Seek.
+// next batched poll with Err() == ctx.Err().
 func TestStreamContextCancel(t *testing.T) {
 	// An endless loop: the stream only stops via budget or cancellation.
 	p := assemble(t, `
@@ -143,11 +79,5 @@ main:   br   main
 	}
 	if err := s.Err(); err != context.Canceled {
 		t.Errorf("Err() = %v, want context.Canceled", err)
-	}
-
-	s2 := Stream(p, 1<<30)
-	s2.SetContext(ctx)
-	if err := s2.Seek(1 << 20); err != context.Canceled {
-		t.Errorf("Seek under cancelled ctx = %v, want context.Canceled", err)
 	}
 }

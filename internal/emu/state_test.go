@@ -58,7 +58,7 @@ func TestStateResumeEquivalence(t *testing.T) {
 			t.Fatalf("stream ended early at %d", i)
 		}
 	}
-	ck := s.Checkpoint()
+	ck := s.Emulator().State()
 	if ck.Count != uint64(cut) {
 		t.Fatalf("checkpoint count %d, want %d", ck.Count, cut)
 	}
@@ -74,78 +74,10 @@ func TestStateResumeEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(rest, full[cut:]) {
 		t.Fatalf("resumed trace diverges from the original suffix")
 	}
-	// Rewind on a resumed stream returns to the checkpoint, not entry.
-	if err := rs.Rewind(); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Materialize(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, full[cut:]) {
-		t.Fatalf("rewound resumed stream diverges")
-	}
-}
-
-// TestSeek verifies architectural fast-forward positioning on streamer
-// and slice sources, including rewind-then-forward and error cases.
-func TestSeek(t *testing.T) {
-	p := buildStateProg(t)
-	full, _, err := Trace(p, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := uint64(len(full))
-
-	s := Stream(p, 1<<20)
-	if err := s.Seek(n / 2); err != nil {
-		t.Fatal(err)
-	}
-	rec, ok := s.Next()
-	if !ok || rec != full[n/2] {
-		t.Fatalf("after Seek(%d): rec %+v ok=%v, want %+v", n/2, rec, ok, full[n/2])
-	}
-	// Backward seek rewinds and replays.
-	if err := s.Seek(3); err != nil {
-		t.Fatal(err)
-	}
-	if rec, _ := s.Next(); rec != full[3] {
-		t.Fatalf("backward seek landed wrong: %+v want %+v", rec, full[3])
-	}
-	if err := s.Seek(n + 100); err == nil {
-		t.Error("seek past program end succeeded")
-	}
-
-	ss := FromSlice(full).(*sliceSource)
-	if err := ss.Seek(n - 1); err != nil {
-		t.Fatal(err)
-	}
-	if rec, _ := ss.Next(); rec != full[n-1] {
-		t.Fatalf("slice seek landed wrong")
-	}
-	if err := ss.Seek(n + 1); err == nil {
-		t.Error("slice seek past end succeeded")
-	}
-
-	// Skip uses the seek fast path on both and draining on wrappers.
-	s2 := Stream(p, 1<<20)
-	if err := Skip(s2, 5); err != nil {
-		t.Fatal(err)
-	}
-	if rec, _ := s2.Next(); rec != full[5] {
-		t.Fatalf("Skip landed wrong on streamer")
-	}
-	lim := Limit(Stream(p, 1<<20), n)
-	if err := Skip(lim, 7); err != nil {
-		t.Fatal(err)
-	}
-	if rec, _ := lim.Next(); rec != full[7] {
-		t.Fatalf("Skip landed wrong on limited source")
-	}
 }
 
 // TestLimit verifies clean truncation semantics: bounded record count,
-// nil Err on the cut, rewind restoring the budget, and size hints.
+// nil Err on the cut, and pass-through when the limit exceeds the stream.
 func TestLimit(t *testing.T) {
 	p := buildStateProg(t)
 	full, _, err := Trace(p, 1<<20)
@@ -162,19 +94,6 @@ func TestLimit(t *testing.T) {
 	}
 	if err := lim.Err(); err != nil {
 		t.Fatalf("truncation reported error: %v", err)
-	}
-	if err := lim.Rewind(); err != nil {
-		t.Fatal(err)
-	}
-	if h := lim.SizeHint(); h != 10 {
-		t.Fatalf("SizeHint = %d, want 10", h)
-	}
-	again, err := Materialize(lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 10 {
-		t.Fatalf("rewound limited stream: %d records", len(again))
 	}
 	// A limit past the end passes the stream through unchanged.
 	all, err := Materialize(Limit(FromSlice(full), uint64(len(full))+100))

@@ -8,49 +8,16 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"rix/internal/runner"
-	"rix/internal/stats"
 )
-
-// Cache is the experiment engine (the name survives from the original
-// eager workload cache): workloads build lazily in parallel on first
-// use, and simulations run through a bounded worker pool.
-type Cache = runner.Engine
-
-// NewCache creates an engine over the named workloads (nil means the
-// full paper suite). Names are validated immediately; builds are lazy.
-func NewCache(names []string) (*Cache, error) { return runner.NewEngine(names) }
 
 // The paper's suites, registered in presentation order.
 func init() {
 	for _, s := range []runner.Spec{fig4Spec, fig5Spec, fig6Spec, fig7Spec, diagSpec, ablateSpec} {
 		runner.MustRegister(s)
 	}
-}
-
-// Figure4 runs the registered "fig4" spec (extension impact).
-func Figure4(ctx context.Context, c *Cache) ([]*stats.Table, error) { return c.RunSpec(ctx, "fig4") }
-
-// Figure5 runs the registered "fig5" spec (integration stream analysis).
-func Figure5(ctx context.Context, c *Cache) ([]*stats.Table, error) { return c.RunSpec(ctx, "fig5") }
-
-// Figure6 runs the registered "fig6" spec (IT associativity and size).
-func Figure6(ctx context.Context, c *Cache) ([]*stats.Table, error) { return c.RunSpec(ctx, "fig6") }
-
-// Figure7 runs the registered "fig7" spec (reduced-complexity cores).
-func Figure7(ctx context.Context, c *Cache) ([]*stats.Table, error) { return c.RunSpec(ctx, "fig7") }
-
-// Diagnostics runs the registered "diag" spec (§3.2/§3.5 scalars).
-func Diagnostics(ctx context.Context, c *Cache) ([]*stats.Table, error) {
-	return c.RunSpec(ctx, "diag")
-}
-
-// Ablations runs the registered "ablate" spec (design-choice ablations).
-func Ablations(ctx context.Context, c *Cache) ([]*stats.Table, error) {
-	return c.RunSpec(ctx, "ablate")
 }
 
 func pct(x float64) string  { return fmt.Sprintf("%.1f", 100*x) }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"rix/internal/runner"
 	"rix/internal/sim"
 )
 
@@ -14,9 +15,9 @@ var smallCacheNames = []string{"gzip", "crafty", "vortex"}
 
 var bg = context.Background()
 
-func smallCache(t *testing.T) *Cache {
+func smallCache(t *testing.T) *runner.Engine {
 	t.Helper()
-	c, err := NewCache(smallCacheNames)
+	c, err := runner.NewEngine(smallCacheNames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +42,14 @@ func TestCacheBasics(t *testing.T) {
 	if _, err := c.Run(bg, "nope", sim.Options{}); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if _, err := NewCache([]string{"nope"}); err == nil {
+	if _, err := runner.NewEngine([]string{"nope"}); err == nil {
 		t.Error("unknown cache name accepted")
 	}
 }
 
 func TestFigure4Structure(t *testing.T) {
 	c := smallCache(t)
-	tables, err := Figure4(bg, c)
+	tables, err := c.RunSpec(bg, "fig4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestFigure4Structure(t *testing.T) {
 
 func TestFigure5Structure(t *testing.T) {
 	c := smallCache(t)
-	tables, err := Figure5(bg, c)
+	tables, err := c.RunSpec(bg, "fig5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestFigure5Structure(t *testing.T) {
 
 func TestFigure6Structure(t *testing.T) {
 	c := smallCache(t)
-	tables, err := Figure6(bg, c)
+	tables, err := c.RunSpec(bg, "fig6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestFigure6Structure(t *testing.T) {
 
 func TestFigure7Structure(t *testing.T) {
 	c := smallCache(t)
-	tables, err := Figure7(bg, c)
+	tables, err := c.RunSpec(bg, "fig7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestFigure7Structure(t *testing.T) {
 
 func TestDiagnosticsStructure(t *testing.T) {
 	c := smallCache(t)
-	tables, err := Diagnostics(bg, c)
+	tables, err := c.RunSpec(bg, "diag")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestDiagnosticsStructure(t *testing.T) {
 
 func TestAblationsStructure(t *testing.T) {
 	c := smallCache(t)
-	tables, err := Ablations(bg, c)
+	tables, err := c.RunSpec(bg, "ablate")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestPaperHeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite headline check (~2 minutes)")
 	}
-	c, err := NewCache(nil) // full paper suite
+	c, err := runner.NewEngine(nil) // full paper suite
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"rix/internal/bpred"
 	"rix/internal/core"
@@ -309,7 +310,7 @@ func winCap(cfg Config) int { return cfg.ROBSize + cfg.FetchQueue + 8 }
 
 // Recycle strips a finished pipeline for parts, returning a Scratch a
 // successor pipeline of the same configuration can adopt through
-// BootState.Scratch. Call it only after a Run/RunWindow variant
+// BootState.Scratch. Call it only after RunContext or RunWindowContext
 // returned successfully — the machine is halted and its in-flight
 // window drained — and do not touch the pipeline afterwards.
 func (pl *Pipeline) Recycle() *Scratch {
@@ -512,40 +513,11 @@ func chtSize(c bpred.Config) int {
 	return 256
 }
 
-// Run simulates to completion (all golden-trace instructions retired) and
-// returns the statistics.
-func (pl *Pipeline) Run() (*Stats, error) {
-	return pl.RunContext(context.Background()) //rix:ctx-ok — compatibility shim; RunContext is the real entry point
-}
-
-// RunContext is Run with cancellation: ctx is polled every pollInterval
-// cycles (batched, allocation-free), and a cancelled run returns
-// ctx.Err() within that bound. context.Background() adds no per-cycle
-// work beyond one masked compare.
+// RunContext simulates to completion (all golden-trace instructions
+// retired) and returns the statistics: a RunWindowContext with no
+// warmup and no end to the measurement.
 func (pl *Pipeline) RunContext(ctx context.Context) (*Stats, error) {
-	done := ctx.Done()
-	watch := done != nil || pl.progressFn != nil
-	for !pl.halted {
-		if pl.now >= pl.cfg.MaxCycles {
-			return nil, fmt.Errorf("pipeline: %s exceeded cycle budget at %d retired",
-				pl.prog.Name, pl.Stats.Retired)
-		}
-		if watch && pl.now&(pollInterval-1) == 0 {
-			if err := pl.poll(ctx, done); err != nil {
-				return nil, err
-			}
-		}
-		pl.step()
-	}
-	pl.Stats.Cycles = pl.now
-	pl.Stats.TraceWindowPeak = uint64(pl.win.peak)
-	if err := pl.win.err(); err != nil {
-		return nil, fmt.Errorf("pipeline: golden trace source failed: %w", err)
-	}
-	if err := pl.auditRegisters(); err != nil {
-		return nil, err
-	}
-	return &pl.Stats, nil
+	return pl.RunWindowContext(ctx, 0, math.MaxUint64)
 }
 
 // Integrator exposes the integration machinery for diagnostics (match
@@ -553,11 +525,11 @@ func (pl *Pipeline) RunContext(ctx context.Context) (*Stats, error) {
 // the simulation.
 func (pl *Pipeline) Integrator() *core.Integrator { return pl.integ }
 
-// RunWindow simulates a measurement window in three phases. The first
-// warmup retired instructions run in warmup mode — the machine executes
-// in full detail (filling the integration table, LISP, register file and
-// any residual cache/predictor state) while the statistics are gated
-// off. The next measure instructions are the measurement: their Stats
+// RunWindowContext simulates a measurement window in three phases. The
+// first warmup retired instructions run in warmup mode — the machine
+// executes in full detail (filling the integration table, LISP,
+// register file and any residual cache/predictor state) while the
+// statistics are gated off. The next measure instructions are the measurement: their Stats
 // delta is the result. The run then stops at the measurement boundary
 // with the pipeline still full — the caller's source should extend a
 // drain pad beyond warmup+measure (emu.Limit(src, warmup+measure+pad))
@@ -572,12 +544,10 @@ func (pl *Pipeline) Integrator() *core.Integrator { return pl.integ }
 // final drain when the program itself ends there, as in a full run).
 // Stats.TraceWindowPeak reports the whole run's peak, warmup included —
 // it is a memory bound, not a windowed counter.
-func (pl *Pipeline) RunWindow(warmup, measure uint64) (*Stats, error) {
-	return pl.RunWindowContext(context.Background(), warmup, measure) //rix:ctx-ok — compatibility shim; RunWindowContext is the real entry point
-}
-
-// RunWindowContext is RunWindow with cancellation, polled on the same
-// batched cadence as RunContext.
+//
+// ctx is polled every pollInterval cycles (batched, allocation-free),
+// and a cancelled run returns ctx.Err() within that bound.
+// context.Background() adds no per-cycle work beyond one masked compare.
 func (pl *Pipeline) RunWindowContext(ctx context.Context, warmup, measure uint64) (*Stats, error) {
 	done := ctx.Done()
 	watch := done != nil || pl.progressFn != nil

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -39,7 +40,7 @@ func runWith(t *testing.T, p *prog.Program, trace []emu.TraceRec, pol core.Polic
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Policy = pol
-	st, err := New(cfg, p, emu.FromSlice(trace)).Run()
+	st, err := New(cfg, p, emu.FromSlice(trace)).RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("run (%+v): %v", pol, err)
 	}

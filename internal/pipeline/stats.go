@@ -65,8 +65,8 @@ type Stats struct {
 
 // Delta returns the component-wise difference s - base: the statistics
 // accumulated after the snapshot `base` was taken — the windowed-stats
-// primitive behind RunWindow. Every uint64 field and every uint64 array
-// element is a monotonic counter and subtracts, with one exception:
+// primitive behind RunWindowContext. Every uint64 field and every uint64
+// array element is a monotonic counter and subtracts, with one exception:
 // TraceWindowPeak is a high-water mark, so the delta carries the final
 // (whole-run) value. Implemented by reflection so new counter fields are
 // windowed automatically; a new non-counter field must be special-cased

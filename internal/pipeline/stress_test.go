@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 func runCfg(t *testing.T, p *prog.Program, trace []emu.TraceRec, cfg Config) *Stats {
 	t.Helper()
-	st, err := New(cfg, p, emu.FromSlice(trace)).Run()
+	st, err := New(cfg, p, emu.FromSlice(trace)).RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -300,7 +301,7 @@ func TestManyRandomProgramsAllConfigs(t *testing.T) {
 			BranchFrac: rng.Float64() * 0.3,
 			Invariants: rng.Intn(3),
 		})
-		bw, err := b.Build()
+		bw, err := b.BuildContext(context.Background())
 		if err != nil {
 			t.Fatalf("prog %d: %v", i, err)
 		}
@@ -312,7 +313,7 @@ func TestManyRandomProgramsAllConfigs(t *testing.T) {
 				cfg.IssueWidth = 3
 				cfg.CombinedLS = true
 			}
-			if _, err := New(cfg, bw.Prog, bw.Source()).Run(); err != nil {
+			if _, err := New(cfg, bw.Prog, bw.Source()).RunContext(context.Background()); err != nil {
 				t.Fatalf("prog %d cfg %s: %v", i, name, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -15,7 +16,7 @@ func buildWorkload(t testing.TB, name string) workload.Built {
 	if !ok {
 		t.Fatalf("workload %q not registered", name)
 	}
-	bw, err := b.Build()
+	bw, err := b.BuildContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestNewFromColdBootEquivalence(t *testing.T) {
 	cfg.Policy.GeneralReuse = true
 	cfg.Policy.UseLISP = true
 
-	ref, err := New(cfg, bw.Prog, bw.Source()).Run()
+	ref, err := New(cfg, bw.Prog, bw.Source()).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestNewFromColdBootEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	boot := &BootState{PC: st.PC, Regs: st.Regs, Mem: mem}
-	got, err := NewFrom(cfg, bw.Prog, bw.Source(), boot).Run()
+	got, err := NewFrom(cfg, bw.Prog, bw.Source(), boot).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRunWindowFullCoverage(t *testing.T) {
 	bw := buildWorkload(t, "gzip")
 	cfg := DefaultConfig()
 
-	ref, err := New(cfg, bw.Prog, bw.Source()).Run()
+	ref, err := New(cfg, bw.Prog, bw.Source()).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestRunWindowFullCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	boot := &BootState{PC: st.PC, Regs: st.Regs, Mem: mem}
-	got, err := NewFrom(cfg, bw.Prog, bw.Source(), boot).RunWindow(0, uint64(bw.DynLen))
+	got, err := NewFrom(cfg, bw.Prog, bw.Source(), boot).RunWindowContext(context.Background(), 0, uint64(bw.DynLen))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestRunWindowWarmupGating(t *testing.T) {
 	const warmup, measure = 500, 1000
 
 	src := emu.Limit(bw.Source(), warmup+measure+uint64(cfg.ROBSize))
-	st, err := New(cfg, bw.Prog, src).RunWindow(warmup, measure)
+	st, err := New(cfg, bw.Prog, src).RunWindowContext(context.Background(), warmup, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestRunWindowWarmupGating(t *testing.T) {
 	}
 
 	// A stream ending inside warmup measures nothing.
-	empty, err := New(cfg, bw.Prog, emu.Limit(bw.Source(), 100)).RunWindow(500, 1000)
+	empty, err := New(cfg, bw.Prog, emu.Limit(bw.Source(), 100)).RunWindowContext(context.Background(), 500, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestBootStateInjection(t *testing.T) {
 	run := func(boot *BootState) *Stats {
 		t.Helper()
 		pl := NewFrom(cfg, bw.Prog, emu.Limit(bw.Source(), n), boot)
-		st, err := pl.Run()
+		st, err := pl.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

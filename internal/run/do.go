@@ -34,10 +34,7 @@ const DefaultProgressInterval = 1 << 18
 // Options collects every per-call execution knob Do accepts beyond the
 // serializable Request: live resources (observer, workload source,
 // shared scheduler), test seams, and event cadence. The zero value
-// selects all defaults. This struct is the whole option surface — the
-// With* functions below are thin wrappers over its fields, for call
-// sites that prefer variadic style — so a caller holding several knobs
-// can pass one WithOptions instead of composing wrappers.
+// selects all defaults. The With* functions below set its fields.
 type Options struct {
 	// Observer streams the run's typed progress events (nil: none).
 	Observer Observer
@@ -64,43 +61,10 @@ type Options struct {
 	// caller (e.g. the runner engine) owns the scheduler's lifecycle.
 	// Ignored for detail runs.
 	Scheduler *sample.Scheduler
-
-	// Executor runs a sampled request's detail-window phase through a
-	// caller-supplied sample.Executor — a live resource like Scheduler,
-	// taking precedence over both it and the request's Executor/
-	// WorkerDir fields (from which Do would otherwise construct a
-	// cross-process coordinator itself). The caller owns its lifecycle.
-	// Ignored for detail runs.
-	Executor sample.Executor
 }
 
 // Option customizes one Do call.
 type Option func(*Options)
-
-// WithOptions merges every non-zero field of o into the call's options
-// — the bulk form of the wrappers below.
-func WithOptions(o Options) Option {
-	return func(c *Options) {
-		if o.Observer != nil {
-			c.Observer = o.Observer
-		}
-		if o.Source != nil {
-			c.Source = o.Source
-		}
-		if o.DetailRunner != nil {
-			c.DetailRunner = o.DetailRunner
-		}
-		if o.ProgressEvery > 0 {
-			c.ProgressEvery = o.ProgressEvery
-		}
-		if o.Scheduler != nil {
-			c.Scheduler = o.Scheduler
-		}
-		if o.Executor != nil {
-			c.Executor = o.Executor
-		}
-	}
-}
 
 // WithObserver streams the run's typed progress events to o.
 func WithObserver(o Observer) Option {
@@ -136,16 +100,6 @@ func WithScheduler(s *sample.Scheduler) Option {
 	return func(c *Options) {
 		if s != nil {
 			c.Scheduler = s
-		}
-	}
-}
-
-// WithExecutor sets Options.Executor; see that field for the
-// precedence and ownership contract.
-func WithExecutor(e sample.Executor) Option {
-	return func(c *Options) {
-		if e != nil {
-			c.Executor = e
 		}
 	}
 }
@@ -272,14 +226,13 @@ func execute(ctx context.Context, c *config, req *Request, bw workload.Built, re
 		CacheMaxBytes: int64(req.CacheMaxMB) << 20,
 		CacheMaxAge:   time.Duration(req.CacheMaxAgeSec) * time.Second,
 		Scheduler:     c.Scheduler,
-		Executor:      c.Executor,
 		MaxInstrs:     req.MaxInstrs,
 	}
 	if c.hasObs {
 		sc.Hooks = sampleHooks(c, ev)
 	}
 	switch {
-	case sc.Executor == nil && req.Executor == ExecProc:
+	case req.Executor == ExecProc:
 		// Construct the cross-process coordinator from the request's own
 		// fields: window jobs travel through WorkerDir's windows/
 		// subdirectory for `rixsim -worker` processes to claim. Jobs
@@ -290,7 +243,7 @@ func execute(ctx context.Context, c *config, req *Request, bw workload.Built, re
 			return err
 		}
 		sc.Executor = coord
-	case sc.Executor == nil && sc.Scheduler == nil && req.Jobs > 1:
+	case sc.Scheduler == nil && req.Jobs > 1:
 		// No shared pool injected: this run's windows get a pool of
 		// their own, Jobs slots wide, for the run's lifetime.
 		sched := sample.NewScheduler(req.Jobs)
@@ -356,11 +309,9 @@ func procConfig(c *config, req *Request, ev Event) procexec.Config {
 }
 
 // sampleHooks adapts the sampling engine's callbacks to the typed event
-// stream. Most hooks fire from the run's own goroutine, but the
-// slot-steal hook fires from pool worker goroutines, so every hook
-// builds its Event as a local value — nothing shared is mutated
-// (window-rate events are far off the hot path, so the per-call value
-// is free).
+// stream. Every hook fires from the run's own goroutine; each builds its
+// Event as a local value (window-rate events are far off the hot path,
+// so the per-call value is free).
 func sampleHooks(c *config, ev Event) sample.Hooks {
 	var lastProgress uint64
 	every := c.ProgressEvery
@@ -413,12 +364,6 @@ func sampleHooks(c *config, ev Event) sample.Hooks {
 			e.Kind = WarmShardDone
 			e.Shard = shard
 			e.SpanStart, e.SpanEnd = start, end
-			c.Observer.Observe(e)
-		},
-		SlotStolen: func(slot int) {
-			e := ev
-			e.Kind = SlotStolen
-			e.Slot = slot
 			c.Observer.Observe(e)
 		},
 		SlotReturned: func(index int) {

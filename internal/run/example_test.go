@@ -45,9 +45,6 @@ func ExampleDo_observer() {
 // to every cell of a matrix) and reads the run's speculation economy
 // two ways: the deterministic counters on Result.Sampled, and the
 // window-discarded / slot-returned observer events that mirror them.
-// SlotStolen events are deliberately not counted here: they fire from
-// pool worker goroutines (an observer counting them must synchronize)
-// and their count depends on worker timing, unlike the counters below.
 func ExampleDo_schedulerTelemetry() {
 	sp := sample.DefaultSampling()
 	req := run.Request{

@@ -45,12 +45,6 @@ const (
 	// window's result file: Window is the index and Path the result
 	// entry. Same concurrency contract as WorkerJoined.
 	ResultCollected EventKind = "result-collected"
-	// SlotStolen fires when a shared window-scheduler slot that last
-	// served another cell picks up one of this run's windows — the
-	// work-stealing handoff. Slot is the pool slot index. Emitted from
-	// the pool's worker goroutines; the count depends on runtime
-	// scheduling and is not deterministic.
-	SlotStolen EventKind = "slot-stolen"
 	// SlotReturned fires once per window settled after the run has
 	// dispatched its last one — each such settle releases a scheduler
 	// slot back to the shared pool. Window is the settled index.
@@ -58,8 +52,8 @@ const (
 	// WarmShardStarted fires when a sampled run starts a warm pass from
 	// the program entry — the fast-forward that streams its window
 	// boundaries, or fills the checkpoint cache on a miss — and not on a
-	// cache hit, an injected warm set, Resume, or the pass Continue
-	// resumes from a checkpoint. The pass is one span over the whole
+	// cache hit, an injected warm set, or the pass Continue resumes from
+	// a checkpoint. The pass is one span over the whole
 	// trace, so Shard, SpanStart and SpanEnd are 0.
 	WarmShardStarted EventKind = "warm-shard-started"
 	// WarmShardDone fires when that warm pass reaches the program's
@@ -91,8 +85,7 @@ func EventKinds() []EventKind {
 		WarmShardStarted, WarmShardDone,
 		CacheHit, CacheWritten,
 		WindowScheduled, WorkerJoined, LeaseClaimed, ResultCollected,
-		WindowDone, WindowDiscarded,
-		SlotStolen, SlotReturned,
+		WindowDone, WindowDiscarded, SlotReturned,
 		CheckpointWritten, CellFinished,
 	}
 }
@@ -108,7 +101,6 @@ type Event struct {
 
 	Instrs    uint64 `json:"instrs,omitempty"`     // Progress, WindowDone
 	Window    int    `json:"window,omitempty"`     // WindowDone, WindowScheduled, WindowDiscarded, SlotReturned, CheckpointWritten, LeaseClaimed, ResultCollected
-	Slot      int    `json:"slot,omitempty"`       // SlotStolen
 	Shard     int    `json:"shard,omitempty"`      // WarmShardStarted, WarmShardDone
 	SpanStart uint64 `json:"span_start,omitempty"` // WarmShardStarted, WarmShardDone
 	SpanEnd   uint64 `json:"span_end,omitempty"`   // WarmShardStarted, WarmShardDone
@@ -119,11 +111,15 @@ type Event struct {
 
 // Observer receives a run's typed progress events. Observe is called
 // synchronously from the goroutines executing the run, so it must be
-// fast and must not block. It must also be safe for concurrent use:
-// slot-steal and cross-process worker events fire from worker
-// goroutines, and an Observer shared across engine cells (see
-// runner.Engine.Observer) sees every cell's events concurrently.
-// WindowDone events of one run arrive in window index order.
+// fast and must not block. Every event of one run fires from the
+// goroutine that called Do, in a deterministic sequence, except the
+// cross-process worker events (WorkerJoined, LeaseClaimed,
+// ResultCollected), which fire from the coordinator's collection
+// goroutines. Observe must also be safe for concurrent use: those
+// worker events arrive concurrently, and an Observer shared across
+// engine cells (see runner.Engine.Observer) sees every cell's events
+// concurrently. WindowDone events of one run arrive in window index
+// order.
 type Observer interface {
 	Observe(Event)
 }
@@ -133,15 +129,6 @@ type ObserverFunc func(Event)
 
 // Observe calls f.
 func (f ObserverFunc) Observe(e Event) { f(e) }
-
-// MultiObserver fans events out to every observer in order.
-func MultiObserver(obs ...Observer) Observer {
-	return ObserverFunc(func(e Event) {
-		for _, o := range obs {
-			o.Observe(e)
-		}
-	})
-}
 
 // nopObserver is the default sink.
 type nopObserver struct{}

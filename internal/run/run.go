@@ -256,8 +256,7 @@ type Sampled struct {
 	// one window at a time shows up here as Discarded approaching
 	// Settled, rather than as unexplained slowness. A one-slot run
 	// never speculates, so it reports Dispatched = Settled,
-	// Discarded = 0. These counts are deterministic for a given run
-	// (unlike SlotStolen events).
+	// Discarded = 0. These counts are deterministic for a given run.
 	WindowsDispatched uint64 `json:"windows_dispatched"`
 	WindowsSettled    uint64 `json:"windows_settled"`
 	WindowsDiscarded  uint64 `json:"windows_discarded"`

@@ -24,7 +24,7 @@ func buildBench(t testing.TB, name string) workload.Built {
 	if !ok {
 		t.Fatalf("workload %q not registered", name)
 	}
-	bw, err := b.Build()
+	bw, err := b.BuildContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestDoDetailMatchesPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pipeline.New(cfg, bw.Prog, bw.Source()).Run()
+	want, err := pipeline.New(cfg, bw.Prog, bw.Source()).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,6 +270,63 @@ func TestObserverEventStream(t *testing.T) {
 	}
 	if first.Workload != "gzip" || first.Label != o.Label() || first.Mode != run.ModeSampled {
 		t.Errorf("event identity: %+v", first)
+	}
+}
+
+// TestCellEventSequenceDeterministic: two sampled cells sharing one
+// two-slot scheduler each see the same full event sequence — kind,
+// window and instruction count, in order — on every run. Every event
+// of an in-process run fires from the goroutine that called Do, so how
+// the pool's workers interleave the cells' windows never shows.
+func TestCellEventSequenceDeterministic(t *testing.T) {
+	testutil.NoLeaks(t)
+	type step struct {
+		Kind   run.EventKind
+		Window int
+		Instrs uint64
+	}
+	benches := []string{"gzip", "crafty"}
+	sp := sample.DefaultSampling()
+	o := sim.Options{Integration: sim.IntReverse, Sampling: &sp}
+	cells := func() [][]step {
+		sched := sample.NewScheduler(2)
+		defer sched.Close()
+		seqs := make([][]step, len(benches))
+		errs := make([]error, len(benches))
+		var wg sync.WaitGroup
+		for i, name := range benches {
+			obs := run.ObserverFunc(func(e run.Event) {
+				seqs[i] = append(seqs[i], step{e.Kind, e.Window, e.Instrs})
+			})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = run.Do(context.Background(), run.Request{Workload: name, Options: o},
+					run.WithObserver(obs), run.WithScheduler(sched), run.WithProgressEvery(4096))
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", benches[i], err)
+			}
+		}
+		return seqs
+	}
+	first, second := cells(), cells()
+	for i, name := range benches {
+		kinds := map[run.EventKind]int{}
+		for _, s := range first[i] {
+			kinds[s.Kind]++
+		}
+		for _, k := range []run.EventKind{run.CellStarted, run.Progress, run.WindowScheduled, run.WindowDone, run.SlotReturned, run.CellFinished} {
+			if kinds[k] == 0 {
+				t.Errorf("%s: no %s events: %v", name, k, kinds)
+			}
+		}
+		if !reflect.DeepEqual(first[i], second[i]) {
+			t.Errorf("%s: event sequence differs between runs (%d vs %d events)", name, len(first[i]), len(second[i]))
+		}
 	}
 }
 

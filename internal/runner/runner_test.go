@@ -43,12 +43,12 @@ func testEngine(names []string, counts *sync.Map) *Engine {
 	e.simulate = func(ctx context.Context, cfg pipeline.Config, p *prog.Program, src emu.TraceSource) (*pipeline.Stats, error) {
 		// Finish later cells sooner to scramble completion order.
 		time.Sleep(time.Duration(5000/cfg.IT.Entries) * time.Microsecond)
-		return &pipeline.Stats{Retired: cellTag(p.Name, cfg.IT.Entries)}, nil
+		return &pipeline.Stats{Retired: cellRetired(p.Name, cfg.IT.Entries)}, nil
 	}
 	return e
 }
 
-func cellTag(bench string, entries int) uint64 {
+func cellRetired(bench string, entries int) uint64 {
 	h := uint64(entries)
 	for _, c := range bench {
 		h = h*131 + uint64(c)
@@ -243,9 +243,9 @@ func TestDeterministicCollectorOrdering(t *testing.T) {
 		for _, b := range rs.Benches() {
 			for _, entries := range []int{1024, 64, 256} {
 				label := fmt.Sprintf("it%d", entries)
-				if got := rs.Get(b, label).Retired; got != cellTag(b, entries) {
+				if got := rs.Get(b, label).Retired; got != cellRetired(b, entries) {
 					t.Errorf("trial %d: cell (%s,%s) = %d, want %d",
-						trial, b, label, got, cellTag(b, entries))
+						trial, b, label, got, cellRetired(b, entries))
 				}
 			}
 		}

@@ -25,7 +25,7 @@ func buildBench(t testing.TB, name string) workload.Built {
 	if !ok {
 		t.Fatalf("workload %q not registered", name)
 	}
-	bw, err := b.Build()
+	bw, err := b.BuildContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func fullDetail(t *testing.T, bw workload.Built, o sim.Options) *pipeline.Stats 
 	if err != nil {
 		t.Fatalf("%s [%s] config: %v", bw.Prog.Name, o.Label(), err)
 	}
-	full, err := pipeline.New(cfg, bw.Prog, bw.Source()).Run()
+	full, err := pipeline.New(cfg, bw.Prog, bw.Source()).RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("%s [%s] full: %v", bw.Prog.Name, o.Label(), err)
 	}
@@ -96,9 +96,9 @@ func TestSampledAccuracyAcrossPresets(t *testing.T) {
 }
 
 // TestCheckpointResumeBitEqual is the checkpoint round-trip guarantee: a
-// sampled run that wrote checkpoints, resumed from disk (gob decode,
-// state reconstruction, window re-execution), reproduces every window's
-// Stats and the aggregate of the naive loop byte-for-byte.
+// sampled run that wrote checkpoints, re-measured from disk by Continue
+// (gob decode, state reconstruction, window re-execution), reproduces
+// every window's Stats and the aggregate of the naive loop byte-for-byte.
 func TestCheckpointResumeBitEqual(t *testing.T) {
 	ctx := context.Background()
 	bw := buildBench(t, "crafty")
@@ -128,7 +128,7 @@ func TestCheckpointResumeBitEqual(t *testing.T) {
 		t.Fatalf("%d checkpoints for %d windows", len(paths), len(direct.Windows))
 	}
 
-	resumed, err := sample.Resume(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir, Scheduler: newPool(t, 4)})
+	resumed, err := sample.Continue(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir, Scheduler: newPool(t, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,47 +143,6 @@ func TestCheckpointResumeBitEqual(t *testing.T) {
 	}
 	if !reflect.DeepEqual(direct.Agg, resumed.Agg) {
 		t.Errorf("aggregate Stats differ:\ndirect:  %+v\nresumed: %+v", direct.Agg, resumed.Agg)
-	}
-}
-
-// TestRunCheckpointShard exercises the sharding primitive: one window
-// run in isolation from its checkpoint file matches the direct run's
-// window exactly.
-func TestRunCheckpointShard(t *testing.T) {
-	ctx := context.Background()
-	bw := buildBench(t, "gzip")
-	o := sim.Options{Integration: sim.IntReverse}
-	cfg, err := o.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	direct, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := sample.Checkpoints(dir, bw.Prog.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pick := len(paths) / 2
-	ck, err := sample.LoadCheckpoint(paths[pick])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := sample.RunCheckpoint(ctx, bw.Prog, ck, cfg, direct.Sampling)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*ws, direct.Windows[pick]) {
-		t.Errorf("sharded window %d differs:\nshard:  %+v\ndirect: %+v", pick, *ws, direct.Windows[pick])
-	}
-
-	// Mismatched window layout must be rejected, not silently mis-run.
-	bad := direct.Sampling
-	bad.Window++
-	if _, err := sample.RunCheckpoint(ctx, bw.Prog, ck, cfg, bad); err == nil {
-		t.Error("RunCheckpoint accepted a mismatched window layout")
 	}
 }
 
@@ -371,9 +330,9 @@ func TestContinueCancelledTwoPhaseBitEqual(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsGap: Resume chains the boot feedback from window 0,
-// so a checkpoint set with a window missing cannot be re-run; the error
-// names the missing window.
+// TestResumeRejectsGap: Continue chains the boot feedback from window
+// 0, so a checkpoint set with a window missing cannot be re-run; the
+// error names the missing window.
 func TestResumeRejectsGap(t *testing.T) {
 	bg := context.Background()
 	bw := buildBench(t, "gzip")
@@ -395,9 +354,9 @@ func TestResumeRejectsGap(t *testing.T) {
 	if err := os.Remove(paths[2]); err != nil {
 		t.Fatal(err)
 	}
-	_, err = sample.Resume(bg, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir})
+	_, err = sample.Continue(bg, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir})
 	if err == nil || !strings.Contains(err.Error(), "missing window 2") {
-		t.Fatalf("Resume over a gap returned %v, want an error naming window 2", err)
+		t.Fatalf("Continue over a gap returned %v, want an error naming window 2", err)
 	}
 }
 

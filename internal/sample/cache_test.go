@@ -18,7 +18,7 @@ import (
 // temporary file is left behind.
 func TestConcurrentSaveSameKey(t *testing.T) {
 	bench, _ := workload.ByName("gzip")
-	bw, err := bench.Build()
+	bw, err := bench.BuildContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ const CheckpointFormat = 2
 // feedback chained from the windows already run, which is specific to
 // the machine configuration that produced it — so a checkpoint set
 // belongs to one configuration; keep one directory per config.
-// RunCheckpoint validates the window layout but cannot detect a
-// policy mismatch.
+// Continue validates the window layout but cannot detect a policy
+// mismatch.
 type Checkpoint struct {
 	Format   int
 	Program  string
@@ -135,145 +135,65 @@ func saveBoundary(sc *Config, p *prog.Program, b Boundary, partial bool) (string
 	})
 }
 
-// RunCheckpoint executes one measurement window from its checkpoint —
-// the sharding primitive: any process holding the program and one
-// checkpoint file can produce that window's Stats, bit-identical to the
-// direct sampled run's. The window boots with the LISP the checkpoint
-// stores, so a provisional checkpoint (doc/FORMATS.md), written as the
-// warm pass reached its boundary and not yet rewritten as its window
-// settled, does not reproduce its window exactly. Partial
-// (cancellation-flush) checkpoints are not window boundaries and are
-// rejected; Continue is the path that finishes an interrupted run.
-func RunCheckpoint(ctx context.Context, p *prog.Program, ck *Checkpoint, cfg pipeline.Config, sp Sampling) (*WindowStat, error) {
-	if ck.Program != p.Name {
-		return nil, fmt.Errorf("sample: checkpoint is for %q, not %q", ck.Program, p.Name)
-	}
-	if ck.Partial {
-		return nil, fmt.Errorf("sample: checkpoint for window %d of %s is a partial (cancellation) flush, not a window boundary; use Continue", ck.Index, p.Name)
-	}
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	if sp.Warmup != ck.Sampling.Warmup || sp.Window != ck.Sampling.Window {
-		return nil, fmt.Errorf("sample: checkpoint window layout %s does not match requested %s",
-			ck.Sampling, sp)
-	}
-	b := Boundary{Index: ck.Index, Start: ck.Start, Emu: ck.Emu, Warm: ck.Warm}
-	res, err := ExecuteWindow(ctx, WindowJob{Prog: p, Config: cfg, Sampling: sp, Boundary: b, Feedback: ck.Warm.LISP})
-	if err != nil {
-		if ctx.Err() != nil && err == ctx.Err() {
-			return nil, err
-		}
-		return nil, fmt.Errorf("sample: window %d of %s: %w", ck.Index, p.Name, err)
-	}
-	return &WindowStat{
-		Index:        ck.Index,
-		Start:        ck.Start,
-		MeasuredFrom: ck.Start + sp.Warmup,
-		Stats:        res.Stats,
-	}, nil
-}
-
-// loadCheckpointSet is Resume's and Continue's shared preamble (name is
-// the caller, for the errors): it normalizes sc, which must name a
-// CheckpointDir, reads p's checkpoints there into a WarmSet of their
-// window boundaries, for the window coordinator to re-run, and returns
-// the newest checkpoint read (Continue's starting point). Every file
-// must belong to p and carry sc's window layout; rejections name the
-// offending file. A partial (cancellation) checkpoint contributes no
-// boundary and may only be the newest. The
-// indices must run contiguously from 0: the coordinator re-derives each
-// window's boot feedback by chaining from window 0, which no gap can be
-// bridged over, so a missing window is an error naming its index.
-func loadCheckpointSet(p *prog.Program, sc Config, name string) (Config, *WarmSet, *Checkpoint, error) {
+// Continue finishes an interrupted sampled run from the checkpoints of
+// p in sc.CheckpointDir, and re-measures a completed one. One
+// coordinator run covers it: every window before the newest checkpoint
+// re-runs from its stored boundary, and a live warm pass resumed from
+// the newest checkpoint — a window boundary or a partial cancellation
+// flush — streams the rest of the program's boundaries, writing further
+// checkpoints as it goes (a completed set's pass discovers the
+// program's halt). dynLen scales whole-run estimates exactly as in Run.
+// The aggregate is bit-identical to the uninterrupted run's: re-run
+// windows reproduce their stats exactly, the resumed pass restores the
+// emulator and warmer to the exact state the interrupted run held, and
+// the coordinator chains the LISP feedback from window 0 across both,
+// superseding a provisional checkpoint's stale one and rewriting each
+// file as its window settles.
+//
+// Every file must belong to p and carry sc's window layout; rejections
+// name the offending file, and the newest is read first so a layout
+// mismatch names it. A partial checkpoint may only be the newest. The
+// indices must run contiguously from 0: no gap can be bridged over when
+// chaining feedback, so a missing window is an error naming its index.
+func Continue(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, sc Config) (*Estimate, error) {
 	sc, err := sc.normalized()
 	if err != nil {
-		return sc, nil, nil, err
+		return nil, err
 	}
 	if sc.CheckpointDir == "" {
-		return sc, nil, nil, fmt.Errorf("sample: %s needs Config.CheckpointDir", name)
+		return nil, fmt.Errorf("sample: Continue needs Config.CheckpointDir")
 	}
 	paths, err := Checkpoints(sc.CheckpointDir, p.Name)
 	if err != nil {
-		return sc, nil, nil, err
+		return nil, err
 	}
 	if len(paths) == 0 {
-		return sc, nil, nil, fmt.Errorf("sample: no checkpoints for %s in %s", p.Name, sc.CheckpointDir)
+		return nil, fmt.Errorf("sample: no checkpoints for %s in %s", p.Name, sc.CheckpointDir)
 	}
-	// Newest first: it is where Continue resumes, so a layout mismatch
-	// names that file.
 	cks := make([]*Checkpoint, len(paths))
 	for i := len(paths) - 1; i >= 0; i-- {
 		ck, err := LoadCheckpoint(paths[i])
 		if err != nil {
-			return sc, nil, nil, err
+			return nil, err
 		}
 		if ck.Program != p.Name {
-			return sc, nil, nil, fmt.Errorf("sample: checkpoint %s is for %q, not %q", paths[i], ck.Program, p.Name)
+			return nil, fmt.Errorf("sample: checkpoint %s is for %q, not %q", paths[i], ck.Program, p.Name)
 		}
 		if err := validateLayout(sc.Sampling, ck.Sampling); err != nil {
-			return sc, nil, nil, fmt.Errorf("checkpoint %s: %w", paths[i], err)
+			return nil, fmt.Errorf("checkpoint %s: %w", paths[i], err)
 		}
 		cks[i] = ck
 	}
+	last := cks[len(cks)-1]
 	set := &WarmSet{Program: p.Name, Sampling: sc.Sampling}
 	for i, ck := range cks {
-		if ck.Index != i || (ck.Partial && i != len(cks)-1) {
-			return sc, nil, nil, fmt.Errorf("sample: checkpoints of %s in %s are missing window %d; feedback cannot chain across the gap",
+		if ck.Index != i || (ck.Partial && ck != last) {
+			return nil, fmt.Errorf("sample: checkpoints of %s in %s are missing window %d; feedback cannot chain across the gap",
 				p.Name, sc.CheckpointDir, i)
 		}
-		if !ck.Partial {
+		if ck != last {
 			set.Boundaries = append(set.Boundaries, Boundary{Index: ck.Index, Start: ck.Start, Emu: ck.Emu, Warm: ck.Warm})
 		}
-	}
-	return sc, set, cks[len(cks)-1], nil
-}
-
-// Resume re-runs every checkpointed window of p in sc.CheckpointDir and
-// aggregates them — the restart-after-interruption and shard-merge path
-// for a checkpoint set whose run completed. dynLen scales whole-run
-// estimates exactly as in Run. The windows run on the window
-// coordinator (sc.Executor, sc.Scheduler, or a one-slot pool), which
-// chains the feedback from window 0 and rewrites each checkpoint with
-// it as its window settles, so the result is bit-identical to the
-// uninterrupted direct run even when the files are provisional ones. A
-// partial (cancellation) checkpoint contributes no window; use Continue
-// to finish an interrupted run instead of merely re-measuring its
-// prefix.
-func Resume(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, sc Config) (*Estimate, error) {
-	sc, set, _, err := loadCheckpointSet(p, sc, "Resume")
-	if err != nil {
-		return nil, err
-	}
-	if len(set.Boundaries) == 0 {
-		return nil, fmt.Errorf("sample: no completed windows for %s in %s (the run was interrupted before any window boundary; use Continue to finish it)",
-			p.Name, sc.CheckpointDir)
-	}
-	return (&source{set: set}).run(ctx, p, dynLen, cfg, sc)
-}
-
-// Continue finishes an interrupted sampled run from its checkpoint
-// directory. One coordinator run covers it: every window before the
-// newest checkpoint re-runs from its stored boundary exactly as in
-// Resume, and a live warm pass resumed from the newest checkpoint — a
-// window boundary or a partial cancellation flush — streams the rest of
-// the program's boundaries, writing further checkpoints as it goes. The
-// aggregate is bit-identical to the uninterrupted run's: re-run windows
-// reproduce their stats exactly, the resumed pass restores the emulator
-// and warmer to the exact state the interrupted run held, and the
-// coordinator chains the LISP feedback across both (superseding a
-// provisional checkpoint's stale one).
-//
-// A checkpoint set whose run already completed just re-measures every
-// window (the resumed pass discovers the program's halt), so Continue
-// also subsumes Resume for whole-run re-execution.
-func Continue(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, sc Config) (*Estimate, error) {
-	sc, set, last, err := loadCheckpointSet(p, sc, "Continue")
-	if err != nil {
-		return nil, err
-	}
-	if !last.Partial {
-		set.Boundaries = set.Boundaries[:len(set.Boundaries)-1]
 	}
 	e, err := emu.NewFromState(p, last.Emu)
 	if err != nil {

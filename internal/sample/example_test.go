@@ -11,17 +11,16 @@ import (
 	"rix/internal/workload"
 )
 
-// ExampleResume checkpoints a sampled run and then reproduces it from
+// ExampleContinue checkpoints a sampled run and then reproduces it from
 // disk: Run with CheckpointDir writes one checkpoint per window
-// boundary (doc/FORMATS.md), and Resume re-runs every checkpointed
-// window — in parallel, without re-executing the fast-forward — with
-// an aggregate bit-identical to the direct run's. The same directory
-// also serves sample.Continue (finish an interrupted run) and
-// sample.RunCheckpoint (one window in isolation, for cross-process
-// sharding).
-func ExampleResume() {
+// boundary (doc/FORMATS.md), and Continue re-runs every checkpointed
+// window — in parallel, fast-forwarding only from the newest
+// checkpoint to the program's end — with an aggregate bit-identical to
+// the direct run's. On an interrupted run's directory the same call
+// finishes the run.
+func ExampleContinue() {
 	bench, _ := workload.ByName("gzip")
-	bw, err := bench.Build()
+	bw, err := bench.BuildContext(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +40,7 @@ func ExampleResume() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	resumed, err := sample.Resume(ctx, bw.Prog, bw.DynLen, cfg, sc)
+	resumed, err := sample.Continue(ctx, bw.Prog, bw.DynLen, cfg, sc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -86,15 +86,8 @@ func ExecuteWindow(ctx context.Context, job WindowJob) (WindowResult, error) {
 // poolExecutor adapts the in-process work-stealing Scheduler to the
 // Executor interface: Run submits one schedTask into the shared queue
 // and waits for its result, or withdraws it on the job's cancellation.
-// All jobs from one sampled run share a cellTag, so cross-cell slot
-// handoffs keep firing SlotStolen exactly as before the executor split.
 type poolExecutor struct {
 	sched *Scheduler
-	cell  *cellTag
-}
-
-func newPoolExecutor(sched *Scheduler, hooks *Hooks) *poolExecutor {
-	return &poolExecutor{sched: sched, cell: &cellTag{hooks: hooks}}
 }
 
 func (x *poolExecutor) Width() int { return x.sched.Size() }
@@ -103,7 +96,7 @@ func (x *poolExecutor) Run(ctx context.Context, job WindowJob) (WindowResult, er
 	if err := ctx.Err(); err != nil {
 		return WindowResult{}, err // discarded before submission: no task queued
 	}
-	t := &schedTask{cell: x.cell, ctx: ctx, job: job, out: make(chan outcome, 1)}
+	t := &schedTask{ctx: ctx, job: job, out: make(chan outcome, 1)}
 	if err := x.sched.submit(t); err != nil {
 		return WindowResult{}, err
 	}

@@ -73,7 +73,7 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 			sched = NewScheduler(1)
 			defer sched.Close()
 		}
-		exec = newPoolExecutor(sched, &sc.Hooks)
+		exec = &poolExecutor{sched: sched}
 	}
 	// The in-process pool boots windows straight from a live entry's
 	// tables. Any other executor, and any run that writes checkpoints,

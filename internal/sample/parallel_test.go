@@ -97,8 +97,6 @@ func TestSharedSchedulerBitEqual(t *testing.T) {
 				WindowDone:      func(sample.WindowStat) { tl.settled++ },
 				WindowDiscarded: func(int) { tl.discarded++ },
 				SlotReturned:    func(int) { tl.returned++ },
-				// SlotStolen is deliberately not tallied: it fires from
-				// pool workers and its count is timing-dependent.
 			}}
 			wg.Add(1)
 			go func(i int) {
@@ -359,7 +357,7 @@ func TestCheckpointErrorsNameFile(t *testing.T) {
 	if err := os.WriteFile(paths[0], []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = sample.Resume(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir})
+	_, err = sample.Continue(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir})
 	if err == nil || !strings.Contains(err.Error(), filepath.Base(paths[0])) {
 		t.Errorf("corrupt-checkpoint error does not name the file: %v", err)
 	}

@@ -25,7 +25,7 @@ func buildBench(t testing.TB, name string) workload.Built {
 	if !ok {
 		t.Fatalf("workload %q not registered", name)
 	}
-	bw, err := b.Build()
+	bw, err := b.BuildContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

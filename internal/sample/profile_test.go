@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"context"
 	"testing"
 
 	"rix/internal/core"
@@ -18,7 +19,7 @@ import (
 // package.
 func BenchmarkWarmObserve(b *testing.B) {
 	bench, _ := workload.ByName("vortex")
-	bw, err := bench.Build()
+	bw, err := bench.BuildContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // emulator state and every warm table — allocates nothing.
 func TestRingRefillAllocatesNothing(t *testing.T) {
 	bench, _ := workload.ByName("gzip")
-	bw, err := bench.Build()
+	bw, err := bench.BuildContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

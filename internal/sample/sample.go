@@ -29,14 +29,14 @@
 //
 // # One engine: a warm pass feeding a window coordinator
 //
-// Every run — Run, Resume, Continue — is one window coordinator pulling
+// Every run — Run or Continue — is one window coordinator pulling
 // window boundaries from a source. The live source is the warm pass
 // itself: one fast-forward over the trace, in index order, that stops
 // at each boundary and copies the emulator and warm state into a small
 // ring of pooled entries, at most one per window in flight. A
 // materialized source serves stored boundaries instead: an injected
 // warm set (Config.Warm, built by PrepareWarm), a cache hit
-// (Config.CacheDir), or the checkpoints Resume and Continue read. The
+// (Config.CacheDir), or the checkpoints Continue reads. The
 // coordinator runs each boundary's detail window on an executor — a
 // one-slot pool of its own by default, Config.Scheduler's shared pool,
 // or Config.Executor — and the executor's width is how many windows it
@@ -49,9 +49,9 @@
 //
 // When Config.CheckpointDir is set, the run serializes one Checkpoint
 // (emulator + warm state, including the feedback chained so far) per
-// window boundary; Resume re-runs every window from disk — bit-identical
-// to the direct run — so a run can be restarted after interruption or
-// its windows sharded across processes and machines (RunCheckpoint).
+// window boundary; Continue finishes the run from disk — bit-identical
+// to the direct run — after an interruption, or re-measures a completed
+// set.
 //
 // Config.CacheDir names a content-addressed warm-set cache: the warm
 // pass's output is keyed by a SHA-256 over the program content, window
@@ -106,9 +106,9 @@ const cancelCheckInterval = 1 << 12
 
 // Hooks are optional run observation callbacks. They exist so higher
 // layers (internal/run) can surface typed progress events without this
-// package knowing about them; nil fields are skipped. Unless a hook's
-// comment says otherwise it fires synchronously from the goroutine
-// that called Run, Resume or Continue.
+// package knowing about them; nil fields are skipped. Every hook fires
+// synchronously from the goroutine that called Run or Continue, so the
+// hook sequence of a run is deterministic.
 type Hooks struct {
 	// Progress reports the dynamic instruction count reached by the
 	// functional fast-forward, at cancelCheckInterval granularity.
@@ -127,12 +127,6 @@ type Hooks struct {
 	// corrected chain. Fires from the coordinating goroutine, so the
 	// dispatch/discard sequence is deterministic for a given run.
 	WindowDiscarded func(index int)
-	// SlotStolen fires when a shared scheduler slot that last executed
-	// another run's window picks up one of this run's — the work-stealing
-	// handoff. Fires from the pool's worker goroutines (concurrently,
-	// and dependent on scheduling timing: the count is not
-	// deterministic).
-	SlotStolen func(slot int)
 	// SlotReturned fires once per window settled after this run has
 	// dispatched its last one — each such settle shrinks the run's
 	// in-flight set, releasing a pool slot to cells still dispatching.
@@ -141,7 +135,7 @@ type Hooks struct {
 	// WarmShardStarted fires when a warm pass starts from the program
 	// entry — feeding the coordinator, or drained into a warm set by
 	// PrepareWarm or a cache miss — never on a cache hit, an injected
-	// warm set, Resume, or Continue's resumed pass. The pass is one span
+	// warm set, or Continue's resumed pass. The pass is one span
 	// over the whole trace: shard and start are always 0, and end is 0
 	// because the last boundary is not known yet.
 	WarmShardStarted func(shard int, start, end uint64)
@@ -197,7 +191,7 @@ type Config struct {
 	Warm *WarmSet
 
 	// Scheduler, when non-nil, runs the detail windows — Run's and
-	// Resume/Continue's alike — on this shared work-stealing pool
+	// Continue's alike — on this shared work-stealing pool
 	// instead of an ephemeral one-slot pool; the run's speculation depth
 	// is the pool's slot count.
 	// Concurrent runs may share one Scheduler: a run that settles early
@@ -207,7 +201,7 @@ type Config struct {
 	Scheduler *Scheduler
 
 	// Executor, when non-nil, executes the detail windows (Run's and
-	// Resume/Continue's alike) through this executor instead of an
+	// Continue's alike) through this executor instead of an
 	// in-process scheduler pool (Scheduler is then ignored); its Width
 	// is the run's speculation depth. The estimate is bit-identical whichever executor runs the
 	// windows — see Executor's determinism contract. The caller owns the
@@ -330,10 +324,10 @@ func (s *source) boundary(idx int) Boundary {
 }
 
 // flushPartial writes the cancellation checkpoint: the run's state at an
-// arbitrary fast-forward position, tagged Partial so window-replay paths
-// (RunCheckpoint, Resume) skip it. Continue fast-forwards from it to the
-// next window boundary, where the regular boundary checkpoint overwrites
-// it (same index, same name). Flushing is best-effort — the run is
+// arbitrary fast-forward position, tagged Partial because it is no
+// window boundary. Continue fast-forwards from it to the next window
+// boundary, where the regular boundary checkpoint overwrites it (same
+// index, same name). Flushing is best-effort — the run is
 // already ending with ctx.Err(), and the previous boundary checkpoint
 // keeps it resumable even if this write fails.
 func (s *source) flushPartial(idx int) {

@@ -23,8 +23,7 @@ import (
 // of them dispatch speculative detail windows into the same queue, and
 // the pool's slots execute them in arrival order. A run that settles
 // early implicitly returns its slots — the queue simply stops holding
-// its jobs — and runs still dispatching pick them up; Hooks.SlotStolen
-// fires on each such cross-cell handoff.
+// its jobs — and runs still dispatching pick them up.
 //
 // Each worker slot carries pooled boot structures that are restored
 // in place (SetState into existing arrays) for every window it runs,
@@ -48,19 +47,10 @@ var ErrSchedulerClosed = errors.New("sample: window scheduler is closed")
 // schedTask is one speculatively dispatched detail window in the shared
 // queue.
 type schedTask struct {
-	cell    *cellTag    // owning run, for steal detection
 	claimed atomic.Bool // set by a worker taking the task to run, or by its owner withdrawing it — whichever comes first
 	ctx     context.Context
 	job     WindowJob
 	out     chan outcome // buffered 1: workers never block on delivery
-}
-
-// cellTag identifies one sampled run for the lifetime of its window
-// phase. Pointer identity is the comparison, so concurrent runs —
-// even of the same program under the same configuration — are distinct
-// cells to the scheduler.
-type cellTag struct {
-	hooks *Hooks
 }
 
 // NewScheduler starts a pool of `slots` worker slots (minimum 1).
@@ -77,7 +67,7 @@ func NewScheduler(slots int) *Scheduler {
 	}
 	s.wg.Add(slots)
 	for i := 0; i < slots; i++ {
-		go s.worker(i)
+		go s.worker()
 	}
 	return s
 }
@@ -115,9 +105,9 @@ func (s *Scheduler) submit(t *schedTask) error {
 }
 
 // worker owns one slot and executes queued window jobs until Close.
-func (s *Scheduler) worker(id int) {
+func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	sl := &slot{id: id}
+	sl := new(slot)
 	for t := range s.queue {
 		if !t.claimed.CompareAndSwap(false, true) {
 			// Withdrawn before starting (a misspeculated or cancelled
@@ -125,12 +115,6 @@ func (s *Scheduler) worker(id int) {
 			// listening, so no result is owed.
 			continue
 		}
-		if sl.lastCell != nil && sl.lastCell != t.cell && t.cell.hooks.SlotStolen != nil {
-			// This slot last served a different cell: the submitting
-			// cell just picked up a slot another cell released.
-			t.cell.hooks.SlotStolen(id)
-		}
-		sl.lastCell = t.cell
 		res, err := sl.run(t.ctx, t.job)
 		t.out <- outcome{res: res, err: err}
 	}

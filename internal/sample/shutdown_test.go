@@ -17,7 +17,7 @@ import (
 func TestSubmitAfterCloseIsError(t *testing.T) {
 	sched := NewScheduler(1)
 	sched.Close()
-	x := newPoolExecutor(sched, &Hooks{})
+	x := &poolExecutor{sched: sched}
 	_, err := x.Run(context.Background(), WindowJob{})
 	if !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Run after Close = %v, want ErrSchedulerClosed", err)
@@ -32,7 +32,7 @@ func TestCancelledRunSkipsSubmit(t *testing.T) {
 	sched.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := newPoolExecutor(sched, &Hooks{}).Run(ctx, WindowJob{})
+	_, err := (&poolExecutor{sched: sched}).Run(ctx, WindowJob{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Run = %v, want context.Canceled", err)
 	}

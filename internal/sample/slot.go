@@ -18,9 +18,6 @@ import (
 // boots restore them in place, so every path boots windows
 // bit-identically.
 type slot struct {
-	id       int
-	lastCell *cellTag // scheduler workers: the cell last served, for steal detection
-
 	geom    bootGeom // the geometry parts was built for; valid once parts.pred != nil
 	parts   warmParts
 	scratch *pipeline.Scratch
@@ -83,8 +80,7 @@ func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, 
 }
 
 // run executes one detail window job on the slot — the one window
-// runner behind the scheduler's workers, ExecuteWindow and
-// RunCheckpoint. The window span is re-derived from the boundary's
+// runner behind the scheduler's workers and ExecuteWindow. The window span is re-derived from the boundary's
 // emulator state (emu.ResumeStream), so a window's result depends only
 // on its job: the checkpoint-parity tests pin it to the naive
 // sequential loop's in-memory record replay.

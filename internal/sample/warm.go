@@ -24,11 +24,11 @@ import (
 //   - Rename-dependent state — the integration table and the register
 //     file — names physical registers that exist only inside one
 //     pipeline instance. Each window warms it during its detailed
-//     warmup prefix (pipeline.RunWindow's warmup mode): full-detail
-//     execution with statistics gated off. Measured across the suite,
-//     a few hundred instructions of detailed warmup reproduce the IT's
-//     steady-state match behavior; a functional occupancy model adds
-//     nothing.
+//     warmup prefix (pipeline.RunWindowContext's warmup mode):
+//     full-detail execution with statistics gated off. Measured across
+//     the suite, a few hundred instructions of detailed warmup
+//     reproduce the IT's steady-state match behavior; a functional
+//     occupancy model adds nothing.
 //
 //   - DIVA feedback — the LISP, a never-aging table — trains on
 //     microarchitectural accidents (mis-integrations) that no

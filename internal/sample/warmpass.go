@@ -107,7 +107,7 @@ func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *C
 }
 
 // source feeds the coordinator a run's window boundaries in index
-// order: the stored ones first (a warm set, or Resume's and Continue's
+// order: the stored ones first (a warm set, or Continue's
 // checkpoints), then — when e is set — those the live warm pass
 // reaches. The pass is pulled by the coordinator goroutine: while the
 // dispatched windows run, it fast-forwards to the following boundary

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"rix/internal/emu"
@@ -18,7 +19,7 @@ func runDetail(t *testing.T, p *prog.Program, src emu.TraceSource, o Options) *p
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := pipeline.New(cfg, p, src).Run()
+	st, err := pipeline.New(cfg, p, src).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestPerfectMemoryOption(t *testing.T) {
 
 func TestOptionsEndToEnd(t *testing.T) {
 	b := workload.Synth(workload.SynthParams{Seed: 99, Iters: 300, CallEvery: 4, MemFrac: 0.2})
-	bw, err := b.Build()
+	bw, err := b.BuildContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

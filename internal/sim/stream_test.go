@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -24,9 +25,7 @@ func (c *countingSource) Next() (emu.TraceRec, bool) {
 	}
 	return rec, ok
 }
-func (c *countingSource) Err() error    { return c.inner.Err() }
-func (c *countingSource) Rewind() error { c.pulls = 0; return c.inner.Rewind() }
-func (c *countingSource) SizeHint() int { return c.inner.SizeHint() }
+func (c *countingSource) Err() error { return c.inner.Err() }
 
 // TestStreamingMatchesMaterialized is the trace-source equivalence
 // property: for every integration preset, a pipeline fed by the
@@ -37,7 +36,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		Seed: 17, Iters: 400, BodyOps: 10, CallEvery: 3,
 		MemFrac: 0.3, BranchFrac: 0.2, Invariants: 2,
 	})
-	bw, err := b.Build()
+	bw, err := b.BuildContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestStreamConsumedIncrementally(t *testing.T) {
 	b := workload.Synth(workload.SynthParams{
 		Seed: 29, Iters: 600, BodyOps: 12, CallEvery: 4, MemFrac: 0.25, BranchFrac: 0.2,
 	})
-	bw, err := b.Build()
+	bw, err := b.BuildContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func TestStreamConsumedIncrementally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := pipeline.New(cfg, bw.Prog, cs).Run()
+	st, err := pipeline.New(cfg, bw.Prog, cs).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,24 +90,5 @@ func TestStreamConsumedIncrementally(t *testing.T) {
 	}
 	if got, want := uint64(cs.pulls), st.Retired; got != want {
 		t.Errorf("pulled %d records, retired %d: the whole trace should stream through exactly once", got, want)
-	}
-}
-
-// TestRewindReplaysIdentically exercises the Rewind hook: one streamer
-// feeding two sequential configs must behave like two fresh sources.
-func TestRewindReplaysIdentically(t *testing.T) {
-	b := workload.Synth(workload.SynthParams{Seed: 5, Iters: 200, CallEvery: 3, MemFrac: 0.2})
-	bw, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := bw.Source()
-	first := runDetail(t, bw.Prog, src, Options{Integration: IntReverse})
-	if err := src.Rewind(); err != nil {
-		t.Fatal(err)
-	}
-	second := runDetail(t, bw.Prog, src, Options{Integration: IntReverse})
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("rewound source diverged:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }

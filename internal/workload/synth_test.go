@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"rix/internal/isa"
@@ -25,7 +26,7 @@ func TestSynthBuildsAndHalts(t *testing.T) {
 			CallEvery: int(seed % 4), MemFrac: 0.25, BranchFrac: 0.2,
 			Invariants: int(seed % 3),
 		})
-		if _, err := b.Build(); err != nil {
+		if _, err := b.BuildContext(context.Background()); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
@@ -34,7 +35,7 @@ func TestSynthBuildsAndHalts(t *testing.T) {
 func TestSynthCallDensity(t *testing.T) {
 	count := func(callEvery int) float64 {
 		b := Synth(SynthParams{Seed: 3, Iters: 100, BodyOps: 12, CallEvery: callEvery})
-		p, trace, err := b.BuildMaterialized()
+		p, trace, err := b.BuildMaterialized(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +60,7 @@ func TestSynthCallDensity(t *testing.T) {
 
 func TestSynthMemFraction(t *testing.T) {
 	b := Synth(SynthParams{Seed: 5, Iters: 80, BodyOps: 16, MemFrac: 0.5})
-	p, trace, err := b.BuildMaterialized()
+	p, trace, err := b.BuildMaterialized(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,17 +78,13 @@ func ByName(name string) (Benchmark, bool) {
 // well within it.
 const MaxInstrs = 1 << 24
 
-// Build assembles the benchmark and validates it with one streaming
-// emulation pass (halts within budget, self-check exit 0) without
-// materializing the trace. The returned Built mints independent golden
-// trace sources on demand; Materialize is the adapter for consumers that
-// still want the full slice.
-func (b Benchmark) Build() (Built, error) {
-	return b.BuildContext(context.Background()) //rix:ctx-ok — compatibility shim; BuildContext is the real entry point
-}
-
-// BuildContext is Build with cancellation: the validation pass polls ctx
-// at a batched record cadence, and a cancelled build returns ctx.Err().
+// BuildContext assembles the benchmark and validates it with one
+// streaming emulation pass (halts within budget, self-check exit 0)
+// without materializing the trace. The returned Built mints independent
+// golden trace sources on demand; Materialize is the adapter for
+// consumers that still want the full slice. The validation pass polls
+// ctx at a batched record cadence, and a cancelled build returns
+// ctx.Err().
 func (b Benchmark) BuildContext(ctx context.Context) (Built, error) {
 	p, err := asm.Assemble(b.Name+".s", b.Source)
 	if err != nil {
@@ -113,23 +109,18 @@ func (b Benchmark) BuildContext(ctx context.Context) (Built, error) {
 	if e.ExitCode != 0 {
 		return Built{}, fmt.Errorf("workload %s: exit code %d (self-check failed)", b.Name, e.ExitCode)
 	}
-	n := int(e.Count)
 	return Built{
 		Prog:   p,
-		DynLen: n,
-		open: func() emu.TraceSource {
-			src := emu.Stream(p, MaxInstrs)
-			src.SetSizeHint(n)
-			return src
-		},
+		DynLen: int(e.Count),
+		open:   func() emu.TraceSource { return emu.Stream(p, MaxInstrs) },
 	}, nil
 }
 
 // BuildMaterialized assembles the benchmark and returns its fully
 // materialized golden trace — the pre-streaming contract, kept for tests
 // and small traces.
-func (b Benchmark) BuildMaterialized() (*prog.Program, []emu.TraceRec, error) {
-	bw, err := b.Build()
+func (b Benchmark) BuildMaterialized(ctx context.Context) (*prog.Program, []emu.TraceRec, error) {
+	bw, err := b.BuildContext(ctx)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestAllBenchmarksBuild(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			bw, err := b.Build()
+			bw, err := b.BuildContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,7 +39,7 @@ func TestBenchmarkMixes(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			bw, err := b.Build()
+			bw, err := b.BuildContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +126,7 @@ func TestStackDiscipline(t *testing.T) {
 		}
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			p, trace, err := b.BuildMaterialized()
+			p, trace, err := b.BuildMaterialized(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
