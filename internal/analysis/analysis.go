@@ -19,9 +19,10 @@
 //
 //   - //rix:hotpath — on a function declaration: the body must be
 //     allocation-free (hotalloc).
-//   - //rix:shared — on a statement inside a State/Clone/CopyFrom
+//   - //rix:shared — on a statement inside a State/SetState/CopyFrom
 //     method: the reference-typed copy on that line is a documented
-//     copy-on-write share, not an aliasing bug (snapshotpure).
+//     copy-on-write share or read-only view, not an aliasing bug
+//     (snapshotpure).
 //   - //rix:alloc-ok, //rix:ctx-ok, //rix:partial — per-line
 //     suppressions for hotalloc, ctxflow, and eventenum, for the rare
 //     deliberate exception (a cold error path inside a hot function, a

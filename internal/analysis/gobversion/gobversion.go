@@ -1,6 +1,7 @@
 // Package gobversion guards the on-disk compatibility of the gob
-// artifacts doc/FORMATS.md specifies: checkpoints, warm caches, and
-// stride caches. Gob is structurally tolerant — adding, removing, or
+// artifacts doc/FORMATS.md specifies: checkpoints, warm caches, and the
+// cross-process executor's manifests, leases and results. Gob is
+// structurally tolerant — adding, removing, or
 // retyping a field usually still *decodes*, silently producing zero
 // values where data used to be. FORMATS.md therefore requires any
 // structural change to a persisted type to bump the owning format
@@ -15,11 +16,13 @@
 //   - structure changed, format consts unchanged → the dangerous case:
 //     bump the format const, then refresh the golden;
 //   - structure or const changed and the golden is stale → refresh
-//     with `rixvet -update-gob-golden`.
+//     with `rixvet -update-gob-golden`;
+//   - a golden entry of the package that no tracked name produces (a
+//     type or const dropped from tracking) → refresh to remove it.
 //
 // Update mode (the driver's -update-gob-golden flag sets Update)
-// rewrites the golden entries for the analyzed package instead of
-// reporting.
+// replaces the analyzed package's golden entries instead of reporting:
+// entries of the package no tracked name produces are dropped.
 package gobversion
 
 import (
@@ -47,7 +50,7 @@ var Tracked = map[string][]string{
 	"rix/internal/emu":             {"State", "MemState"},
 	"rix/internal/bpred":           {"PredictorState", "BTBState", "RASState", "CHTState"},
 	"rix/internal/memsys":          {"WarmState", "CacheState", "CacheLineState"},
-	"rix/internal/core":            {"TableState", "EntryState", "LISPState", "LISPEntryState"},
+	"rix/internal/core":            {"LISPState", "LISPEntryState"},
 	"rix/internal/pipeline":        {"Stats"},
 }
 
@@ -131,7 +134,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 
 	if Update {
-		return nil, writeGolden(goldenFile, golden, types_, consts)
+		return nil, writeGolden(goldenFile, golden, pkgPath, types_, consts)
 	}
 
 	constsBumped := false
@@ -177,7 +180,37 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				key, golden.Consts[key], consts[key])
 		}
 	}
+	for _, key := range staleKeys(golden, pkgPath, types_, consts) {
+		pass.Reportf(pass.Files[0].Pos(),
+			"golden entry %s is no longer tracked; run `rixvet -update-gob-golden` to drop it", key)
+	}
 	return nil, nil
+}
+
+// owns reports whether a golden key belongs to pkgPath: its package
+// part (everything before the last dot) must equal the path exactly, so
+// rix/internal/sample does not own rix/internal/sample/procexec.Result.
+func owns(pkgPath, key string) bool {
+	i := strings.LastIndex(key, ".")
+	return i >= 0 && key[:i] == pkgPath
+}
+
+// staleKeys lists, sorted, the golden entries of pkgPath that no
+// tracked type or const produced this run.
+func staleKeys(golden *Golden, pkgPath string, types_ map[string]GoldenType, consts map[string]string) []string {
+	var stale []string
+	for key := range golden.Types {
+		if _, ok := types_[key]; !ok && owns(pkgPath, key) {
+			stale = append(stale, key)
+		}
+	}
+	for key := range golden.Consts {
+		if _, ok := consts[key]; !ok && owns(pkgPath, key) {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(stale)
+	return stale
 }
 
 // fieldLines renders the exported fields gob would encode, one
@@ -283,10 +316,14 @@ func readGolden(path string) (*Golden, error) {
 	return g, nil
 }
 
-// writeGolden merges this package's entries into the golden and writes
-// it back. Merging keeps update mode package-at-a-time safe: the driver
-// runs packages sequentially.
-func writeGolden(path string, golden *Golden, types_ map[string]GoldenType, consts map[string]string) error {
+// writeGolden replaces this package's entries in the golden and writes
+// it back. Other packages' entries stay, which keeps update mode
+// package-at-a-time safe: the driver runs packages sequentially.
+func writeGolden(path string, golden *Golden, pkgPath string, types_ map[string]GoldenType, consts map[string]string) error {
+	for _, k := range staleKeys(golden, pkgPath, types_, consts) {
+		delete(golden.Types, k)
+		delete(golden.Consts, k)
+	}
 	for k, v := range types_ {
 		golden.Types[k] = v
 	}

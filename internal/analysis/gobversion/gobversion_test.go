@@ -1,8 +1,11 @@
 package gobversion_test
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -83,5 +86,96 @@ func TestGobversionUntrackedPackageIsIgnored(t *testing.T) {
 	gobversion.TrackedConsts = map[string][]string{}
 	if got := findings(t, "testdata"); len(got) != 0 {
 		t.Fatalf("untracked package reported findings: %v", got)
+	}
+}
+
+// writeFixtureGolden writes g as the golden file the analyzer reads.
+func writeFixtureGolden(t *testing.T, g gobversion.Golden) {
+	t.Helper()
+	data, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(gobversion.GoldenPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// staleGolden is a golden holding rows for names package a no longer
+// tracks, plus rows of packages whose paths merely start with "a".
+func staleGolden(t *testing.T) gobversion.Golden {
+	t.Helper()
+	gobversion.Update = true
+	findings(t, "testdata")
+	gobversion.Update = false
+	data, err := os.ReadFile(gobversion.GoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g gobversion.Golden
+	if err := json.Unmarshal(data, &g); err != nil {
+		t.Fatal(err)
+	}
+	row := g.Types["a.Blob"]
+	g.Types["a.Gone"] = row
+	g.Types["a/sub.Keep"] = row
+	g.Types["ab.Keep"] = row
+	g.Consts["a.GoneFormat"] = "1"
+	g.Consts["a/sub.KeepFormat"] = "1"
+	return g
+}
+
+// TestGobversionUpdatePrunesStaleRows: update mode replaces the analyzed
+// package's rows — dropping those no tracked name produces — and leaves
+// every other package's rows alone, including packages whose paths only
+// share a prefix with it.
+func TestGobversionUpdatePrunesStaleRows(t *testing.T) {
+	withFixtureConfig(t)
+	writeFixtureGolden(t, staleGolden(t))
+
+	gobversion.Update = true
+	if got := findings(t, "testdata"); len(got) != 0 {
+		t.Fatalf("update mode reported findings: %v", got)
+	}
+	data, err := os.ReadFile(gobversion.GoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g gobversion.Golden
+	if err := json.Unmarshal(data, &g); err != nil {
+		t.Fatal(err)
+	}
+	var types, consts []string
+	for k := range g.Types {
+		types = append(types, k)
+	}
+	for k := range g.Consts {
+		consts = append(consts, k)
+	}
+	sort.Strings(types)
+	sort.Strings(consts)
+	if want := []string{"a.Blob", "a/sub.Keep", "ab.Keep"}; !reflect.DeepEqual(types, want) {
+		t.Errorf("golden types after update = %v, want %v", types, want)
+	}
+	if want := []string{"a.BlobFormat", "a/sub.KeepFormat"}; !reflect.DeepEqual(consts, want) {
+		t.Errorf("golden consts after update = %v, want %v", consts, want)
+	}
+}
+
+// TestGobversionReportsStaleRows: compare mode names every golden row of
+// the analyzed package that no tracked name produces, and no row of
+// another package.
+func TestGobversionReportsStaleRows(t *testing.T) {
+	withFixtureConfig(t)
+	writeFixtureGolden(t, staleGolden(t))
+
+	got := findings(t, "testdata")
+	if len(got) != 2 {
+		t.Fatalf("expected 2 stale-row findings, got %v", got)
+	}
+	for i, key := range []string{"a.Gone", "a.GoneFormat"} {
+		if !strings.Contains(got[i], "golden entry "+key+" is no longer tracked") {
+			t.Errorf("finding %d = %q, want the stale row %s", i, got[i], key)
+		}
 	}
 }

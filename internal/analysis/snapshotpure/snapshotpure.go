@@ -1,20 +1,19 @@
 // Package snapshotpure enforces the deep-copy contract of the state
-// snapshot family — State, Clone, CloneWarm, CopyFrom, SetState,
-// WarmState, SetWarmState, CopyTagsFrom, CopyWarmFrom — across the
-// simulator's state-bearing packages (bpred, core, memsys, emu,
-// regfile, sample). Parallel window workers boot from these snapshots;
-// a reference-typed field (slice, map, pointer) copied by plain
-// assignment aliases the live structure, and the resulting cross-window
-// write sharing is exactly the class of bug TestParallelEstimateBitEqual
-// exists to catch — after the fact. This analyzer catches it at build
-// time.
+// snapshot family — State, SetState, WarmState, SetWarmState, CopyFrom,
+// CopyWarmFrom — across the simulator's state-bearing packages (bpred,
+// core, memsys, emu, regfile, sample). Parallel window workers boot from
+// these snapshots; a reference-typed field (slice, map, pointer) copied
+// by plain assignment aliases the live structure, and the resulting
+// cross-window write sharing is exactly the class of bug
+// TestParallelEstimateBitEqual exists to catch — after the fact. This
+// analyzer catches it at build time.
 //
 // Inside a snapshot-family method it reports:
 //
 //   - a field write (x.f = ..., x.f[k] = ...) whose right-hand side is
 //     a bare reference-typed expression (identifier, field read, index,
 //     or reslice) rather than an explicit copy (append, copy, make, a
-//     Clone/State call, a loop);
+//     State call, a loop);
 //   - a composite-literal field initialized from such an expression;
 //   - a whole-struct copy (*dst = *src) of a struct containing
 //     reference-typed fields;
@@ -22,8 +21,9 @@
 //     parameter.
 //
 // A deliberate share — the emulator's copy-on-write page snapshot is
-// the canonical one — is exempted with //rix:shared on the line (or the
-// line above), which is a claim that the aliasing is protected by a
+// the canonical one, and a CopyFrom handing SetState a read-only view
+// of its source another — is exempted with //rix:shared on the line (or
+// the line above), which is a claim that the aliasing is protected by a
 // documented copy-on-write or immutability protocol.
 package snapshotpure
 
@@ -40,15 +40,14 @@ const Marker = "rix:shared"
 // Methods is the snapshot family: method names whose bodies must deep
 // copy.
 var Methods = map[string]bool{
-	"State": true, "Clone": true, "CloneWarm": true, "CopyFrom": true,
-	"SetState": true, "WarmState": true, "SetWarmState": true,
-	"CopyTagsFrom": true, "CopyWarmFrom": true,
+	"State": true, "SetState": true, "WarmState": true, "SetWarmState": true,
+	"CopyFrom": true, "CopyWarmFrom": true,
 }
 
 // Analyzer is the snapshotpure check.
 var Analyzer = &analysis.Analyzer{
 	Name: "snapshotpure",
-	Doc:  "flag reference-typed fields copied by plain assignment in State/Clone/CopyFrom-family methods",
+	Doc:  "flag reference-typed fields copied by plain assignment in State/SetState/CopyFrom-family methods",
 	Run:  run,
 }
 
@@ -164,7 +163,7 @@ func checkAssign(pass *analysis.Pass, fn *ast.FuncDecl, as *ast.AssignStmt, sour
 			continue // x.f = x.f[:n] style self-adjustment
 		}
 		report(pass, rhs.Pos(),
-			"%s: reference-typed value copied by assignment aliases the source; deep-copy it (append/copy/Clone) or mark the line //rix:shared", fn.Name.Name)
+			"%s: reference-typed value copied by assignment aliases the source; deep-copy it (append/copy) or mark the line //rix:shared", fn.Name.Name)
 	}
 }
 
@@ -200,7 +199,7 @@ func checkReturn(pass *analysis.Pass, fn *ast.FuncDecl, ret *ast.ReturnStmt, sou
 // plainAlias reports whether e is a bare reference-typed expression
 // that, assigned as-is, aliases its source: an identifier, selector
 // chain, index, or slice expression. Calls, literals, nil, and unary
-// &x (a fresh pointer is the *point* of Clone) are not flagged here.
+// &x (a freshly built value) are not flagged here.
 func plainAlias(pass *analysis.Pass, e ast.Expr) bool {
 	tv, ok := pass.TypesInfo.Types[e]
 	if !ok || tv.IsNil() || !analysis.IsReferenceType(tv.Type) {

@@ -10,7 +10,7 @@ type S struct {
 	In   Inner
 }
 
-func (s *S) Clone() *S {
+func (s *S) WarmState() *S {
 	c := &S{
 		Data: s.Data, // want "composite-literal field aliases"
 	}
@@ -59,9 +59,25 @@ type Shared struct {
 	Pages map[int][]byte
 }
 
-// Clone deliberately shares the page map (copy-on-write protocol).
-func (p *Shared) Clone() *Shared {
+// State deliberately shares the page map (copy-on-write protocol).
+func (p *Shared) State() *Shared {
 	c := &Shared{}
 	c.Pages = p.Pages //rix:shared
 	return c
 }
+
+// CopyFrom hands SetState a read-only view of its source.
+func (p *Shared) CopyFrom(o *Shared) {
+	p.SetState(Shared{Pages: o.Pages}) //rix:shared
+}
+
+// SetState copies out of its argument.
+func (p *Shared) SetState(st Shared) {
+	p.Pages = make(map[int][]byte, len(st.Pages))
+	for k, v := range st.Pages {
+		p.Pages[k] = append([]byte(nil), v...)
+	}
+}
+
+// Clone left the snapshot family: it may hand out views.
+func (p *Shared) Clone() *Shared { return &Shared{Pages: p.Pages} }

@@ -4,13 +4,15 @@ import "fmt"
 
 // This file holds the serializable state snapshots of every front-end
 // predictor. They serve two customers in the sampling subsystem
-// (internal/sample): functional warmup clones a live predictor into each
-// detailed measurement window, and on-disk checkpoints persist the warmed
-// state so windows can resume or shard across processes. Clone is defined
-// as SetState(State()) so both paths are identical by construction.
+// (internal/sample): functional warmup restores a live predictor's state
+// into each detailed measurement window, and on-disk checkpoints persist
+// the warmed state so windows can resume.
 //
-// Snapshots capture behavioral state only (counters that influence
-// predictions); the diagnostic hit/lookup tallies restart at zero.
+// SetState is each structure's one restore body: it checks the geometry,
+// copies the behavioral state (counters that influence predictions) and
+// restarts every diagnostic tally at zero. CopyFrom, the allocation-free
+// refill of a pooled structure from a live one, is SetState of an
+// aliasing view of the source, which SetState only reads.
 
 // WithDefaults returns the config with every zero field replaced by the
 // paper default — the sizing a Pipeline built from this config will use,
@@ -35,7 +37,8 @@ func (p *Predictor) State() PredictorState {
 	}
 }
 
-// SetState restores a snapshot; the table geometries must match.
+// SetState restores a snapshot and zeroes the lookup tally; the table
+// geometries must match.
 func (p *Predictor) SetState(st PredictorState) error {
 	if len(st.Bimodal) != len(p.bimodal) || len(st.Gshare) != len(p.gshare) ||
 		len(st.Chooser) != len(p.chooser) {
@@ -47,36 +50,13 @@ func (p *Predictor) SetState(st PredictorState) error {
 	copy(p.gshare, st.Gshare)
 	copy(p.chooser, st.Chooser)
 	p.hist = st.Hist
-	return nil
-}
-
-// Clone returns an independent predictor with the same configuration and
-// behavioral state.
-func (p *Predictor) Clone() *Predictor {
-	c := NewPredictor(p.cfg)
-	if err := c.SetState(p.State()); err != nil {
-		panic(err) // same config: geometries match by construction
-	}
-	return c
-}
-
-// CopyFrom overwrites p with src's behavioral state without allocating —
-// the buffer-reuse path of the sampling engine's pooled window boots. The
-// result is indistinguishable from a fresh Clone of src: diagnostic
-// tallies restart at zero, exactly as State/SetState leave them.
-func (p *Predictor) CopyFrom(src *Predictor) error {
-	if len(src.bimodal) != len(p.bimodal) || len(src.gshare) != len(p.gshare) ||
-		len(src.chooser) != len(p.chooser) {
-		return fmt.Errorf("bpred: predictor copy geometry %d/%d/%d, want %d/%d/%d",
-			len(src.bimodal), len(src.gshare), len(src.chooser),
-			len(p.bimodal), len(p.gshare), len(p.chooser))
-	}
-	copy(p.bimodal, src.bimodal)
-	copy(p.gshare, src.gshare)
-	copy(p.chooser, src.chooser)
-	p.hist = src.hist
 	p.Lookups = 0
 	return nil
+}
+
+// CopyFrom overwrites p with src's behavioral state without allocating.
+func (p *Predictor) CopyFrom(src *Predictor) error {
+	return p.SetState(PredictorState{Bimodal: src.bimodal, Gshare: src.gshare, Chooser: src.chooser, Hist: src.hist}) //rix:shared — read-only view
 }
 
 // BTBState is the serializable state of the branch target buffer.
@@ -93,35 +73,21 @@ func (b *BTB) State() BTBState {
 	}
 }
 
-// SetState restores a snapshot; the entry count must match.
+// SetState restores a snapshot and zeroes the tallies; the entry count
+// must match.
 func (b *BTB) SetState(st BTBState) error {
 	if len(st.Tags) != len(b.tags) || len(st.Targets) != len(b.targets) {
 		return fmt.Errorf("bpred: BTB state has %d entries, want %d", len(st.Tags), len(b.tags))
 	}
 	copy(b.tags, st.Tags)
 	copy(b.targets, st.Targets)
-	return nil
-}
-
-// Clone returns an independent BTB with the same state.
-func (b *BTB) Clone() *BTB {
-	c := NewBTB(len(b.tags))
-	if err := c.SetState(b.State()); err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// CopyFrom overwrites b with src's behavioral state without allocating;
-// diagnostic tallies restart at zero, as in a fresh Clone.
-func (b *BTB) CopyFrom(src *BTB) error {
-	if len(src.tags) != len(b.tags) {
-		return fmt.Errorf("bpred: BTB copy has %d entries, want %d", len(src.tags), len(b.tags))
-	}
-	copy(b.tags, src.tags)
-	copy(b.targets, src.targets)
 	b.Lookups, b.Hits = 0, 0
 	return nil
+}
+
+// CopyFrom overwrites b with src's behavioral state without allocating.
+func (b *BTB) CopyFrom(src *BTB) error {
+	return b.SetState(BTBState{Tags: src.tags, Targets: src.targets}) //rix:shared — read-only view
 }
 
 // RASState is the serializable state of the return-address stack. Beyond
@@ -139,7 +105,8 @@ func (r *RAS) State() RASState {
 	return RASState{Stack: append([]uint64(nil), r.stack...), Tos: r.tos, Depth: r.depth}
 }
 
-// SetState restores a snapshot; the capacity must match.
+// SetState restores a snapshot and drops any pending shadow snapshot;
+// the capacity must match.
 func (r *RAS) SetState(st RASState) error {
 	if len(st.Stack) != len(r.stack) {
 		return fmt.Errorf("bpred: RAS state has %d entries, want %d", len(st.Stack), len(r.stack))
@@ -154,26 +121,9 @@ func (r *RAS) SetState(st RASState) error {
 	return nil
 }
 
-// Clone returns an independent stack with the same state.
-func (r *RAS) Clone() *RAS {
-	c := NewRAS(len(r.stack))
-	if err := c.SetState(r.State()); err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // CopyFrom overwrites r with src's behavioral state without allocating.
-// Like SetState, it drops any pending shadow snapshot.
 func (r *RAS) CopyFrom(src *RAS) error {
-	if len(src.stack) != len(r.stack) {
-		return fmt.Errorf("bpred: RAS copy has %d entries, want %d", len(src.stack), len(r.stack))
-	}
-	copy(r.stack, src.stack)
-	r.tos = src.tos
-	r.depth = src.depth
-	r.dropSnap()
-	return nil
+	return r.SetState(RASState{Stack: src.stack, Tos: src.tos, Depth: src.depth}) //rix:shared — read-only view
 }
 
 // CHTState is the serializable state of the collision history table.
@@ -186,31 +136,18 @@ func (c *CHT) State() CHTState {
 	return CHTState{Tags: append([]uint64(nil), c.tags...)}
 }
 
-// SetState restores a snapshot; the entry count must match.
+// SetState restores a snapshot and zeroes the tallies; the entry count
+// must match.
 func (c *CHT) SetState(st CHTState) error {
 	if len(st.Tags) != len(c.tags) {
 		return fmt.Errorf("bpred: CHT state has %d entries, want %d", len(st.Tags), len(c.tags))
 	}
 	copy(c.tags, st.Tags)
-	return nil
-}
-
-// Clone returns an independent table with the same state.
-func (c *CHT) Clone() *CHT {
-	n := NewCHT(len(c.tags))
-	if err := n.SetState(c.State()); err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// CopyFrom overwrites c with src's behavioral state without allocating;
-// diagnostic tallies restart at zero, as in a fresh Clone.
-func (c *CHT) CopyFrom(src *CHT) error {
-	if len(src.tags) != len(c.tags) {
-		return fmt.Errorf("bpred: CHT copy has %d entries, want %d", len(src.tags), len(c.tags))
-	}
-	copy(c.tags, src.tags)
 	c.Lookups, c.Hits, c.Trained = 0, 0, 0
 	return nil
+}
+
+// CopyFrom overwrites c with src's behavioral state without allocating.
+func (c *CHT) CopyFrom(src *CHT) error {
+	return c.SetState(CHTState{Tags: src.tags}) //rix:shared — read-only view
 }

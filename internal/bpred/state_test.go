@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestPredictorStateRoundTrip trains a predictor, snapshots it, clones
-// it, and verifies identical behavior and rejection of wrong geometry.
+// TestPredictorStateRoundTrip trains a predictor, restores its snapshot
+// into a fresh one, and verifies identical behavior and rejection of
+// wrong geometry.
 func TestPredictorStateRoundTrip(t *testing.T) {
 	p := NewPredictor(Config{})
 	for i := 0; i < 5000; i++ {
@@ -16,17 +17,20 @@ func TestPredictorStateRoundTrip(t *testing.T) {
 		p.SpecUpdate(taken)
 		p.Train(pc, taken, snap)
 	}
-	c := p.Clone()
-	if !reflect.DeepEqual(p.State(), c.State()) {
-		t.Fatal("clone state differs")
+	c := NewPredictor(Config{})
+	if err := c.SetState(p.State()); err != nil {
+		t.Fatal(err)
 	}
-	// Identical predictions after cloning.
+	if !reflect.DeepEqual(p.State(), c.State()) {
+		t.Fatal("restored state differs")
+	}
+	// Identical predictions after restoring.
 	for i := 0; i < 100; i++ {
 		pc := uint64(0x1000 + (i%41)*4)
 		got, _ := c.Predict(pc)
 		want, _ := p.Predict(pc)
 		if got != want {
-			t.Fatalf("clone diverges at %#x", pc)
+			t.Fatalf("restored predictor diverges at %#x", pc)
 		}
 		p.SpecUpdate(got)
 		c.SpecUpdate(got)
@@ -41,9 +45,15 @@ func TestBTBStateRoundTrip(t *testing.T) {
 	b := NewBTB(64)
 	b.Train(0x100, 0x2000)
 	b.Train(0x104, 0x3000)
-	c := b.Clone()
+	c := NewBTB(64)
+	if err := c.SetState(b.State()); err != nil {
+		t.Fatal(err)
+	}
 	if tgt, ok := c.Predict(0x100); !ok || tgt != 0x2000 {
-		t.Fatalf("clone predict: %#x %v", tgt, ok)
+		t.Fatalf("restored predict: %#x %v", tgt, ok)
+	}
+	if tgt, ok := b.Predict(0x100); !ok || tgt != 0x2000 {
+		t.Fatalf("source predict: %#x %v", tgt, ok)
 	}
 	if err := NewBTB(32).SetState(b.State()); err == nil {
 		t.Error("geometry mismatch accepted")
@@ -55,15 +65,18 @@ func TestRASStateRoundTrip(t *testing.T) {
 	for i := 0; i < 12; i++ { // overflow the stack deliberately
 		r.Push(uint64(0x1000 + i*4))
 	}
-	c := r.Clone()
+	c := NewRAS(8)
+	if err := c.SetState(r.State()); err != nil {
+		t.Fatal(err)
+	}
 	if c.Depth() != r.Depth() {
-		t.Fatalf("clone depth %d != %d", c.Depth(), r.Depth())
+		t.Fatalf("restored depth %d != %d", c.Depth(), r.Depth())
 	}
 	for {
 		a, ok1 := r.Pop()
 		b, ok2 := c.Pop()
 		if ok1 != ok2 || a != b {
-			t.Fatalf("clone pop diverges: %#x/%v vs %#x/%v", a, ok1, b, ok2)
+			t.Fatalf("restored pop diverges: %#x/%v vs %#x/%v", a, ok1, b, ok2)
 		}
 		if !ok1 {
 			break
@@ -82,12 +95,17 @@ func TestRASStateRoundTrip(t *testing.T) {
 func TestCHTStateRoundTrip(t *testing.T) {
 	c := NewCHT(16)
 	c.Train(0x40)
-	cl := c.Clone()
-	if !cl.Predict(0x40) {
-		t.Error("clone lost trained entry")
+	cl := NewCHT(16)
+	if err := cl.SetState(c.State()); err != nil {
+		t.Fatal(err)
 	}
-	if cl.Predict(0x44) {
-		t.Error("clone predicts untrained pc")
+	for _, pc := range []uint64{0x40, 0x44} {
+		if got, want := cl.Predict(pc), c.Predict(pc); got != want {
+			t.Errorf("restored Predict(%#x) = %v, source %v", pc, got, want)
+		}
+	}
+	if !cl.Predict(0x40) {
+		t.Error("restored table lost trained entry")
 	}
 	if err := NewCHT(8).SetState(c.State()); err == nil {
 		t.Error("geometry mismatch accepted")

@@ -6,20 +6,18 @@ package core
 // overbiased — entries are never aged out except by conflict, trading
 // false suppressions for fewer mis-integrations (paper §3.1).
 type LISP struct {
-	sets  [][]lispEntry
-	assoc int
-	tick  uint64
+	entries []lispEntry   // every entry, set-major
+	sets    [][]lispEntry // entries sliced per set
+	tick    uint64
 
 	Lookups     uint64
 	Suppressed  uint64
 	TrainInsert uint64
 }
 
-type lispEntry struct {
-	valid bool
-	pc    uint64
-	lru   uint64
-}
+// lispEntry is stored in its serialized form, so State and SetState
+// are each one copy of the entry array.
+type lispEntry = LISPEntryState
 
 // LISPConfig sizes the predictor; defaults are the paper's 1K entries,
 // 2-way.
@@ -45,9 +43,9 @@ func NewLISP(cfg LISPConfig) *LISP {
 	if nSets == 0 {
 		nSets = 1
 	}
-	l := &LISP{sets: make([][]lispEntry, nSets), assoc: cfg.Assoc}
+	l := &LISP{entries: make([]lispEntry, nSets*cfg.Assoc), sets: make([][]lispEntry, nSets)}
 	// One flat backing array sliced per set (cf. Table, memsys.Cache).
-	entries := make([]lispEntry, nSets*cfg.Assoc)
+	entries := l.entries
 	for i := range l.sets {
 		l.sets[i], entries = entries[:cfg.Assoc:cfg.Assoc], entries[cfg.Assoc:]
 	}
@@ -64,9 +62,9 @@ func (l *LISP) Suppress(pc uint64) bool {
 	l.Lookups++
 	set := l.set(pc)
 	for i := range set {
-		if set[i].valid && set[i].pc == pc {
+		if set[i].Valid && set[i].PC == pc {
 			l.tick++
-			set[i].lru = l.tick
+			set[i].LRU = l.tick
 			l.Suppressed++
 			return true
 		}
@@ -81,15 +79,15 @@ func (l *LISP) Train(pc uint64) {
 	set := l.set(pc)
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].pc == pc {
-			set[i].lru = l.tick
+		if set[i].Valid && set[i].PC == pc {
+			set[i].LRU = l.tick
 			return
 		}
-		if !set[i].valid {
+		if !set[i].Valid {
 			victim = i
-		} else if set[victim].valid && set[i].lru < set[victim].lru {
+		} else if set[victim].Valid && set[i].LRU < set[victim].LRU {
 			victim = i
 		}
 	}
-	set[victim] = lispEntry{valid: true, pc: pc, lru: l.tick}
+	set[victim] = lispEntry{Valid: true, PC: pc, LRU: l.tick}
 }

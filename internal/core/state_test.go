@@ -1,56 +1,6 @@
 package core
 
-import (
-	"reflect"
-	"testing"
-
-	"rix/internal/regfile"
-)
-
-// TestTableStateRoundTrip fills a table, snapshots it, restores into a
-// fresh table, and verifies identical match/replacement behavior.
-func TestTableStateRoundTrip(t *testing.T) {
-	cfg := TableConfig{Entries: 64, Assoc: 4, Mode: IndexOpcode, UseCallDepth: true}
-	a := NewTable(cfg)
-	for i := 0; i < 300; i++ {
-		k := Key{PC: uint64(0x1000 + i*4), Op: 17, Imm: int64(i % 9), Depth: i % 5}
-		if a.Match(k, regfile.PReg(i%40), uint8(i%16), regfile.NoReg, 0) == nil {
-			a.Insert(k, Entry{in1: regfile.PReg(i % 40), in1Gen: uint8(i % 16),
-				in2: regfile.NoReg, out: regfile.PReg(100 + i%40), outGen: uint8(i % 16)})
-		}
-	}
-	b := NewTable(cfg)
-	if err := b.SetState(a.State()); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.State(), b.State()) {
-		t.Fatal("state did not round-trip")
-	}
-	if a.Occupancy() != b.Occupancy() {
-		t.Fatalf("occupancy %d != %d", a.Occupancy(), b.Occupancy())
-	}
-	// Identical lookups and identical LRU decisions afterwards.
-	for i := 0; i < 300; i++ {
-		k := Key{PC: uint64(0x1000 + i*8), Op: 17, Imm: int64(i % 9), Depth: i % 5}
-		in1 := regfile.PReg(i % 40)
-		ea := a.Match(k, in1, uint8(i%16), regfile.NoReg, 0)
-		eb := b.Match(k, in1, uint8(i%16), regfile.NoReg, 0)
-		if (ea == nil) != (eb == nil) {
-			t.Fatalf("match divergence at %d", i)
-		}
-		if ea == nil {
-			a.Insert(k, Entry{in1: in1, in2: regfile.NoReg})
-			b.Insert(k, Entry{in1: in1, in2: regfile.NoReg})
-		}
-	}
-	if !reflect.DeepEqual(a.State(), b.State()) {
-		t.Fatal("tables diverged after identical operations")
-	}
-	small := NewTable(TableConfig{Entries: 32, Assoc: 4})
-	if err := small.SetState(a.State()); err == nil {
-		t.Error("geometry mismatch accepted")
-	}
-}
+import "testing"
 
 // TestLISPStateRoundTrip verifies the suppression predictor's snapshot —
 // the state the sampling engine chains across measurement windows.

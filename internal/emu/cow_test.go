@@ -76,12 +76,16 @@ func TestSnapshotChain(t *testing.T) {
 	}
 }
 
-// TestCloneWriteBothSides: after Clone, writes on either side must not
-// show through on the other, in both directions, even on the same page.
+// TestCloneWriteBothSides: after a copy through NewMemoryFromState(State()),
+// writes on either side must not show through on the other, in both
+// directions, even on the same page.
 func TestCloneWriteBothSides(t *testing.T) {
 	m := NewMemory()
 	m.Write64(0x1000, 7)
-	c := m.Clone()
+	c, err := NewMemoryFromState(m.State())
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Write64(0x1000, 8)
 	c.Write64(0x1008, 9)
 	if got := c.Read64(0x1000); got != 7 {
@@ -101,7 +105,7 @@ func TestCloneWriteBothSides(t *testing.T) {
 // TestEmulatorStateWhileRunning captures emulator state mid-run and
 // confirms continued execution does not disturb the snapshot — the
 // pattern the sampled warm pass relies on when it snapshots boundaries
-// and stride checkpoints from a still-advancing emulator.
+// from a still-advancing emulator.
 func TestEmulatorStateWhileRunning(t *testing.T) {
 	e := New(assemble(t, `
         .text

@@ -51,11 +51,14 @@ func TestMemoryBasics(t *testing.T) {
 	if got := m.Read64(0x2ffd); got != 0xa1b2c3d4e5f60718 {
 		t.Errorf("unaligned Read64 = %#x", got)
 	}
-	// Clone independence.
-	c := m.Clone()
+	// A copy restored from a snapshot is independent of the original.
+	c, err := NewMemoryFromState(m.State())
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Write64(0x1000, 42)
 	if m.Read64(0x1000) == 42 {
-		t.Error("Clone shares pages with original")
+		t.Error("restored copy shares pages with original")
 	}
 }
 

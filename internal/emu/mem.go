@@ -5,14 +5,14 @@ package emu
 // demand. It serves as both the functional emulator's memory and the
 // pipeline's architectural memory image.
 //
-// Snapshots are copy-on-write: State and Clone share the resident page
-// arrays with the new snapshot/copy instead of duplicating them, and the
-// first write to a shared page afterwards clones just that page. Sharing
-// is tracked per page with an epoch counter — a page is privately
-// writable only when its epoch matches the memory's current epoch, and
-// every snapshot or clone bumps the epoch, instantly demoting all pages
-// to shared. Shared page arrays are never written again by any owner, so
-// a snapshot handed to another goroutine is race-free without locks.
+// Snapshots are copy-on-write: State shares the resident page arrays
+// with the new snapshot instead of duplicating them, and the first write
+// to a shared page afterwards clones just that page. Sharing is tracked
+// per page with an epoch counter — a page is privately writable only
+// when its epoch matches the memory's current epoch, and every snapshot
+// bumps the epoch, instantly demoting all pages to shared. Shared page
+// arrays are never written again by any owner, so a snapshot handed to
+// another goroutine is race-free without locks.
 //
 // One-entry read and write caches short-circuit the map lookups on the
 // common same-page access streak (stack traffic, sequential buffers);
@@ -159,24 +159,3 @@ func (m *Memory) Write32(addr uint64, v uint64) {
 // PageCount reports the number of resident pages (for leak checks in
 // tests).
 func (m *Memory) PageCount() int { return len(m.pages) }
-
-// Clone returns an independent copy of the address space in O(resident
-// pages) map work: both sides keep the same page arrays and each clones
-// a page privately on its next write to it. Clone mutates the receiver's
-// sharing bookkeeping and must be called from the goroutine that owns
-// it; the returned copy can then move to any other goroutine.
-func (m *Memory) Clone() *Memory {
-	m.epoch++
-	m.lastWPN, m.lastW = 0, nil
-	c := &Memory{
-		pages: make(map[uint64]*page, len(m.pages)),
-		// Left empty: a missing entry reads as epoch 0, below the
-		// clone's starting epoch, so every inherited page is shared.
-		epochs: make(map[uint64]uint64, len(m.pages)),
-		epoch:  1,
-	}
-	for pn, p := range m.pages {
-		c.pages[pn] = p //rix:shared — copy-on-write: either side clones the page before its next write
-	}
-	return c
-}

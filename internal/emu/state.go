@@ -41,8 +41,8 @@ type MemState struct {
 // State captures the memory in its serializable form. The snapshot is
 // O(resident pages) map work, not a byte copy: the returned pages alias
 // the live arrays, and the memory's next write to any captured page
-// copies that page first (see Memory). Like Clone, State mutates the
-// sharing bookkeeping and must be called from the owning goroutine.
+// copies that page first (see Memory). State mutates the sharing
+// bookkeeping and must be called from the owning goroutine.
 func (m *Memory) State() MemState {
 	st := MemState{Pages: make(map[uint64][]byte, len(m.pages))}
 	m.stateInto(st.Pages)
@@ -59,7 +59,7 @@ func (m *Memory) stateInto(pages map[uint64][]byte) {
 }
 
 // NewMemoryFromState rebuilds an address space from a snapshot without
-// copying it: like a Clone, the new memory shares the snapshot's page
+// copying it: the new memory shares the snapshot's page
 // arrays and copies a page privately before its first write to it, so
 // the snapshot stays frozen (and may seed any number of memories, from
 // any goroutine). Pages of the wrong size are rejected.

@@ -19,18 +19,16 @@ type CacheConfig struct {
 	HitLatency uint64 // cycles from access to data
 }
 
-type cacheLine struct {
-	valid bool
-	dirty bool
-	tag   uint64
-	lru   uint64
-}
+// cacheLine is stored in its serialized form, so State and SetState
+// are each one copy of the line array.
+type cacheLine = CacheLineState
 
 // Cache is a set-associative, write-back, write-allocate tag array (data
 // values live in the architectural memory; the cache models timing only).
 type Cache struct {
 	cfg      CacheConfig
-	sets     [][]cacheLine
+	lines    []cacheLine   // every line, set-major
+	sets     [][]cacheLine // lines sliced per set
 	setShift uint
 	setMask  uint64
 	tick     uint64
@@ -53,7 +51,8 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 	// One flat backing array sliced per set: building a pipeline is two
 	// allocations per cache, not one per set.
-	lines := make([]cacheLine, nLines)
+	c.lines = make([]cacheLine, nLines)
+	lines := c.lines
 	for i := range c.sets {
 		c.sets[i], lines = lines[:cfg.Assoc:cfg.Assoc], lines[cfg.Assoc:]
 	}
@@ -74,7 +73,7 @@ func (c *Cache) Probe(addr uint64) bool {
 	set := c.sets[(addr>>c.setShift)&c.setMask]
 	tag := addr >> c.setShift >> log2(uint64(len(c.sets)))
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].Valid && set[i].Tag == tag {
 			return true
 		}
 	}
@@ -90,10 +89,10 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, victim
 	set := c.sets[setIdx]
 	tag := addr >> c.setShift >> log2(uint64(len(c.sets)))
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.tick
+		if set[i].Valid && set[i].Tag == tag {
+			set[i].LRU = c.tick
 			if write {
-				set[i].dirty = true
+				set[i].Dirty = true
 			}
 			return true, 0, false
 		}
@@ -102,7 +101,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, victim
 	// Miss: prefer an invalid way, otherwise evict the LRU way.
 	vi := -1
 	for i := range set {
-		if !set[i].valid {
+		if !set[i].Valid {
 			vi = i
 			break
 		}
@@ -110,17 +109,17 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, victim
 	if vi < 0 {
 		vi = 0
 		for i := 1; i < len(set); i++ {
-			if set[i].lru < set[vi].lru {
+			if set[i].LRU < set[vi].LRU {
 				vi = i
 			}
 		}
 	}
-	if set[vi].valid && set[vi].dirty {
+	if set[vi].Valid && set[vi].Dirty {
 		victimDirty = true
-		victim = (set[vi].tag<<log2(uint64(len(c.sets)))|setIdx)<<c.setShift | 0
+		victim = (set[vi].Tag<<log2(uint64(len(c.sets)))|setIdx)<<c.setShift | 0
 		c.Writebacks++
 	}
-	set[vi] = cacheLine{valid: true, dirty: write, tag: tag, lru: c.tick}
+	set[vi] = cacheLine{Valid: true, Dirty: write, Tag: tag, LRU: c.tick}
 	return false, victim, victimDirty
 }
 

@@ -10,6 +10,12 @@ import "fmt"
 // hierarchy makes byte-identical replacement decisions; transient timing
 // state (MSHRs, write buffer, bus reservations) is empty at an
 // instruction boundary by construction and is not serialized.
+//
+// SetState (SetWarmState for the hierarchy) is each structure's one
+// restore body: it checks the geometry, copies the tag state, zeroes
+// every diagnostic tally and, for the hierarchy, empties the timing
+// state. CopyWarmFrom, the allocation-free refill of a pooled hierarchy
+// from a live one, is SetWarmState of read-only views of the source.
 
 // CacheLineState is one line's serializable tag state.
 type CacheLineState struct {
@@ -28,126 +34,38 @@ type CacheState struct {
 
 // State deep-copies the cache's tag state.
 func (c *Cache) State() CacheState {
-	st := CacheState{Lines: make([]CacheLineState, 0, len(c.sets)*c.cfg.Assoc), Tick: c.tick}
-	for _, set := range c.sets {
-		for i := range set {
-			l := &set[i]
-			st.Lines = append(st.Lines, CacheLineState{Valid: l.valid, Dirty: l.dirty, Tag: l.tag, LRU: l.lru})
-		}
-	}
-	return st
+	return CacheState{Lines: append([]CacheLineState(nil), c.lines...), Tick: c.tick}
 }
 
-// SetState restores a snapshot; the geometry (total line count) must
-// match.
+// SetState restores a snapshot and zeroes the tallies; the geometry
+// (total line count) must match.
 func (c *Cache) SetState(st CacheState) error {
-	if len(st.Lines) != len(c.sets)*c.cfg.Assoc {
+	if len(st.Lines) != len(c.lines) {
 		return fmt.Errorf("memsys: %s state has %d lines, want %d",
-			c.cfg.Name, len(st.Lines), len(c.sets)*c.cfg.Assoc)
+			c.cfg.Name, len(st.Lines), len(c.lines))
 	}
-	k := 0
-	for _, set := range c.sets {
-		for i := range set {
-			l := st.Lines[k]
-			set[i] = cacheLine{valid: l.Valid, dirty: l.Dirty, tag: l.Tag, lru: l.LRU}
-			k++
-		}
-	}
+	copy(c.lines, st.Lines)
 	c.tick = st.Tick
+	c.Accesses, c.Misses, c.Writebacks = 0, 0, 0
 	return nil
+}
+
+// view is a read-only view of the cache's tag state that shares the
+// live line array; only SetState may consume it.
+func (c *Cache) view() CacheState {
+	return CacheState{Lines: c.lines, Tick: c.tick} //rix:shared — read-only view
 }
 
 // State deep-copies the TLB's tag state.
 func (t *TLB) State() CacheState { return t.cache.State() }
 
-// SetState restores a TLB snapshot.
-func (t *TLB) SetState(st CacheState) error { return t.cache.SetState(st) }
-
-// Clone returns an independent cache with the same geometry and tag
-// state — the fast path for per-window hierarchy cloning (straight
-// line-array copies, no intermediate state slice).
-func (c *Cache) Clone() *Cache {
-	n := NewCache(c.cfg)
-	for i := range c.sets {
-		copy(n.sets[i], c.sets[i])
-	}
-	n.tick = c.tick
-	return n
-}
-
-// Clone returns an independent TLB with the same state.
-func (t *TLB) Clone() *TLB {
-	return &TLB{cache: t.cache.Clone(), missPenalty: t.missPenalty}
-}
-
-// CopyTagsFrom overwrites c's tag state with src's without allocating —
-// the buffer-reuse path of the sampling engine's pooled window boots.
-// Diagnostic tallies restart at zero, so a reused cache is
-// indistinguishable from a fresh Clone of src.
-func (c *Cache) CopyTagsFrom(src *Cache) error {
-	if len(src.sets) != len(c.sets) || src.cfg.Assoc != c.cfg.Assoc {
-		return fmt.Errorf("memsys: %s copy geometry %dx%d, want %dx%d",
-			c.cfg.Name, len(src.sets), src.cfg.Assoc, len(c.sets), c.cfg.Assoc)
-	}
-	for i := range c.sets {
-		copy(c.sets[i], src.sets[i])
-	}
-	c.tick = src.tick
-	c.Accesses, c.Misses, c.Writebacks = 0, 0, 0
-	return nil
-}
-
-// CopyFrom overwrites t's tag state with src's without allocating;
-// diagnostic tallies restart at zero, as in a fresh Clone.
-func (t *TLB) CopyFrom(src *TLB) error {
-	if err := t.cache.CopyTagsFrom(src.cache); err != nil {
+// SetState restores a TLB snapshot and zeroes the tallies.
+func (t *TLB) SetState(st CacheState) error {
+	if err := t.cache.SetState(st); err != nil {
 		return err
 	}
 	t.Accesses, t.Misses = 0, 0
 	return nil
-}
-
-// CopyWarmFrom overwrites h's warm tag state with src's without
-// allocating, and resets the transient timing state (MSHRs, write
-// buffer, buses) to empty — the state CloneWarm builds fresh. The
-// hierarchies must share a geometry. A reused hierarchy behaves
-// bit-identically to a fresh CloneWarm of src.
-func (h *Hierarchy) CopyWarmFrom(src *Hierarchy) error {
-	if err := h.L1I.CopyTagsFrom(src.L1I); err != nil {
-		return err
-	}
-	if err := h.L1D.CopyTagsFrom(src.L1D); err != nil {
-		return err
-	}
-	if err := h.L2.CopyTagsFrom(src.L2); err != nil {
-		return err
-	}
-	if err := h.ITLB.CopyFrom(src.ITLB); err != nil {
-		return err
-	}
-	if err := h.DTLB.CopyFrom(src.DTLB); err != nil {
-		return err
-	}
-	h.ResetTransient()
-	return nil
-}
-
-// ResetTransient empties the transient timing state (MSHRs, write
-// buffer, buses) and zeroes every diagnostic tally, hierarchy-wide.
-// After ResetTransient plus SetWarmState, a previously used hierarchy is
-// bit-equivalent to a fresh CloneWarm — the pooled-slot reboot path of
-// the sampling scheduler.
-func (h *Hierarchy) ResetTransient() {
-	h.MSHRs.Reset()
-	h.WriteBuf.Reset()
-	h.Backside.Reset()
-	h.MemBus.Reset()
-	h.LoadAccesses, h.StoreAccesses, h.IFetches = 0, 0, 0
-	h.L1I.Accesses, h.L1I.Misses, h.L1I.Writebacks = 0, 0, 0
-	h.L1D.Accesses, h.L1D.Misses, h.L1D.Writebacks = 0, 0, 0
-	h.L2.Accesses, h.L2.Misses, h.L2.Writebacks = 0, 0, 0
-	h.ITLB.Accesses, h.ITLB.Misses = 0, 0
-	h.DTLB.Accesses, h.DTLB.Misses = 0, 0
 }
 
 // WarmState bundles the hierarchy state that functional warmup carries
@@ -169,7 +87,10 @@ func (h *Hierarchy) WarmState() WarmState {
 }
 
 // SetWarmState restores a warm snapshot into a hierarchy of the same
-// geometry.
+// geometry, empties the transient timing state (MSHRs, write buffer,
+// buses) and zeroes every diagnostic tally, hierarchy-wide: a reused
+// hierarchy behaves bit-identically to a fresh one given the same
+// snapshot.
 func (h *Hierarchy) SetWarmState(st WarmState) error {
 	if err := h.L1I.SetState(st.L1I); err != nil {
 		return err
@@ -183,25 +104,23 @@ func (h *Hierarchy) SetWarmState(st WarmState) error {
 	if err := h.ITLB.SetState(st.ITLB); err != nil {
 		return err
 	}
-	return h.DTLB.SetState(st.DTLB)
+	if err := h.DTLB.SetState(st.DTLB); err != nil {
+		return err
+	}
+	h.MSHRs.Reset()
+	h.WriteBuf.Reset()
+	h.Backside.Reset()
+	h.MemBus.Reset()
+	h.LoadAccesses, h.StoreAccesses, h.IFetches = 0, 0, 0
+	return nil
 }
 
-// CloneWarm returns a fresh hierarchy of the same configuration carrying
-// this hierarchy's warm tag state. Timing state (MSHRs, write buffer,
-// buses) starts empty, as at any quiesced instruction boundary.
-func (h *Hierarchy) CloneWarm() *Hierarchy {
-	return &Hierarchy{
-		cfg:      h.cfg,
-		L1I:      h.L1I.Clone(),
-		L1D:      h.L1D.Clone(),
-		L2:       h.L2.Clone(),
-		ITLB:     h.ITLB.Clone(),
-		DTLB:     h.DTLB.Clone(),
-		MSHRs:    NewMSHRFile(h.cfg.MSHRs),
-		WriteBuf: NewWriteBuffer(h.cfg.WriteBufEntries, 1),
-		Backside: NewBus(h.cfg.BacksideBusBytes, 1),
-		MemBus:   NewBus(h.cfg.MemBusBytes, h.cfg.MemBusClockDiv),
-	}
+// CopyWarmFrom overwrites h's warm tag state with src's without
+// allocating: SetWarmState of read-only views of src's tag arrays. The
+// hierarchies must share a geometry.
+func (h *Hierarchy) CopyWarmFrom(src *Hierarchy) error {
+	return h.SetWarmState(WarmState{L1I: src.L1I.view(), L1D: src.L1D.view(), L2: src.L2.view(),
+		ITLB: src.ITLB.cache.view(), DTLB: src.DTLB.cache.view()})
 }
 
 // WarmFetch touches the instruction-side tag state for the fetch of pc:

@@ -16,14 +16,12 @@ func TestCacheStateRoundTrip(t *testing.T) {
 	if err := r.SetState(c.State()); err != nil {
 		t.Fatal(err)
 	}
-	cl := c.Clone()
 	for i := 0; i < 500; i++ {
 		addr := uint64(i * 96)
 		h1, _, _ := c.Access(addr, false)
 		h2, _, _ := r.Access(addr, false)
-		h3, _, _ := cl.Access(addr, false)
-		if h1 != h2 || h1 != h3 {
-			t.Fatalf("divergence at %#x: %v %v %v", addr, h1, h2, h3)
+		if h1 != h2 {
+			t.Fatalf("divergence at %#x: %v %v", addr, h1, h2)
 		}
 	}
 	small := NewCache(CacheConfig{Name: "t", SizeBytes: 1 << 10, LineBytes: 32, Assoc: 2})
@@ -51,20 +49,19 @@ func TestHierarchyWarmRoundTrip(t *testing.T) {
 	if err := viaState.SetWarmState(h.WarmState()); err != nil {
 		t.Fatal(err)
 	}
-	viaClone := h.CloneWarm()
-	if !reflect.DeepEqual(viaState.WarmState(), viaClone.WarmState()) {
-		t.Fatal("SetWarmState and CloneWarm disagree")
+	if !reflect.DeepEqual(viaState.WarmState(), h.WarmState()) {
+		t.Fatal("SetWarmState did not reproduce the source's warm state")
 	}
-	// A warm hit in the original is a warm hit in the copies.
+	// A warm hit in the original is a warm hit in the copy.
 	for _, probe := range []uint64{0x100000, 0x200000, 0x1000} {
 		want := h.L1D.Probe(probe) || h.L1I.Probe(probe)
-		got := viaClone.L1D.Probe(probe) || viaClone.L1I.Probe(probe)
+		got := viaState.L1D.Probe(probe) || viaState.L1I.Probe(probe)
 		if want != got {
-			t.Errorf("probe %#x: original %v clone %v", probe, want, got)
+			t.Errorf("probe %#x: original %v copy %v", probe, want, got)
 		}
 	}
-	// Timing state starts empty in the clone.
-	if viaClone.MSHRs.Allocs != 0 || viaClone.WriteBuf.Stores != 0 {
-		t.Error("clone carried timing state")
+	// Timing state starts empty in the copy.
+	if viaState.MSHRs.Allocs != 0 || viaState.WriteBuf.Stores != 0 {
+		t.Error("copy carried timing state")
 	}
 }

@@ -167,10 +167,9 @@ type Pipeline struct {
 	cursor int
 	onPath bool
 
-	seqCounter   uint64
-	retireStall  uint64 // store write-buffer admission backpressure
-	events       [][]event
-	pendingFlush bool
+	seqCounter  uint64
+	retireStall uint64 // store write-buffer admission backpressure
+	events      [][]event
 
 	// Steady-state allocation pools: recycled uops (sized to the
 	// in-flight window), recycled event buffers (one per future cycle
@@ -256,11 +255,10 @@ type BootState struct {
 	CHT  *bpred.CHT
 	Hier *memsys.Hierarchy
 
-	// IT and LISP seed the integrator. IT entries name physical
-	// registers, which only mean something inside one pipeline, so a
-	// seeded IT is for tests and controlled replays; the LISP is
-	// PC-keyed and safe to carry between pipelines.
-	IT   *core.Table
+	// LISP seeds the integrator's suppression predictor: it is PC-keyed,
+	// so it is safe to carry between pipelines. The integration table
+	// always starts empty — its entries name physical registers, which
+	// only mean something inside one pipeline.
 	LISP *core.LISP
 
 	// Scratch recycles a finished pipeline's allocation pools and ring
@@ -434,9 +432,6 @@ func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) 
 		pl.integ = core.Seeded(cfg.Policy, cfg.IT, boot.LISP, pl.rf)
 	} else {
 		pl.integ = core.New(cfg.Policy, cfg.IT, cfg.LISP, pl.rf)
-	}
-	if boot != nil && boot.IT != nil {
-		pl.integ.Table = boot.IT
 	}
 	pl.prb = probe{pl}
 
@@ -733,12 +728,3 @@ func (pl *Pipeline) drainInFlight() {
 	}
 	pl.fqDrain()
 }
-
-// CHT exposes the collision history table for diagnostics and for the
-// sampling engine's feedback chaining. Mutating it mid-run corrupts the
-// simulation.
-func (pl *Pipeline) CHT() *bpred.CHT { return pl.cht }
-
-// Predictor exposes the branch direction predictor for diagnostics.
-// Mutating it mid-run corrupts the simulation.
-func (pl *Pipeline) Predictor() *bpred.Predictor { return pl.pred }

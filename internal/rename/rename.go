@@ -1,8 +1,10 @@
 // Package rename implements the pointer-based register rename map table
 // (logical register → physical register + generation), as in the MIPS
-// R10000 / Alpha 21264 style the paper assumes. Mis-speculation recovery
-// is serial undo driven by the pipeline's ROB records; the architectural
-// (retirement) map supports whole-pipeline recovery after DIVA flushes.
+// R10000 / Alpha 21264 style the paper assumes. Mis-speculation recovery,
+// DIVA flushes included, is serial undo of the speculative front map
+// driven by the pipeline's ROB records; the architectural (retirement)
+// map records committed mappings, which the halt-time register-leak
+// audit counts.
 package rename
 
 import (
@@ -42,13 +44,6 @@ func (t *MapTable) Set(l isa.Reg, m Mapping) Mapping {
 	t.m[l] = m
 	return old
 }
-
-// CopyFrom overwrites this table with src (used to reset the speculative
-// front-end map from the architectural map on a full flush).
-func (t *MapTable) CopyFrom(src *MapTable) { t.m = src.m }
-
-// Snapshot returns a value copy.
-func (t *MapTable) Snapshot() [isa.NumLogical]Mapping { return t.m }
 
 // Undo is one serial-undo record: restore l to Old, and release the
 // mapping that the undone instruction had created.

@@ -42,19 +42,3 @@ func TestSerialUndo(t *testing.T) {
 		t.Errorf("undo did not restore initial mapping: %+v", mt.Get(1))
 	}
 }
-
-func TestCopyFromAndSnapshot(t *testing.T) {
-	front, arch := NewMapTable(), NewMapTable()
-	arch.Set(2, Mapping{P: 7, Gen: 1})
-	front.Set(2, Mapping{P: 9, Gen: 2})
-	front.Set(3, Mapping{P: 11, Gen: 3})
-	front.CopyFrom(arch)
-	if front.Get(2).P != 7 || front.Get(3).P != regfile.ZeroReg {
-		t.Errorf("CopyFrom: %+v %+v", front.Get(2), front.Get(3))
-	}
-	snap := arch.Snapshot()
-	arch.Set(2, Mapping{P: 13, Gen: 4})
-	if snap[2].P != 7 {
-		t.Error("Snapshot aliased live table")
-	}
-}

@@ -78,7 +78,7 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 		}
 		windows = append(windows, WindowStat{Index: idx, Start: b.Start, MeasuredFrom: b.Start + sp.Warmup, Stats: *stats})
 		if w.lisp != nil {
-			if err := w.lisp.CopyFrom(pl.Integrator().LISP); err != nil {
+			if err := w.lisp.SetState(pl.Integrator().LISP.State()); err != nil {
 				return nil, err
 			}
 		}

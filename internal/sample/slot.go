@@ -66,7 +66,6 @@ func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, 
 		if err := wp.lisp.SetState(job.Feedback); err != nil {
 			return nil, err
 		}
-		wp.lisp.Lookups, wp.lisp.Suppressed, wp.lisp.TrainInsert = 0, 0, 0
 		lisp = wp.lisp
 	}
 	st := &job.Boundary.Emu

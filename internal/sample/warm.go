@@ -177,37 +177,30 @@ func warmerFromSnapshot(cfg pipeline.Config, ws WarmSnapshot) (*warmer, error) {
 }
 
 // setState restores a warm snapshot's tables in place (the LISP is the
-// window boot's to set). Diagnostic tallies restart at zero and the
-// hierarchy's transient timing state is emptied, so a reused set is
+// window boot's to set). Each structure's SetState zeroes its tallies
+// and the hierarchy's empties its timing state, so a reused set is
 // indistinguishable from a freshly built one.
 func (wp *warmParts) setState(ws WarmSnapshot) error {
 	if err := wp.pred.SetState(ws.Pred); err != nil {
 		return err
 	}
-	wp.pred.Lookups = 0
 	if err := wp.btb.SetState(ws.BTB); err != nil {
 		return err
 	}
-	wp.btb.Lookups, wp.btb.Hits = 0, 0
 	if err := wp.ras.SetState(ws.RAS); err != nil {
 		return err
 	}
 	if err := wp.cht.SetState(ws.CHT); err != nil {
 		return err
 	}
-	wp.cht.Lookups, wp.cht.Hits, wp.cht.Trained = 0, 0, 0
-	if err := wp.hier.SetWarmState(ws.Mem); err != nil {
-		return err
-	}
-	wp.hier.ResetTransient()
-	return nil
+	return wp.hier.SetWarmState(ws.Mem)
 }
 
 // copyFrom overwrites the set's tables with src's behavioral state
-// without allocating (the LISP is the window boot's to set); the
-// CopyFrom primitives zero every diagnostic tally and reset the
-// transient timing parts, so the copy is indistinguishable from fresh
-// clones of src. Both sets must share one geometry.
+// without allocating (the LISP is the window boot's to set): each
+// CopyFrom is its structure's SetState of a view of src, so the copy is
+// indistinguishable from a setState of src's snapshot. Both sets must
+// share one geometry.
 func (wp *warmParts) copyFrom(src *warmParts) error {
 	if err := wp.pred.CopyFrom(src.pred); err != nil {
 		return err

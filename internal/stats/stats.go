@@ -1,96 +1,12 @@
-// Package stats provides small statistics containers and text-table
-// rendering for the experiment harness.
+// Package stats provides text-table rendering and summary means for the
+// experiment harness.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Histogram counts samples into caller-defined upper-bound buckets.
-type Histogram struct {
-	bounds []uint64 // sorted upper bounds; final bucket is overflow
-	counts []uint64
-	total  uint64
-}
-
-// NewHistogram builds a histogram with the given inclusive upper bounds.
-func NewHistogram(bounds ...uint64) *Histogram {
-	b := append([]uint64(nil), bounds...)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v uint64) {
-	for i, ub := range h.bounds {
-		if v <= ub {
-			h.counts[i]++
-			h.total++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-	h.total++
-}
-
-// Total returns the sample count.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Fraction returns the share of samples in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[i]) / float64(h.total)
-}
-
-// Buckets returns the bucket count (bounds + overflow).
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Count returns the samples in bucket i.
-func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
-
-// Breakdown is an ordered label -> count map for stacked-bar style
-// reports.
-type Breakdown struct {
-	labels []string
-	counts map[string]uint64
-}
-
-// NewBreakdown builds a breakdown with a fixed label order.
-func NewBreakdown(labels ...string) *Breakdown {
-	return &Breakdown{labels: labels, counts: make(map[string]uint64, len(labels))}
-}
-
-// Add increments a label.
-func (b *Breakdown) Add(label string, n uint64) { b.counts[label] += n }
-
-// Labels returns the label order.
-func (b *Breakdown) Labels() []string { return b.labels }
-
-// Count returns a label's count.
-func (b *Breakdown) Count(label string) uint64 { return b.counts[label] }
-
-// Total sums all labels.
-func (b *Breakdown) Total() uint64 {
-	var t uint64
-	for _, l := range b.labels {
-		t += b.counts[l]
-	}
-	return t
-}
-
-// Fraction returns a label's share.
-func (b *Breakdown) Fraction(label string) float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(b.counts[label]) / float64(t)
-}
 
 // Table renders aligned text tables (and CSV) for experiment output.
 type Table struct {

@@ -6,56 +6,6 @@ import (
 	"testing"
 )
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(3, 15, 63)
-	for _, v := range []uint64{0, 3, 4, 15, 16, 63, 64, 1000} {
-		h.Add(v)
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d", h.Total())
-	}
-	want := []uint64{2, 2, 2, 2}
-	for i, w := range want {
-		if h.Count(i) != w {
-			t.Errorf("bucket %d = %d, want %d", i, h.Count(i), w)
-		}
-	}
-	if h.Fraction(0) != 0.25 {
-		t.Errorf("fraction = %v", h.Fraction(0))
-	}
-	if h.Buckets() != 4 {
-		t.Errorf("buckets = %d", h.Buckets())
-	}
-}
-
-func TestHistogramUnsortedBounds(t *testing.T) {
-	h := NewHistogram(63, 3, 15) // constructor sorts
-	h.Add(4)
-	if h.Count(1) != 1 {
-		t.Error("bounds not sorted")
-	}
-}
-
-func TestBreakdown(t *testing.T) {
-	b := NewBreakdown("alu", "load", "branch")
-	b.Add("alu", 6)
-	b.Add("load", 3)
-	b.Add("branch", 1)
-	if b.Total() != 10 {
-		t.Errorf("total = %d", b.Total())
-	}
-	if b.Fraction("alu") != 0.6 {
-		t.Errorf("fraction = %v", b.Fraction("alu"))
-	}
-	if len(b.Labels()) != 3 || b.Labels()[1] != "load" {
-		t.Error("labels wrong")
-	}
-	empty := NewBreakdown("x")
-	if empty.Fraction("x") != 0 {
-		t.Error("empty fraction not 0")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Demo", "bench", "ipc", "rate")
 	tb.Row("crafty", 1.2345, "17%")
