@@ -2,6 +2,8 @@ package cmdutil
 
 import (
 	"context"
+	"flag"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -58,5 +60,43 @@ func TestRunBodyExitCodes(t *testing.T) {
 	})
 	if !cleaned {
 		t.Error("deferred cleanup skipped")
+	}
+}
+
+// TestSampledFlagsNeedSampling: the sampled-only flags are rejected,
+// naming the flag, when nothing is sampled, and accepted when something
+// is or in worker mode.
+func TestSampledFlagsNeedSampling(t *testing.T) {
+	cases := []struct {
+		args    []string
+		sampled bool
+		want    string // error substring; "" = accepted
+	}{
+		{[]string{"-jobs", "7"}, false, "-jobs only"},
+		{[]string{"-ckpt-cache", "d"}, false, "-ckpt-cache only"},
+		{[]string{"-ckpt-cache-mb", "5"}, false, "-ckpt-cache-mb only"},
+		{[]string{"-ckpt-cache-age", "1h"}, false, "-ckpt-cache-age only"},
+		{[]string{"-coordinator"}, false, "-coordinator only"},
+		{[]string{"-coordinator", "-ckpt-cache", "d", "-jobs", "7"}, false, "-jobs only"},
+		{nil, false, ""},
+		{[]string{"-jobs", "7", "-ckpt-cache", "d", "-ckpt-cache-mb", "5", "-ckpt-cache-age", "1h"}, true, ""},
+		{[]string{"-coordinator", "-ckpt-cache", "d"}, true, ""},
+		{[]string{"-worker", "d", "-jobs", "2"}, false, ""},
+		{[]string{"-coordinator"}, true, "-coordinator needs -ckpt-cache"},
+	}
+	for _, c := range cases {
+		var f SampledFlags
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		f.Register(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		err := f.Check(c.sampled)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%v (sampled=%v): unexpected error %v", c.args, c.sampled, err)
+		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), c.want)):
+			t.Errorf("%v (sampled=%v): err = %v, want one starting %q", c.args, c.sampled, err, c.want)
+		}
 	}
 }

@@ -61,10 +61,30 @@ func (f *SampledFlags) Register(fs *flag.FlagSet) {
 }
 
 // Check validates the flag group's cross-field constraints after
-// flag.Parse, with errors that name the missing flag.
-func (f *SampledFlags) Check() error {
+// flag.Parse, with errors that name the offending flag. sampled reports
+// whether the tool's own flags select a sampled run: the other flags
+// apply only to one, so without it they are an error rather than
+// silently ignored. Worker mode runs no simulation of its own and is
+// exempt.
+func (f *SampledFlags) Check(sampled bool) error {
 	if f.Worker != "" && f.Coordinator {
 		return fmt.Errorf("-worker and -coordinator are mutually exclusive (a worker serves coordinators, it does not run one)")
+	}
+	if f.Worker == "" && !sampled {
+		for _, c := range []struct {
+			name string
+			set  bool
+		}{
+			{"-jobs", f.Jobs != 0},
+			{"-ckpt-cache", f.Cache != ""},
+			{"-ckpt-cache-mb", f.CacheMB != 0},
+			{"-ckpt-cache-age", f.CacheAge != 0},
+			{"-coordinator", f.Coordinator},
+		} {
+			if c.set {
+				return fmt.Errorf("%s only applies to sampled runs (add -sample)", c.name)
+			}
+		}
 	}
 	if f.Coordinator && f.Cache == "" {
 		return fmt.Errorf("-coordinator needs -ckpt-cache (the directory the -worker processes watch)")
@@ -99,7 +119,7 @@ func (f *SampledFlags) RunWorker(ctx context.Context, verbose bool) error {
 
 // Apply copies the resolved knobs onto one sampled run.Request. Only
 // call it for requests whose Options.Sampling is set — Validate rejects
-// Jobs > 1 and the cache fields otherwise.
+// Jobs > 1, the cache fields and WorkerDir otherwise.
 func (f *SampledFlags) Apply(req *run.Request) {
 	jobs := f.Jobs
 	if jobs == 0 {
@@ -112,7 +132,6 @@ func (f *SampledFlags) Apply(req *run.Request) {
 		req.CacheMaxAgeSec = int(f.CacheAge / time.Second)
 	}
 	if f.Coordinator {
-		req.Executor = run.ExecProc
 		req.WorkerDir = f.Cache
 	}
 }
@@ -126,7 +145,6 @@ func (f *SampledFlags) Configure(e *runner.Engine) {
 	e.CacheMaxMB = f.CacheMB
 	e.CacheMaxAgeSec = int(f.CacheAge / time.Second)
 	if f.Coordinator {
-		e.Executor = run.ExecProc
 		e.WorkerDir = f.Cache
 	}
 }

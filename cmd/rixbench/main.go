@@ -21,6 +21,10 @@
 //	rixbench -suite fig4 -sample 16000/600/300  # explicit interval/window/warmup
 //	rixbench -suite all -timeout 10m -v         # deadline + per-cell events
 //
+// The sampled-run flags (-jobs, -ckpt-cache, -ckpt-cache-mb,
+// -ckpt-cache-age, -coordinator) need -sample; without it they are an
+// error, not ignored.
+//
 // Cross-process sampled matrices: window jobs execute on `-worker`
 // processes (rixbench or rixsim, any machine sharing the directory),
 // with estimates bit-identical to the in-process pool:
@@ -78,7 +82,7 @@ func body(ctx context.Context) error {
 	verbose := flag.Bool("v", false, "stream per-cell progress events to stderr")
 	flag.Parse()
 
-	if err := sampled.Check(); err != nil {
+	if err := sampled.Check(*sampleSpec != ""); err != nil {
 		return err
 	}
 	if sampled.WorkerMode() {

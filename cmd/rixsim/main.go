@@ -25,6 +25,10 @@
 //	rixsim -bench gcc -int +reverse -sample default -dump-req > run.json
 //	rixsim -req run.json -json
 //
+// The sampled-run flags (-jobs, -ckpt-cache, -ckpt-cache-mb,
+// -ckpt-cache-age, -coordinator) need -sample or -resume; without one
+// they are an error, not ignored.
+//
 // Cross-process sampled windows (the procexec executor): workers claim
 // window jobs from a shared cache directory, a coordinator run collects
 // the results — bit-identical to the in-process scheduler:
@@ -74,7 +78,7 @@ func body(ctx context.Context) error {
 	list := flag.Bool("list", false, "list workloads and exit")
 	flag.Parse()
 
-	if err := sampled.Check(); err != nil {
+	if err := sampled.Check(*sampleSpec != "" || *resume); err != nil {
 		return err
 	}
 	if sampled.WorkerMode() {

@@ -57,11 +57,14 @@
 // cell: a window coordinator pulls window boundaries from the warm
 // pass — one fast-forward in index order, copying each boundary into a
 // small ring of pooled entries — and executes the detail windows
-// speculatively on a shared work-stealing scheduler (sample.Scheduler)
-// or a one-slot pool of the run's own: a process-wide pool of worker
-// slots, each holding a pooled boot clone re-seeded in place per
-// window, that all sampled cells draw from — a cell that settles early
-// stops submitting and its slots flow to cells still draining — with
+// speculatively on the one executor internal/run picks for the run
+// (sample.Config.Scheduler): cross-process workers when the request
+// sets WorkerDir, else a shared work-stealing scheduler
+// (sample.Scheduler) or a pool of the run's own — a process-wide pool
+// of worker slots, each holding a pooled boot clone re-seeded in place
+// per window, that all sampled cells draw from; a cell that settles
+// early stops submitting and its slots flow to cells still draining —
+// with
 // the estimate bit-identical at every width and the
 // dispatched/settled/discarded window counts reported on
 // run.Result.Sampled. The warm pass's boundary states share pages with

@@ -98,15 +98,10 @@ type Integrator struct {
 	OracleRejects    uint64
 }
 
-// New builds an integrator. The regfile must have been configured with
-// the matching mode (general vs squash-only).
-func New(p Policy, tcfg TableConfig, lcfg LISPConfig, rf *regfile.File) *Integrator {
-	return Seeded(p, tcfg, NewLISP(lcfg), rf)
-}
-
-// Seeded is New around an existing LISP — a window booting with
-// chained feedback — so no cold LISP is built only to be replaced.
-func Seeded(p Policy, tcfg TableConfig, lisp *LISP, rf *regfile.File) *Integrator {
+// New builds an integrator around a suppression predictor: a cold
+// NewLISP, or a window's chained feedback. The regfile must have been
+// configured with the matching mode (general vs squash-only).
+func New(p Policy, tcfg TableConfig, lisp *LISP, rf *regfile.File) *Integrator {
 	if p.OpcodeIndex {
 		tcfg.Mode = IndexOpcode
 		tcfg.UseCallDepth = !p.NoCallDepth

@@ -29,18 +29,15 @@ func TestCacheBasics(t *testing.T) {
 	if len(c.Names()) != 3 {
 		t.Fatalf("names = %v", c.Names())
 	}
-	if c.DynLen(bg, "gzip") < 40_000 {
-		t.Errorf("gzip dyn len = %d", c.DynLen(bg, "gzip"))
-	}
-	st, err := c.Run(bg, "gzip", sim.Options{Integration: sim.IntReverse})
+	one := runner.Spec{ID: "t-one", Benchmarks: []string{"gzip"},
+		Configs: []runner.Config{{Opt: sim.Options{Integration: sim.IntReverse}}}}
+	rs, err := c.Gather(bg, &one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Retired == 0 {
-		t.Error("no instructions retired")
-	}
-	if _, err := c.Run(bg, "nope", sim.Options{}); err == nil {
-		t.Error("unknown workload accepted")
+	// A full-detail run retires the workload's whole dynamic length.
+	if st := rs.Get("gzip", rs.Labels()[0]); st == nil || st.Retired < 40_000 {
+		t.Errorf("gzip cell = %+v, want at least 40000 retired", st)
 	}
 	if _, err := runner.NewEngine([]string{"nope"}); err == nil {
 		t.Error("unknown cache name accepted")

@@ -230,35 +230,54 @@ func (pl *Pipeline) poll(ctx context.Context, done <-chan struct{}) error {
 }
 
 // New builds a pipeline for a program with a golden trace source (from
-// emu.Stream, emu.FromSlice, or workload.Built.Source). The source is
-// consumed incrementally with O(ROB) buffering.
+// emu.Stream, emu.FromSlice, or workload.Built.Source), booted at the
+// program entry — emu.New's architectural state — on cold structures.
+// The source is consumed incrementally with O(ROB) buffering.
 func New(cfg Config, p *prog.Program, src emu.TraceSource) *Pipeline {
-	return NewFrom(cfg, p, src, nil)
+	e := emu.New(p)
+	return NewFrom(cfg, p, src, &BootState{PC: e.PC, Regs: e.Regs, Mem: e.Mem})
 }
 
-// BootState positions a pipeline at a mid-trace instruction boundary —
-// the detailed-window entry point of the sampling subsystem. PC and Regs
-// come from an emulator checkpoint (emu.State); Mem is the architectural
-// memory at that boundary (the pipeline takes ownership — pass a clone if
-// it is shared). The structure pointers inject pre-warmed front-end and
-// memory-system state; nil fields get cold defaults sized from the
-// Config. Injected structures must match the Config's geometry and are
+// Warm is the set of long-lived front-end and memory-system structures
+// a pipeline boots from. They must match the Config's geometry and are
 // owned by the pipeline afterwards.
-type BootState struct {
-	PC   uint64
-	Regs [isa.NumLogical]uint64
-	Mem  *emu.Memory
-
+type Warm struct {
 	Pred *bpred.Predictor
 	BTB  *bpred.BTB
 	RAS  *bpred.RAS
 	CHT  *bpred.CHT
 	Hier *memsys.Hierarchy
+}
+
+// NewWarm builds cold structures sized from cfg.
+func NewWarm(cfg Config) Warm {
+	pc := cfg.Pred.WithDefaults()
+	return Warm{
+		Pred: bpred.NewPredictor(cfg.Pred),
+		BTB:  bpred.NewBTB(pc.BTBEntries),
+		RAS:  bpred.NewRAS(pc.RASEntries),
+		CHT:  bpred.NewCHT(pc.CHTEntries),
+		Hier: memsys.New(cfg.Mem),
+	}
+}
+
+// BootState positions a pipeline at an instruction boundary: the
+// program entry (New), or a sampled window's detailed start. PC and
+// Regs come from an emulator state (emu.State); Mem is the
+// architectural memory at that boundary (the pipeline takes ownership —
+// pass a clone if it is shared). Warm injects pre-warmed structures,
+// all five of them; a zero Warm boots cold ones (NewWarm).
+type BootState struct {
+	PC   uint64
+	Regs [isa.NumLogical]uint64
+	Mem  *emu.Memory
+
+	Warm
 
 	// LISP seeds the integrator's suppression predictor: it is PC-keyed,
-	// so it is safe to carry between pipelines. The integration table
-	// always starts empty — its entries name physical registers, which
-	// only mean something inside one pipeline.
+	// so it is safe to carry between pipelines; nil boots a cold one.
+	// The integration table always starts empty — its entries name
+	// physical registers, which only mean something inside one pipeline.
 	LISP *core.LISP
 
 	// Scratch recycles a finished pipeline's allocation pools and ring
@@ -354,13 +373,15 @@ func (pl *Pipeline) Recycle() *Scratch {
 	}
 }
 
-// NewFrom builds a pipeline booted from an explicit state instead of the
-// program entry point. The golden trace source must produce records
-// starting at the boot PC's dynamic instruction (emu.ResumeStream from
-// the same checkpoint, usually wrapped in emu.Limit for a bounded
-// window). A nil boot is exactly New: entry point, SP/GP boot values,
-// cold structures.
+// NewFrom builds a pipeline booted from boot, which must not be nil.
+// The golden trace source must produce records starting at the boot
+// PC's dynamic instruction (emu.ResumeStream from the same state,
+// usually wrapped in emu.Limit for a bounded window).
 func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) *Pipeline {
+	w := boot.Warm
+	if w == (Warm{}) {
+		w = NewWarm(cfg)
+	}
 	pl := &Pipeline{
 		cfg:  cfg,
 		prog: p,
@@ -370,44 +391,17 @@ func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) 
 		}),
 		front:   rename.NewMapTable(),
 		arch:    rename.NewMapTable(),
-		fetchPC: p.Entry,
+		fetchPC: boot.PC,
 		onPath:  true,
-	}
-	// Warm structures: adopt the boot's when injected; cold defaults are
-	// built only when actually needed, so a fully-seeded boot (the
-	// sampling engine's per-window path) allocates none of them just to
-	// throw them away.
-	if boot != nil && boot.Pred != nil {
-		pl.pred = boot.Pred
-	} else {
-		pl.pred = bpred.NewPredictor(cfg.Pred)
-	}
-	if boot != nil && boot.BTB != nil {
-		pl.btb = boot.BTB
-	} else {
-		pl.btb = bpred.NewBTB(btbSize(cfg.Pred))
-	}
-	if boot != nil && boot.RAS != nil {
-		pl.ras = boot.RAS
-	} else {
-		pl.ras = bpred.NewRAS(rasSize(cfg.Pred))
-	}
-	if boot != nil && boot.CHT != nil {
-		pl.cht = boot.CHT
-	} else {
-		pl.cht = bpred.NewCHT(chtSize(cfg.Pred))
-	}
-	if boot != nil && boot.Hier != nil {
-		pl.mem = boot.Hier
-	} else {
-		pl.mem = memsys.New(cfg.Mem)
-	}
-	if boot != nil {
-		pl.fetchPC = boot.PC
+		pred:    w.Pred,
+		btb:     w.BTB,
+		ras:     w.RAS,
+		cht:     w.CHT,
+		mem:     w.Hier,
+		archMem: boot.Mem,
 	}
 	var winBuf []emu.TraceRec
-	if boot != nil && boot.Scratch.fits(cfg) {
-		s := boot.Scratch
+	if s := boot.Scratch; s.fits(cfg) {
 		pl.rob, pl.rs, pl.lsq, pl.fq = s.rob, s.rs, s.lsq, s.fq
 		pl.events = s.events
 		pl.evFree = s.evFree
@@ -428,33 +422,16 @@ func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) 
 		pl.wake = newWakeup(cfg.NumRS, cfg.PhysRegs)
 	}
 	pl.win.init(src, winCap(cfg), winBuf)
-	if boot != nil && boot.LISP != nil {
-		pl.integ = core.Seeded(cfg.Policy, cfg.IT, boot.LISP, pl.rf)
-	} else {
-		pl.integ = core.New(cfg.Policy, cfg.IT, cfg.LISP, pl.rf)
+	lisp := boot.LISP
+	if lisp == nil {
+		lisp = core.NewLISP(cfg.LISP)
 	}
+	pl.integ = core.New(cfg.Policy, cfg.IT, lisp, pl.rf)
 	pl.prb = probe{pl}
 
-	if boot == nil {
-		pl.archMem = emu.NewMemory()
-		pl.archMem.LoadImage(p.DataBase, p.Data)
-		// Architectural boot state: SP and GP mappings with their boot
-		// values, everything else on the zero register.
-		pl.bootReg(30, p.StackTop) // sp
-		pl.bootReg(29, p.DataBase) // gp
-		return pl
-	}
-
-	if boot.Mem != nil {
-		pl.archMem = boot.Mem
-	} else {
-		pl.archMem = emu.NewMemory()
-		pl.archMem.LoadImage(p.DataBase, p.Data)
-	}
-	// Boot every live architectural register value. SP and GP first so a
-	// count-0 checkpoint allocates physical registers in exactly the
-	// order New does; zero-valued registers stay on the pinned zero
-	// register (reads yield 0, as architecturally required).
+	// Boot every live architectural register value, SP and GP first;
+	// zero-valued registers stay on the pinned zero register (reads
+	// yield 0, as architecturally required).
 	for _, l := range bootOrder {
 		if v := boot.Regs[l]; v != 0 {
 			pl.bootReg(l, v)
@@ -485,27 +462,6 @@ func (pl *Pipeline) bootReg(l int, v uint64) {
 	m := rename.Mapping{P: preg, Gen: pl.rf.Gen(preg)}
 	pl.front.Set(isaReg(l), m)
 	pl.arch.Set(isaReg(l), m)
-}
-
-func btbSize(c bpred.Config) int {
-	if c.BTBEntries > 0 {
-		return c.BTBEntries
-	}
-	return 4096
-}
-
-func rasSize(c bpred.Config) int {
-	if c.RASEntries > 0 {
-		return c.RASEntries
-	}
-	return 32
-}
-
-func chtSize(c bpred.Config) int {
-	if c.CHTEntries > 0 {
-		return c.CHTEntries
-	}
-	return 256
 }
 
 // RunContext simulates to completion (all golden-trace instructions

@@ -182,12 +182,13 @@ func TestBootStateInjection(t *testing.T) {
 
 	// The same machine with an adversarially mistrained predictor must
 	// behave measurably differently (more mispredicts).
-	pred := bpredMistrained(cfg)
+	w := NewWarm(cfg)
+	w.Pred = bpredMistrained(cfg)
 	mem2, err := emu.NewMemoryFromState(st.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := run(&BootState{PC: st.PC, Regs: st.Regs, Mem: mem2, Pred: pred})
+	warm := run(&BootState{PC: st.PC, Regs: st.Regs, Mem: mem2, Warm: w})
 	if warm.CondMispredicts == cold.CondMispredicts {
 		t.Errorf("injected predictor had no effect (mispredicts %d == %d)",
 			warm.CondMispredicts, cold.CondMispredicts)

@@ -59,7 +59,7 @@ type Options struct {
 	// a live resource, not part of the serializable Request — the
 	// request's Jobs field records the intended pool size, and the
 	// caller (e.g. the runner engine) owns the scheduler's lifecycle.
-	// Ignored for detail runs.
+	// Ignored for detail runs and for requests that set WorkerDir.
 	Scheduler *sample.Scheduler
 }
 
@@ -225,25 +225,26 @@ func execute(ctx context.Context, c *config, req *Request, bw workload.Built, re
 		CacheDir:      req.CheckpointCache,
 		CacheMaxBytes: int64(req.CacheMaxMB) << 20,
 		CacheMaxAge:   time.Duration(req.CacheMaxAgeSec) * time.Second,
-		Scheduler:     c.Scheduler,
 		MaxInstrs:     req.MaxInstrs,
 	}
 	if c.hasObs {
 		sc.Hooks = sampleHooks(c, ev)
 	}
+	// The one place a window executor is chosen. With none of these
+	// cases, sc.Scheduler stays nil: a one-slot pool of the run's own.
 	switch {
-	case req.Executor == ExecProc:
-		// Construct the cross-process coordinator from the request's own
-		// fields: window jobs travel through WorkerDir's windows/
-		// subdirectory for `rixsim -worker` processes to claim. Jobs
-		// bounds the in-flight dispatches (the coordinator's default
-		// otherwise).
+	case req.WorkerDir != "":
+		// Window jobs travel through WorkerDir's windows/ subdirectory
+		// for `rixsim -worker` processes to claim. Jobs bounds the
+		// in-flight dispatches (the coordinator's default otherwise).
 		coord, err := procexec.New(req.WorkerDir, procConfig(c, req, ev))
 		if err != nil {
 			return err
 		}
-		sc.Executor = coord
-	case sc.Scheduler == nil && req.Jobs > 1:
+		sc.Scheduler = coord
+	case c.Scheduler != nil:
+		sc.Scheduler = c.Scheduler
+	case req.Jobs > 1:
 		// No shared pool injected: this run's windows get a pool of
 		// their own, Jobs slots wide, for the run's lifetime.
 		sched := sample.NewScheduler(req.Jobs)
@@ -275,8 +276,8 @@ func execute(ctx context.Context, c *config, req *Request, bw workload.Built, re
 	return nil
 }
 
-// procConfig builds the cross-process coordinator configuration for an
-// ExecProc request, adapting its worker-lifecycle callbacks to the
+// procConfig builds the cross-process coordinator configuration for a
+// WorkerDir request, adapting its worker-lifecycle callbacks to the
 // typed event stream. The callbacks fire from the coordinator's
 // per-window collection goroutines — concurrently — so each builds its
 // Event as a local value.

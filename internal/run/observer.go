@@ -29,8 +29,8 @@ const (
 	// the corrected chain. Window is its index. Dispatch, settle, and
 	// discard events follow a deterministic sequence for a given run.
 	WindowDiscarded EventKind = "window-discarded"
-	// WorkerJoined fires the first time a cross-process run (Request.
-	// Executor == ExecProc) observes a given worker's lease — once per
+	// WorkerJoined fires the first time a cross-process run (one with
+	// Request.WorkerDir set) observes a given worker's lease — once per
 	// worker ID for the run's lifetime. Worker is its ID. Emitted from
 	// the coordinator's per-window collection goroutines; concurrent,
 	// and ordering against other windows' events is not deterministic.

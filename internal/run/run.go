@@ -110,30 +110,15 @@ type Request struct {
 	// sample.DefaultMaxInstrs).
 	MaxInstrs uint64 `json:"max_instrs,omitempty"`
 
-	// Executor names how a sampled run's detail windows execute:
-	// ExecPool (or empty) keeps them on the in-process work-stealing
-	// pool, ExecProc dispatches them as job manifests under WorkerDir
-	// for `rixsim -worker` processes to claim (see
-	// internal/sample/procexec). The estimate is bit-identical either
-	// way. A resume run executes its re-run windows the same way.
-	Executor string `json:"executor,omitempty"`
-
-	// WorkerDir is the cache directory shared with the worker
-	// processes serving an ExecProc run — manifests, leases, and
-	// results travel through its windows/ subdirectory. Requires
-	// Executor == ExecProc.
+	// WorkerDir, when set, runs a sampled run's detail windows on
+	// `rixsim -worker` processes sharing this cache directory instead
+	// of in-process: manifests, leases, and results travel through its
+	// windows/ subdirectory (see internal/sample/procexec). Jobs then
+	// bounds the windows on offer at once. The estimate is
+	// bit-identical either way, and a resume run executes its windows
+	// the same way. Requires Options.Sampling.
 	WorkerDir string `json:"worker_dir,omitempty"`
 }
-
-// Executor names for Request.Executor.
-const (
-	// ExecPool is the in-process work-stealing pool — the explicit
-	// spelling of the default.
-	ExecPool = "pool"
-	// ExecProc is the cross-process executor: windows run on
-	// `rixsim -worker` processes sharing WorkerDir.
-	ExecProc = "proc"
-)
 
 // Mode reports the execution path the request routes to.
 func (r *Request) Mode() Mode {
@@ -204,19 +189,8 @@ func (r *Request) Validate() error {
 	if (r.CacheMaxMB > 0 || r.CacheMaxAgeSec > 0) && r.CheckpointCache == "" {
 		return fmt.Errorf("run: cache bounds need CheckpointCache")
 	}
-	switch r.Executor {
-	case "", ExecPool, ExecProc:
-	default:
-		return fmt.Errorf("run: unknown Executor %q (want %q or %q)", r.Executor, ExecPool, ExecProc)
-	}
-	if r.Executor != "" && r.Options.Sampling == nil {
-		return fmt.Errorf("run: Executor is only meaningful for sampled runs (set Options.Sampling)")
-	}
-	if r.Executor == ExecProc && r.WorkerDir == "" {
-		return fmt.Errorf("run: Executor %q needs WorkerDir (the cache directory shared with the workers)", ExecProc)
-	}
-	if r.WorkerDir != "" && r.Executor != ExecProc {
-		return fmt.Errorf("run: WorkerDir needs Executor %q", ExecProc)
+	if r.WorkerDir != "" && r.Options.Sampling == nil {
+		return fmt.Errorf("run: WorkerDir is only meaningful for sampled runs (set Options.Sampling)")
 	}
 	return nil
 }

@@ -47,19 +47,13 @@ func TestRequestValidation(t *testing.T) {
 		{"resume without dir", run.Request{Workload: "gzip", Resume: true,
 			Options: sim.Options{Sampling: &sp}}, "needs CheckpointDir"},
 		{"ckpt without sampling", run.Request{Workload: "gzip", CheckpointDir: "/tmp/x"}, "only meaningful for sampled"},
-		{"unknown executor", run.Request{Workload: "gzip", Options: sim.Options{Sampling: &sp},
-			Executor: "threads"}, "unknown Executor"},
-		{"executor without sampling", run.Request{Workload: "gzip", Executor: run.ExecPool}, "only meaningful for sampled"},
-		{"valid executor with resume", run.Request{Workload: "gzip", Resume: true, CheckpointDir: "/tmp/x",
-			Options: sim.Options{Sampling: &sp}, Executor: run.ExecPool}, ""},
-		{"proc without worker dir", run.Request{Workload: "gzip", Options: sim.Options{Sampling: &sp},
-			Executor: run.ExecProc}, "needs WorkerDir"},
-		{"worker dir without proc", run.Request{Workload: "gzip", Options: sim.Options{Sampling: &sp},
-			WorkerDir: "/tmp/x"}, `WorkerDir needs Executor "proc"`},
+		{"worker dir without sampling", run.Request{Workload: "gzip", WorkerDir: "/tmp/x"}, "only meaningful for sampled"},
+		{"valid worker dir with resume", run.Request{Workload: "gzip", Resume: true, CheckpointDir: "/tmp/x",
+			Options: sim.Options{Sampling: &sp}, WorkerDir: "/tmp/x"}, ""},
 		{"valid detail", run.Request{Workload: "gzip", Options: sim.Options{Integration: sim.IntReverse}}, ""},
 		{"valid sampled", run.Request{Workload: "gzip", Options: sim.Options{Sampling: &sp}}, ""},
-		{"valid proc", run.Request{Workload: "gzip", Options: sim.Options{Sampling: &sp},
-			Executor: run.ExecProc, WorkerDir: "/tmp/x"}, ""},
+		{"valid worker dir", run.Request{Workload: "gzip", Options: sim.Options{Sampling: &sp},
+			WorkerDir: "/tmp/x"}, ""},
 	}
 	for _, c := range cases {
 		err := c.req.Validate()
@@ -94,7 +88,6 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 		CheckpointDir: "/tmp/ck",
 		Jobs:          4,
 		MaxInstrs:     1 << 22,
-		Executor:      run.ExecProc,
 		WorkerDir:     "/tmp/wd",
 	}
 	data, err := run.MarshalRequest(req)
@@ -119,9 +112,10 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 	if _, err := run.UnmarshalRequest([]byte(`{"workload":"x","checkpoint-dir":"/tmp/ck"}`)); err == nil {
 		t.Error("UnmarshalRequest accepted an unknown field (typo'd key)")
 	}
-	// Stored requests carrying the removed warm-shard knobs must fail
-	// naming the field, not run with the knob silently dropped.
-	for _, field := range []string{"warm_jobs", "warm_stride"} {
+	// Stored requests carrying removed knobs (the warm-shard ones, and
+	// the executor name WorkerDir replaced) must fail naming the field,
+	// not run with the knob silently dropped.
+	for _, field := range []string{"warm_jobs", "warm_stride", "executor"} {
 		js := `{"workload":"gzip","options":{"sampling":{"interval":20000,"window":800,"warmup":400}},"` + field + `":4}`
 		if _, err := run.UnmarshalRequest([]byte(js)); err == nil || !strings.Contains(err.Error(), field) {
 			t.Errorf("request with %q: err = %v, want an error naming the field", field, err)
@@ -189,7 +183,7 @@ func TestDoSampledMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := est.StatsEstimate()
+	want := &est.Agg
 	res, err := run.Do(context.Background(), run.Request{Workload: "gzip", Options: o})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +324,7 @@ func TestCellEventSequenceDeterministic(t *testing.T) {
 	}
 }
 
-// TestDoCrossProcess: an ExecProc request reproduces the plain sampled
+// TestDoCrossProcess: a WorkerDir request reproduces the plain sampled
 // run's statistics exactly while executing its windows on worker loops
 // over the shared directory, and the observer sees the cross-process
 // event vocabulary (worker-joined, lease-claimed, result-collected).
@@ -358,7 +352,7 @@ func TestDoCrossProcess(t *testing.T) {
 
 	log := &eventLog{}
 	res, err := run.Do(context.Background(),
-		run.Request{Workload: "gzip", Options: o, Executor: run.ExecProc, WorkerDir: dir},
+		run.Request{Workload: "gzip", Options: o, WorkerDir: dir},
 		run.WithObserver(log))
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"rix/internal/pipeline"
 	"rix/internal/run"
 	"rix/internal/sample"
-	"rix/internal/sim"
 	"rix/internal/stats"
 	"rix/internal/workload"
 )
@@ -27,11 +26,11 @@ type WorkloadSource interface {
 
 // Engine executes specs over a fixed workload set, with every cell
 // routed through the unified run API (run.Do): workloads are built
-// lazily — in parallel, memoized — the first time a spec (or DynLen/Run)
-// needs them, and the (workload x config) cross-product runs through a
-// worker pool that acquires its semaphore slot *before* spawning each
-// goroutine, so at most Parallel simulations are live at once and memory
-// stays bounded. Every entry point takes a context.Context: cancelling
+// lazily — in parallel, memoized — the first time a spec needs them,
+// and the (workload x config) cross-product runs through a worker pool
+// that acquires its semaphore slot *before* spawning each goroutine, so
+// at most Parallel simulations are live at once and memory stays
+// bounded. Every entry point takes a context.Context: cancelling
 // it stops scheduling new cells and interrupts the in-flight ones at
 // their batched poll boundaries.
 type Engine struct {
@@ -46,7 +45,7 @@ type Engine struct {
 	Observer run.Observer
 
 	// WindowJobs sizes the shared window-scheduler pool every sampled
-	// cell in a Run/Stream/Gather call draws from. 0 (the default) sizes
+	// cell in a Stream/Gather call draws from. 0 (the default) sizes
 	// the pool to Parallel: there is no static per-cell split — a cell
 	// that settles its speculative waves early simply stops submitting,
 	// and its slots immediately execute the windows other cells still
@@ -67,17 +66,11 @@ type Engine struct {
 	CacheMaxMB     int
 	CacheMaxAgeSec int
 
-	// Executor selects how sampled cells execute their detail windows:
-	// empty or run.ExecPool keeps them on the shared in-process
-	// scheduler pool above; run.ExecProc dispatches every cell's
-	// windows as job manifests under WorkerDir for `rixsim -worker`
+	// WorkerDir, when set, dispatches every sampled cell's windows as
+	// job manifests under this cache directory for `rixsim -worker`
 	// processes to claim (each cell gets its own coordinator, all
 	// sharing the directory and the worker fleet; no in-process pool is
 	// created). Estimates are bit-identical either way.
-	Executor string
-
-	// WorkerDir is the cache directory shared with the worker processes
-	// when Executor is run.ExecProc.
 	WorkerDir string
 
 	names    []string
@@ -121,28 +114,6 @@ func (e *Engine) parallel() int {
 	return e.Parallel
 }
 
-func (e *Engine) has(name string) bool {
-	for _, n := range e.names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// DynLen returns the dynamic instruction count of a workload (building
-// it on first use), or 0 if the workload is unknown or fails to build.
-func (e *Engine) DynLen(ctx context.Context, name string) int {
-	if !e.has(name) {
-		return 0
-	}
-	bw, err := e.src.Get(ctx, name)
-	if err != nil {
-		return 0
-	}
-	return bw.DynLen
-}
-
 // schedSlots resolves the shared window-scheduler pool size: the
 // explicit WindowJobs override, or the whole Parallel budget.
 func (e *Engine) schedSlots() int {
@@ -152,14 +123,14 @@ func (e *Engine) schedSlots() int {
 	return e.parallel()
 }
 
-// scheduler creates the shared window pool for one Run/Stream call, or
+// scheduler creates the shared window pool for one Stream call, or
 // nil when none is shared: cross-process cells execute nothing locally,
 // and a one-slot resolution leaves each cell its own one-slot pool. The
 // caller must call the returned release func after every cell has
 // settled.
 func (e *Engine) scheduler() (*sample.Scheduler, int, func()) {
 	slots := e.schedSlots()
-	if e.Executor == run.ExecProc {
+	if e.WorkerDir != "" {
 		// Cross-process cells execute nothing locally: skip the pool and
 		// let the slot budget size each coordinator's speculation depth.
 		return nil, slots, func() {}
@@ -169,18 +140,6 @@ func (e *Engine) scheduler() (*sample.Scheduler, int, func()) {
 	}
 	sched := sample.NewScheduler(slots)
 	return sched, slots, sched.Close
-}
-
-// Run simulates one workload under the given options, outside any spec.
-// A sampled run fans its detail windows across a scheduler pool sized
-// to the engine's whole Parallel budget — it is the only cell.
-func (e *Engine) Run(ctx context.Context, name string, o sim.Options) (*pipeline.Stats, error) {
-	if !e.has(name) {
-		return nil, fmt.Errorf("runner: workload %q not in engine", name)
-	}
-	sched, slots, release := e.scheduler()
-	defer release()
-	return e.cell(ctx, name, Config{Label: o.Label(), Opt: o}, sched, slots)
 }
 
 // cell executes one (workload, config) cell through run.Do. Each cell
@@ -206,7 +165,6 @@ func (e *Engine) cell(ctx context.Context, bench string, c Config, sched *sample
 			req.CacheMaxMB = e.CacheMaxMB
 			req.CacheMaxAgeSec = e.CacheMaxAgeSec
 		}
-		req.Executor = e.Executor
 		req.WorkerDir = e.WorkerDir
 		if sched != nil {
 			opts = append(opts, run.WithScheduler(sched))

@@ -148,7 +148,6 @@ func TestCrossProcessEngineParity(t *testing.T) {
 	}
 	procEng.Parallel = 2
 	procEng.WindowJobs = 3
-	procEng.Executor = run.ExecProc
 	procEng.WorkerDir = dir
 	got := gather(procEng)
 
@@ -185,7 +184,7 @@ func TestSchedulerPoolResolution(t *testing.T) {
 	e.WindowJobs = 4
 	sched, slots, release = e.scheduler()
 	defer release()
-	if sched == nil || sched.Size() != 4 || slots != 4 {
+	if sched == nil || sched.Width() != 4 || slots != 4 {
 		t.Errorf("WindowJobs=4: got sched=%v (slots=%d), want a 4-slot pool", sched, slots)
 	}
 }

@@ -126,9 +126,6 @@ func TestUnknownSpecAndWorkload(t *testing.T) {
 	if _, err := e.RunSpec(bg, "t-nope"); err == nil || !strings.Contains(err.Error(), "unknown spec") {
 		t.Errorf("RunSpec unknown: %v", err)
 	}
-	if _, err := e.Run(bg, "nope", sim.Options{}); err == nil {
-		t.Error("Run with unknown workload accepted")
-	}
 	if _, err := NewEngine([]string{"not-a-benchmark"}); err == nil {
 		t.Error("NewEngine accepted unregistered workload")
 	}
@@ -149,8 +146,8 @@ func TestLazyMemoizedBuilds(t *testing.T) {
 		t.Fatalf("engine built %d workloads eagerly", built)
 	}
 
-	// Hammer the engine from several goroutines: overlapping specs plus
-	// direct DynLen/Run access, all wanting the same workloads.
+	// Hammer the engine from several goroutines: overlapping specs,
+	// whole matrices and one-cell ones, all wanting the same workloads.
 	spec := sizedSpec("t-lazy", 64, 128, 256)
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
@@ -162,13 +159,15 @@ func TestLazyMemoizedBuilds(t *testing.T) {
 				if _, err := e.Gather(bg, &spec); err != nil {
 					t.Error(err)
 				}
-			case 1:
-				if n := e.DynLen(bg, "b"); n != 100 {
-					t.Errorf("DynLen = %d", n)
-				}
-			case 2:
-				if _, err := e.Run(bg, "c", sim.Options{}); err != nil {
+			default:
+				b := names[i%3]
+				one := sizedSpec("t-lazy-one", 64)
+				one.Benchmarks = []string{b}
+				rs, err := e.Gather(bg, &one)
+				if err != nil {
 					t.Error(err)
+				} else if st := rs.Get(b, "it64"); st == nil || st.Retired != cellRetired(b, 64) {
+					t.Errorf("one-cell spec over %s: got %+v", b, st)
 				}
 			}
 		}(i)

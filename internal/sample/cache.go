@@ -2,12 +2,12 @@ package sample
 
 import (
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"rix/internal/gobfile"
 	"rix/internal/pipeline"
 	"rix/internal/prog"
 )
@@ -65,13 +65,8 @@ func warmSetPath(dir, key string) string {
 // of miss (absent, unreadable, format/key/content mismatch).
 func loadWarmSet(dir, key, program string, sp Sampling) (*WarmSet, string) {
 	path := warmSetPath(dir, key)
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, ""
-	}
-	defer f.Close()
 	var wf warmSetFile
-	if err := gob.NewDecoder(f).Decode(&wf); err != nil {
+	if err := gobfile.Read(path, &wf); err != nil {
 		return nil, ""
 	}
 	if wf.Format != WarmCacheFormat || wf.CheckpointFormat != CheckpointFormat || wf.Key != key {
@@ -84,7 +79,7 @@ func loadWarmSet(dir, key, program string, sp Sampling) (*WarmSet, string) {
 }
 
 // saveWarmSet atomically persists a warm set under its key
-// (writeGobAtomic, like SaveCheckpoint): a crash mid-write leaves no
+// (gobfile.Write, like SaveCheckpoint): a crash mid-write leaves no
 // partial entry, and concurrent writers of the same key each rename a
 // complete entry with identical contents.
 func saveWarmSet(dir, key string, set *WarmSet) (string, error) {
@@ -92,7 +87,7 @@ func saveWarmSet(dir, key string, set *WarmSet) (string, error) {
 		return "", fmt.Errorf("sample: warm cache dir: %w", err)
 	}
 	path := warmSetPath(dir, key)
-	err := writeGobAtomic(path, &warmSetFile{
+	err := gobfile.Write(path, &warmSetFile{
 		Format:           WarmCacheFormat,
 		CheckpointFormat: CheckpointFormat,
 		Key:              key,

@@ -2,13 +2,13 @@ package sample
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"rix/internal/emu"
+	"rix/internal/gobfile"
 	"rix/internal/pipeline"
 	"rix/internal/prog"
 )
@@ -48,7 +48,7 @@ func checkpointName(program string, idx int) string {
 
 // SaveCheckpoint atomically writes a checkpoint into dir (created if
 // missing), returning its path. A crash mid-write leaves no partial
-// file (writeGobAtomic). A partial (cancellation) checkpoint shares its
+// file (gobfile.Write). A partial (cancellation) checkpoint shares its
 // window's file name, so the boundary checkpoint written when Continue
 // reaches the window start replaces it.
 func SaveCheckpoint(dir string, ck *Checkpoint) (string, error) {
@@ -56,49 +56,18 @@ func SaveCheckpoint(dir string, ck *Checkpoint) (string, error) {
 		return "", fmt.Errorf("sample: checkpoint dir: %w", err)
 	}
 	path := filepath.Join(dir, checkpointName(ck.Program, ck.Index))
-	if err := writeGobAtomic(path, ck); err != nil {
+	if err := gobfile.Write(path, ck); err != nil {
 		return "", fmt.Errorf("sample: checkpoint %s: %w", path, err)
 	}
 	return path, nil
-}
-
-// writeGobAtomic gob-encodes v into path: the payload lands in a
-// uniquely named temporary file beside path and is renamed into place.
-// A crash mid-write leaves no partial file, and concurrent writers of
-// one path never share a temporary file, so each rename installs one
-// writer's complete payload.
-func writeGobAtomic(path string, v any) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return err
-	}
-	err = f.Chmod(0o644) // CreateTemp's 0600 would hide a shared cache from other users
-	if err == nil {
-		err = gob.NewEncoder(f).Encode(v)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	if err != nil {
-		os.Remove(f.Name())
-	}
-	return err
 }
 
 // LoadCheckpoint reads and validates one checkpoint file: the format
 // version must match this build's and the recorded window layout must
 // be internally valid. Every rejection names the offending file.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sample: checkpoint: %w", err)
-	}
-	defer f.Close()
 	var ck Checkpoint
-	if err := gob.NewDecoder(f).Decode(&ck); err != nil {
+	if err := gobfile.Read(path, &ck); err != nil {
 		return nil, fmt.Errorf("sample: checkpoint %s: %w", path, err)
 	}
 	if ck.Format != CheckpointFormat {

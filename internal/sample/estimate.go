@@ -114,15 +114,6 @@ func (e *Estimate) DetailFraction() float64 {
 	return float64(e.DetailedInstrs) / float64(e.TotalInstrs)
 }
 
-// StatsEstimate returns the aggregated measured Stats — the drop-in
-// value for collectors keyed on *pipeline.Stats. Absolute counters cover
-// only the measured windows; every ratio (IPC, rates, per-million
-// metrics) estimates the full run.
-func (e *Estimate) StatsEstimate() *pipeline.Stats {
-	cp := e.Agg
-	return &cp
-}
-
 // Summary renders the canonical one-look sampled summary block from
 // already-aggregated values (no trailing newline). Estimate.String and
 // the run API's result summary share it, so the block cannot drift

@@ -12,11 +12,12 @@ import (
 // and its execution layer. The coordinator (parallel.go) owns *what*
 // runs — dispatch order, index-ordered settlement, feedback validation,
 // discard-and-re-dispatch — and an Executor owns *how* one window runs:
-// on the in-process work-stealing pool (poolExecutor, the default) or
-// on cooperating worker processes sharing a cache directory
-// (procexec.Coordinator). Because a window's result depends only on its
-// WindowJob, swapping executors can never change the estimate — the
-// bit-identity tests pin this for both implementations.
+// on the in-process work-stealing pool (Scheduler, the default) or on
+// cooperating worker processes sharing a cache directory
+// (procexec.Coordinator). The coordinator never asks which one it has.
+// Because a window's result depends only on its WindowJob, swapping
+// executors can never change the estimate — the bit-identity tests pin
+// this for both implementations.
 
 // WindowJob is one detail window as pure data: everything an executor —
 // in this process or another one — needs to produce the window's
@@ -32,14 +33,26 @@ type WindowJob struct {
 	Boundary Boundary
 	Feedback core.LISPState
 
-	// live, set only on jobs the coordinator hands the in-process pool
-	// in a run that writes no checkpoints, holds the boundary's warm
-	// tables in place of Boundary.Warm's: the live warm pass's ring
-	// entry, lent until the job's Run returns. The window boots on a
-	// copy of them, or — own, for a window nothing can discard — on the
-	// tables themselves.
+	// live, set on jobs whose boundary is a live warm pass's ring entry,
+	// holds the boundary's warm tables in place of Boundary.Warm's: the
+	// entry's own, lent until the job's Run returns. The window boots on
+	// a copy of them, or — own, for a window nothing can discard — on
+	// the tables themselves. Detached replaces them with a snapshot.
 	live *warmParts
 	own  bool
+}
+
+// Detached returns the job self-contained: a job that borrows a live
+// ring entry's tables gets a snapshot of them in Boundary.Warm, so it
+// can leave the process (gob-encode, write to disk). Any other job is
+// returned unchanged. An executor that ships jobs out of the process
+// calls it from Run, while the tables are still lent.
+func (j WindowJob) Detached() WindowJob {
+	if j.live != nil {
+		j.live.snapshot(&j.Boundary.Warm)
+		j.live, j.own = nil, false
+	}
+	return j
 }
 
 // WindowResult is one executed window's output: the measured statistics
@@ -73,44 +86,11 @@ type Executor interface {
 }
 
 // ExecuteWindow runs one window job locally on a fresh slot — the
-// execution primitive behind every executor that does not hold pooled
-// scheduler slots (the cross-process worker mode most of all). A fresh
-// slot's boot builds the same structures a pooled slot restores in
-// place, so the result is bit-identical to the pooled path's: the
-// checkpoint-parity tests pin fresh-boot and pooled-boot execution to
-// the same bytes.
+// execution primitive behind the cross-process worker mode, which holds
+// no pooled scheduler slots. A fresh slot's boot builds the same
+// structures a pooled slot restores in place, so the result is
+// bit-identical to the pooled path's: the checkpoint-parity tests pin
+// fresh-boot and pooled-boot execution to the same bytes.
 func ExecuteWindow(ctx context.Context, job WindowJob) (WindowResult, error) {
 	return new(slot).run(ctx, job)
-}
-
-// poolExecutor adapts the in-process work-stealing Scheduler to the
-// Executor interface: Run submits one schedTask into the shared queue
-// and waits for its result, or withdraws it on the job's cancellation.
-type poolExecutor struct {
-	sched *Scheduler
-}
-
-func (x *poolExecutor) Width() int { return x.sched.Size() }
-
-func (x *poolExecutor) Run(ctx context.Context, job WindowJob) (WindowResult, error) {
-	if err := ctx.Err(); err != nil {
-		return WindowResult{}, err // discarded before submission: no task queued
-	}
-	t := &schedTask{ctx: ctx, job: job, out: make(chan outcome, 1)}
-	if err := x.sched.submit(t); err != nil {
-		return WindowResult{}, err
-	}
-	select {
-	case o := <-t.out:
-		return o.res, o.err
-	case <-ctx.Done():
-		// Cancelled while still queued: withdraw the task, and no worker
-		// will ever touch it. A worker already running it aborts at the
-		// pipeline's next poll boundary; wait for that, so the job is
-		// never read after Run returns.
-		if !t.claimed.CompareAndSwap(false, true) {
-			<-t.out
-		}
-		return WindowResult{}, ctx.Err()
-	}
 }

@@ -69,8 +69,7 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 			w.observe(p.Code[rec.CodeIdx], pc, rec, e.PC)
 		}
 		pl := pipeline.NewFrom(cfg, p, emu.FromSlice(recs), &pipeline.BootState{
-			PC: b.Emu.PC, Regs: b.Emu.Regs, Mem: mem, LISP: lisp,
-			Pred: parts.pred, BTB: parts.btb, RAS: parts.ras, CHT: parts.cht, Hier: parts.hier,
+			PC: b.Emu.PC, Regs: b.Emu.Regs, Mem: mem, Warm: parts.Warm, LISP: lisp,
 		})
 		stats, err := pl.RunWindowContext(ctx, sp.Warmup, sp.Window)
 		if err != nil {

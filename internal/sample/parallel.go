@@ -57,29 +57,20 @@ type inflight struct {
 	out    chan outcome
 }
 
-// runParallel runs every boundary src yields as a detail window on an
-// Executor — sc.Executor when set, otherwise the in-process pool (the
-// run's own Config.Scheduler, or an ephemeral one-slot pool) —
+// runParallel runs every boundary src yields as a detail window on
+// sc.Scheduler, or on an ephemeral one-slot pool when it is nil,
 // returning WindowStats in index order. The boundaries must be the
 // run's windows 0, 1, 2, ... without gaps: window 0 boots with its
 // boundary's own LISP, every later one with the chained feedback,
 // whatever LISP its boundary stored.
 func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc Config, src *source) ([]WindowStat, error) {
 	sp := sc.Sampling
-	exec := sc.Executor
+	exec := sc.Scheduler
 	if exec == nil {
-		sched := sc.Scheduler
-		if sched == nil {
-			sched = NewScheduler(1)
-			defer sched.Close()
-		}
-		exec = &poolExecutor{sched: sched}
+		sched := NewScheduler(1)
+		defer sched.Close()
+		exec = sched
 	}
-	// The in-process pool boots windows straight from a live entry's
-	// tables. Any other executor, and any run that writes checkpoints,
-	// gets self-contained snapshots: those bytes leave the process.
-	_, local := exec.(*poolExecutor)
-	lend := local && sc.CheckpointDir == ""
 	depth := max(exec.Width(), 1)
 	var frames []frame      // fetched boundaries, by window index
 	var flights []*inflight // in-flight windows, by window index
@@ -126,16 +117,10 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 		fl := &inflight{cancel: cancel, out: make(chan outcome, 1),
 			job: WindowJob{Prog: p, Config: cfg, Sampling: sp, Boundary: *f.b, Feedback: guess}}
 		if f.entry != nil {
-			if lend {
-				// A validated window boots on the entry's tables
-				// themselves; a speculative one may be re-dispatched, so
-				// it boots on a copy and leaves the entry pristine.
-				fl.job.live, fl.job.own = &f.entry.parts, validated
-			} else {
-				// Self-contained: the entry's boundary carries the LISP
-				// and touch cursor; add a snapshot of its tables.
-				f.entry.parts.snapshot(&fl.job.Boundary.Warm)
-			}
+			// Lend the entry's tables: a validated window boots on them
+			// itself; a speculative one may be re-dispatched, so it boots
+			// on a copy and leaves the entry pristine.
+			fl.job.live, fl.job.own = &f.entry.parts, validated
 		}
 		running.Add(1)
 		go func() {
@@ -182,6 +167,7 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 		o := <-fl.out
 		fl.cancel() // settled: release the job context
 		f := frames[i]
+		frames[i] = frame{} // the boundary is done with once its window settles
 		b := f.b
 		if o.err != nil {
 			if ctx.Err() != nil && o.err == ctx.Err() {

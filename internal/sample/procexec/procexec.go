@@ -57,9 +57,10 @@ package procexec
 import (
 	"context"
 	"crypto/rand"
-	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -67,6 +68,7 @@ import (
 	"time"
 
 	"rix/internal/core"
+	"rix/internal/gobfile"
 	"rix/internal/pipeline"
 	"rix/internal/prog"
 	"rix/internal/sample"
@@ -221,8 +223,10 @@ func (c *Coordinator) Width() int { return c.cfg.Width }
 // Run dispatches one window job to the worker fleet and blocks until
 // its result is collected, the job fails permanently, or ctx is
 // cancelled (the coordinator then withdraws the manifest so no worker
-// wastes time on a discarded dispatch).
+// wastes time on a discarded dispatch). The manifest carries the
+// job's Detached form.
 func (c *Coordinator) Run(ctx context.Context, job sample.WindowJob) (sample.WindowResult, error) {
+	job = job.Detached()
 	base := fmt.Sprintf("%s-w%05d-d%04d", c.runID, job.Boundary.Index, c.seq.Add(1))
 	m := &Manifest{
 		Format:   ManifestFormat,
@@ -234,8 +238,8 @@ func (c *Coordinator) Run(ctx context.Context, job sample.WindowJob) (sample.Win
 		Feedback: job.Feedback,
 	}
 	jobPath := filepath.Join(c.dir, base+".job")
-	if err := writeGob(jobPath, m); err != nil {
-		return sample.WindowResult{}, err
+	if err := gobfile.Write(jobPath, m); err != nil {
+		return sample.WindowResult{}, fmt.Errorf("procexec: %s: %w", jobPath, err)
 	}
 	res, err := c.collect(ctx, base, job.Boundary.Index)
 	// Withdraw the dispatch whatever happened: on success the worker's
@@ -264,7 +268,8 @@ func (c *Coordinator) collect(ctx context.Context, base string, window int) (sam
 	leaseSeen := false
 	for {
 		// Result first: a finished job's lease no longer matters.
-		switch res, err := readResult(resultPath); {
+		var res Result
+		switch err := gobfile.Read(resultPath, &res); {
 		case err == nil && res.Format == ResultFormat && res.Job == base && res.Index == window:
 			if res.Err != "" {
 				return sample.WindowResult{}, fmt.Errorf("procexec: window %d failed on worker %s: %s",
@@ -283,7 +288,7 @@ func (c *Coordinator) collect(ctx context.Context, base string, window int) (sam
 				c.cfg.OnResultCollected(base, window, resultPath)
 			}
 			return sample.WindowResult{Index: res.Index, Stats: res.Stats, Feedback: res.Feedback}, nil
-		case err == nil || !os.IsNotExist(err):
+		case !errors.Is(err, fs.ErrNotExist):
 			// A result file exists but is torn, mislabeled, or from a
 			// stale format: the warm-cache discipline applies — treat it
 			// as a clean miss. Delete it together with the lease so a
@@ -304,7 +309,8 @@ func (c *Coordinator) collect(ctx context.Context, base string, window int) (sam
 					// The claimant writes its name into the lease after
 					// creating it, so an empty or torn body is read
 					// again next poll rather than losing the name.
-					if w, err := readLease(leasePath); err == nil && w.Format == LeaseFormat {
+					var w Lease
+					if err := gobfile.Read(leasePath, &w); err == nil && w.Format == LeaseFormat {
 						leaseSeen = true
 						lastWorker = w.Worker
 						c.noteWorker(w.Worker)
@@ -351,67 +357,11 @@ func (c *Coordinator) noteWorker(worker string) {
 	}
 }
 
-// writeGob atomically writes one gob-encoded file: the payload lands
-// under a unique temporary name and is renamed into place, so readers
-// never see a torn entry on a POSIX filesystem and concurrent writers
-// of one path never share a temporary file.
-func writeGob(path string, v interface{}) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return fmt.Errorf("procexec: %s: %w", path, err)
-	}
-	tmp := f.Name()
-	err = f.Chmod(0o644) // as readable to other workers as os.Create made it
-	if err == nil {
-		err = gob.NewEncoder(f).Encode(v)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("procexec: %s: %w", path, err)
-	}
-	return nil
-}
-
-func readResult(path string) (*Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var r Result
-	if err := gob.NewDecoder(f).Decode(&r); err != nil {
-		return nil, fmt.Errorf("procexec: result %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-func readLease(path string) (*Lease, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var l Lease
-	if err := gob.NewDecoder(f).Decode(&l); err != nil {
-		return nil, fmt.Errorf("procexec: lease %s: %w", path, err)
-	}
-	return &l, nil
-}
-
+// readManifest reads one job manifest; a manifest of another format is
+// an error, like a torn one.
 func readManifest(path string) (*Manifest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	var m Manifest
-	if err := gob.NewDecoder(f).Decode(&m); err != nil {
+	if err := gobfile.Read(path, &m); err != nil {
 		return nil, fmt.Errorf("procexec: manifest %s: %w", path, err)
 	}
 	if m.Format != ManifestFormat {

@@ -94,7 +94,7 @@ func TestCrossProcessBitEqual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cross, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Executor: coord})
+		cross, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Scheduler: coord})
 		stop()
 		if err != nil {
 			t.Fatalf("%s cross-process: %v", name, err)
@@ -140,7 +140,7 @@ func TestConcurrentRunsSharedDir(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ests[i], errs[i] = sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Executor: coord})
+			ests[i], errs[i] = sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Scheduler: coord})
 		}(i)
 	}
 	wg.Wait()
@@ -423,7 +423,7 @@ func TestSweepMidClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cross, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Executor: coord})
+	cross, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Scheduler: coord})
 	if err != nil {
 		t.Fatalf("cross-process run under cache sweeps: %v", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"rix/internal/gobfile"
 	"rix/internal/sample"
 )
 
@@ -220,7 +221,7 @@ func executeJob(ctx context.Context, jobPath, leasePath, resultPath, base string
 		out.Stats = res.Stats
 		out.Feedback = res.Feedback
 	}
-	if err := writeGob(resultPath, out); err != nil {
+	if err := gobfile.Write(resultPath, out); err != nil {
 		// Can't deliver: release the claim so another worker (or this
 		// one, next scan) retries rather than wedging the job.
 		os.Remove(leasePath)

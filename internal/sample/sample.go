@@ -37,10 +37,10 @@
 // materialized source serves stored boundaries instead: an injected
 // warm set (Config.Warm, built by PrepareWarm), a cache hit
 // (Config.CacheDir), or the checkpoints Continue reads. The
-// coordinator runs each boundary's detail window on an executor — a
-// one-slot pool of its own by default, Config.Scheduler's shared pool,
-// or Config.Executor — and the executor's width is how many windows it
-// keeps in flight. The chained LISP feedback is the only cross-window
+// coordinator runs each boundary's detail window on Config.Scheduler —
+// a shared pool, cross-process workers, or a one-slot pool of its own
+// by default — and the executor's width is how many windows it keeps in
+// flight. The chained LISP feedback is the only cross-window
 // dependency, so windows dispatch speculatively: each settles in index
 // order, and a misspeculated feedback guess discards its in-flight
 // successors for re-dispatch. The Estimate is therefore bit-identical
@@ -190,23 +190,17 @@ type Config struct {
 	// the run and may be shared by concurrent runs.
 	Warm *WarmSet
 
-	// Scheduler, when non-nil, runs the detail windows — Run's and
-	// Continue's alike — on this shared work-stealing pool
-	// instead of an ephemeral one-slot pool; the run's speculation depth
-	// is the pool's slot count.
-	// Concurrent runs may share one Scheduler: a run that settles early
-	// stops submitting, and its slots immediately serve the runs still
-	// dispatching. The caller owns the pool and must Close it only after
-	// every run sharing it has returned.
-	Scheduler *Scheduler
-
-	// Executor, when non-nil, executes the detail windows (Run's and
-	// Continue's alike) through this executor instead of an
-	// in-process scheduler pool (Scheduler is then ignored); its Width
-	// is the run's speculation depth. The estimate is bit-identical whichever executor runs the
-	// windows — see Executor's determinism contract. The caller owns the
-	// executor's lifecycle (e.g. procexec.Coordinator's cleanup).
-	Executor Executor
+	// Scheduler runs the detail windows, Run's and Continue's alike: a
+	// shared in-process pool (*Scheduler), cross-process workers
+	// (procexec.Coordinator), or any other Executor; nil gives the run
+	// an ephemeral one-slot pool. Its Width is the run's speculation
+	// depth, and the estimate is bit-identical whichever executor runs
+	// the windows — see Executor's determinism contract. Concurrent runs
+	// may share one Scheduler: a run that settles early stops
+	// submitting, and its slots immediately serve the runs still
+	// dispatching. The caller owns the executor and must release it
+	// (Scheduler.Close) only after every run sharing it has returned.
+	Scheduler Executor
 
 	// MaxInstrs bounds functional execution (default DefaultMaxInstrs).
 	MaxInstrs uint64

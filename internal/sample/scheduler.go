@@ -18,10 +18,11 @@ import (
 // windows other cells still have queued. See doc/ARCHITECTURE.md for
 // the slot lifecycle diagram.
 
-// Scheduler is a shared pool of window worker slots. One scheduler
-// serves any number of concurrent sampled runs (Config.Scheduler): all
-// of them dispatch speculative detail windows into the same queue, and
-// the pool's slots execute them in arrival order. A run that settles
+// Scheduler is a shared pool of window worker slots, and the default
+// Executor. One scheduler serves any number of concurrent sampled runs
+// (Config.Scheduler): all of them dispatch speculative detail windows
+// into the same queue, and the pool's slots execute them in arrival
+// order. A run that settles
 // early implicitly returns its slots — the queue simply stops holding
 // its jobs — and runs still dispatching pick them up.
 //
@@ -72,9 +73,34 @@ func NewScheduler(slots int) *Scheduler {
 	return s
 }
 
-// Size is the number of worker slots — the bound on concurrently
+// Width is the number of worker slots — the bound on concurrently
 // executing detail windows across every run sharing the pool.
-func (s *Scheduler) Size() int { return s.size }
+func (s *Scheduler) Width() int { return s.size }
+
+// Run submits one window job into the shared queue and waits for its
+// result, or withdraws it on the job's cancellation.
+func (s *Scheduler) Run(ctx context.Context, job WindowJob) (WindowResult, error) {
+	if err := ctx.Err(); err != nil {
+		return WindowResult{}, err // discarded before submission: no task queued
+	}
+	t := &schedTask{ctx: ctx, job: job, out: make(chan outcome, 1)}
+	if err := s.submit(t); err != nil {
+		return WindowResult{}, err
+	}
+	select {
+	case o := <-t.out:
+		return o.res, o.err
+	case <-ctx.Done():
+		// Cancelled while still queued: withdraw the task, and no worker
+		// will ever touch it. A worker already running it aborts at the
+		// pipeline's next poll boundary; wait for that, so the job is
+		// never read after Run returns.
+		if !t.claimed.CompareAndSwap(false, true) {
+			<-t.out
+		}
+		return WindowResult{}, ctx.Err()
+	}
+}
 
 // Close stops the pool after the in-flight and queued jobs drain. Call
 // only after every run sharing the scheduler has returned; a window

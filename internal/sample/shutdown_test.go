@@ -17,14 +17,13 @@ import (
 func TestSubmitAfterCloseIsError(t *testing.T) {
 	sched := NewScheduler(1)
 	sched.Close()
-	x := &poolExecutor{sched: sched}
-	_, err := x.Run(context.Background(), WindowJob{})
+	_, err := sched.Run(context.Background(), WindowJob{})
 	if !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Run after Close = %v, want ErrSchedulerClosed", err)
 	}
 }
 
-// TestCancelledRunSkipsSubmit pins the ordering in poolExecutor.Run: a
+// TestCancelledRunSkipsSubmit pins the ordering in Scheduler.Run: a
 // job whose context is already cancelled returns its context error
 // without touching the pool, closed or not.
 func TestCancelledRunSkipsSubmit(t *testing.T) {
@@ -32,7 +31,7 @@ func TestCancelledRunSkipsSubmit(t *testing.T) {
 	sched.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := (&poolExecutor{sched: sched}).Run(ctx, WindowJob{})
+	_, err := sched.Run(ctx, WindowJob{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Run = %v, want context.Canceled", err)
 	}
@@ -70,7 +69,7 @@ func TestRunParallelJoinsWindows(t *testing.T) {
 	}
 	x := &lingerExecutor{width: width}
 	p := &prog.Program{Name: "linger"}
-	_, err := runParallel(context.Background(), p, pipeline.Config{}, Config{Executor: x}, &source{set: set})
+	_, err := runParallel(context.Background(), p, pipeline.Config{}, Config{Scheduler: x}, &source{set: set})
 	if err == nil {
 		t.Fatal("runParallel succeeded; want window 0's error")
 	}

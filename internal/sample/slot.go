@@ -18,7 +18,7 @@ import (
 // boots restore them in place, so every path boots windows
 // bit-identically.
 type slot struct {
-	geom    bootGeom // the geometry parts was built for; valid once parts.pred != nil
+	geom    bootGeom // the geometry parts was built for; valid once parts.Pred != nil
 	parts   warmParts
 	scratch *pipeline.Scratch
 	bs      pipeline.BootState // the boot state last handed to a pipeline
@@ -45,7 +45,7 @@ type bootGeom struct {
 func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, error) {
 	wp := job.live
 	if !job.own {
-		if g := (bootGeom{Pred: cfg.Pred, Mem: cfg.Mem, LISP: cfg.LISP, Enable: cfg.Policy.Enable}); sl.parts.pred == nil || sl.geom != g {
+		if g := (bootGeom{Pred: cfg.Pred, Mem: cfg.Mem, LISP: cfg.LISP, Enable: cfg.Policy.Enable}); sl.parts.Pred == nil || sl.geom != g {
 			sl.geom, sl.parts = g, newWarmParts(cfg)
 		}
 		wp = &sl.parts
@@ -73,8 +73,7 @@ func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, 
 	if err != nil {
 		return nil, err
 	}
-	sl.bs = pipeline.BootState{PC: st.PC, Regs: st.Regs, Mem: mem, LISP: lisp,
-		Pred: wp.pred, BTB: wp.btb, RAS: wp.ras, CHT: wp.cht, Hier: wp.hier, Scratch: sl.scratch}
+	sl.bs = pipeline.BootState{PC: st.PC, Regs: st.Regs, Mem: mem, Warm: wp.Warm, LISP: lisp, Scratch: sl.scratch}
 	return &sl.bs, nil
 }
 

@@ -53,23 +53,12 @@ type warmer struct {
 // window executor (slot) pools another, refilled per boundary or window
 // by copy (copyFrom) or by restoring a snapshot (setState).
 type warmParts struct {
-	pred *bpred.Predictor
-	btb  *bpred.BTB
-	ras  *bpred.RAS
-	cht  *bpred.CHT
-	hier *memsys.Hierarchy
+	pipeline.Warm
 	lisp *core.LISP // feedback carrier only, never trained functionally; nil when the policy is off
 }
 
 func newWarmParts(cfg pipeline.Config) warmParts {
-	pc := cfg.Pred.WithDefaults()
-	wp := warmParts{
-		pred: bpred.NewPredictor(cfg.Pred),
-		btb:  bpred.NewBTB(pc.BTBEntries),
-		ras:  bpred.NewRAS(pc.RASEntries),
-		cht:  bpred.NewCHT(pc.CHTEntries),
-		hier: memsys.New(cfg.Mem),
-	}
+	wp := warmParts{Warm: pipeline.NewWarm(cfg)}
 	if cfg.Policy.Enable {
 		wp.lisp = core.NewLISP(cfg.LISP)
 	}
@@ -95,30 +84,30 @@ func (w *warmer) observe(in isa.Instr, pc uint64, rec emu.TraceRec, nextPC uint6
 	// I-cache access per fetch group.
 	if pc&w.lineMask != w.lastLine {
 		w.lastLine = pc & w.lineMask
-		w.hier.WarmFetch(pc)
+		w.Hier.WarmFetch(pc)
 	}
 	switch in.Op.ClassOf() {
 	case isa.ClassLoad:
-		w.hier.WarmLoad(rec.Addr)
+		w.Hier.WarmLoad(rec.Addr)
 	case isa.ClassStore:
-		w.hier.WarmStore(rec.Addr)
+		w.Hier.WarmStore(rec.Addr)
 	case isa.ClassBranch:
 		// Predict to capture the training snapshot, shift the *actual*
 		// outcome into the global history (the post-retirement state of a
 		// full-detail run), and train the tables.
 		taken := rec.Value == 1
-		_, snap := w.pred.Predict(pc)
-		w.pred.SpecUpdate(taken)
-		w.pred.Train(pc, taken, snap)
+		_, snap := w.Pred.Predict(pc)
+		w.Pred.SpecUpdate(taken)
+		w.Pred.Train(pc, taken, snap)
 	case isa.ClassCallDirect:
-		w.ras.Push(pc + isa.InstrBytes)
+		w.RAS.Push(pc + isa.InstrBytes)
 	case isa.ClassCallIndirect:
-		w.ras.Push(pc + isa.InstrBytes)
-		w.btb.Train(pc, nextPC)
+		w.RAS.Push(pc + isa.InstrBytes)
+		w.BTB.Train(pc, nextPC)
 	case isa.ClassJumpIndirect:
-		w.btb.Train(pc, nextPC)
+		w.BTB.Train(pc, nextPC)
 	case isa.ClassRet:
-		w.ras.Pop()
+		w.RAS.Pop()
 	}
 }
 
@@ -153,11 +142,11 @@ func (w *warmer) snapshot() WarmSnapshot {
 // snapshot deep-copies the set's tables into ws, leaving its LISP and
 // I-side touch cursor as they are.
 func (wp *warmParts) snapshot(ws *WarmSnapshot) {
-	ws.Pred = wp.pred.State()
-	ws.BTB = wp.btb.State()
-	ws.RAS = wp.ras.State()
-	ws.CHT = wp.cht.State()
-	ws.Mem = wp.hier.WarmState()
+	ws.Pred = wp.Pred.State()
+	ws.BTB = wp.BTB.State()
+	ws.RAS = wp.RAS.State()
+	ws.CHT = wp.CHT.State()
+	ws.Mem = wp.Hier.WarmState()
 }
 
 // warmerFromSnapshot rebuilds a live warmer from a checkpoint's warm
@@ -181,19 +170,19 @@ func warmerFromSnapshot(cfg pipeline.Config, ws WarmSnapshot) (*warmer, error) {
 // and the hierarchy's empties its timing state, so a reused set is
 // indistinguishable from a freshly built one.
 func (wp *warmParts) setState(ws WarmSnapshot) error {
-	if err := wp.pred.SetState(ws.Pred); err != nil {
+	if err := wp.Pred.SetState(ws.Pred); err != nil {
 		return err
 	}
-	if err := wp.btb.SetState(ws.BTB); err != nil {
+	if err := wp.BTB.SetState(ws.BTB); err != nil {
 		return err
 	}
-	if err := wp.ras.SetState(ws.RAS); err != nil {
+	if err := wp.RAS.SetState(ws.RAS); err != nil {
 		return err
 	}
-	if err := wp.cht.SetState(ws.CHT); err != nil {
+	if err := wp.CHT.SetState(ws.CHT); err != nil {
 		return err
 	}
-	return wp.hier.SetWarmState(ws.Mem)
+	return wp.Hier.SetWarmState(ws.Mem)
 }
 
 // copyFrom overwrites the set's tables with src's behavioral state
@@ -202,17 +191,17 @@ func (wp *warmParts) setState(ws WarmSnapshot) error {
 // indistinguishable from a setState of src's snapshot. Both sets must
 // share one geometry.
 func (wp *warmParts) copyFrom(src *warmParts) error {
-	if err := wp.pred.CopyFrom(src.pred); err != nil {
+	if err := wp.Pred.CopyFrom(src.Pred); err != nil {
 		return err
 	}
-	if err := wp.btb.CopyFrom(src.btb); err != nil {
+	if err := wp.BTB.CopyFrom(src.BTB); err != nil {
 		return err
 	}
-	if err := wp.ras.CopyFrom(src.ras); err != nil {
+	if err := wp.RAS.CopyFrom(src.RAS); err != nil {
 		return err
 	}
-	if err := wp.cht.CopyFrom(src.cht); err != nil {
+	if err := wp.CHT.CopyFrom(src.CHT); err != nil {
 		return err
 	}
-	return wp.hier.CopyWarmFrom(src.hier)
+	return wp.Hier.CopyWarmFrom(src.Hier)
 }

@@ -114,7 +114,9 @@ func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *C
 // and parks there (peek), and a fetch copies the boundary into a ring
 // entry. The coordinator holds at most depth entries and hands each back
 // as its window settles, so a refill allocates nothing and the pass
-// never materializes its boundaries.
+// never materializes its boundaries — unless it writes checkpoints:
+// then a fetch hands out the snapshot the pass just persisted, and the
+// coordinator drops it as its window settles.
 type source struct {
 	set *WarmSet // stored boundaries; nil when there are none
 
@@ -134,6 +136,7 @@ type source struct {
 	last  uint64         // the last boundary's start
 	ring  int            // entries built: the most the coordinator held at once
 	free  []*liveEntry   // entries ready to refill; the coordinator hands each back as its window settles
+	saved *Boundary      // boundary idx as a checkpointing pass persisted it; nil when not checkpointing
 }
 
 // liveEntry is one ring entry: a boundary whose Warm carries only the
@@ -194,11 +197,16 @@ func (s *source) fetch(j int) (frame, bool, error) {
 	if s.set != nil && j < len(s.set.Boundaries) {
 		return frame{b: &s.set.Boundaries[j]}, true, nil
 	}
+	s.taken = true
+	if s.saved != nil {
+		// The snapshot just persisted is the window's stored boundary.
+		return frame{b: s.saved}, true, nil
+	}
 	if len(s.free) == 0 {
 		s.free, s.ring = append(s.free, &liveEntry{parts: newWarmParts(s.cfg)}), s.ring+1
 	}
 	en := s.free[len(s.free)-1]
-	s.free, s.taken = s.free[:len(s.free)-1], true
+	s.free = s.free[:len(s.free)-1]
 	return frame{b: &en.b, entry: en}, true, s.fill(en)
 }
 
@@ -207,7 +215,8 @@ func (s *source) fetch(j int) (frame, bool, error) {
 // decides where later (jitter-clamped) boundaries land — or to the
 // halt. It persists the boundary provisionally when sc.CheckpointDir is
 // set (keeping an interrupted run continuable; the coordinator rewrites
-// each file with the validated feedback as its window settles).
+// each file with the validated feedback as its window settles), and
+// keeps the snapshot as the boundary fetch hands out.
 func (s *source) advance() error {
 	sp := s.sc.Sampling
 	if s.at {
@@ -230,8 +239,11 @@ func (s *source) advance() error {
 	if s.sc.CheckpointDir != "" {
 		// CheckpointWritten fires on the authoritative settle-time
 		// rewrite, not this provisional write.
-		_, err := saveBoundary(s.sc, s.p, s.boundary(s.idx), false)
-		return err
+		b := s.boundary(s.idx)
+		if _, err := saveBoundary(s.sc, s.p, b, false); err != nil {
+			return err
+		}
+		s.saved = &b
 	}
 	return nil
 }
