@@ -18,6 +18,11 @@
 # no longer exists: every backticked `pkg.Ident` or `pkg.Ident.Member`
 # whose pkg is a package under internal/ (procexec standing for
 # internal/sample/procexec) must resolve with `go doc`.
+#
+# And it fails if README.md, EXPERIMENTS.md or doc/*.md cite a test,
+# benchmark or example (a backticked `TestXxx`, `BenchmarkXxx` or
+# `ExampleXxx`) that no _test.go file defines, so docs cannot keep
+# pointing at a deleted or renamed test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,12 +33,12 @@ if [ -z "$defined" ]; then
   exit 1
 fi
 
-# The cross-process flag group (-worker, -worker-idle, -coordinator)
+# The cross-process flag group (-worker, -worker-idle, -worker-dir)
 # registers through cmdutil.SampledFlags like the other sampled knobs,
 # and the distributed-windows docs lean on it heavily. Its absence
 # from the discovered set means the registration moved or the grep
 # broke — fail fast instead of silently passing stale doc mentions.
-for f in worker worker-idle coordinator; do
+for f in worker worker-idle worker-dir; do
   if ! grep -qx "$f" <<<"$defined"; then
     echo "lint_docs: cross-process flag -$f not discovered under cmd/ — registration or the grep broke" >&2
     exit 1
@@ -80,7 +85,24 @@ for doc in README.md EXPERIMENTS.md doc/ARCHITECTURE.md doc/FORMATS.md; do
   done
 done
 
+tests=$(grep -rhoE --include='*_test.go' '^func (Test|Benchmark|Example)[A-Za-z0-9_]*\(' . \
+  | sed -E 's/^func ([A-Za-z0-9_]+)\(/\1/' | sort -u)
+if [ -z "$tests" ]; then
+  echo "lint_docs: found no test functions — the grep is broken" >&2
+  exit 1
+fi
+for doc in README.md EXPERIMENTS.md doc/*.md; do
+  refs=$(grep -oE "\`(Test|Benchmark|Example)[A-Z0-9_][A-Za-z0-9_]*" "$doc" \
+    | sed 's/^`//' | sort -u)
+  for r in $refs; do
+    if ! grep -qx "$r" <<<"$tests"; then
+      echo "lint_docs: $doc cites \`$r\` but no _test.go file defines it" >&2
+      fail=1
+    fi
+  done
+done
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "lint_docs: every doc-referenced flag is defined by a command, every named Go identifier exists"
+echo "lint_docs: every doc-referenced flag is defined by a command, every named Go identifier and test exists"

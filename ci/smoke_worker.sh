@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# smoke_worker.sh — cross-process executor smoke: a `-coordinator` run
+# smoke_worker.sh — cross-process executor smoke: a `-worker-dir` run
 # whose detail windows execute on two real `rixsim -worker` processes
 # must print byte-for-byte the output of a plain in-process run.
 #
@@ -9,21 +9,11 @@
 # manifests/leases/results on a real filesystem — preserves it. The
 # text output (stats block + sampled summary) carries no wall-clock
 # times, so a plain `diff` is an exact comparison.
-#
-# SMOKE_DIR, when set, names the shared cache directory and leaves it
-# in place afterwards (the nightly tier sets it to upload the resulting
-# .warmset cache entries as an artifact); unset, a temp dir is
-# used and removed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 bin=$(mktemp -d)
-keep_dir=1
-if [ -z "${SMOKE_DIR:-}" ]; then
-  SMOKE_DIR=$(mktemp -d)
-  keep_dir=0
-fi
-mkdir -p "$SMOKE_DIR"
+dir=$(mktemp -d)
 
 workers=()
 cleanup() {
@@ -31,28 +21,24 @@ cleanup() {
     kill "${workers[@]}" 2>/dev/null || true
   fi
   wait 2>/dev/null || true
-  rm -rf "$bin"
-  if [ "$keep_dir" -eq 0 ]; then
-    rm -rf "$SMOKE_DIR"
-  fi
+  rm -rf "$bin" "$dir"
 }
 trap cleanup EXIT
 
 go build -o "$bin/rixsim" ./cmd/rixsim
 
-# Two workers on the shared directory. The generous -worker-idle is a
+# Two workers on the worker directory. The generous -worker-idle is a
 # backstop against a wedged run; cleanup kills them as soon as the
 # diff has run.
-"$bin/rixsim" -worker "$SMOKE_DIR" -worker-idle 10m &
+"$bin/rixsim" -worker "$dir" -worker-idle 10m &
 workers+=($!)
-"$bin/rixsim" -worker "$SMOKE_DIR" -worker-idle 10m &
+"$bin/rixsim" -worker "$dir" -worker-idle 10m &
 workers+=($!)
 
 cell=(-bench gzip -int +reverse -sample default)
-# -timeout bounds the coordinator: if both workers died, the run fails
+# -timeout bounds the cross-process run: if both workers died, it fails
 # here instead of hanging the job until the CI-level timeout.
-"$bin/rixsim" "${cell[@]}" -coordinator -ckpt-cache "$SMOKE_DIR" \
-  -timeout 10m > "$bin/proc.txt"
+"$bin/rixsim" "${cell[@]}" -worker-dir "$dir" -timeout 10m > "$bin/proc.txt"
 "$bin/rixsim" "${cell[@]}" > "$bin/inproc.txt"
 
 diff -u "$bin/inproc.txt" "$bin/proc.txt"

@@ -3,6 +3,7 @@ package cmdutil
 import (
 	"context"
 	"flag"
+	"io"
 	"strings"
 	"syscall"
 	"testing"
@@ -65,7 +66,8 @@ func TestRunBodyExitCodes(t *testing.T) {
 
 // TestSampledFlagsNeedSampling: the sampled-only flags are rejected,
 // naming the flag, when nothing is sampled, and accepted when something
-// is or in worker mode.
+// is or in worker mode. -worker and -worker-dir exclude each other, and
+// the deleted -coordinator and cache flags no longer parse.
 func TestSampledFlagsNeedSampling(t *testing.T) {
 	cases := []struct {
 		args    []string
@@ -73,16 +75,15 @@ func TestSampledFlagsNeedSampling(t *testing.T) {
 		want    string // error substring; "" = accepted
 	}{
 		{[]string{"-jobs", "7"}, false, "-jobs only"},
-		{[]string{"-ckpt-cache", "d"}, false, "-ckpt-cache only"},
-		{[]string{"-ckpt-cache-mb", "5"}, false, "-ckpt-cache-mb only"},
-		{[]string{"-ckpt-cache-age", "1h"}, false, "-ckpt-cache-age only"},
-		{[]string{"-coordinator"}, false, "-coordinator only"},
-		{[]string{"-coordinator", "-ckpt-cache", "d", "-jobs", "7"}, false, "-jobs only"},
+		{[]string{"-worker-dir", "d"}, false, "-worker-dir only"},
+		{[]string{"-worker-dir", "d", "-jobs", "7"}, false, "-jobs only"},
 		{nil, false, ""},
-		{[]string{"-jobs", "7", "-ckpt-cache", "d", "-ckpt-cache-mb", "5", "-ckpt-cache-age", "1h"}, true, ""},
-		{[]string{"-coordinator", "-ckpt-cache", "d"}, true, ""},
+		{[]string{"-jobs", "7"}, true, ""},
+		{[]string{"-worker-dir", "d"}, true, ""},
+		{[]string{"-worker-dir", "d", "-jobs", "7"}, true, ""},
 		{[]string{"-worker", "d", "-jobs", "2"}, false, ""},
-		{[]string{"-coordinator"}, true, "-coordinator needs -ckpt-cache"},
+		{[]string{"-worker", "d", "-worker-dir", "d"}, false, "-worker and -worker-dir are mutually exclusive"},
+		{[]string{"-worker", "d", "-worker-dir", "d"}, true, "-worker and -worker-dir are mutually exclusive"},
 	}
 	for _, c := range cases {
 		var f SampledFlags
@@ -97,6 +98,16 @@ func TestSampledFlagsNeedSampling(t *testing.T) {
 			t.Errorf("%v (sampled=%v): unexpected error %v", c.args, c.sampled, err)
 		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), c.want)):
 			t.Errorf("%v (sampled=%v): err = %v, want one starting %q", c.args, c.sampled, err, c.want)
+		}
+	}
+
+	for _, args := range [][]string{{"-coordinator"}, {"-ckpt-cache", "d"}, {"-ckpt-cache-mb", "5"}, {"-ckpt-cache-age", "1h"}} {
+		var f SampledFlags
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f.Register(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%v: deleted flag still parses", args)
 		}
 	}
 }

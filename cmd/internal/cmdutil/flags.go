@@ -14,9 +14,10 @@ import (
 )
 
 // SampledFlags is the flag group shared by every tool that executes
-// sampled simulations: the detail-window parallelism plus the
-// content-addressed checkpoint cache and its bounds. Register installs
-// the group on a FlagSet under one set of names, so rixsim and rixbench
+// sampled simulations: the detail-window parallelism and the
+// cross-process window executor (-worker-dir on a sampled run, -worker
+// on the processes serving it). Register installs the group on a
+// FlagSet under one set of names, so rixsim and rixbench
 // stay knob-for-knob identical; after flag.Parse, Apply (single
 // run.Request) or Configure (runner.Engine) copies the resolved values
 // onto the executing side.
@@ -24,21 +25,15 @@ type SampledFlags struct {
 	// Jobs sizes the window-scheduler pool (0 = NumCPU for a single
 	// run, the -j budget for a matrix; 1 = one window at a time).
 	Jobs int
-	// Cache is the content-addressed warm-set cache directory;
-	// CacheMB / CacheAge bound it (0 = unbounded).
-	Cache    string
-	CacheMB  int
-	CacheAge time.Duration
 	// Worker, when set, flips the tool into worker mode: instead of
 	// running anything itself, it serves window jobs from the named
-	// cache directory (see RunWorker). WorkerIdle ends the loop after
-	// that long without a claim (0 = run until interrupted).
+	// directory (see RunWorker). WorkerIdle ends the loop after that
+	// long without a claim (0 = run until interrupted).
 	Worker     string
 	WorkerIdle time.Duration
-	// Coordinator executes the sampled run's detail windows on
-	// `-worker` processes sharing the -ckpt-cache directory instead of
-	// the in-process pool.
-	Coordinator bool
+	// WorkerDir executes the sampled run's detail windows on `-worker`
+	// processes watching this directory instead of the in-process pool.
+	WorkerDir string
 }
 
 // Register installs the shared sampled-run flags on fs (typically
@@ -46,18 +41,12 @@ type SampledFlags struct {
 func (f *SampledFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Jobs, "jobs", 0,
 		"sampled window-scheduler slots (0 = the parallelism budget, 1 = one window at a time)")
-	fs.StringVar(&f.Cache, "ckpt-cache", "",
-		"content-addressed warm-set cache directory shared by sampled runs")
-	fs.IntVar(&f.CacheMB, "ckpt-cache-mb", 0,
-		"bound -ckpt-cache total size in MiB, LRU-evicting on save (0 = unbounded)")
-	fs.DurationVar(&f.CacheAge, "ckpt-cache-age", 0,
-		"evict -ckpt-cache entries not used within this duration (0 = no age bound)")
 	fs.StringVar(&f.Worker, "worker", "",
-		"run as a window-job worker over this shared cache directory (serves -coordinator runs; no simulation of its own)")
+		"run as a window-job worker over this directory (serves -worker-dir runs; no simulation of its own)")
 	fs.DurationVar(&f.WorkerIdle, "worker-idle", 0,
 		"exit the -worker loop after this long without claiming a job (0 = run until interrupted)")
-	fs.BoolVar(&f.Coordinator, "coordinator", false,
-		"execute sampled detail windows on -worker processes sharing -ckpt-cache instead of the in-process pool")
+	fs.StringVar(&f.WorkerDir, "worker-dir", "",
+		"execute sampled detail windows on -worker processes watching this directory instead of the in-process pool")
 }
 
 // Check validates the flag group's cross-field constraints after
@@ -67,8 +56,8 @@ func (f *SampledFlags) Register(fs *flag.FlagSet) {
 // silently ignored. Worker mode runs no simulation of its own and is
 // exempt.
 func (f *SampledFlags) Check(sampled bool) error {
-	if f.Worker != "" && f.Coordinator {
-		return fmt.Errorf("-worker and -coordinator are mutually exclusive (a worker serves coordinators, it does not run one)")
+	if f.Worker != "" && f.WorkerDir != "" {
+		return fmt.Errorf("-worker and -worker-dir are mutually exclusive (a worker serves sampled runs, it does not run one)")
 	}
 	if f.Worker == "" && !sampled {
 		for _, c := range []struct {
@@ -76,18 +65,12 @@ func (f *SampledFlags) Check(sampled bool) error {
 			set  bool
 		}{
 			{"-jobs", f.Jobs != 0},
-			{"-ckpt-cache", f.Cache != ""},
-			{"-ckpt-cache-mb", f.CacheMB != 0},
-			{"-ckpt-cache-age", f.CacheAge != 0},
-			{"-coordinator", f.Coordinator},
+			{"-worker-dir", f.WorkerDir != ""},
 		} {
 			if c.set {
 				return fmt.Errorf("%s only applies to sampled runs (add -sample)", c.name)
 			}
 		}
-	}
-	if f.Coordinator && f.Cache == "" {
-		return fmt.Errorf("-coordinator needs -ckpt-cache (the directory the -worker processes watch)")
 	}
 	if f.WorkerIdle > 0 && f.Worker == "" {
 		return fmt.Errorf("-worker-idle needs -worker")
@@ -100,7 +83,7 @@ func (f *SampledFlags) Check(sampled bool) error {
 func (f *SampledFlags) WorkerMode() bool { return f.Worker != "" }
 
 // RunWorker runs the worker loop behind -worker: claim window jobs
-// from the shared cache directory, execute them, write results back.
+// from the -worker directory, execute them, write results back.
 // Returns when ctx is cancelled or, with -worker-idle, after the idle
 // bound passes with no work. verbose logs each claim and completion to
 // stderr.
@@ -119,21 +102,14 @@ func (f *SampledFlags) RunWorker(ctx context.Context, verbose bool) error {
 
 // Apply copies the resolved knobs onto one sampled run.Request. Only
 // call it for requests whose Options.Sampling is set — Validate rejects
-// Jobs > 1, the cache fields and WorkerDir otherwise.
+// Jobs > 1 and WorkerDir otherwise.
 func (f *SampledFlags) Apply(req *run.Request) {
 	jobs := f.Jobs
 	if jobs == 0 {
 		jobs = runtime.NumCPU()
 	}
 	req.Jobs = jobs
-	req.CheckpointCache = f.Cache
-	if f.Cache != "" {
-		req.CacheMaxMB = f.CacheMB
-		req.CacheMaxAgeSec = int(f.CacheAge / time.Second)
-	}
-	if f.Coordinator {
-		req.WorkerDir = f.Cache
-	}
+	req.WorkerDir = f.WorkerDir
 }
 
 // Configure copies the knobs onto a matrix engine; the engine applies
@@ -141,10 +117,5 @@ func (f *SampledFlags) Apply(req *run.Request) {
 // -jobs 0 means the engine's -j budget).
 func (f *SampledFlags) Configure(e *runner.Engine) {
 	e.WindowJobs = f.Jobs
-	e.CheckpointCache = f.Cache
-	e.CacheMaxMB = f.CacheMB
-	e.CacheMaxAgeSec = int(f.CacheAge / time.Second)
-	if f.Coordinator {
-		e.WorkerDir = f.Cache
-	}
+	e.WorkerDir = f.WorkerDir
 }

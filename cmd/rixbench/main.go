@@ -21,16 +21,15 @@
 //	rixbench -suite fig4 -sample 16000/600/300  # explicit interval/window/warmup
 //	rixbench -suite all -timeout 10m -v         # deadline + per-cell events
 //
-// The sampled-run flags (-jobs, -ckpt-cache, -ckpt-cache-mb,
-// -ckpt-cache-age, -coordinator) need -sample; without it they are an
-// error, not ignored.
+// The sampled-run flags (-jobs, -worker-dir) need -sample;
+// without it they are an error, not ignored.
 //
 // Cross-process sampled matrices: window jobs execute on `-worker`
 // processes (rixbench or rixsim, any machine sharing the directory),
 // with estimates bit-identical to the in-process pool:
 //
-//	rixbench -worker /shared/cache &
-//	rixbench -suite fig4 -sample default -coordinator -ckpt-cache /shared/cache
+//	rixbench -worker /shared/windows &
+//	rixbench -suite fig4 -sample default -worker-dir /shared/windows
 package main
 
 import (

@@ -25,17 +25,16 @@
 //	rixsim -bench gcc -int +reverse -sample default -dump-req > run.json
 //	rixsim -req run.json -json
 //
-// The sampled-run flags (-jobs, -ckpt-cache, -ckpt-cache-mb,
-// -ckpt-cache-age, -coordinator) need -sample or -resume; without one
-// they are an error, not ignored.
+// The sampled-run flags (-jobs, -worker-dir) need -sample
+// or -resume; without one they are an error, not ignored.
 //
 // Cross-process sampled windows (the procexec executor): workers claim
-// window jobs from a shared cache directory, a coordinator run collects
-// the results — bit-identical to the in-process scheduler:
+// window jobs from a shared worker directory, a -worker-dir run
+// collects the results — bit-identical to the in-process scheduler:
 //
-//	rixsim -worker /shared/cache &                # any number, any machine
-//	rixsim -worker /shared/cache -worker-idle 30s # exit when drained
-//	rixsim -bench gcc -int +reverse -sample default -coordinator -ckpt-cache /shared/cache
+//	rixsim -worker /shared/windows &                # any number, any machine
+//	rixsim -worker /shared/windows -worker-idle 30s # exit when drained
+//	rixsim -bench gcc -int +reverse -sample default -worker-dir /shared/windows
 package main
 
 import (

@@ -69,9 +69,8 @@
 // dispatched/settled/discarded window counts reported on
 // run.Result.Sampled. The warm pass's boundary states share pages with
 // the emulator's copy-on-write memory, and drained into a warm set it
-// is reusable through a content-addressed,
-// LRU-bounded checkpoint cache (run.Request.CheckpointCache,
-// rixsim/rixbench -ckpt-cache, -ckpt-cache-mb, -ckpt-cache-age) of
+// is reusable through a content-addressed checkpoint cache
+// (run.Request.CheckpointCache, runner.Engine.CheckpointCache) of
 // .warmset entries. sim.Options.Sampling selects
 // sampling per cell; runner routes sampled cells automatically and
 // sizes the matrix-wide scheduler from its -j budget (Engine

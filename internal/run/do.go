@@ -223,8 +223,6 @@ func execute(ctx context.Context, c *config, req *Request, bw workload.Built, re
 		Sampling:      *req.Options.Sampling,
 		CheckpointDir: req.CheckpointDir,
 		CacheDir:      req.CheckpointCache,
-		CacheMaxBytes: int64(req.CacheMaxMB) << 20,
-		CacheMaxAge:   time.Duration(req.CacheMaxAgeSec) * time.Second,
 		MaxInstrs:     req.MaxInstrs,
 	}
 	if c.hasObs {

@@ -94,25 +94,14 @@ type Request struct {
 	// configuration change is a clean miss.
 	CheckpointCache string `json:"checkpoint_cache,omitempty"`
 
-	// CacheMaxMB bounds the warm-set cache directory's total size in
-	// MiB: after each save, least-recently-used entries are evicted
-	// until the directory fits (0 = unbounded). Requires
-	// CheckpointCache.
-	CacheMaxMB int `json:"cache_max_mb,omitempty"`
-
-	// CacheMaxAgeSec evicts warm-set cache entries not written or hit
-	// within this many seconds, during the same post-save sweep (0 = no
-	// age bound). Requires CheckpointCache.
-	CacheMaxAgeSec int `json:"cache_max_age_sec,omitempty"`
-
 	// MaxInstrs bounds functional execution of inline sources and
 	// sampled fast-forward (default workload.MaxInstrs /
 	// sample.DefaultMaxInstrs).
 	MaxInstrs uint64 `json:"max_instrs,omitempty"`
 
 	// WorkerDir, when set, runs a sampled run's detail windows on
-	// `rixsim -worker` processes sharing this cache directory instead
-	// of in-process: manifests, leases, and results travel through its
+	// `rixsim -worker` processes watching this directory instead of
+	// in-process: manifests, leases, and results travel through its
 	// windows/ subdirectory (see internal/sample/procexec). Jobs then
 	// bounds the windows on offer at once. The estimate is
 	// bit-identical either way, and a resume run executes its windows
@@ -181,13 +170,6 @@ func (r *Request) Validate() error {
 	}
 	if r.CheckpointCache != "" && r.Options.Sampling == nil {
 		return fmt.Errorf("run: CheckpointCache is only meaningful for sampled runs (set Options.Sampling)")
-	}
-	if r.CacheMaxMB < 0 || r.CacheMaxAgeSec < 0 {
-		return fmt.Errorf("run: cache bounds must be >= 0 (got CacheMaxMB=%d, CacheMaxAgeSec=%d)",
-			r.CacheMaxMB, r.CacheMaxAgeSec)
-	}
-	if (r.CacheMaxMB > 0 || r.CacheMaxAgeSec > 0) && r.CheckpointCache == "" {
-		return fmt.Errorf("run: cache bounds need CheckpointCache")
 	}
 	if r.WorkerDir != "" && r.Options.Sampling == nil {
 		return fmt.Errorf("run: WorkerDir is only meaningful for sampled runs (set Options.Sampling)")

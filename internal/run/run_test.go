@@ -112,10 +112,11 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 	if _, err := run.UnmarshalRequest([]byte(`{"workload":"x","checkpoint-dir":"/tmp/ck"}`)); err == nil {
 		t.Error("UnmarshalRequest accepted an unknown field (typo'd key)")
 	}
-	// Stored requests carrying removed knobs (the warm-shard ones, and
-	// the executor name WorkerDir replaced) must fail naming the field,
-	// not run with the knob silently dropped.
-	for _, field := range []string{"warm_jobs", "warm_stride", "executor"} {
+	// Stored requests carrying removed knobs (the warm-shard ones, the
+	// executor name WorkerDir replaced, and the warm-cache size/age
+	// bounds) must fail naming the field, not run with the knob silently
+	// dropped.
+	for _, field := range []string{"warm_jobs", "warm_stride", "executor", "cache_max_mb", "cache_max_age_sec"} {
 		js := `{"workload":"gzip","options":{"sampling":{"interval":20000,"window":800,"warmup":400}},"` + field + `":4}`
 		if _, err := run.UnmarshalRequest([]byte(js)); err == nil || !strings.Contains(err.Error(), field) {
 			t.Errorf("request with %q: err = %v, want an error naming the field", field, err)

@@ -60,14 +60,8 @@ type Engine struct {
 	// (workload, layout, geometry) skip their warm pass entirely.
 	CheckpointCache string
 
-	// CacheMaxMB / CacheMaxAgeSec bound CheckpointCache by total size
-	// (MiB) and entry age (seconds): each sampled cell's save sweeps
-	// least-recently-used entries over the bounds. 0 disables a bound.
-	CacheMaxMB     int
-	CacheMaxAgeSec int
-
 	// WorkerDir, when set, dispatches every sampled cell's windows as
-	// job manifests under this cache directory for `rixsim -worker`
+	// job manifests under this directory for `rixsim -worker`
 	// processes to claim (each cell gets its own coordinator, all
 	// sharing the directory and the worker fleet; no in-process pool is
 	// created). Estimates are bit-identical either way.
@@ -161,10 +155,6 @@ func (e *Engine) cell(ctx context.Context, bench string, c Config, sched *sample
 	if c.Opt.Sampling != nil {
 		req.Jobs = slots
 		req.CheckpointCache = e.CheckpointCache
-		if e.CheckpointCache != "" {
-			req.CacheMaxMB = e.CacheMaxMB
-			req.CacheMaxAgeSec = e.CacheMaxAgeSec
-		}
 		req.WorkerDir = e.WorkerDir
 		if sched != nil {
 			opts = append(opts, run.WithScheduler(sched))

@@ -16,9 +16,8 @@ import (
 // output keyed by everything that determines it, so a repeat run
 // skips the warm pass entirely and any invalidating change is a clean
 // miss rather than a stale hit. doc/FORMATS.md is the authoritative
-// description of the entry layout, key derivation, invalidation
-// rules, and the LRU sweep (sweep.go) — keep it in lockstep with any
-// change here.
+// description of the entry layout, key derivation and invalidation
+// rules — keep it in lockstep with any change here.
 
 // WarmCacheFormat versions the on-disk warm-set encoding
 // (doc/FORMATS.md). Bump it whenever WarmSet, Boundary, WarmSnapshot

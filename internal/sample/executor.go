@@ -13,7 +13,7 @@ import (
 // runs — dispatch order, index-ordered settlement, feedback validation,
 // discard-and-re-dispatch — and an Executor owns *how* one window runs:
 // on the in-process work-stealing pool (Scheduler, the default) or on
-// cooperating worker processes sharing a cache directory
+// cooperating worker processes sharing a worker directory
 // (procexec.Coordinator). The coordinator never asks which one it has.
 // Because a window's result depends only on its WindowJob, swapping
 // executors can never change the estimate — the bit-identity tests pin

@@ -1,17 +1,17 @@
 // Package procexec is the cross-process window executor: a Coordinator
 // that implements sample.Executor by writing window-job manifests into
-// a shared cache directory, and a Work loop (run by `rixsim -worker
-// <cachedir>`) that claims those manifests, executes their windows, and
-// writes results back. Together they shard one sampled run's detail
-// windows across any number of cooperating processes — on one machine
-// or many sharing a filesystem — while the window coordinator's
-// speculation logic (and therefore the estimate, bit for bit) stays
-// exactly what the in-process pool produces.
+// a shared worker directory (`-worker-dir`), and a Work loop (run by
+// `rixsim -worker <dir>`) that claims those manifests, executes their
+// windows, and writes results back. Together they shard one sampled
+// run's detail windows across any number of cooperating processes — on
+// one machine or many sharing a filesystem — while the window
+// coordinator's speculation logic (and therefore the estimate, bit for
+// bit) stays exactly what the in-process pool produces.
 //
 // # File protocol
 //
-// All traffic lives under <dir>/windows/ of the content-addressed
-// cache directory sampled runs already share, three files per dispatch:
+// All traffic lives under <dir>/windows/ of the worker directory, three
+// files per dispatch:
 //
 //	<base>.job     the manifest: program, machine config, window
 //	               layout, boundary snapshot, and boot feedback —
@@ -37,9 +37,10 @@
 // and a corrupt or mismatched entry is treated as a clean miss, never
 // trusted — a half-written result (worker crashed mid-rename has no
 // window for this, but a torn write on a non-atomic filesystem does)
-// is deleted and the job re-offered. The warm-cache LRU sweep ignores
-// the windows/ subdirectory (it only considers .warmset entries at the
-// cache root), so a sweep racing a claim never eats a manifest.
+// is deleted and the job re-offered. The worker directory may also be a
+// run's checkpoint cache (run.Request.CheckpointCache): cache entries
+// live at the root as .warmset files, apart from the windows/
+// subdirectory.
 //
 // # Crash recovery
 //
@@ -85,9 +86,8 @@ const (
 	ResultFormat   = 1
 )
 
-// JobsDir is the subdirectory of the shared cache directory that holds
-// the window-job files. Keeping them out of the cache root keeps them
-// invisible to the warm-set LRU sweep.
+// JobsDir is the subdirectory of the worker directory that holds the
+// window-job files.
 const JobsDir = "windows"
 
 // Manifest is one dispatched window job on disk: the pure-data form of
@@ -194,12 +194,12 @@ type Coordinator struct {
 	workers map[string]bool // worker IDs already reported via OnWorkerJoined
 }
 
-// New creates a coordinator over the shared cache directory (the same
-// directory `rixsim -worker` watches), creating its windows/
-// subdirectory if missing.
+// New creates a coordinator over the worker directory (the one
+// `rixsim -worker` watches), creating its windows/ subdirectory if
+// missing.
 func New(dir string, cfg Config) (*Coordinator, error) {
 	if dir == "" {
-		return nil, fmt.Errorf("procexec: coordinator needs a cache directory")
+		return nil, fmt.Errorf("procexec: coordinator needs a worker directory")
 	}
 	jobs := filepath.Join(dir, JobsDir)
 	if err := os.MkdirAll(jobs, 0o755); err != nil {

@@ -382,14 +382,13 @@ func TestWorkerCrashNamedInError(t *testing.T) {
 	}
 }
 
-// TestSweepMidClaim races the warm-cache LRU sweep against cross-process
-// claims on the same cache directory: a cache-bounded sampled run
-// (CacheMaxBytes forces a sweep after every save) loops while a
+// TestCacheSharesWorkerDir: a run's checkpoint cache and a worker
+// directory may be the same directory. A cache-writing sampled run loops while a
 // cross-process run dispatches window jobs into the directory's
-// windows/ subdirectory. The sweep only considers .warmset
-// entries at the cache root, so the job files must survive and both
-// estimates must stay exact. Run under -race in CI.
-func TestSweepMidClaim(t *testing.T) {
+// windows/ subdirectory; the cache entry lands at the root, every job
+// file is collected, and both estimates stay exact. Run under -race in
+// CI.
+func TestCacheSharesWorkerDir(t *testing.T) {
 	ctx := context.Background()
 	cfg, err := (sim.Options{Integration: sim.IntReverse}).Config()
 	if err != nil {
@@ -402,21 +401,22 @@ func TestSweepMidClaim(t *testing.T) {
 	stop := startWorkers(t, dir, 2, fastWorker())
 	defer stop()
 
-	sweeping := make(chan error, 1)
+	var cached []*sample.Estimate
+	caching := make(chan error, 1)
 	go func() {
-		// Every iteration saves a warm set and immediately sweeps the
-		// directory down to one entry, concurrently with the claims.
+		// The first iteration writes the warm set into dir; the others
+		// hit it, concurrently with the claims.
 		for i := 0; i < 3; i++ {
 			sched := sample.NewScheduler(2)
-			sc := sample.Config{CacheDir: dir, Scheduler: sched, CacheMaxBytes: 1}
-			_, err := sample.Run(ctx, gz.Prog, gz.DynLen, cfg, sc)
+			est, err := sample.Run(ctx, gz.Prog, gz.DynLen, cfg, sample.Config{CacheDir: dir, Scheduler: sched})
 			sched.Close()
 			if err != nil {
-				sweeping <- err
+				caching <- err
 				return
 			}
+			cached = append(cached, est)
 		}
-		sweeping <- nil
+		caching <- nil
 	}()
 
 	coord, err := procexec.New(dir, fastCoord())
@@ -425,12 +425,25 @@ func TestSweepMidClaim(t *testing.T) {
 	}
 	cross, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Scheduler: coord})
 	if err != nil {
-		t.Fatalf("cross-process run under cache sweeps: %v", err)
+		t.Fatalf("cross-process run beside a cache-writing run: %v", err)
 	}
-	if err := <-sweeping; err != nil {
-		t.Fatalf("sweeping run: %v", err)
+	if err := <-caching; err != nil {
+		t.Fatalf("cache-writing run: %v", err)
 	}
 	testutil.MatchOracle(t, "crafty", cross)
+	for _, est := range cached {
+		testutil.MatchOracle(t, "gzip", est)
+	}
+
+	// A worker still finishing a withdrawn dispatch tidies its own
+	// files; once the workers have exited, nothing may be left.
+	stop()
+	if entries, _ := filepath.Glob(filepath.Join(dir, "*.warmset")); len(entries) != 1 {
+		t.Errorf("cache root holds %d .warmset entries, want 1", len(entries))
+	}
+	if left, _ := os.ReadDir(filepath.Join(dir, procexec.JobsDir)); len(left) != 0 {
+		t.Errorf("%d job files left in %s after the run and its workers finished", len(left), procexec.JobsDir)
+	}
 }
 
 // TestWorkerIdleExit: a worker with an idle bound exits cleanly (nil,

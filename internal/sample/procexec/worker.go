@@ -57,7 +57,7 @@ func (w WorkerConfig) withDefaults() WorkerConfig {
 	return w
 }
 
-// Work is the worker loop behind `rixsim -worker <cachedir>`: scan the
+// Work is the worker loop behind `rixsim -worker <dir>`: scan the
 // directory's windows/ subdirectory for unclaimed job manifests, claim
 // one at a time with an exclusive lease, execute it locally
 // (sample.ExecuteWindow), and write the result back atomically. The

@@ -72,7 +72,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"rix/internal/pipeline"
 	"rix/internal/prog"
@@ -173,17 +172,6 @@ type Config struct {
 	// format) is a clean miss, never a stale hit. A miss drains the warm
 	// pass into a set and saves it before the windows run.
 	CacheDir string
-
-	// CacheMaxBytes bounds the total size of CacheDir's .warmset
-	// entries: after each save, least-recently-used entries (by
-	// modification time — cache hits re-stamp it) are evicted until the
-	// directory fits. 0 leaves the size unbounded. The entry the run
-	// just wrote is never evicted.
-	CacheMaxBytes int64
-
-	// CacheMaxAge evicts CacheDir entries not written or hit within the
-	// window, during the same post-save sweep. 0 disables the age bound.
-	CacheMaxAge time.Duration
 
 	// Warm injects a pre-built warm set (PrepareWarm), skipping both
 	// the warm pass and the cache probe. The set is read-only during

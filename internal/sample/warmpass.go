@@ -84,8 +84,6 @@ func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *C
 	}
 	key := warmKey(p, cfg, sc.Sampling)
 	if set, path := loadWarmSet(sc.CacheDir, key, p.Name, sc.Sampling); set != nil {
-		// Re-stamp the entry so the LRU sweep ranks it as hot.
-		touchWarmSet(path)
 		if sc.Hooks.CacheHit != nil {
 			sc.Hooks.CacheHit(path)
 		}
@@ -101,7 +99,6 @@ func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *C
 		if sc.Hooks.CacheWritten != nil {
 			sc.Hooks.CacheWritten(path)
 		}
-		sweepWarmCache(sc.CacheDir, sc.CacheMaxBytes, sc.CacheMaxAge, path)
 	}
 	return &source{set: set}, nil
 }
