@@ -271,6 +271,48 @@ func BenchmarkWarmPass(b *testing.B) {
 	b.ReportMetric(float64(covered)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
+// BenchmarkSampledMatrix regenerates the sampled Figure 4 matrix — fig4
+// through runner.Sampled at the default window layout — on the
+// benchmark subset, with two cells at a time sharing a two-slot window
+// pool: the path `rixbench -suite fig4 -sample default` runs. Every
+// iteration is the whole matrix, warm passes, ring refills and window
+// boots included, so allocs/op gates the warm structures the engine
+// reuses across cells. Minstr/s counts each cell's whole program.
+func BenchmarkSampledMatrix(b *testing.B) {
+	fig4, ok := runner.Lookup("fig4")
+	if !ok {
+		b.Fatal("fig4 spec not registered")
+	}
+	sp := runner.Sampled(fig4, sample.DefaultSampling())
+	eng, err := runner.NewEngine(benchSubset)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.Parallel, eng.WindowJobs = 2, 2
+	ctx := context.Background()
+	var perMatrix uint64
+	for _, name := range benchSubset {
+		bench, _ := workload.ByName(name)
+		bw, err := bench.BuildContext(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		perMatrix += uint64(bw.DynLen) * uint64(len(sp.Configs))
+	}
+	// An untimed matrix builds the engine's workloads, so the loop
+	// times the steady state a figure run sees after its first cells.
+	if _, err := eng.Gather(ctx, &sp); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Gather(ctx, &sp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(perMatrix)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
 // BenchmarkSampledStealing measures what the shared work-stealing pool
 // buys over the retired static per-cell split on a deliberately skewed
 // matrix: two concurrent sampled cells of the same workload, one laid

@@ -10,6 +10,8 @@
 // per-cycle queue stepping.
 package memsys
 
+import "sync/atomic"
+
 // CacheConfig sizes one cache level.
 type CacheConfig struct {
 	Name       string
@@ -25,13 +27,25 @@ type cacheLine = CacheLineState
 
 // Cache is a set-associative, write-back, write-allocate tag array (data
 // values live in the architectural memory; the cache models timing only).
+//
+// Each set carries a stamp naming its contents. Stamp 0 is the cold,
+// all-invalid set; every Access and every SetState gives the sets it
+// writes a stamp no cache in the process has used before, and CopyFrom
+// carries the source set's stamp along. Equal stamps therefore imply
+// equal lines, so CopyFrom moves only the sets whose stamps differ.
 type Cache struct {
 	cfg      CacheConfig
 	lines    []cacheLine   // every line, set-major
 	sets     [][]cacheLine // lines sliced per set
+	stamps   []uint64      // per set: the stamp of its contents
 	setShift uint
+	setBits  uint // log2 of the set count
 	setMask  uint64
 	tick     uint64
+
+	// [nextStamp, endStamp) is the block of stamps this cache has
+	// reserved from stampClock and not yet used.
+	nextStamp, endStamp uint64
 
 	Accesses   uint64
 	Misses     uint64
@@ -45,10 +59,8 @@ func NewCache(cfg CacheConfig) *Cache {
 	if nSets == 0 || nSets&(nSets-1) != 0 {
 		panic("memsys: set count must be a positive power of two: " + cfg.Name)
 	}
-	c := &Cache{cfg: cfg, sets: make([][]cacheLine, nSets), setMask: uint64(nSets - 1)}
-	for s := uint64(1); s < uint64(cfg.LineBytes); s <<= 1 {
-		c.setShift++
-	}
+	c := &Cache{cfg: cfg, sets: make([][]cacheLine, nSets), stamps: make([]uint64, nSets),
+		setShift: log2(uint64(cfg.LineBytes)), setBits: log2(uint64(nSets)), setMask: uint64(nSets - 1)}
 	// One flat backing array sliced per set: building a pipeline is two
 	// allocations per cache, not one per set.
 	c.lines = make([]cacheLine, nLines)
@@ -71,7 +83,7 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 // tests and by the hierarchy to overlap L1 hits under misses).
 func (c *Cache) Probe(addr uint64) bool {
 	set := c.sets[(addr>>c.setShift)&c.setMask]
-	tag := addr >> c.setShift >> log2(uint64(len(c.sets)))
+	tag := addr >> c.setShift >> c.setBits
 	for i := range set {
 		if set[i].Valid && set[i].Tag == tag {
 			return true
@@ -87,7 +99,8 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, victim
 	c.Accesses++
 	setIdx := (addr >> c.setShift) & c.setMask
 	set := c.sets[setIdx]
-	tag := addr >> c.setShift >> log2(uint64(len(c.sets)))
+	c.stamps[setIdx] = c.stamp() // a hit updates a line's LRU time, a miss fills a way
+	tag := addr >> c.setShift >> c.setBits
 	for i := range set {
 		if set[i].Valid && set[i].Tag == tag {
 			set[i].LRU = c.tick
@@ -116,7 +129,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, victim
 	}
 	if set[vi].Valid && set[vi].Dirty {
 		victimDirty = true
-		victim = (set[vi].Tag<<log2(uint64(len(c.sets)))|setIdx)<<c.setShift | 0
+		victim = (set[vi].Tag<<c.setBits | setIdx) << c.setShift
 		c.Writebacks++
 	}
 	set[vi] = cacheLine{Valid: true, Dirty: write, Tag: tag, LRU: c.tick}
@@ -129,6 +142,24 @@ func (c *Cache) MissRate() float64 {
 		return 0
 	}
 	return float64(c.Misses) / float64(c.Accesses)
+}
+
+// stampClock issues set stamps to every cache in the process, a block
+// at a time; it starts at 0, which is never issued.
+var stampClock atomic.Uint64
+
+// stampBlock is how many stamps a cache reserves at once.
+const stampBlock = 1 << 12
+
+// stamp returns a set stamp no cache has used before.
+func (c *Cache) stamp() uint64 {
+	if c.nextStamp == c.endStamp {
+		end := stampClock.Add(stampBlock)
+		c.nextStamp, c.endStamp = end-stampBlock+1, end+1
+	}
+	s := c.nextStamp
+	c.nextStamp++
+	return s
 }
 
 func log2(v uint64) uint {

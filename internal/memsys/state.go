@@ -11,11 +11,17 @@ import "fmt"
 // state (MSHRs, write buffer, bus reservations) is empty at an
 // instruction boundary by construction and is not serialized.
 //
-// SetState (SetWarmState for the hierarchy) is each structure's one
-// restore body: it checks the geometry, copies the tag state, zeroes
-// every diagnostic tally and, for the hierarchy, empties the timing
-// state. CopyWarmFrom, the allocation-free refill of a pooled hierarchy
-// from a live one, is SetWarmState of read-only views of the source.
+// SetState (SetWarmState for the hierarchy) restores a snapshot: it
+// checks the geometry, copies every line, gives every set a fresh stamp,
+// zeroes every diagnostic tally and, for the hierarchy, empties the
+// timing state. CopyFrom (CopyWarmFrom for the hierarchy) is the
+// allocation-free refill of one live structure from another of the same
+// geometry: it leaves the structure exactly as SetState of the source's
+// snapshot would, but copies only the sets whose stamps differ (see
+// Cache), so a sampled run's ring refill and window boot move what
+// either side touched since they last matched, not the whole hierarchy.
+// Stamps are not serialized: the CacheState wire format is lines and
+// clock only.
 
 // CacheLineState is one line's serializable tag state.
 type CacheLineState struct {
@@ -37,23 +43,39 @@ func (c *Cache) State() CacheState {
 	return CacheState{Lines: append([]CacheLineState(nil), c.lines...), Tick: c.tick}
 }
 
-// SetState restores a snapshot and zeroes the tallies; the geometry
-// (total line count) must match.
+// SetState restores a snapshot, stamps every set afresh and zeroes the
+// tallies; the geometry (total line count) must match.
 func (c *Cache) SetState(st CacheState) error {
 	if len(st.Lines) != len(c.lines) {
 		return fmt.Errorf("memsys: %s state has %d lines, want %d",
 			c.cfg.Name, len(st.Lines), len(c.lines))
 	}
 	copy(c.lines, st.Lines)
+	for i := range c.stamps {
+		c.stamps[i] = c.stamp()
+	}
 	c.tick = st.Tick
 	c.Accesses, c.Misses, c.Writebacks = 0, 0, 0
 	return nil
 }
 
-// view is a read-only view of the cache's tag state that shares the
-// live line array; only SetState may consume it.
-func (c *Cache) view() CacheState {
-	return CacheState{Lines: c.lines, Tick: c.tick} //rix:shared — read-only view
+// CopyFrom overwrites c's tag state with src's and zeroes the tallies,
+// without allocating: only the sets whose stamps differ are copied, and
+// each takes src's stamp. The geometries must match.
+func (c *Cache) CopyFrom(src *Cache) error {
+	if len(src.lines) != len(c.lines) || len(src.sets) != len(c.sets) {
+		return fmt.Errorf("memsys: %s has %d lines in %d sets, want %d in %d",
+			src.cfg.Name, len(src.lines), len(src.sets), len(c.lines), len(c.sets))
+	}
+	for i, s := range src.stamps {
+		if c.stamps[i] != s {
+			copy(c.sets[i], src.sets[i])
+			c.stamps[i] = s
+		}
+	}
+	c.tick = src.tick
+	c.Accesses, c.Misses, c.Writebacks = 0, 0, 0
+	return nil
 }
 
 // State deep-copies the TLB's tag state.
@@ -62,6 +84,16 @@ func (t *TLB) State() CacheState { return t.cache.State() }
 // SetState restores a TLB snapshot and zeroes the tallies.
 func (t *TLB) SetState(st CacheState) error {
 	if err := t.cache.SetState(st); err != nil {
+		return err
+	}
+	t.Accesses, t.Misses = 0, 0
+	return nil
+}
+
+// CopyFrom overwrites t's tag state with src's (Cache.CopyFrom) and
+// zeroes the tallies.
+func (t *TLB) CopyFrom(src *TLB) error {
+	if err := t.cache.CopyFrom(src.cache); err != nil {
 		return err
 	}
 	t.Accesses, t.Misses = 0, 0
@@ -107,20 +139,43 @@ func (h *Hierarchy) SetWarmState(st WarmState) error {
 	if err := h.DTLB.SetState(st.DTLB); err != nil {
 		return err
 	}
+	h.resetTiming()
+	return nil
+}
+
+// CopyWarmFrom overwrites h's warm tag state with src's without
+// allocating, copying only the sets whose stamps differ, and resets
+// the timing state and tallies as SetWarmState does: h ends exactly as
+// SetWarmState(src.WarmState()) would leave it. The hierarchies must
+// share a geometry.
+func (h *Hierarchy) CopyWarmFrom(src *Hierarchy) error {
+	if err := h.L1I.CopyFrom(src.L1I); err != nil {
+		return err
+	}
+	if err := h.L1D.CopyFrom(src.L1D); err != nil {
+		return err
+	}
+	if err := h.L2.CopyFrom(src.L2); err != nil {
+		return err
+	}
+	if err := h.ITLB.CopyFrom(src.ITLB); err != nil {
+		return err
+	}
+	if err := h.DTLB.CopyFrom(src.DTLB); err != nil {
+		return err
+	}
+	h.resetTiming()
+	return nil
+}
+
+// resetTiming empties the transient timing state (MSHRs, write buffer,
+// buses) and zeroes the hierarchy-wide tallies.
+func (h *Hierarchy) resetTiming() {
 	h.MSHRs.Reset()
 	h.WriteBuf.Reset()
 	h.Backside.Reset()
 	h.MemBus.Reset()
 	h.LoadAccesses, h.StoreAccesses, h.IFetches = 0, 0, 0
-	return nil
-}
-
-// CopyWarmFrom overwrites h's warm tag state with src's without
-// allocating: SetWarmState of read-only views of src's tag arrays. The
-// hierarchies must share a geometry.
-func (h *Hierarchy) CopyWarmFrom(src *Hierarchy) error {
-	return h.SetWarmState(WarmState{L1I: src.L1I.view(), L1D: src.L1D.view(), L2: src.L2.view(),
-		ITLB: src.ITLB.cache.view(), DTLB: src.DTLB.cache.view()})
 }
 
 // WarmFetch touches the instruction-side tag state for the fetch of pc:

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rix/internal/pipeline"
 	"rix/internal/sample"
 	"rix/internal/sim"
 	"rix/internal/testutil"
@@ -76,6 +77,54 @@ func TestRingStaysBounded(t *testing.T) {
 		if !reflect.DeepEqual(est, want) {
 			t.Errorf("width %d: estimate diverges from the naive loop", c.width)
 		}
+	}
+}
+
+// TestWarmPartsPooledAcrossCells runs {gzip, crafty} × {none,
+// +reverse/lisp} twice, the cells interleaved, on one scheduler: every
+// estimate equals the naive loop's, and the second pass builds no warm
+// part sets — its warmers, ring entries and slots all reuse the first
+// pass's through the pool, reset to cold or refilled by delta copy. Not
+// parallel: the pool and its counter are process-wide.
+func TestWarmPartsPooledAcrossCells(t *testing.T) {
+	ctx := context.Background()
+	type cell struct {
+		bw   workload.Built
+		cfg  pipeline.Config
+		want *sample.Estimate
+	}
+	var cells []cell
+	for _, name := range []string{"gzip", "crafty"} {
+		bw := buildBench(t, name)
+		for _, o := range []sim.Options{{Integration: sim.IntNone}, {Integration: sim.IntReverse, Suppression: sim.SuppressLISP}} {
+			cfg, err := o.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sample.NaiveRun(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells = append(cells, cell{bw, cfg, want})
+		}
+	}
+	sched := newPool(t, 2)
+	var built [2]int64
+	for pass := range built {
+		before := sample.WarmPartsBuilt()
+		for _, c := range cells {
+			got, err := sample.Run(ctx, c.bw.Prog, c.bw.DynLen, c.cfg, sample.Config{Scheduler: sched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("pass %d, %s: estimate diverges from the naive loop", pass, c.bw.Prog.Name)
+			}
+		}
+		built[pass] = sample.WarmPartsBuilt() - before
+	}
+	if built[1] != 0 {
+		t.Errorf("the second pass built %d warm part sets (the first %d); want 0", built[1], built[0])
 	}
 }
 

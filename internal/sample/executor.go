@@ -87,10 +87,11 @@ type Executor interface {
 
 // ExecuteWindow runs one window job locally on a fresh slot — the
 // execution primitive behind the cross-process worker mode, which holds
-// no pooled scheduler slots. A fresh slot's boot builds the same
-// structures a pooled slot restores in place, so the result is
-// bit-identical to the pooled path's: the checkpoint-parity tests pin
-// fresh-boot and pooled-boot execution to the same bytes.
+// no scheduler slots. The slot's boot restores a pooled set in full, as
+// a scheduler slot does, so the result is bit-identical to the
+// scheduler's: the checkpoint-parity tests pin both to the same bytes.
 func ExecuteWindow(ctx context.Context, job WindowJob) (WindowResult, error) {
-	return new(slot).run(ctx, job)
+	sl := new(slot)
+	defer sl.release()
+	return sl.run(ctx, job)
 }

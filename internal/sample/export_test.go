@@ -25,7 +25,7 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 		return nil, err
 	}
 	sp := sc.Sampling
-	e, w := emu.New(p), newWarmer(cfg)
+	e, w := emu.New(p), newWarmer(cfg, newWarmParts(cfg))
 	c := source{ctx: ctx, p: p, sc: &sc, e: e, w: w}
 	n := sp.Warmup + sp.Window + detailPad(cfg)
 	var windows []WindowStat
@@ -48,7 +48,7 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 			return nil, err
 		}
 		var lisp *core.LISP
-		if parts.lisp != nil && len(b.Warm.LISP.Entries) > 0 {
+		if cfg.Policy.Enable && len(b.Warm.LISP.Entries) > 0 {
 			lisp = core.NewLISP(cfg.LISP)
 			if err := lisp.SetState(b.Warm.LISP); err != nil {
 				return nil, err
@@ -76,10 +76,8 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 			return nil, fmt.Errorf("sample: window %d of %s: %w", idx, p.Name, err)
 		}
 		windows = append(windows, WindowStat{Index: idx, Start: b.Start, MeasuredFrom: b.Start + sp.Warmup, Stats: *stats})
-		if w.lisp != nil {
-			if err := w.lisp.SetState(pl.Integrator().LISP.State()); err != nil {
-				return nil, err
-			}
+		if cfg.Policy.Enable {
+			w.feedback = pl.Integrator().LISP.State()
 		}
 	}
 	total := uint64(dynLen)
@@ -97,7 +95,15 @@ func RunRing(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Conf
 	if err != nil {
 		return nil, 0, err
 	}
-	src := newPass(ctx, p, cfg, &sc, emu.New(p), newWarmer(cfg), 0, true)
+	wp, err := coldParts(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	src := newPass(ctx, p, cfg, &sc, emu.New(p), newWarmer(cfg, wp), 0, true)
 	est, err := src.run(ctx, p, dynLen, cfg, sc)
 	return est, src.ring, err
 }
+
+// WarmPartsBuilt is how many warm part sets the process has built: the
+// warmers', ring entries' and slots' tables, pooled or not.
+func WarmPartsBuilt() int64 { return partsBuilt.Load() }

@@ -120,7 +120,7 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 			// Lend the entry's tables: a validated window boots on them
 			// itself; a speculative one may be re-dispatched, so it boots
 			// on a copy and leaves the entry pristine.
-			fl.job.live, fl.job.own = &f.entry.parts, validated
+			fl.job.live, fl.job.own = f.entry.parts, validated
 		}
 		running.Add(1)
 		go func() {

@@ -31,7 +31,7 @@ func BenchmarkWarmObserve(b *testing.B) {
 	b.ResetTimer()
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		w := newWarmer(cfg)
+		w := newWarmer(cfg, newWarmParts(cfg))
 		e := emu.New(p)
 		for !e.Halted {
 			pc := e.PC

@@ -243,6 +243,7 @@ func (s *source) run(ctx context.Context, p *prog.Program, dynLen int, cfg pipel
 		return nil, fmt.Errorf("sample: %s did not halt within %d instructions", p.Name, sc.MaxInstrs)
 	}
 	windows, err := runParallel(ctx, p, cfg, sc, s)
+	s.release()
 	if err != nil {
 		return nil, err
 	}

@@ -134,6 +134,7 @@ func (s *Scheduler) submit(t *schedTask) error {
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	sl := new(slot)
+	defer sl.release()
 	for t := range s.queue {
 		if !t.claimed.CompareAndSwap(false, true) {
 			// Withdrawn before starting (a misspeculated or cancelled

@@ -3,40 +3,26 @@ package sample
 import (
 	"context"
 
-	"rix/internal/bpred"
 	"rix/internal/core"
 	"rix/internal/emu"
-	"rix/internal/memsys"
 	"rix/internal/pipeline"
 )
 
 // slot is one window executor's private state: a pooled set of boot
 // structures plus the recycled pipeline scratch, reused across every
 // window (and every cell) it runs. Each scheduler worker owns one, and
-// ExecuteWindow uses a fresh one per call — a fresh slot's first boot
-// allocates exactly the structures a from-scratch boot would, and later
-// boots restore them in place, so every path boots windows
+// ExecuteWindow uses a fresh one per call. Every boot restores the set
+// in full — by copy from a ring entry or from the boundary's snapshot —
+// so whichever set a slot holds, every path boots windows
 // bit-identically.
 type slot struct {
-	geom    bootGeom // the geometry parts was built for; valid once parts.Pred != nil
-	parts   warmParts
+	parts   *warmParts // nil until the first boot that needs its own set
 	scratch *pipeline.Scratch
 	bs      pipeline.BootState // the boot state last handed to a pipeline
 }
 
-// bootGeom is the machine geometry a pooled boot set was built for.
-// A window whose configuration differs in any of these rebuilds the
-// slot's structures from scratch; within one cell — and across cells of
-// the same machine — the pooled set is restored in place.
-type bootGeom struct {
-	Pred   bpred.Config
-	Mem    memsys.Config
-	LISP   core.LISPConfig
-	Enable bool
-}
-
 // boot readies the job's boundary state — the live ring entry's tables
-// when the job owns them, else the slot's pooled set (built fresh when
+// when the job owns them, else the slot's set (drawn from the pool when
 // the slot has never served cfg's geometry), copied from the entry or
 // restored from the boundary's snapshot — with the job's feedback as
 // the boot LISP, and returns the window's boot state. The result is
@@ -45,10 +31,11 @@ type bootGeom struct {
 func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, error) {
 	wp := job.live
 	if !job.own {
-		if g := (bootGeom{Pred: cfg.Pred, Mem: cfg.Mem, LISP: cfg.LISP, Enable: cfg.Policy.Enable}); sl.parts.Pred == nil || sl.geom != g {
-			sl.geom, sl.parts = g, newWarmParts(cfg)
+		if sl.parts == nil || sl.parts.geom != geomOf(cfg) {
+			sl.release()
+			sl.parts = getParts(cfg)
 		}
-		wp = &sl.parts
+		wp = sl.parts
 		var err error
 		if job.live != nil {
 			err = wp.copyFrom(job.live)
@@ -62,7 +49,10 @@ func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, 
 	// The feedback is the boot LISP; with none, the pipeline starts a
 	// cold one.
 	var lisp *core.LISP
-	if wp.lisp != nil && len(job.Feedback.Entries) > 0 {
+	if cfg.Policy.Enable && len(job.Feedback.Entries) > 0 {
+		if wp.lisp == nil {
+			wp.lisp = core.NewLISP(cfg.LISP)
+		}
 		if err := wp.lisp.SetState(job.Feedback); err != nil {
 			return nil, err
 		}
@@ -104,4 +94,13 @@ func (sl *slot) run(ctx context.Context, job WindowJob) (WindowResult, error) {
 	res := WindowResult{Index: b.Index, Stats: *stats, Feedback: pl.Integrator().LISP.State()}
 	sl.scratch = pl.Recycle()
 	return res, nil
+}
+
+// release hands the slot's set back to the pool; the slot must not be
+// running a window.
+func (sl *slot) release() {
+	if sl.parts != nil {
+		putParts(sl.parts)
+		sl.parts = nil
+	}
 }

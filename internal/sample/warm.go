@@ -1,6 +1,10 @@
 package sample
 
 import (
+	"slices"
+	"sync"
+	"sync/atomic"
+
 	"rix/internal/bpred"
 	"rix/internal/core"
 	"rix/internal/emu"
@@ -43,34 +47,112 @@ import (
 //     the trade reverses — keep Window at a few hundred instructions or
 //     more).
 type warmer struct {
-	warmParts
-	lastLine uint64 // last I-side line touched; ^0 = none
+	*warmParts
+	feedback core.LISPState // the LISP boundary snapshots carry: a cold one's, or empty with the policy off
+	lastLine uint64         // last I-side line touched; ^0 = none
 	lineMask uint64
 }
 
 // warmParts is one set of the long-lived structures a window boots
 // from. The warmer keeps one live set; every live ring entry and every
-// window executor (slot) pools another, refilled per boundary or window
-// by copy (copyFrom) or by restoring a snapshot (setState).
+// window executor (slot) holds another, refilled per boundary or window
+// by copy (copyFrom) or by restoring a snapshot (setState). Sets come
+// from and go back to a process-wide pool (getParts, putParts), so a
+// matrix of cells builds them once.
 type warmParts struct {
 	pipeline.Warm
-	lisp *core.LISP // feedback carrier only, never trained functionally; nil when the policy is off
+	geom bootGeom
+	lisp *core.LISP // the window's boot LISP, set from its feedback; built on first use
 }
 
-func newWarmParts(cfg pipeline.Config) warmParts {
-	wp := warmParts{Warm: pipeline.NewWarm(cfg)}
-	if cfg.Policy.Enable {
-		wp.lisp = core.NewLISP(cfg.LISP)
+// bootGeom is the machine geometry a set of warm parts is built for:
+// parts of one geometry restore into each other, whatever the cells'
+// integration policies.
+type bootGeom struct {
+	Pred bpred.Config
+	Mem  memsys.Config
+	LISP core.LISPConfig
+}
+
+func geomOf(cfg pipeline.Config) bootGeom {
+	return bootGeom{Pred: cfg.Pred, Mem: cfg.Mem, LISP: cfg.LISP}
+}
+
+// partsBuilt counts the warm part sets built, for the pooling tests.
+var partsBuilt atomic.Int64
+
+func newWarmParts(cfg pipeline.Config) *warmParts {
+	partsBuilt.Add(1)
+	return &warmParts{Warm: pipeline.NewWarm(cfg), geom: geomOf(cfg)}
+}
+
+// maxPooledParts bounds the pool: a set is about 1 MB, and a matrix
+// holds at most a warmer and a ring per running cell plus a set per
+// window slot.
+const maxPooledParts = 16
+
+// partsPool is the process-wide free list of warm part sets. It holds
+// one geometry at a time — every registered spec shares one — and a set
+// of another geometry replaces its contents. cold is a never-handed-out
+// cold set of that geometry, the state a pooled warmer resets to.
+var partsPool struct {
+	sync.Mutex
+	geom bootGeom
+	free []*warmParts
+	cold *warmParts
+}
+
+// getParts returns a set of cfg's geometry in an arbitrary state: the
+// caller restores it.
+func getParts(cfg pipeline.Config) *warmParts {
+	g := geomOf(cfg)
+	partsPool.Lock()
+	if n := len(partsPool.free); n > 0 && partsPool.geom == g {
+		wp := partsPool.free[n-1]
+		partsPool.free = partsPool.free[:n-1]
+		partsPool.Unlock()
+		return wp
 	}
-	return wp
+	partsPool.Unlock()
+	return newWarmParts(cfg)
 }
 
-func newWarmer(cfg pipeline.Config) *warmer {
-	return &warmer{
-		warmParts: newWarmParts(cfg),
+// putParts hands a set back to the pool once nothing uses it.
+func putParts(wp *warmParts) {
+	partsPool.Lock()
+	defer partsPool.Unlock()
+	if partsPool.geom != wp.geom {
+		partsPool.geom, partsPool.free, partsPool.cold = wp.geom, nil, nil
+	}
+	if len(partsPool.free) < maxPooledParts {
+		partsPool.free = append(partsPool.free, wp)
+	}
+}
+
+// coldParts returns a cold set of cfg's geometry, reset by a delta copy
+// from the pool's cold set.
+func coldParts(cfg pipeline.Config) (*warmParts, error) {
+	wp := getParts(cfg)
+	partsPool.Lock()
+	if partsPool.cold == nil || partsPool.cold.geom != wp.geom {
+		partsPool.cold = newWarmParts(cfg)
+	}
+	cold := partsPool.cold
+	partsPool.Unlock()
+	return wp, wp.copyFrom(cold)
+}
+
+// newWarmer returns a warmer with the tables of wp, which must be cold.
+func newWarmer(cfg pipeline.Config, wp *warmParts) *warmer {
+	w := &warmer{
+		warmParts: wp,
 		lastLine:  ^uint64(0),
 		lineMask:  ^(uint64(cfg.Mem.L1I.LineBytes) - 1),
 	}
+	if cfg.Policy.Enable {
+		w.feedback = core.NewLISP(cfg.LISP).State()
+	}
+	return w
 }
 
 // observe folds one architecturally executed instruction into the warm
@@ -132,9 +214,7 @@ type WarmSnapshot struct {
 // snapshot deep-copies the current warm state.
 func (w *warmer) snapshot() WarmSnapshot {
 	ws := WarmSnapshot{LastLine: w.lastLine}
-	if w.lisp != nil {
-		ws.LISP = w.lisp.State()
-	}
+	ws.LISP = core.LISPState{Entries: slices.Clone(w.feedback.Entries), Tick: w.feedback.Tick}
 	w.warmParts.snapshot(&ws)
 	return ws
 }
@@ -157,10 +237,11 @@ func (wp *warmParts) snapshot(ws *WarmSnapshot) {
 // the interrupted pass's was: the snapshot's LISP is feedback the
 // coordinator chains itself.
 func warmerFromSnapshot(cfg pipeline.Config, ws WarmSnapshot) (*warmer, error) {
-	w := newWarmer(cfg)
-	if err := w.setState(ws); err != nil {
+	wp := getParts(cfg)
+	if err := wp.setState(ws); err != nil {
 		return nil, err
 	}
+	w := newWarmer(cfg, wp)
 	w.lastLine = ws.LastLine
 	return w, nil
 }
@@ -187,9 +268,9 @@ func (wp *warmParts) setState(ws WarmSnapshot) error {
 
 // copyFrom overwrites the set's tables with src's behavioral state
 // without allocating (the LISP is the window boot's to set): each
-// CopyFrom is its structure's SetState of a view of src, so the copy is
-// indistinguishable from a setState of src's snapshot. Both sets must
-// share one geometry.
+// structure's CopyFrom leaves it as its SetState of src's snapshot
+// would, the hierarchy's copying only the cache sets whose stamps
+// differ. Both sets must share one geometry.
 func (wp *warmParts) copyFrom(src *warmParts) error {
 	if err := wp.Pred.CopyFrom(src.Pred); err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"rix/internal/core"
 	"rix/internal/emu"
 	"rix/internal/pipeline"
 	"rix/internal/prog"
@@ -78,9 +77,15 @@ func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *C
 		}
 		return &source{set: set}, nil
 	}
-	pass := func() *source { return newPass(ctx, p, cfg, sc, emu.New(p), newWarmer(cfg), 0, true) }
+	pass := func() (*source, error) {
+		wp, err := coldParts(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return newPass(ctx, p, cfg, sc, emu.New(p), newWarmer(cfg, wp), 0, true), nil
+	}
 	if sc.CacheDir == "" {
-		return pass(), nil
+		return pass()
 	}
 	key := warmKey(p, cfg, sc.Sampling)
 	if set, path := loadWarmSet(sc.CacheDir, key, p.Name, sc.Sampling); set != nil {
@@ -89,7 +94,11 @@ func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *C
 		}
 		return &source{set: set}, nil
 	}
-	set, err := pass().drain()
+	src, err := pass()
+	if err != nil {
+		return nil, err
+	}
+	set, err := src.drain()
 	if err != nil {
 		return nil, err
 	}
@@ -110,10 +119,13 @@ func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *C
 // dispatched windows run, it fast-forwards to the following boundary
 // and parks there (peek), and a fetch copies the boundary into a ring
 // entry. The coordinator holds at most depth entries and hands each back
-// as its window settles, so a refill allocates nothing and the pass
-// never materializes its boundaries — unless it writes checkpoints:
-// then a fetch hands out the snapshot the pass just persisted, and the
-// coordinator drops it as its window settles.
+// as its window settles, so a refill allocates nothing, copies only the
+// cache sets that changed since the entry last matched the warmer, and
+// the pass never materializes its boundaries — unless it writes
+// checkpoints: then a fetch hands out the snapshot the pass just
+// persisted, and the coordinator drops it as its window settles. The
+// warmer's tables and the entries come from the warm-parts pool and go
+// back to it when the run ends (release).
 type source struct {
 	set *WarmSet // stored boundaries; nil when there are none
 
@@ -125,22 +137,21 @@ type source struct {
 	e     *emu.Emulator
 	w     *warmer
 	cfg   pipeline.Config
-	lisp  core.LISPState // the warmer's LISP, which the pass never changes
-	hooks bool           // a pass from the program entry: fires the WarmShard hooks
-	idx   int            // index of the boundary the pass stands at, or reaches next
-	at    bool           // the pass stands at boundary idx (or the halt), its window's record span ahead
-	taken bool           // boundary idx is in a ring entry already
-	last  uint64         // the last boundary's start
-	ring  int            // entries built: the most the coordinator held at once
-	free  []*liveEntry   // entries ready to refill; the coordinator hands each back as its window settles
-	saved *Boundary      // boundary idx as a checkpointing pass persisted it; nil when not checkpointing
+	hooks bool         // a pass from the program entry: fires the WarmShard hooks
+	idx   int          // index of the boundary the pass stands at, or reaches next
+	at    bool         // the pass stands at boundary idx (or the halt), its window's record span ahead
+	taken bool         // boundary idx is in a ring entry already
+	last  uint64       // the last boundary's start
+	ring  int          // entries taken from the pool: the most the coordinator held at once
+	free  []*liveEntry // entries ready to refill; the coordinator hands each back as its window settles
+	saved *Boundary    // boundary idx as a checkpointing pass persisted it; nil when not checkpointing
 }
 
 // liveEntry is one ring entry: a boundary whose Warm carries only the
 // LISP and touch cursor, the tables living in parts.
 type liveEntry struct {
 	b     Boundary
-	parts warmParts
+	parts *warmParts
 }
 
 // frame is one fetched boundary as the coordinator holds it: a stored
@@ -159,9 +170,6 @@ func newPass(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *Conf
 	e *emu.Emulator, w *warmer, idx int, fromEntry bool) *source {
 
 	s := &source{ctx: ctx, p: p, sc: sc, e: e, w: w, cfg: cfg, idx: idx, hooks: fromEntry}
-	if w.lisp != nil {
-		s.lisp = w.lisp.State()
-	}
 	if s.hooks && sc.Hooks.WarmShardStarted != nil {
 		sc.Hooks.WarmShardStarted(0, 0, 0)
 	}
@@ -200,7 +208,7 @@ func (s *source) fetch(j int) (frame, bool, error) {
 		return frame{b: s.saved}, true, nil
 	}
 	if len(s.free) == 0 {
-		s.free, s.ring = append(s.free, &liveEntry{parts: newWarmParts(s.cfg)}), s.ring+1
+		s.free, s.ring = append(s.free, &liveEntry{parts: getParts(s.cfg)}), s.ring+1
 	}
 	en := s.free[len(s.free)-1]
 	s.free = s.free[:len(s.free)-1]
@@ -251,12 +259,28 @@ func (s *source) fill(en *liveEntry) error {
 	e, w := s.e, s.w
 	en.b.Index, en.b.Start = s.idx, e.Count
 	e.StateInto(&en.b.Emu)
-	en.b.Warm.LISP, en.b.Warm.LastLine = s.lisp, w.lastLine
-	return en.parts.copyFrom(&w.warmParts)
+	en.b.Warm.LISP, en.b.Warm.LastLine = w.feedback, w.lastLine
+	return en.parts.copyFrom(w.warmParts)
 }
 
-// drain runs the rest of the pass into a WarmSet of deep copies.
+// release hands the pass's warmer and idle ring entries back to the
+// pool once the run is done with them. An entry a failed run never got
+// back is left to the garbage collector.
+func (s *source) release() {
+	for _, en := range s.free {
+		putParts(en.parts)
+	}
+	s.free = nil
+	if s.w != nil {
+		putParts(s.w.warmParts)
+		s.w = nil
+	}
+}
+
+// drain runs the rest of the pass into a WarmSet of deep copies and
+// releases it.
 func (s *source) drain() (*WarmSet, error) {
+	defer s.release()
 	set := &WarmSet{Program: s.p.Name, Sampling: s.sc.Sampling}
 	for {
 		if err := s.advance(); err != nil {
