@@ -33,7 +33,7 @@ func walkthrough() {
 	rf := regfile.New(regfile.Config{NumRegs: 64, GenBits: 4, RefBits: 4, GeneralMode: true})
 	g := core.New(
 		core.Policy{Enable: true, GeneralReuse: true, OpcodeIndex: true, Reverse: true},
-		core.TableConfig{Entries: 64, Assoc: 4}, core.NewLISP(core.LISPConfig{}), rf)
+		core.TableConfig{Entries: 64, Assoc: 4}, core.NewLISP(core.LISPConfig{}), rf, nil)
 	m := rename.NewMapTable()
 	seq := uint64(0)
 

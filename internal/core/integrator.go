@@ -100,8 +100,11 @@ type Integrator struct {
 
 // New builds an integrator around a suppression predictor: a cold
 // NewLISP, or a window's chained feedback. The regfile must have been
-// configured with the matching mode (general vs squash-only).
-func New(p Policy, tcfg TableConfig, lisp *LISP, rf *regfile.File) *Integrator {
+// configured with the matching mode (general vs squash-only). it, when
+// not nil, is a finished integrator's table to recycle: reset in place
+// when it has tcfg's geometry, else replaced by a new one. Either way
+// the integrator starts with an empty table.
+func New(p Policy, tcfg TableConfig, lisp *LISP, rf *regfile.File, it *Table) *Integrator {
 	if p.OpcodeIndex {
 		tcfg.Mode = IndexOpcode
 		tcfg.UseCallDepth = !p.NoCallDepth
@@ -109,9 +112,12 @@ func New(p Policy, tcfg TableConfig, lisp *LISP, rf *regfile.File) *Integrator {
 		tcfg.Mode = IndexPC
 		tcfg.UseCallDepth = false
 	}
+	if it == nil || !it.Reset(tcfg) {
+		it = NewTable(tcfg)
+	}
 	return &Integrator{
 		Policy: p,
-		Table:  NewTable(tcfg),
+		Table:  it,
 		LISP:   lisp,
 		RF:     rf,
 	}

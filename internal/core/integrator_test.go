@@ -24,7 +24,7 @@ func newRenamer(t *testing.T, p Policy) *renamer {
 	})
 	return &renamer{
 		t:  t,
-		g:  New(p, TableConfig{Entries: 64, Assoc: 4}, NewLISP(LISPConfig{}), rf),
+		g:  New(p, TableConfig{Entries: 64, Assoc: 4}, NewLISP(LISPConfig{}), rf, nil),
 		rf: rf,
 		m:  rename.NewMapTable(),
 	}

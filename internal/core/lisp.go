@@ -5,10 +5,16 @@ package core
 // integration. It is trained on load mis-integrations and deliberately
 // overbiased — entries are never aged out except by conflict, trading
 // false suppressions for fewer mis-integrations (paper §3.1).
+//
+// Recency is a rank within each set, not a global clock: a set's k valid
+// ways hold ranks 1..k, the most recent the highest, and invalid ways
+// hold 0. The victim rule needs only that order, and a snapshot of it
+// changes only when a hit or a training insert reorders a set, so two
+// LISPs with equal State make the same Suppress and Train decisions.
 type LISP struct {
 	entries []lispEntry   // every entry, set-major
 	sets    [][]lispEntry // entries sliced per set
-	tick    uint64
+	seen    []bool        // SetState's per-set rank scratch, one per way
 
 	Lookups     uint64
 	Suppressed  uint64
@@ -43,7 +49,11 @@ func NewLISP(cfg LISPConfig) *LISP {
 	if nSets == 0 {
 		nSets = 1
 	}
-	l := &LISP{entries: make([]lispEntry, nSets*cfg.Assoc), sets: make([][]lispEntry, nSets)}
+	l := &LISP{
+		entries: make([]lispEntry, nSets*cfg.Assoc),
+		sets:    make([][]lispEntry, nSets),
+		seen:    make([]bool, cfg.Assoc),
+	}
 	// One flat backing array sliced per set (cf. Table, memsys.Cache).
 	entries := l.entries
 	for i := range l.sets {
@@ -52,8 +62,28 @@ func NewLISP(cfg LISPConfig) *LISP {
 	return l
 }
 
+// Reset empties the predictor and zeroes its tallies, leaving it as
+// NewLISP built it.
+func (l *LISP) Reset() {
+	clear(l.entries)
+	l.Lookups, l.Suppressed, l.TrainInsert = 0, 0, 0
+}
+
 func (l *LISP) set(pc uint64) []lispEntry {
 	return l.sets[(pc>>2)%uint64(len(l.sets))]
+}
+
+// touch makes valid way i its set's most recent: every way ranked above
+// it moves down one, and it takes the top rank.
+func touch(set []lispEntry, i int) {
+	r, top := set[i].Rank, set[i].Rank
+	for j := range set {
+		if set[j].Rank > r {
+			set[j].Rank--
+			top++
+		}
+	}
+	set[i].Rank = top
 }
 
 // Suppress reports whether integration of the load at pc should be
@@ -63,8 +93,7 @@ func (l *LISP) Suppress(pc uint64) bool {
 	set := l.set(pc)
 	for i := range set {
 		if set[i].Valid && set[i].PC == pc {
-			l.tick++
-			set[i].LRU = l.tick
+			touch(set, i)
 			l.Suppressed++
 			return true
 		}
@@ -72,22 +101,31 @@ func (l *LISP) Suppress(pc uint64) bool {
 	return false
 }
 
-// Train records a mis-integrating load.
+// Train records a mis-integrating load. A new entry takes the last
+// invalid way, else the least recent one.
 func (l *LISP) Train(pc uint64) {
 	l.TrainInsert++
-	l.tick++
 	set := l.set(pc)
 	victim := 0
+	var valid uint32
 	for i := range set {
 		if set[i].Valid && set[i].PC == pc {
-			set[i].LRU = l.tick
+			touch(set, i)
 			return
 		}
 		if !set[i].Valid {
 			victim = i
-		} else if set[victim].Valid && set[i].LRU < set[victim].LRU {
+			continue
+		}
+		valid++
+		if set[victim].Valid && set[i].Rank < set[victim].Rank {
 			victim = i
 		}
 	}
-	set[victim] = lispEntry{Valid: true, PC: pc, LRU: l.tick}
+	if set[victim].Valid {
+		set[victim].PC = pc
+		touch(set, victim)
+		return
+	}
+	set[victim] = lispEntry{Valid: true, PC: pc, Rank: valid + 1}
 }

@@ -104,10 +104,11 @@ type Key struct {
 // Table is the set-associative, LRU-managed integration table. Direct and
 // reverse entries share the structure (the paper's unified design).
 type Table struct {
-	cfg   TableConfig
-	sets  [][]Entry
-	tick  uint64
-	stamp uint64
+	cfg     TableConfig
+	entries []Entry   // every entry, set-major
+	sets    [][]Entry // entries sliced per set
+	tick    uint64
+	stamp   uint64
 
 	Lookups  uint64
 	Matches  uint64
@@ -118,18 +119,29 @@ type Table struct {
 // NewTable builds an IT.
 func NewTable(cfg TableConfig) *Table {
 	cfg = cfg.withDefaults()
-	nSets := cfg.Entries / cfg.Assoc
-	if nSets == 0 {
-		nSets = 1
-	}
-	t := &Table{cfg: cfg, sets: make([][]Entry, nSets)}
+	nSets := max(cfg.Entries/cfg.Assoc, 1)
+	t := &Table{cfg: cfg, entries: make([]Entry, nSets*cfg.Assoc), sets: make([][]Entry, nSets)}
 	// One flat backing array sliced per set: building a table is two
 	// allocations, not one per set.
-	entries := make([]Entry, nSets*cfg.Assoc)
+	entries := t.entries
 	for i := range t.sets {
 		t.sets[i], entries = entries[:cfg.Assoc:cfg.Assoc], entries[cfg.Assoc:]
 	}
 	return t
+}
+
+// Reset returns the table to the state NewTable(cfg) builds, in place,
+// and reports whether it could: cfg must give the table's own number
+// of sets and ways (its indexing mode may differ).
+func (t *Table) Reset(cfg TableConfig) bool {
+	cfg = cfg.withDefaults()
+	nSets := max(cfg.Entries/cfg.Assoc, 1)
+	if nSets != len(t.sets) || cfg.Assoc != len(t.sets[0]) {
+		return false
+	}
+	clear(t.entries)
+	*t = Table{cfg: cfg, entries: t.entries, sets: t.sets}
+	return true
 }
 
 // Config returns the table geometry.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"rix/internal/isa"
@@ -182,5 +183,33 @@ func TestLISPConflictEviction(t *testing.T) {
 	}
 	if l.Suppress(b) {
 		t.Error("LRU entry survived conflict")
+	}
+}
+
+// TestTableResetMatchesNew: a used table reset to a configuration of
+// its geometry, in either indexing mode, is indistinguishable from a
+// new one; another geometry is refused.
+func TestTableResetMatchesNew(t *testing.T) {
+	tb := NewTable(TableConfig{Entries: 16, Assoc: 4})
+	for i := 0; i < 20; i++ {
+		tb.Insert(Key{PC: uint64(i * 4), Op: isa.ADDQ}, Entry{in1: 3, in2: regfile.NoReg, out: regfile.PReg(i)})
+		tb.Match(Key{PC: uint64(i * 2), Op: isa.ADDQ}, 3, 0, regfile.NoReg, 0)
+	}
+	for _, cfg := range []TableConfig{
+		{Entries: 16, Assoc: 4},
+		{Entries: 16, Assoc: 4, Mode: IndexOpcode, UseCallDepth: true},
+	} {
+		if !tb.Reset(cfg) {
+			t.Fatalf("Reset(%+v) refused a table of its geometry", cfg)
+		}
+		if !reflect.DeepEqual(tb, NewTable(cfg)) {
+			t.Errorf("Reset(%+v) differs from NewTable", cfg)
+		}
+		tb.Insert(Key{PC: 8, Op: isa.ADDQ}, Entry{in1: 3, in2: regfile.NoReg, out: 5})
+	}
+	for _, cfg := range []TableConfig{{Entries: 16, Assoc: 2}, {Entries: 32, Assoc: 4}, {Entries: 16}} {
+		if tb.Reset(cfg) {
+			t.Errorf("Reset(%+v) accepted another geometry", cfg)
+		}
 	}
 }

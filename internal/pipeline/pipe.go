@@ -280,21 +280,27 @@ type BootState struct {
 	// physical registers, which only mean something inside one pipeline.
 	LISP *core.LISP
 
-	// Scratch recycles a finished pipeline's allocation pools and ring
-	// buffers (Pipeline.Recycle) into this one. Only adopted when every
-	// buffer matches the Config's sizing; a mismatched or nil Scratch
-	// falls back to fresh allocations. Purely an allocation optimization:
-	// recycled buffers never change simulated behavior.
+	// Scratch recycles a finished pipeline's allocation pools, ring
+	// buffers, integration table and register file (Pipeline.Recycle)
+	// into this one. The pools and rings are adopted only when every one
+	// matches the Config's sizing, the table and register file each when
+	// its geometry matches (reset in place to the empty table and the
+	// freshly built file); whatever does not fit, or a nil Scratch, falls
+	// back to fresh allocations. Purely an allocation optimization:
+	// recycled parts never change simulated behavior.
 	Scratch *Scratch
 }
 
 // Scratch is the recyclable allocation state of a finished pipeline:
 // the uop and event pools, the ROB/RS/LSQ/fetch-queue rings, the RS
-// wakeup masks, the producer map, and the trace-window ring. The
-// sampling engine threads one Scratch through its per-window pipelines
-// so steady-state window simulation allocates almost nothing. A Scratch
-// is single-owner: hand it to at most one NewFrom at a time.
+// wakeup masks, the producer map, the trace-window ring, the
+// integration table and the register file. The sampling engine threads
+// one Scratch through its per-window pipelines so steady-state window
+// simulation allocates almost nothing. A Scratch is single-owner: hand
+// it to at most one NewFrom at a time.
 type Scratch struct {
+	it     *core.Table
+	rf     *regfile.File
 	uops   []*uop
 	events [][]event
 	evFree [][]event
@@ -359,6 +365,8 @@ func (pl *Pipeline) Recycle() *Scratch {
 	// The wakeup masks need no reset: draining freed every station,
 	// which leaves them all-zero (TestWakeupMatchesScan checks).
 	return &Scratch{
+		it:     pl.integ.Table,
+		rf:     pl.rf,
 		uops:   pl.uopFree,
 		events: pl.events,
 		evFree: pl.evFree,
@@ -383,12 +391,8 @@ func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) 
 		w = NewWarm(cfg)
 	}
 	pl := &Pipeline{
-		cfg:  cfg,
-		prog: p,
-		rf: regfile.New(regfile.Config{
-			NumRegs: cfg.PhysRegs, GenBits: cfg.GenBits, RefBits: cfg.RefBits,
-			GeneralMode: cfg.Policy.GeneralReuse,
-		}),
+		cfg:     cfg,
+		prog:    p,
 		front:   rename.NewMapTable(),
 		arch:    rename.NewMapTable(),
 		fetchPC: boot.PC,
@@ -399,6 +403,17 @@ func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) 
 		cht:     w.CHT,
 		mem:     w.Hier,
 		archMem: boot.Mem,
+	}
+	rcfg := regfile.Config{
+		NumRegs: cfg.PhysRegs, GenBits: cfg.GenBits, RefBits: cfg.RefBits,
+		GeneralMode: cfg.Policy.GeneralReuse,
+	}
+	var it *core.Table
+	if s := boot.Scratch; s != nil {
+		it, pl.rf = s.it, s.rf
+	}
+	if pl.rf == nil || !pl.rf.Reset(rcfg) {
+		pl.rf = regfile.New(rcfg)
 	}
 	var winBuf []emu.TraceRec
 	if s := boot.Scratch; s.fits(cfg) {
@@ -426,7 +441,7 @@ func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) 
 	if lisp == nil {
 		lisp = core.NewLISP(cfg.LISP)
 	}
-	pl.integ = core.New(cfg.Policy, cfg.IT, lisp, pl.rf)
+	pl.integ = core.New(cfg.Policy, cfg.IT, lisp, pl.rf, it)
 	pl.prb = probe{pl}
 
 	// Boot every live architectural register value, SP and GP first;

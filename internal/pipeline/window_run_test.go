@@ -210,3 +210,60 @@ func bpredMistrained(cfg Config) *bpred.Predictor {
 	}
 	return p
 }
+
+// TestScratchRecyclesIntegrationState chains one Scratch through
+// pipelines that alternate squash-only and general register files, PC
+// and opcode IT indexing, and change the IT and register-file sizes in
+// between: each run's stats equal a freshly built pipeline's, and the
+// integration table and register file are reused exactly when their
+// geometry matches.
+func TestScratchRecyclesIntegrationState(t *testing.T) {
+	bw := buildWorkload(t, "gzip")
+	pol := paperPolicies()
+	small := func(c *Config) { c.IT.Entries = 256 }
+	fewRegs := func(c *Config) { c.PhysRegs = 512 }
+	steps := []struct {
+		pol              string
+		mod              func(*Config)
+		reuseIT, reuseRF bool
+	}{
+		{"squash", nil, false, false},
+		{"+opcode", nil, true, true},
+		{"+general", nil, true, true},
+		{"+reverse", small, false, true},
+		{"squash", small, true, true},
+		{"+reverse", nil, false, true},
+		{"+opcode", fewRegs, true, false},
+		{"+general", fewRegs, true, true},
+	}
+	var s *Scratch
+	for i, st := range steps {
+		cfg := DefaultConfig()
+		cfg.Policy = pol[st.pol]
+		if st.mod != nil {
+			st.mod(&cfg)
+		}
+		want, err := New(cfg, bw.Prog, emu.Limit(bw.Source(), 20000)).RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := emu.New(bw.Prog)
+		pl := NewFrom(cfg, bw.Prog, emu.Limit(bw.Source(), 20000), &BootState{PC: e.PC, Regs: e.Regs, Mem: e.Mem, Scratch: s})
+		if s != nil {
+			if got := pl.integ.Table == s.it; got != st.reuseIT {
+				t.Errorf("step %d (%s): IT reused = %v, want %v", i, st.pol, got, st.reuseIT)
+			}
+			if got := pl.rf == s.rf; got != st.reuseRF {
+				t.Errorf("step %d (%s): register file reused = %v, want %v", i, st.pol, got, st.reuseRF)
+			}
+		}
+		got, err := pl.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("step %d (%s): recycled pipeline's stats diverge from a fresh one's", i, st.pol)
+		}
+		s = pl.Recycle()
+	}
+}

@@ -91,7 +91,6 @@ func New(cfg Config) *File {
 		panic("regfile: need at least 34 physical registers")
 	}
 	f := &File{
-		mode:   ModeSquashOnly,
 		vals:   make([]uint64, cfg.NumRegs),
 		ready:  make([]bool, cfg.NumRegs),
 		refcnt: make([]uint16, cfg.NumRegs),
@@ -100,6 +99,26 @@ func New(cfg Config) *File {
 		freeQ:  make([]PReg, cfg.NumRegs),
 		queued: make([]bool, cfg.NumRegs),
 	}
+	f.Reset(cfg)
+	return f
+}
+
+// Reset returns the file to the state New(cfg) builds, in place, and
+// reports whether it could: cfg must ask for the file's own size.
+func (f *File) Reset(cfg Config) bool {
+	if cfg.NumRegs != len(f.vals) {
+		return false
+	}
+	clear(f.vals)
+	clear(f.ready)
+	clear(f.refcnt)
+	clear(f.valid)
+	clear(f.gen)
+	clear(f.freeQ)
+	clear(f.queued)
+	f.qHead, f.qTail, f.qLen = 0, 0, 0
+	f.Allocations, f.Integrations, f.RefSaturated = 0, 0, 0
+	f.mode = ModeSquashOnly
 	if cfg.GeneralMode {
 		f.mode = ModeGeneral
 	}
@@ -119,7 +138,7 @@ func New(cfg Config) *File {
 		f.push(PReg(p))
 	}
 	f.freeCount = cfg.NumRegs - 1
-	return f
+	return true
 }
 
 // NumRegs returns the file size.

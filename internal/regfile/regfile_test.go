@@ -2,6 +2,7 @@ package regfile
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -333,5 +334,40 @@ func TestEligibleRejectsBadArgs(t *testing.T) {
 	}
 	if f.Eligible(PReg(9999), 0) {
 		t.Error("out-of-range eligible")
+	}
+}
+
+// TestResetMatchesNew: a used file reset to any configuration of its
+// size is indistinguishable from a new one, mode, counter widths and
+// free queue included; a configuration of another size is refused and
+// leaves the file alone.
+func TestResetMatchesNew(t *testing.T) {
+	f := newGeneral(t)
+	for i := 0; i < 40; i++ {
+		p, _ := f.Alloc()
+		f.SetReady(p, uint64(i))
+		if i%3 == 0 {
+			f.Integrate(p)
+		}
+		if i%2 == 0 {
+			f.Release(p, CauseShadow)
+		}
+	}
+	for _, cfg := range []Config{
+		{NumRegs: 64, GenBits: 4, RefBits: 4},
+		{NumRegs: 64, GenBits: 0, RefBits: 0, GeneralMode: true},
+		{NumRegs: 64, GenBits: 9, RefBits: 16},
+	} {
+		if !f.Reset(cfg) {
+			t.Fatalf("Reset(%+v) refused a file of its size", cfg)
+		}
+		if !reflect.DeepEqual(f, New(cfg)) {
+			t.Errorf("Reset(%+v) differs from New", cfg)
+		}
+		f.Alloc()
+	}
+	before := *f
+	if f.Reset(Config{NumRegs: 65}) || !reflect.DeepEqual(*f, before) {
+		t.Error("Reset to another size was accepted or changed the file")
 	}
 }

@@ -128,6 +128,53 @@ func TestWarmPartsPooledAcrossCells(t *testing.T) {
 	}
 }
 
+// TestSlotRecyclesAcrossPolicies runs gzip's cells on a one-slot
+// scheduler, twice over, alternating squash-only and general register
+// files and PC and opcode IT indexing, with and without the LISP: the
+// slot's one pipeline scratch carries its integration table and
+// register file from window to window and from cell to cell, and every
+// estimate still equals the naive loop's, which builds both afresh for
+// every window.
+func TestSlotRecyclesAcrossPolicies(t *testing.T) {
+	ctx := context.Background()
+	bw := buildBench(t, "gzip")
+	type cell struct {
+		cfg  pipeline.Config
+		want *sample.Estimate
+	}
+	var cells []cell
+	for _, o := range []sim.Options{
+		{Integration: sim.IntSquash},
+		{Integration: sim.IntOpcode, Suppression: sim.SuppressOracle},
+		{Integration: sim.IntGeneral},
+		{Integration: sim.IntReverse, Suppression: sim.SuppressNone},
+		{Integration: sim.IntSquash, Suppression: sim.SuppressOracle},
+		{Integration: sim.IntReverse},
+	} {
+		cfg, err := o.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sample.NaiveRun(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, cell{cfg, want})
+	}
+	sched := newPool(t, 1)
+	for pass := 0; pass < 2; pass++ {
+		for i, c := range cells {
+			got, err := sample.Run(ctx, bw.Prog, bw.DynLen, c.cfg, sample.Config{Scheduler: sched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("pass %d, cell %d (%+v): estimate diverges from the naive loop", pass, i, c.cfg.Policy)
+			}
+		}
+	}
+}
+
 // TestEngineMatchesNaiveLoop is the engine's property test: on every
 // registered workload (the benchmark subset under -short, gzip and
 // crafty under -race), with integration off and with +reverse under the

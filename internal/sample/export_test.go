@@ -48,7 +48,7 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 			return nil, err
 		}
 		var lisp *core.LISP
-		if cfg.Policy.Enable && len(b.Warm.LISP.Entries) > 0 {
+		if chainsFeedback(cfg.Policy) && len(b.Warm.LISP.Entries) > 0 {
 			lisp = core.NewLISP(cfg.LISP)
 			if err := lisp.SetState(b.Warm.LISP); err != nil {
 				return nil, err
@@ -76,7 +76,7 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 			return nil, fmt.Errorf("sample: window %d of %s: %w", idx, p.Name, err)
 		}
 		windows = append(windows, WindowStat{Index: idx, Start: b.Start, MeasuredFrom: b.Start + sp.Warmup, Stats: *stats})
-		if cfg.Policy.Enable {
+		if chainsFeedback(cfg.Policy) {
 			w.feedback = pl.Integrator().LISP.State()
 		}
 	}

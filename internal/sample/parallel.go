@@ -26,11 +26,13 @@ import (
 // whose actual feedback diverges from the next window's speculative
 // boot cancels every in-flight successor, which re-dispatch under the
 // corrected chain. The window right after a settle always boots with
-// validated feedback, so the coordinator always makes progress,
-// degrades to one window at a time under a feedback chain that mutates
-// every window, and reaches full parallelism on the common quiescent
-// chain — while the aggregate stays bit-identical to running the
-// windows one by one in every case.
+// validated feedback, so the coordinator always makes progress. The
+// LISP holds its recency as per-set ranks, so the chain changes only
+// when a window trains the LISP or reorders a set — rare after the
+// first windows — and the coordinator runs at full width almost
+// throughout; a chain that changed every window would degrade it to
+// one window at a time. The aggregate stays bit-identical to running
+// the windows one by one in every case.
 //
 // Because fetching, dispatch and settlement all happen on the
 // coordinator goroutine and window results depend only on their boot
@@ -92,10 +94,10 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 		}
 	}()
 	var windows []WindowStat
-	// Feedback only chains when the integration policy is on: with it
-	// off the boot LISP is ignored by every window, so speculation is
-	// vacuously correct and validation is skipped.
-	chain := cfg.Policy.Enable
+	// Feedback only chains where a window can observe it (chainsFeedback):
+	// elsewhere the boot LISP is never read, so speculation is vacuously
+	// correct and validation is skipped.
+	chain := chainsFeedback(cfg.Policy)
 	// Adopted feedback, once the first window has settled (haveFB);
 	// until then windows boot with their boundary's own (warm-pass) LISP.
 	var fb core.LISPState
@@ -214,7 +216,7 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 		if i+1 == next {
 			continue
 		}
-		if g := flights[i+1].job.Feedback; fb.Tick != g.Tick || !slices.Equal(fb.Entries, g.Entries) {
+		if g := flights[i+1].job.Feedback; !slices.Equal(fb.Entries, g.Entries) {
 			// Misspeculation: every in-flight successor booted with a
 			// chain this settle just invalidated. Cancel them, wait for
 			// their executors to let go of their boundaries, and pull the

@@ -81,9 +81,9 @@ import (
 // misses). doc/FORMATS.md is the authoritative description — keep it in
 // lockstep.
 const (
-	ManifestFormat = 1
+	ManifestFormat = 2
 	LeaseFormat    = 1
-	ResultFormat   = 1
+	ResultFormat   = 2
 )
 
 // JobsDir is the subdirectory of the worker directory that holds the

@@ -46,24 +46,24 @@ func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, 
 			return nil, err
 		}
 	}
-	// The feedback is the boot LISP; with none, the pipeline starts a
-	// cold one.
-	var lisp *core.LISP
-	if cfg.Policy.Enable && len(job.Feedback.Entries) > 0 {
-		if wp.lisp == nil {
-			wp.lisp = core.NewLISP(cfg.LISP)
-		}
+	// The feedback is the boot LISP; with none, or where nothing chains
+	// it, the window boots the set's LISP reset to cold.
+	if wp.lisp == nil {
+		wp.lisp = core.NewLISP(cfg.LISP)
+	}
+	if chainsFeedback(cfg.Policy) && len(job.Feedback.Entries) > 0 {
 		if err := wp.lisp.SetState(job.Feedback); err != nil {
 			return nil, err
 		}
-		lisp = wp.lisp
+	} else {
+		wp.lisp.Reset()
 	}
 	st := &job.Boundary.Emu
 	mem, err := emu.NewMemoryFromState(st.Mem)
 	if err != nil {
 		return nil, err
 	}
-	sl.bs = pipeline.BootState{PC: st.PC, Regs: st.Regs, Mem: mem, Warm: wp.Warm, LISP: lisp, Scratch: sl.scratch}
+	sl.bs = pipeline.BootState{PC: st.PC, Regs: st.Regs, Mem: mem, Warm: wp.Warm, LISP: wp.lisp, Scratch: sl.scratch}
 	return &sl.bs, nil
 }
 
@@ -91,7 +91,10 @@ func (sl *slot) run(ctx context.Context, job WindowJob) (WindowResult, error) {
 	if err != nil {
 		return WindowResult{}, err
 	}
-	res := WindowResult{Index: b.Index, Stats: *stats, Feedback: pl.Integrator().LISP.State()}
+	res := WindowResult{Index: b.Index, Stats: *stats}
+	if chainsFeedback(cfg.Policy) {
+		res.Feedback = pl.Integrator().LISP.State()
+	}
 	sl.scratch = pl.Recycle()
 	return res, nil
 }

@@ -40,6 +40,11 @@ import (
 //     chains each completed window's final LISP state into the next
 //     window's boot (WindowJob.Feedback), mirroring how a handful of
 //     early training events shape the full machine's entire run. The
+//     LISP keeps its recency as a rank within each set, so the chain
+//     changes only when a window trains the LISP or reorders a set:
+//     most windows settle with exactly the feedback they booted with,
+//     and the coordinator's speculative successors stand. Cells whose
+//     policy never reads the LISP chain nothing (chainsFeedback). The
 //     CHT is deliberately not chained: measured at the default window
 //     length, chaining adopts collision entries born from window-boot
 //     timing accidents, and the over-conservative loads cost more IPC
@@ -48,7 +53,7 @@ import (
 //     more).
 type warmer struct {
 	*warmParts
-	feedback core.LISPState // the LISP boundary snapshots carry: a cold one's, or empty with the policy off
+	feedback core.LISPState // the LISP boundary snapshots carry: a cold one's, or empty where nothing chains it
 	lastLine uint64         // last I-side line touched; ^0 = none
 	lineMask uint64
 }
@@ -62,7 +67,7 @@ type warmer struct {
 type warmParts struct {
 	pipeline.Warm
 	geom bootGeom
-	lisp *core.LISP // the window's boot LISP, set from its feedback; built on first use
+	lisp *core.LISP // the window's boot LISP, set from its feedback or reset cold; built on first use
 }
 
 // bootGeom is the machine geometry a set of warm parts is built for:
@@ -142,6 +147,12 @@ func coldParts(cfg pipeline.Config) (*warmParts, error) {
 	return wp, wp.copyFrom(cold)
 }
 
+// chainsFeedback reports whether a cell's windows can observe the LISP
+// feedback chain: the LISP is read only by Suppress, which runs only
+// with integration on under UseLISP. Everywhere else the chain is
+// neither snapshotted, validated nor carried in boundaries.
+func chainsFeedback(p core.Policy) bool { return p.Enable && p.UseLISP }
+
 // newWarmer returns a warmer with the tables of wp, which must be cold.
 func newWarmer(cfg pipeline.Config, wp *warmParts) *warmer {
 	w := &warmer{
@@ -149,7 +160,7 @@ func newWarmer(cfg pipeline.Config, wp *warmParts) *warmer {
 		lastLine:  ^uint64(0),
 		lineMask:  ^(uint64(cfg.Mem.L1I.LineBytes) - 1),
 	}
-	if cfg.Policy.Enable {
+	if chainsFeedback(cfg.Policy) {
 		w.feedback = core.NewLISP(cfg.LISP).State()
 	}
 	return w
@@ -214,7 +225,7 @@ type WarmSnapshot struct {
 // snapshot deep-copies the current warm state.
 func (w *warmer) snapshot() WarmSnapshot {
 	ws := WarmSnapshot{LastLine: w.lastLine}
-	ws.LISP = core.LISPState{Entries: slices.Clone(w.feedback.Entries), Tick: w.feedback.Tick}
+	ws.LISP = core.LISPState{Entries: slices.Clone(w.feedback.Entries)}
 	w.warmParts.snapshot(&ws)
 	return ws
 }
