@@ -16,6 +16,8 @@ import (
 	"rix/internal/core"
 	"rix/internal/emu"
 	_ "rix/internal/experiments" // registers the paper specs
+	"rix/internal/isa"
+	"rix/internal/memsys"
 	"rix/internal/pipeline"
 	"rix/internal/prog"
 	"rix/internal/regfile"
@@ -453,22 +455,74 @@ func buildProg(bench workload.Benchmark) (*prog.Program, error) {
 }
 
 // BenchmarkIntegrationTable measures IT lookup+insert throughput (the
-// rename-stage critical loop of the paper).
+// rename-stage critical loop of the paper). The table is built before
+// the timer starts; one op is a fixed batch of tableBatch lookups, each
+// that misses followed by an insert into the same set.
 func BenchmarkIntegrationTable(b *testing.B) {
+	const tableBatch = 4096
 	for _, mode := range []struct {
 		name string
 		m    core.IndexMode
 	}{{"pc", core.IndexPC}, {"opcode", core.IndexOpcode}} {
 		b.Run(mode.name, func(b *testing.B) {
 			t := core.NewTable(core.TableConfig{Entries: 1024, Assoc: 4, Mode: mode.m, UseCallDepth: true})
-			for i := 0; i < b.N; i++ {
-				k := core.Key{PC: uint64(0x1000 + (i%512)*4), Op: 17, Imm: int64(i % 64), Depth: i % 8}
-				if t.Match(k, regfile.PReg(i%1024), uint8(i%16), regfile.NoReg, 0) == nil {
-					t.Insert(k, core.Entry{})
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for i := 0; i < tableBatch; i++ {
+					k := core.Key{PC: uint64(0x1000 + (i%512)*4), Op: 17, Imm: int64(i % 64), Depth: i % 8}
+					set := t.Index(k)
+					if t.Match(k, set, regfile.PReg(i%1024), uint8(i%16), regfile.NoReg, 0) == nil {
+						t.Insert(k, set, regfile.PReg(i%1024), regfile.NoReg, false)
+					}
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkCacheAccess measures the tag arrays the warm pass drives on
+// every memory instruction: a data access touches the DTLB and the L1D,
+// and the L2 on an L1D miss (memsys.Hierarchy.WarmLoad/WarmStore), on
+// the paper's memory system. The address stream is vortex's first
+// 64k loads and stores, recorded by the emulator before the timer
+// starts; one op replays all of them on one hierarchy, which stays warm
+// from op to op.
+func BenchmarkCacheAccess(b *testing.B) {
+	const n = 1 << 16
+	bench, _ := workload.ByName("vortex")
+	p, err := buildProg(bench)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type access struct {
+		addr  uint64
+		store bool
+	}
+	stream := make([]access, 0, n)
+	for e := emu.New(p); len(stream) < n && !e.Halted; {
+		rec, err := e.Step()
+		if err != nil {
+			b.Fatal(err)
+		}
+		switch p.Code[rec.CodeIdx].Op.ClassOf() {
+		case isa.ClassLoad:
+			stream = append(stream, access{rec.Addr, false})
+		case isa.ClassStore:
+			stream = append(stream, access{rec.Addr, true})
+		}
+	}
+	h := memsys.New(memsys.DefaultConfig())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range stream {
+			if a.store {
+				h.WarmStore(a.addr)
+			} else {
+				h.WarmLoad(a.addr)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/access")
 }
 
 // BenchmarkRegfile measures the reference-counting state vector.

@@ -49,7 +49,8 @@ func walkthrough() {
 	step := func(comment string, in isa.Instr, pc uint64, depth int) {
 		seq++
 		in1, in2 := m.Get(in.Ra), m.Get(in.Rb)
-		res, _, ok := g.TryIntegrate(in, pc, depth, seq, m, nil)
+		k, set := g.Locate(in, pc, depth)
+		res, _, ok := g.TryIntegrate(in, k, set, seq, m, nil)
 		var dest, old rename.Mapping
 		switch {
 		case ok:
@@ -61,7 +62,7 @@ func walkthrough() {
 			dest = rename.Mapping{P: p, Gen: rf.Gen(p)}
 			old = m.Set(in.Rd, dest)
 		}
-		g.NoteRenamed(in, pc, depth, seq, in1, in2, dest, old, ok)
+		g.NoteRenamed(in, k, set, seq, in1, in2, dest, old, ok)
 		tag := " "
 		if ok {
 			tag = "*"

@@ -26,8 +26,10 @@
 //
 // The analyzer also *requires* the //rix:hotpath annotation on the
 // known hot functions (Required): the per-cycle pipeline stages, the
-// emulator step and trace streamer, and the sampling warmer's
-// per-instruction observe. Renaming or splitting one of those functions
+// emulator step and trace streamer, the sampling warmer's
+// per-instruction observe, the cache access behind every warm and timed
+// memory reference, and the integration table and decision logic that
+// rename runs for every instruction. Renaming or splitting one of those functions
 // updates Required in the same commit, so coverage can't silently rot.
 package hotalloc
 
@@ -58,6 +60,10 @@ var Required = map[string][]string{
 	},
 	"rix/internal/emu":    {"Emulator.Step", "Streamer.Next"},
 	"rix/internal/sample": {"warmer.observe"},
+	"rix/internal/memsys": {"Cache.Access"},
+	"rix/internal/core": {
+		"Table.Match", "Table.Insert", "Integrator.TryIntegrate", "Integrator.NoteRenamed",
+	},
 }
 
 // Analyzer is the hotalloc check.

@@ -123,9 +123,12 @@ func New(p Policy, tcfg TableConfig, lisp *LISP, rf *regfile.File, it *Table) *I
 	}
 }
 
-// key builds the IT key for an instruction instance.
-func (g *Integrator) key(in isa.Instr, pc uint64, depth int) Key {
-	return Key{PC: pc, Op: in.Op, Imm: in.Imm, Depth: depth}
+// Locate returns the IT key of an instruction instance and its set
+// index: rename computes both once and hands them to TryIntegrate and
+// NoteRenamed.
+func (g *Integrator) Locate(in isa.Instr, pc uint64, depth int) (Key, int) {
+	k := Key{PC: pc, Op: in.Op, Imm: in.Imm, Depth: depth}
+	return k, g.Table.Index(k)
 }
 
 // inputs extracts the IT input operands from the current map.
@@ -143,12 +146,15 @@ func inputs(in isa.Instr, m *rename.MapTable) (regfile.PReg, uint8, regfile.PReg
 	return in1, g1, in2, g2
 }
 
-// TryIntegrate attempts to integrate the instruction at rename. seq is
-// the rename sequence number (for the distance statistic). On success it
-// performs the reference-count increment and returns the result; the
-// caller updates the map table. probe may be nil (no oracle, status
-// reported as shadow/squash for zero-reference results only).
-func (g *Integrator) TryIntegrate(in isa.Instr, pc uint64, depth int, seq uint64, m *rename.MapTable, probe ProducerProbe) (Result, ResultStatus, bool) {
+// TryIntegrate attempts to integrate the instruction at rename; k and
+// set are its key and set index (Locate). seq is the rename sequence
+// number (for the distance statistic). On success it performs the
+// reference-count increment and returns the result; the caller updates
+// the map table. probe may be nil (no oracle, status reported as
+// shadow/squash for zero-reference results only).
+//
+//rix:hotpath
+func (g *Integrator) TryIntegrate(in isa.Instr, k Key, set int, seq uint64, m *rename.MapTable, probe ProducerProbe) (Result, ResultStatus, bool) {
 	if !g.Policy.Enable || !in.Op.Integrable() {
 		return Result{}, 0, false
 	}
@@ -158,13 +164,13 @@ func (g *Integrator) TryIntegrate(in isa.Instr, pc uint64, depth int, seq uint64
 	}
 	g.Attempts++
 
-	if in.Op.IsLoad() && g.Policy.UseLISP && g.LISP.Suppress(pc) {
+	if in.Op.IsLoad() && g.Policy.UseLISP && g.LISP.Suppress(k.PC) {
 		g.LISPSuppressions++
 		return Result{}, 0, false
 	}
 
 	in1, g1, in2, g2 := inputs(in, m)
-	e := g.Table.Match(g.key(in, pc, depth), in1, g1, in2, g2)
+	e := g.Table.Match(k, set, in1, g1, in2, g2)
 	if e == nil {
 		return Result{}, 0, false
 	}
@@ -220,12 +226,15 @@ func (g *Integrator) TryIntegrate(in isa.Instr, pc uint64, depth int, seq uint64
 	}, status, true
 }
 
-// NoteRenamed creates IT entries after an instruction renamed. seq is the
-// rename sequence number. out/oldOut are the post-rename destination
-// mapping and the mapping it displaced (needed for SP-decrement reverse
-// entries). integrated suppresses direct-entry creation (entries are
-// created only when integration fails, paper §2.1).
-func (g *Integrator) NoteRenamed(in isa.Instr, pc uint64, depth int, seq uint64,
+// NoteRenamed creates IT entries after an instruction renamed; k and set
+// are its key and set index (Locate). seq is the rename sequence number.
+// out/oldOut are the post-rename destination mapping and the mapping it
+// displaced (needed for SP-decrement reverse entries). integrated
+// suppresses direct-entry creation (entries are created only when
+// integration fails, paper §2.1).
+//
+//rix:hotpath
+func (g *Integrator) NoteRenamed(in isa.Instr, k Key, set int, seq uint64,
 	in1 rename.Mapping, in2 rename.Mapping, out rename.Mapping, oldOut rename.Mapping, integrated bool) {
 
 	if !g.Policy.Enable {
@@ -236,12 +245,10 @@ func (g *Integrator) NoteRenamed(in isa.Instr, pc uint64, depth int, seq uint64,
 	// insert at resolution (outcome not known here); stores never insert
 	// direct entries.
 	if !integrated && in.Op.Integrable() && in.Op.HasDest() && in.Rd != isa.RegZero && !in.Op.IsConditional() {
-		g.Table.Insert(g.key(in, pc, depth), Entry{
-			in1: pregOf(in.Op.ReadsRa(), in1), in1Gen: in1.Gen,
-			in2: pregOf(in.Op.ReadsRb(), in2), in2Gen: in2.Gen,
-			out: out.P, outGen: out.Gen,
-			createdSeq: seq,
-		})
+		e := g.Table.Insert(k, set, pregOf(in.Op.ReadsRa(), in1), pregOf(in.Op.ReadsRb(), in2), false)
+		e.in1Gen, e.in2Gen = in1.Gen, in2.Gen
+		e.out, e.outGen = out.P, out.Gen
+		e.createdSeq = seq
 	}
 
 	// Reverse entries (extension 3) require opcode indexing: the consumer
@@ -255,38 +262,30 @@ func (g *Integrator) NoteRenamed(in isa.Instr, pc uint64, depth int, seq uint64,
 		// stq rb, disp(ra)  creates  <ldq/disp, ra, -, rb>: a future load
 		// from the same address reuses the store's data register.
 		loadOp, _ := in.Op.StoreLoadPair()
-		g.Table.Insert(Key{PC: pc, Op: loadOp, Imm: in.Imm, Depth: depth}, Entry{
-			in1: in1.P, in1Gen: in1.Gen, // base register
-			in2: regfile.NoReg,
-			out: in2.P, outGen: in2.Gen, // data register
-			reverse:    true,
-			createdSeq: seq,
-		})
+		g.insertReverse(Key{PC: k.PC, Op: loadOp, Imm: in.Imm, Depth: k.Depth}, seq,
+			in1, in2) // base register, data register
 
 	case in.IsSPDecrement():
 		// lda sp, -n(sp) creates <lda/+n, newSP, -, oldSP>: the matching
 		// increment reuses the pre-call stack-pointer register.
 		invOp, invImm, _ := in.Op.Inverse(in.Imm)
-		g.Table.Insert(Key{PC: pc, Op: invOp, Imm: invImm, Depth: depth}, Entry{
-			in1: out.P, in1Gen: out.Gen,
-			in2: regfile.NoReg,
-			out: oldOut.P, outGen: oldOut.Gen,
-			reverse:    true,
-			createdSeq: seq,
-		})
+		g.insertReverse(Key{PC: k.PC, Op: invOp, Imm: invImm, Depth: k.Depth}, seq, out, oldOut)
 
 	case g.Policy.ReverseALU && in.Op.HasDest() && in.Rd != isa.RegZero && in.Rd != in.Ra:
 		// Ablation: general invertible ALU immediates.
 		if invOp, invImm, ok := in.Op.Inverse(in.Imm); ok && in.Op != isa.LDA {
-			g.Table.Insert(Key{PC: pc, Op: invOp, Imm: invImm, Depth: depth}, Entry{
-				in1: out.P, in1Gen: out.Gen,
-				in2: regfile.NoReg,
-				out: in1.P, outGen: in1.Gen,
-				reverse:    true,
-				createdSeq: seq,
-			})
+			g.insertReverse(Key{PC: k.PC, Op: invOp, Imm: invImm, Depth: k.Depth}, seq, out, in1)
 		}
 	}
+}
+
+// insertReverse inserts the reverse entry <k, from, -, to>: a later
+// instruction with key k whose input is from gets to's register.
+func (g *Integrator) insertReverse(k Key, seq uint64, from, to rename.Mapping) {
+	e := g.Table.Insert(k, g.Table.Index(k), from.P, regfile.NoReg, true)
+	e.in1Gen = from.Gen
+	e.out, e.outGen = to.P, to.Gen
+	e.createdSeq = seq
 }
 
 func pregOf(reads bool, m rename.Mapping) regfile.PReg {
@@ -303,13 +302,12 @@ func (g *Integrator) NoteBranchResolved(in isa.Instr, pc uint64, depth int, seq 
 	if !g.Policy.Enable || !in.Op.IsConditional() {
 		return
 	}
-	g.Table.Insert(g.key(in, pc, depth), Entry{
-		in1: in1.P, in1Gen: in1.Gen,
-		in2:      regfile.NoReg,
-		out:      regfile.NoReg,
-		isBranch: true, taken: taken,
-		createdSeq: seq,
-	})
+	k, set := g.Locate(in, pc, depth)
+	e := g.Table.Insert(k, set, in1.P, regfile.NoReg, false)
+	e.in1Gen = in1.Gen
+	e.out = regfile.NoReg
+	e.isBranch, e.taken = true, taken
+	e.createdSeq = seq
 }
 
 // OnMisIntegration handles DIVA feedback: train the LISP for loads and

@@ -43,7 +43,8 @@ type renamed struct {
 func (r *renamer) rename(in isa.Instr, pc uint64, depth int) renamed {
 	r.seq++
 	in1, in2 := r.m.Get(in.Ra), r.m.Get(in.Rb)
-	res, _, ok := r.g.TryIntegrate(in, pc, depth, r.seq, r.m, nil)
+	k, set := r.g.Locate(in, pc, depth)
+	res, _, ok := r.g.TryIntegrate(in, k, set, r.seq, r.m, nil)
 	out := renamed{in: in, res: res, integrated: ok}
 	switch {
 	case ok && !res.IsBranch:
@@ -59,7 +60,7 @@ func (r *renamer) rename(in isa.Instr, pc uint64, depth int) renamed {
 		out.oldDest = r.m.Set(in.Rd, out.dest)
 		out.undo = rename.Undo{L: in.Rd, Old: out.oldDest}
 	}
-	r.g.NoteRenamed(in, pc, depth, r.seq, in1, in2, out.dest, out.oldDest, out.integrated)
+	r.g.NoteRenamed(in, k, set, r.seq, in1, in2, out.dest, out.oldDest, out.integrated)
 	return out
 }
 
@@ -372,7 +373,8 @@ func TestNonIntegrableOpsRejected(t *testing.T) {
 		{Op: isa.SYSCALL},
 		{Op: isa.ADDQI, Rd: isa.RegZero, Ra: 1, Imm: 1}, // zero-dest
 	} {
-		if _, _, ok := r.g.TryIntegrate(in, 0x100, 0, 1, r.m, nil); ok {
+		k, set := r.g.Locate(in, 0x100, 0)
+		if _, _, ok := r.g.TryIntegrate(in, k, set, 1, r.m, nil); ok {
 			t.Errorf("%v integrated", in.Op)
 		}
 	}

@@ -15,6 +15,7 @@ type LISP struct {
 	entries []lispEntry   // every entry, set-major
 	sets    [][]lispEntry // entries sliced per set
 	seen    []bool        // SetState's per-set rank scratch, one per way
+	changed bool          // a Train or a reordering Suppress hit since SetState or Reset
 
 	Lookups     uint64
 	Suppressed  uint64
@@ -66,16 +67,23 @@ func NewLISP(cfg LISPConfig) *LISP {
 // NewLISP built it.
 func (l *LISP) Reset() {
 	clear(l.entries)
+	l.changed = false
 	l.Lookups, l.Suppressed, l.TrainInsert = 0, 0, 0
 }
+
+// Changed reports whether a Train call or a Suppress hit that reordered
+// its set has run since the last SetState or Reset: when it has not,
+// State still returns what SetState was given (or a cold LISP's state).
+func (l *LISP) Changed() bool { return l.changed }
 
 func (l *LISP) set(pc uint64) []lispEntry {
 	return l.sets[(pc>>2)%uint64(len(l.sets))]
 }
 
 // touch makes valid way i its set's most recent: every way ranked above
-// it moves down one, and it takes the top rank.
-func touch(set []lispEntry, i int) {
+// it moves down one, and it takes the top rank. It reports whether that
+// reordered the set.
+func touch(set []lispEntry, i int) bool {
 	r, top := set[i].Rank, set[i].Rank
 	for j := range set {
 		if set[j].Rank > r {
@@ -84,6 +92,7 @@ func touch(set []lispEntry, i int) {
 		}
 	}
 	set[i].Rank = top
+	return top != r
 }
 
 // Suppress reports whether integration of the load at pc should be
@@ -93,7 +102,9 @@ func (l *LISP) Suppress(pc uint64) bool {
 	set := l.set(pc)
 	for i := range set {
 		if set[i].Valid && set[i].PC == pc {
-			touch(set, i)
+			if touch(set, i) {
+				l.changed = true
+			}
 			l.Suppressed++
 			return true
 		}
@@ -105,6 +116,7 @@ func (l *LISP) Suppress(pc uint64) bool {
 // invalid way, else the least recent one.
 func (l *LISP) Train(pc uint64) {
 	l.TrainInsert++
+	l.changed = true
 	set := l.set(pc)
 	victim := 0
 	var valid uint32

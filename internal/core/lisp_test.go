@@ -233,3 +233,65 @@ func TestLISPReset(t *testing.T) {
 		t.Error("reset LISP differs from a new one")
 	}
 }
+
+// TestLISPChanged: after SetState or Reset, Changed stays false through
+// suppression misses and hits on a set's most recent way — and State
+// still equals what was set — and turns true on a hit that reorders a
+// set or on any Train.
+func TestLISPChanged(t *testing.T) {
+	l := NewLISP(LISPConfig{Entries: 8, Assoc: 2}) // 4 sets
+	a, b := uint64(0x10), uint64(0x20)             // both in set 0
+	l.Train(a)
+	l.Train(b) // b is set 0's most recent
+	if !l.Changed() {
+		t.Fatal("Train left Changed false")
+	}
+	st := l.State()
+	if err := l.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	for _, pc := range []uint64{b, 0x14, b, 0x18} {
+		l.Suppress(pc) // a hit on the most recent way, or a miss
+		if l.Changed() {
+			t.Fatalf("Suppress(%#x) that reorders nothing set Changed", pc)
+		}
+	}
+	if !reflect.DeepEqual(l.State(), st) {
+		t.Fatal("State moved while Changed stayed false")
+	}
+	if !l.Suppress(a) || !l.Changed() {
+		t.Fatal("a hit that reorders its set left Changed false")
+	}
+	l.Reset()
+	if l.Changed() {
+		t.Fatal("Reset left Changed true")
+	}
+	l.Train(0x30)
+	if !l.Changed() {
+		t.Fatal("Train after Reset left Changed false")
+	}
+
+	// Random streams: whenever Changed is false, State is still the
+	// state last set.
+	rng := rand.New(rand.NewSource(24))
+	for _, g := range lispGeometries {
+		l := NewLISP(g.cfg)
+		for round := 0; round < 200; round++ {
+			st := l.State()
+			if err := l.SetState(st); err != nil {
+				t.Fatal(err)
+			}
+			for op := 0; op < 20; op++ {
+				pc := uint64(rng.Intn(2*g.cfg.Entries)) * 4
+				if rng.Intn(8) == 0 {
+					l.Train(pc)
+				} else {
+					l.Suppress(pc)
+				}
+				if !l.Changed() && !reflect.DeepEqual(l.State(), st) {
+					t.Fatalf("%s round %d: State moved while Changed stayed false", g.name, round)
+				}
+			}
+		}
+	}
+}

@@ -48,6 +48,7 @@ func (l *LISP) SetState(st LISPState) error {
 		}
 	}
 	copy(l.entries, st.Entries)
+	l.changed = false
 	l.Lookups, l.Suppressed, l.TrainInsert = 0, 0, 0
 	return nil
 }

@@ -20,20 +20,23 @@ import (
 // Entry is one integration-table record: an operation descriptor tuple
 // <operation, input-preg1, input-preg2, output-preg> with generation
 // counters (paper §2.2) plus branch-outcome and reverse-entry metadata.
+// Its fields are ordered widest first, so it packs into 56 bytes.
 type Entry struct {
-	valid bool
 	stamp uint64 // write stamp, guards stale invalidation
 
-	// Tag.
+	// Tag (with op, below).
 	pc  uint64 // PC-indexed mode tag
-	op  isa.Opcode
 	imm int64
 
+	createdSeq uint64 // rename sequence at creation, for distance stats
+	lru        uint64
+
 	// Register dataflow.
-	in1, in2       regfile.PReg
-	in1Gen, in2Gen uint8
-	out            regfile.PReg
-	outGen         uint8
+	in1, in2, out          regfile.PReg
+	op                     isa.Opcode
+	in1Gen, in2Gen, outGen uint8
+
+	valid bool
 
 	// Conditional-branch outcome entries carry the resolved direction
 	// instead of an output register.
@@ -42,9 +45,6 @@ type Entry struct {
 
 	// Reverse-integration entries (extension 3).
 	reverse bool
-
-	createdSeq uint64 // rename sequence at creation, for distance stats
-	lru        uint64
 }
 
 // Out returns the entry's output physical register and generation.
@@ -103,10 +103,15 @@ type Key struct {
 
 // Table is the set-associative, LRU-managed integration table. Direct and
 // reverse entries share the structure (the paper's unified design).
+//
+// Rename finds an instruction's set once (Index) and hands it to both
+// Match and Insert.
 type Table struct {
 	cfg     TableConfig
 	entries []Entry   // every entry, set-major
 	sets    [][]Entry // entries sliced per set
+	setMask uint64    // set count - 1, the index mask of a power-of-two count
+	setMod  uint64    // the set count when it is not a power of two, else 0
 	tick    uint64
 	stamp   uint64
 
@@ -121,6 +126,11 @@ func NewTable(cfg TableConfig) *Table {
 	cfg = cfg.withDefaults()
 	nSets := max(cfg.Entries/cfg.Assoc, 1)
 	t := &Table{cfg: cfg, entries: make([]Entry, nSets*cfg.Assoc), sets: make([][]Entry, nSets)}
+	if nSets&(nSets-1) == 0 {
+		t.setMask = uint64(nSets - 1)
+	} else {
+		t.setMod = uint64(nSets)
+	}
 	// One flat backing array sliced per set: building a table is two
 	// allocations, not one per set.
 	entries := t.entries
@@ -140,51 +150,49 @@ func (t *Table) Reset(cfg TableConfig) bool {
 		return false
 	}
 	clear(t.entries)
-	*t = Table{cfg: cfg, entries: t.entries, sets: t.sets}
+	*t = Table{cfg: cfg, entries: t.entries, sets: t.sets, setMask: t.setMask, setMod: t.setMod}
 	return true
 }
 
 // Config returns the table geometry.
 func (t *Table) Config() TableConfig { return t.cfg }
 
-// index computes the set index for a key. In opcode mode the index is the
-// XOR of opcode, immediate and call depth (paper §2.3); deliberately not a
+// Index returns the set index of key k. In opcode mode it is the XOR
+// of opcode, immediate and call depth (paper §2.3); deliberately not a
 // strong hash — the clustering of common opcode/immediate combinations,
-// and its relief via the call depth, are the phenomena under study.
-func (t *Table) index(k Key) int {
-	n := uint64(len(t.sets))
+// and its relief via the call depth, are the phenomena under study. A
+// power-of-two set count (every shipped geometry) takes the index by
+// mask, any other by modulo.
+func (t *Table) Index(k Key) int {
+	var h uint64
 	if t.cfg.Mode == IndexPC {
-		return int((k.PC >> 2) % n)
+		h = k.PC >> 2
+	} else {
+		h = uint64(k.Op) ^ uint64(k.Imm) ^ uint64(k.Imm)>>7
+		if t.cfg.UseCallDepth {
+			h ^= uint64(k.Depth) << 2
+		}
 	}
-	mix := uint64(k.Op)
-	mix ^= uint64(k.Imm) ^ uint64(k.Imm)>>7
-	if t.cfg.UseCallDepth {
-		mix ^= uint64(k.Depth) << 2
+	if t.setMod != 0 {
+		return int(h % t.setMod)
 	}
-	return int(mix % n)
+	return int(h & t.setMask)
 }
 
-// tagMatch checks the minimal tag: full PC in PC mode, opcode/immediate in
-// opcode mode.
-func (t *Table) tagMatch(e *Entry, k Key) bool {
-	if !e.valid {
-		return false
-	}
-	if t.cfg.Mode == IndexPC {
-		return e.pc == k.PC && e.op == k.Op && e.imm == k.Imm
-	}
-	return e.op == k.Op && e.imm == k.Imm
-}
-
-// Match finds an entry whose tag and input operands (register numbers and
-// generations) match. The input comparison is the operational equivalence
-// test: same operation on the same physical registers.
-func (t *Table) Match(k Key, in1 regfile.PReg, in1Gen uint8, in2 regfile.PReg, in2Gen uint8) *Entry {
+// Match finds an entry of set (Index(k)) whose tag and input operands
+// (register numbers and generations) match. The input comparison is the
+// operational equivalence test: same operation on the same physical
+// registers.
+//
+//rix:hotpath
+func (t *Table) Match(k Key, set int, in1 regfile.PReg, in1Gen uint8, in2 regfile.PReg, in2Gen uint8) *Entry {
 	t.Lookups++
-	set := t.sets[t.index(k)]
-	for i := range set {
-		e := &set[i]
-		if !t.tagMatch(e, k) {
+	pcTag := t.cfg.Mode == IndexPC
+	ways := t.sets[set]
+	for i := range ways {
+		e := &ways[i]
+		// The minimal tag: opcode/immediate, and the full PC in PC mode.
+		if !e.valid || e.op != k.Op || e.imm != k.Imm || pcTag && e.pc != k.PC {
 			continue
 		}
 		if e.in1 != in1 || e.in2 != in2 {
@@ -204,18 +212,25 @@ func (t *Table) Match(k Key, in1 regfile.PReg, in1Gen uint8, in2 regfile.PReg, i
 	return nil
 }
 
-// Insert writes an entry for key k, replacing an existing entry with the
-// same tag and inputs if present (refresh), otherwise the LRU way.
-func (t *Table) Insert(k Key, e Entry) *Entry {
+// Insert claims the entry for key k in set (Index(k)): the way already
+// holding k's tag with the same inputs and direction (a refresh), else
+// the first invalid way, else the LRU way. It writes the tag, the input
+// registers and the direction in place, zeroes every other field and
+// returns the entry for the caller to fill in.
+//
+//rix:hotpath
+func (t *Table) Insert(k Key, set int, in1, in2 regfile.PReg, reverse bool) *Entry {
 	t.Inserts++
 	t.tick++
 	t.stamp++
-	set := t.sets[t.index(k)]
+	pcTag := t.cfg.Mode == IndexPC
+	ways := t.sets[set]
 	victim := 0
 	found := false
-	for i := range set {
-		c := &set[i]
-		if t.tagMatch(c, k) && c.in1 == e.in1 && c.in2 == e.in2 && c.reverse == e.reverse {
+	for i := range ways {
+		c := &ways[i]
+		if c.valid && c.op == k.Op && c.imm == k.Imm && (!pcTag || c.pc == k.PC) &&
+			c.in1 == in1 && c.in2 == in2 && c.reverse == reverse {
 			victim, found = i, true
 			break
 		}
@@ -225,21 +240,19 @@ func (t *Table) Insert(k Key, e Entry) *Entry {
 			}
 			continue
 		}
-		if !found && c.lru < set[victim].lru {
+		if !found && c.lru < ways[victim].lru {
 			victim = i
 		}
 	}
-	if set[victim].valid && !found {
+	e := &ways[victim]
+	if e.valid && !found {
 		t.Replaced++
 	}
-	e.valid = true
-	e.pc = k.PC
-	e.op = k.Op
-	e.imm = k.Imm
-	e.lru = t.tick
-	e.stamp = t.stamp
-	set[victim] = e
-	return &set[victim]
+	*e = Entry{
+		stamp: t.stamp, pc: k.PC, imm: k.Imm, lru: t.tick,
+		in1: in1, in2: in2, op: k.Op, valid: true, reverse: reverse,
+	}
+	return e
 }
 
 // Invalidate clears an entry if it still holds the record identified by

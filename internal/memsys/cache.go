@@ -28,29 +28,61 @@ type cacheLine = CacheLineState
 // Cache is a set-associative, write-back, write-allocate tag array (data
 // values live in the architectural memory; the cache models timing only).
 //
-// Each set carries a stamp naming its contents. Stamp 0 is the cold,
-// all-invalid set; every Access and every SetState gives the sets it
-// writes a stamp no cache in the process has used before, and CopyFrom
-// carries the source set's stamp along. Equal stamps therefore imply
-// equal lines, so CopyFrom moves only the sets whose stamps differ.
+// Recency is an age within each set, not a global clock: a set's k
+// valid lines hold ages 0..k-1, the most recent 0, and invalid lines are
+// all zero. A miss fills the first invalid way, else evicts the oldest
+// line. A hit on a set's most recent line therefore changes nothing
+// unless it sets the line's dirty bit.
+//
+// Each set carries a stamp naming its contents, renewed only when they
+// change. Stamp 0 is the cold, all-invalid set; an Access that changes a
+// set's contents (a miss, a hit that reorders the set or sets a dirty
+// bit) and every SetState give the sets they write a stamp no cache in
+// the process has used before, and CopyFrom carries the source set's
+// stamp along. Equal stamps therefore imply equal lines, so CopyFrom
+// moves only the sets whose stamps differ. Each group of groupSets
+// consecutive sets carries a stamp too, renewed with any of its sets',
+// so CopyFrom compares set stamps only inside the groups that differ.
 type Cache struct {
-	cfg      CacheConfig
-	lines    []cacheLine   // every line, set-major
-	sets     [][]cacheLine // lines sliced per set
-	stamps   []uint64      // per set: the stamp of its contents
+	// The fields a repeated line's access reads come first.
+	Accesses uint64
 	setShift uint
-	setBits  uint // log2 of the set count
 	setMask  uint64
-	tick     uint64
+
+	// last is the index in lines of the line the previous Access
+	// touched, and lastKey its line number (address >> setShift); last
+	// is -1 when no Access has run since construction, SetState or
+	// CopyFrom. That line is its set's most recent, so repeating it
+	// needs no search.
+	last    int
+	lastKey uint64
+
+	lines   []cacheLine // every line, set-major: set i is lines[i*assoc:(i+1)*assoc]
+	assoc   int
+	setBits uint     // log2 of the set count
+	stamps  []uint64 // per set: the stamp of its contents
+	groups  []uint64 // per group of groupSets sets: the stamp of their contents
 
 	// [nextStamp, endStamp) is the block of stamps this cache has
 	// reserved from stampClock and not yet used.
 	nextStamp, endStamp uint64
 
-	Accesses   uint64
 	Misses     uint64
 	Writebacks uint64
+
+	cfg CacheConfig
 }
+
+// groupSets is how many consecutive sets share a group stamp: in a
+// sampled run's boundary copies, the L2 sets that differ cluster enough
+// that groups of 16 cut the stamps compared per copy about threefold.
+const (
+	groupShift = 4
+	groupSets  = 1 << groupShift
+)
+
+// maxAssoc is the most ways a set may have: ages are 16-bit.
+const maxAssoc = 1 << 16
 
 // NewCache builds a cache; sizes must divide evenly.
 func NewCache(cfg CacheConfig) *Cache {
@@ -59,16 +91,15 @@ func NewCache(cfg CacheConfig) *Cache {
 	if nSets == 0 || nSets&(nSets-1) != 0 {
 		panic("memsys: set count must be a positive power of two: " + cfg.Name)
 	}
-	c := &Cache{cfg: cfg, sets: make([][]cacheLine, nSets), stamps: make([]uint64, nSets),
-		setShift: log2(uint64(cfg.LineBytes)), setBits: log2(uint64(nSets)), setMask: uint64(nSets - 1)}
-	// One flat backing array sliced per set: building a pipeline is two
-	// allocations per cache, not one per set.
-	c.lines = make([]cacheLine, nLines)
-	lines := c.lines
-	for i := range c.sets {
-		c.sets[i], lines = lines[:cfg.Assoc:cfg.Assoc], lines[cfg.Assoc:]
+	if cfg.Assoc > maxAssoc {
+		panic("memsys: more than 65536 ways: " + cfg.Name)
 	}
-	return c
+	return &Cache{
+		setShift: log2(uint64(cfg.LineBytes)), setMask: uint64(nSets - 1), last: -1,
+		lines: make([]cacheLine, nLines), assoc: cfg.Assoc, setBits: log2(uint64(nSets)),
+		stamps: make([]uint64, nSets), groups: make([]uint64, (nSets+groupSets-1)/groupSets),
+		cfg: cfg,
+	}
 }
 
 // Config returns the cache geometry.
@@ -82,7 +113,7 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 // Probe reports whether addr hits without updating any state (used by
 // tests and by the hierarchy to overlap L1 hits under misses).
 func (c *Cache) Probe(addr uint64) bool {
-	set := c.sets[(addr>>c.setShift)&c.setMask]
+	set := c.set((addr >> c.setShift) & c.setMask)
 	tag := addr >> c.setShift >> c.setBits
 	for i := range set {
 		if set[i].Valid && set[i].Tag == tag {
@@ -94,46 +125,80 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // Access looks up addr, allocating the line on a miss. It returns whether
 // it hit and, when a dirty victim was displaced, its line address.
+//
+//rix:hotpath
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, victimDirty bool) {
-	c.tick++
 	c.Accesses++
-	setIdx := (addr >> c.setShift) & c.setMask
-	set := c.sets[setIdx]
-	c.stamps[setIdx] = c.stamp() // a hit updates a line's LRU time, a miss fills a way
-	tag := addr >> c.setShift >> c.setBits
-	for i := range set {
-		if set[i].Valid && set[i].Tag == tag {
-			set[i].LRU = c.tick
-			if write {
-				set[i].Dirty = true
-			}
-			return true, 0, false
+	key := addr >> c.setShift
+	setIdx := key & c.setMask
+	if key == c.lastKey && c.last >= 0 {
+		// The previous access's line, still its set's most recent.
+		if l := &c.lines[c.last]; write && !l.Dirty {
+			l.Dirty = true
+			c.renew(setIdx)
 		}
+		return true, 0, false
+	}
+	base := int(setIdx) * c.assoc
+	set := c.lines[base : base+c.assoc]
+	tag := key >> c.setBits
+	for i := range set {
+		l := &set[i]
+		if !l.Valid || l.Tag != tag {
+			continue
+		}
+		c.last, c.lastKey = base+i, key
+		if l.Age == 0 && (l.Dirty || !write) {
+			return true, 0, false // already most recent: nothing changes
+		}
+		if age := l.Age; age > 0 {
+			for j := range set {
+				if set[j].Valid && set[j].Age < age {
+					set[j].Age++
+				}
+			}
+			l.Age = 0
+		}
+		l.Dirty = l.Dirty || write
+		c.renew(setIdx)
+		return true, 0, false
 	}
 	c.Misses++
-	// Miss: prefer an invalid way, otherwise evict the LRU way.
-	vi := -1
+	c.renew(setIdx)
+	// Miss: the first invalid way, else the oldest line. Every valid
+	// line ages by one; the victim's slot is then overwritten.
+	vi, inv := 0, -1
+	var oldest uint16
 	for i := range set {
-		if !set[i].Valid {
-			vi = i
-			break
-		}
-	}
-	if vi < 0 {
-		vi = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].LRU < set[vi].LRU {
-				vi = i
+		l := &set[i]
+		if !l.Valid {
+			if inv < 0 {
+				inv = i
 			}
+			continue
 		}
+		if l.Age >= oldest {
+			vi, oldest = i, l.Age
+		}
+		l.Age++
 	}
-	if set[vi].Valid && set[vi].Dirty {
+	if inv >= 0 {
+		vi = inv
+	}
+	if l := &set[vi]; l.Valid && l.Dirty {
 		victimDirty = true
-		victim = (set[vi].Tag<<c.setBits | setIdx) << c.setShift
+		victim = (l.Tag<<c.setBits | setIdx) << c.setShift
 		c.Writebacks++
 	}
-	set[vi] = cacheLine{Valid: true, Dirty: write, Tag: tag, LRU: c.tick}
+	set[vi] = cacheLine{Tag: tag, Valid: true, Dirty: write}
+	c.last, c.lastKey = base+vi, key
 	return false, victim, victimDirty
+}
+
+// set returns set i's lines.
+func (c *Cache) set(i uint64) []cacheLine {
+	base := int(i) * c.assoc
+	return c.lines[base : base+c.assoc]
 }
 
 // MissRate returns misses/accesses.
@@ -150,6 +215,14 @@ var stampClock atomic.Uint64
 
 // stampBlock is how many stamps a cache reserves at once.
 const stampBlock = 1 << 12
+
+// renew gives set setIdx, and its group, a stamp no cache has used
+// before: its contents changed.
+func (c *Cache) renew(setIdx uint64) {
+	s := c.stamp()
+	c.stamps[setIdx] = s
+	c.groups[setIdx>>groupShift] = s
+}
 
 // stamp returns a set stamp no cache has used before.
 func (c *Cache) stamp() uint64 {

@@ -3,7 +3,7 @@ package memsys
 // TLB is a set-associative translation buffer. Misses are handled in
 // hardware with a fixed penalty (paper: 30 cycles).
 type TLB struct {
-	cache       *Cache
+	cache       Cache // by value: Penalty reaches the tag array in one step
 	missPenalty uint64
 
 	Accesses uint64
@@ -14,7 +14,7 @@ type TLB struct {
 // size.
 func NewTLB(entries, assoc, pageBytes int, missPenalty uint64) *TLB {
 	return &TLB{
-		cache: NewCache(CacheConfig{
+		cache: *NewCache(CacheConfig{
 			Name: "tlb", SizeBytes: entries * pageBytes,
 			LineBytes: pageBytes, Assoc: assoc,
 		}),

@@ -6,74 +6,151 @@ import "fmt"
 // hierarchy, plus the Warm* accessors the sampling subsystem's functional
 // fast-forward uses to keep cache and TLB contents hot without paying for
 // (or perturbing) the timing model. Snapshots capture behavioral state —
-// line tags, dirty bits, LRU stamps and the LRU clock — so a restored
-// hierarchy makes byte-identical replacement decisions; transient timing
-// state (MSHRs, write buffer, bus reservations) is empty at an
-// instruction boundary by construction and is not serialized.
+// line tags, dirty bits and each line's age within its set — so a
+// restored hierarchy makes byte-identical replacement decisions;
+// transient timing state (MSHRs, write buffer, bus reservations) is empty
+// at an instruction boundary by construction and is not serialized.
 //
 // SetState (SetWarmState for the hierarchy) restores a snapshot: it
-// checks the geometry, copies every line, gives every set a fresh stamp,
-// zeroes every diagnostic tally and, for the hierarchy, empties the
-// timing state. CopyFrom (CopyWarmFrom for the hierarchy) is the
-// allocation-free refill of one live structure from another of the same
-// geometry: it leaves the structure exactly as SetState of the source's
-// snapshot would, but copies only the sets whose stamps differ (see
-// Cache), so a sampled run's ring refill and window boot move what
-// either side touched since they last matched, not the whole hierarchy.
-// Stamps are not serialized: the CacheState wire format is lines and
-// clock only.
+// checks the geometry and every set's ages, copies every line, gives
+// every set a fresh stamp, zeroes every diagnostic tally and, for the
+// hierarchy, empties the timing state. CopyFrom (CopyWarmFrom for the
+// hierarchy) is the allocation-free refill of one live structure from
+// another of the same geometry: it leaves the structure exactly as
+// SetState of the source's snapshot would, but copies only the sets
+// whose stamps differ (see Cache), so a sampled run's ring refill and
+// window boot move what either side changed since they last matched,
+// not the whole hierarchy. Stamps are not serialized: the CacheState
+// wire format is the lines alone.
 
-// CacheLineState is one line's serializable tag state.
+// CacheLineState is one line's serializable tag state. Age is the
+// line's recency within its set: 0..k-1 over the set's k valid lines,
+// the most recent 0; an invalid line is all zero.
 type CacheLineState struct {
-	Valid bool
-	Dirty bool
-	Tag   uint64
-	LRU   uint64
+	Tag          uint64
+	Age          uint16
+	Valid, Dirty bool
 }
 
 // CacheState is the serializable tag state of one cache (or of a TLB's
-// backing tag array): lines flattened set-major, plus the LRU clock.
+// backing tag array): lines flattened set-major. It holds no clock:
+// equal states make equal decisions.
 type CacheState struct {
 	Lines []CacheLineState
-	Tick  uint64
 }
 
 // State deep-copies the cache's tag state.
 func (c *Cache) State() CacheState {
-	return CacheState{Lines: append([]CacheLineState(nil), c.lines...), Tick: c.tick}
+	return CacheState{Lines: append([]CacheLineState(nil), c.lines...)}
 }
 
 // SetState restores a snapshot, stamps every set afresh and zeroes the
-// tallies; the geometry (total line count) must match.
+// tallies. The geometry (total line count) must match, and every set
+// must hold an age order: its k valid lines aged 0..k-1 once each, its
+// invalid lines all zero. A snapshot that breaks either is an error and
+// leaves the cache as it was.
 func (c *Cache) SetState(st CacheState) error {
 	if len(st.Lines) != len(c.lines) {
 		return fmt.Errorf("memsys: %s state has %d lines, want %d",
 			c.cfg.Name, len(st.Lines), len(c.lines))
 	}
+	if err := checkAges(st.Lines, c.assoc); err != nil {
+		return fmt.Errorf("memsys: %s state %w", c.cfg.Name, err)
+	}
 	copy(c.lines, st.Lines)
 	for i := range c.stamps {
 		c.stamps[i] = c.stamp()
 	}
-	c.tick = st.Tick
+	for i := range c.groups {
+		c.groups[i] = c.stamp()
+	}
+	c.last = -1
 	c.Accesses, c.Misses, c.Writebacks = 0, 0, 0
 	return nil
 }
 
-// CopyFrom overwrites c's tag state with src's and zeroes the tallies,
-// without allocating: only the sets whose stamps differ are copied, and
-// each takes src's stamp. The geometries must match.
-func (c *Cache) CopyFrom(src *Cache) error {
-	if len(src.lines) != len(c.lines) || len(src.sets) != len(c.sets) {
-		return fmt.Errorf("memsys: %s has %d lines in %d sets, want %d in %d",
-			src.cfg.Name, len(src.lines), len(src.sets), len(c.lines), len(c.sets))
+// checkAges reports the first set of lines, assoc ways each, that does
+// not hold an age order. Its valid lines' ages, as bits, must fill the
+// low k bits exactly once each: one word per set of at most 64 ways,
+// a bitmap for a wider one.
+func checkAges(lines []CacheLineState, assoc int) error {
+	if assoc > 64 {
+		return checkWideAges(lines, assoc)
 	}
-	for i, s := range src.stamps {
-		if c.stamps[i] != s {
-			copy(c.sets[i], src.sets[i])
-			c.stamps[i] = s
+	var k, mask, wide uint64
+	way := 0
+	for i := range lines {
+		l := &lines[i]
+		if l.Valid {
+			k++
+			mask |= 1 << (l.Age & 63)
+			wide |= uint64(l.Age >> 6)
+		} else if *l != (CacheLineState{}) {
+			return fmt.Errorf("set %d: invalid line holds %+v", i/assoc, *l)
+		}
+		if way++; way < assoc {
+			continue
+		}
+		if wide != 0 || mask != 1<<k-1 {
+			return fmt.Errorf("set %d: ages are not 0..%d once each", i/assoc, int(k)-1)
+		}
+		k, mask, way = 0, 0, 0
+	}
+	return nil
+}
+
+// checkWideAges is checkAges for sets of more than 64 ways.
+func checkWideAges(lines []CacheLineState, assoc int) error {
+	seen := make([]uint64, (assoc+63)/64)
+	for s := 0; s < len(lines); s += assoc {
+		set := lines[s : s+assoc]
+		var k uint64
+		for _, l := range set {
+			if l.Valid {
+				k++
+			} else if l != (CacheLineState{}) {
+				return fmt.Errorf("set %d: invalid line holds %+v", s/assoc, l)
+			}
+		}
+		clear(seen)
+		for _, l := range set {
+			if !l.Valid {
+				continue
+			}
+			a := uint64(l.Age)
+			if a >= k || seen[a/64]&(1<<(a%64)) != 0 {
+				return fmt.Errorf("set %d: age %d is not a distinct age in 0..%d", s/assoc, a, int(k)-1)
+			}
+			seen[a/64] |= 1 << (a % 64)
 		}
 	}
-	c.tick = src.tick
+	return nil
+}
+
+// CopyFrom overwrites c's tag state with src's and zeroes the tallies,
+// without allocating: only the sets whose stamps differ, inside the
+// groups whose stamps differ, are copied, and each set and group takes
+// src's stamp. The geometries must match.
+func (c *Cache) CopyFrom(src *Cache) error {
+	if len(src.lines) != len(c.lines) || len(src.stamps) != len(c.stamps) {
+		return fmt.Errorf("memsys: %s has %d lines in %d sets, want %d in %d",
+			src.cfg.Name, len(src.lines), len(src.stamps), len(c.lines), len(c.stamps))
+	}
+	for g, gs := range src.groups {
+		if c.groups[g] == gs {
+			continue
+		}
+		lo := g << groupShift
+		hi := min(lo+groupSets, len(src.stamps))
+		for i, s := range src.stamps[lo:hi] {
+			if c.stamps[lo+i] != s {
+				copy(c.set(uint64(lo+i)), src.set(uint64(lo+i)))
+				c.stamps[lo+i] = s
+			}
+		}
+		c.groups[g] = gs
+	}
+	c.last = -1
 	c.Accesses, c.Misses, c.Writebacks = 0, 0, 0
 	return nil
 }
@@ -93,7 +170,7 @@ func (t *TLB) SetState(st CacheState) error {
 // CopyFrom overwrites t's tag state with src's (Cache.CopyFrom) and
 // zeroes the tallies.
 func (t *TLB) CopyFrom(src *TLB) error {
-	if err := t.cache.CopyFrom(src.cache); err != nil {
+	if err := t.cache.CopyFrom(&src.cache); err != nil {
 		return err
 	}
 	t.Accesses, t.Misses = 0, 0

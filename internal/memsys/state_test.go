@@ -76,11 +76,12 @@ func TestHierarchyWarmRoundTrip(t *testing.T) {
 // since they last matched, whether the source was restored from a
 // snapshot, and when both sides are cold.
 func TestCopyWarmFromMatchesFullCopy(t *testing.T) {
-	// A small geometry, so random traffic conflicts in every set.
+	// A small geometry, so random traffic conflicts in every set; the
+	// L1D and L2 span several stamp groups.
 	cfg := DefaultConfig()
 	cfg.L1I = CacheConfig{Name: "L1I", SizeBytes: 1 << 10, LineBytes: 32, Assoc: 2, HitLatency: 1}
-	cfg.L1D = CacheConfig{Name: "L1D", SizeBytes: 1 << 10, LineBytes: 32, Assoc: 2, HitLatency: 2}
-	cfg.L2 = CacheConfig{Name: "L2", SizeBytes: 4 << 10, LineBytes: 64, Assoc: 4, HitLatency: 6}
+	cfg.L1D = CacheConfig{Name: "L1D", SizeBytes: 2 << 10, LineBytes: 32, Assoc: 2, HitLatency: 2}
+	cfg.L2 = CacheConfig{Name: "L2", SizeBytes: 16 << 10, LineBytes: 64, Assoc: 4, HitLatency: 6}
 	cfg.ITLBEntries, cfg.ITLBAssoc, cfg.DTLBEntries, cfg.DTLBAssoc = 8, 2, 8, 2
 	rng := rand.New(rand.NewPCG(22, 1))
 

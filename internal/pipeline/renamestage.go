@@ -110,10 +110,12 @@ func (pl *Pipeline) renameStage() {
 			u.oldDest = pl.front.Get(u.in.Rd)
 		}
 
-		// Integration attempt (the paper's rename-stage logic).
+		// Integration attempt (the paper's rename-stage logic), on the
+		// IT key and set found once for this instruction.
+		key, set := pl.integ.Locate(u.in, u.pc, u.callDepth)
 		pl.probeU = u
 		res, status, integrated := pl.integ.TryIntegrate(
-			u.in, u.pc, u.callDepth, u.seq, pl.front, pl.prb)
+			u.in, key, set, u.seq, pl.front, pl.prb)
 		pl.probeU = nil
 
 		switch {
@@ -157,7 +159,7 @@ func (pl *Pipeline) renameStage() {
 		if !u.hasDest {
 			outMap = rename.Mapping{P: regfile.NoReg}
 		}
-		pl.integ.NoteRenamed(u.in, u.pc, u.callDepth, u.seq,
+		pl.integ.NoteRenamed(u.in, key, set, u.seq,
 			u.src1, u.src2, outMap, u.oldDest, u.integrated)
 
 		// Dispatch.

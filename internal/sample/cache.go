@@ -22,7 +22,7 @@ import (
 // WarmCacheFormat versions the on-disk warm-set encoding
 // (doc/FORMATS.md). Bump it whenever WarmSet, Boundary, WarmSnapshot
 // or emu.State change shape.
-const WarmCacheFormat = 2
+const WarmCacheFormat = 3
 
 // warmSetFile is the cache entry envelope. The embedded key detects a
 // (vanishingly unlikely) truncated-filename collision; the format pair

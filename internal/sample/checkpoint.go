@@ -18,7 +18,7 @@ import (
 // state structs change shape; loads reject other versions.
 // doc/FORMATS.md is the authoritative field-by-field description and
 // version history — keep it in lockstep with any change here.
-const CheckpointFormat = 3
+const CheckpointFormat = 4
 
 // Checkpoint is everything one measurement window needs to run in
 // isolation: the emulator's architectural state at the window's

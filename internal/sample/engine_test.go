@@ -128,6 +128,46 @@ func TestWarmPartsPooledAcrossCells(t *testing.T) {
 	}
 }
 
+// TestNonChainingWindowsBootOnEntries runs base and oracle-suppression
+// cells — which chain no feedback, so no window of theirs can be
+// discarded — at width 2: every window boots on its ring entry's tables,
+// none copies them into its slot's set, and every estimate equals the
+// naive loop's. A LISP cell, whose speculative windows must leave the
+// entry pristine, does copy.
+func TestNonChainingWindowsBootOnEntries(t *testing.T) {
+	ctx := context.Background()
+	sched := newPool(t, 2)
+	for _, name := range []string{"gzip", "crafty"} {
+		bw := buildBench(t, name)
+		for _, o := range []sim.Options{
+			{Integration: sim.IntNone},
+			{Integration: sim.IntReverse, Suppression: sim.SuppressOracle},
+			{Integration: sim.IntReverse, Suppression: sim.SuppressLISP},
+		} {
+			cfg, err := o.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sample.NaiveRun(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := sample.BootCopies()
+			got, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{Scheduler: sched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: estimate diverges from the naive loop", name, o.Label())
+			}
+			copies := sample.BootCopies() - before
+			if chains := cfg.Policy.UseLISP; chains != (copies > 0) {
+				t.Errorf("%s/%s: %d boot copies", name, o.Label(), copies)
+			}
+		}
+	}
+}
+
 // TestSlotRecyclesAcrossPolicies runs gzip's cells on a one-slot
 // scheduler, twice over, alternating squash-only and general register
 // files and PC and opcode IT indexing, with and without the LISP: the

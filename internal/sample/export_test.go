@@ -104,6 +104,10 @@ func RunRing(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Conf
 	return est, src.ring, err
 }
 
+// BootCopies is how many window boots have copied a ring entry's
+// tables into their slot's own set instead of booting on the entry.
+func BootCopies() int64 { return bootCopies.Load() }
+
 // WarmPartsBuilt is how many warm part sets the process has built: the
 // warmers', ring entries' and slots' tables, pooled or not.
 func WarmPartsBuilt() int64 { return partsBuilt.Load() }

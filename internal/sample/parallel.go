@@ -119,10 +119,12 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 		fl := &inflight{cancel: cancel, out: make(chan outcome, 1),
 			job: WindowJob{Prog: p, Config: cfg, Sampling: sp, Boundary: *f.b, Feedback: guess}}
 		if f.entry != nil {
-			// Lend the entry's tables: a validated window boots on them
-			// itself; a speculative one may be re-dispatched, so it boots
-			// on a copy and leaves the entry pristine.
-			fl.job.live, fl.job.own = f.entry.parts, validated
+			// Lend the entry's tables. A window nothing can discard boots
+			// on them itself: a validated one, or any window of a cell
+			// that chains no feedback. A speculative window of a chaining
+			// cell may be re-dispatched, so it boots on a copy and leaves
+			// the entry pristine.
+			fl.job.live, fl.job.own = f.entry.parts, validated || !chain
 		}
 		running.Add(1)
 		go func() {

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"context"
+	"sync/atomic"
 
 	"rix/internal/core"
 	"rix/internal/emu"
@@ -38,6 +39,7 @@ func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, 
 		wp = sl.parts
 		var err error
 		if job.live != nil {
+			bootCopies.Add(1)
 			err = wp.copyFrom(job.live)
 		} else {
 			err = wp.setState(job.Boundary.Warm)
@@ -93,11 +95,21 @@ func (sl *slot) run(ctx context.Context, job WindowJob) (WindowResult, error) {
 	}
 	res := WindowResult{Index: b.Index, Stats: *stats}
 	if chainsFeedback(cfg.Policy) {
-		res.Feedback = pl.Integrator().LISP.State()
+		// A LISP the window neither trained nor reordered still holds
+		// the feedback it booted with (SetState copies it verbatim), so
+		// that is the result: no snapshot.
+		res.Feedback = job.Feedback
+		if lisp := pl.Integrator().LISP; lisp.Changed() || len(job.Feedback.Entries) == 0 {
+			res.Feedback = lisp.State()
+		}
 	}
 	sl.scratch = pl.Recycle()
 	return res, nil
 }
+
+// bootCopies counts the boots that copied a ring entry's tables into a
+// slot's own set, for the boot tests.
+var bootCopies atomic.Int64
 
 // release hands the slot's set back to the pool; the slot must not be
 // running a window.
