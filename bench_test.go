@@ -315,8 +315,8 @@ func BenchmarkSampledMatrix(b *testing.B) {
 	b.ReportMetric(float64(perMatrix)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-// BenchmarkSampledStealing measures what the shared work-stealing pool
-// buys over the retired static per-cell split on a deliberately skewed
+// BenchmarkSampledStealing measures what the shared slot pool buys
+// over the retired static per-cell split on a deliberately skewed
 // matrix: two concurrent sampled cells of the same workload, one laid
 // out with 4x the windows of the other. Under the static split (each
 // cell its own half-size pool — the old `windows = max(1, j / cells)`

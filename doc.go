@@ -59,13 +59,13 @@
 // small ring of pooled entries — and executes the detail windows
 // speculatively on the one executor internal/run picks for the run
 // (sample.Config.Scheduler): cross-process workers when the request
-// sets WorkerDir, else a shared work-stealing scheduler
-// (sample.Scheduler) or a pool of the run's own — a process-wide pool
-// of worker slots, each holding a pooled boot clone re-seeded in place
-// per window, that all sampled cells draw from; a cell that settles
-// early stops submitting and its slots flow to cells still draining —
-// with
-// the estimate bit-identical at every width and the
+// sets WorkerDir, else a shared slot pool (sample.Scheduler) or a
+// pool of the run's own — a process-wide pool of slots, each holding a
+// pooled boot clone re-seeded in place per window, that all sampled
+// cells draw from, a window running on its own goroutine once it takes
+// a slot; a cell that settles early stops asking and its slots flow to
+// cells still draining — with the estimate bit-identical at every
+// width and the
 // dispatched/settled/discarded window counts reported on
 // run.Result.Sampled. The warm pass's boundary states share pages with
 // the emulator's copy-on-write memory, and drained into a warm set it

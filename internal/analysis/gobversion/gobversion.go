@@ -7,18 +7,23 @@
 // structural change to a persisted type to bump the owning format
 // constant so stale artifacts are rejected rather than misread.
 //
-// The analyzer hashes the exported-field structure (field name + fully
-// qualified type, in declaration order) of every tracked type and
-// compares it, along with the tracked format-constant values, against
-// the committed golden file (golden.json next to this package). A
-// mismatch is a diagnostic at the type's declaration:
+// A format is named by its root, the type a file holds whole (Roots).
+// The analyzer renders the structure of every module type reachable
+// from a root — a struct by its exported fields (name + fully qualified
+// type, in declaration order), any other named type by its underlying
+// type — so a field added to a struct three pointers down changes the
+// root's entry too. It hashes that structure and compares it, along
+// with the tracked format-constant values, against the committed
+// golden file (golden.json next to this package). A mismatch is a
+// diagnostic at the root's declaration:
 //
 //   - structure changed, format consts unchanged → the dangerous case:
 //     bump the format const, then refresh the golden;
 //   - structure or const changed and the golden is stale → refresh
 //     with `rixvet -update-gob-golden`;
 //   - a golden entry of the package that no tracked name produces (a
-//     type or const dropped from tracking) → refresh to remove it.
+//     root or const dropped from tracking, also the last one of a
+//     package) → refresh to remove it.
 //
 // Update mode (the driver's -update-gob-golden flag sets Update)
 // replaces the analyzed package's golden entries instead of reporting:
@@ -40,18 +45,12 @@ import (
 	"rix/internal/analysis"
 )
 
-// Tracked maps package path → gob-serialized struct types whose
-// exported-field structure is pinned by the golden.
-var Tracked = map[string][]string{
-	"rix/internal/sample": {
-		"Checkpoint", "WarmSnapshot", "WarmSet", "Boundary", "Sampling",
-	},
+// Roots maps package path → the format roots declared there: the types
+// gob writes to a file whole. Every module type they reach is pinned
+// with them.
+var Roots = map[string][]string{
+	"rix/internal/sample":          {"Checkpoint", "warmSetFile"},
 	"rix/internal/sample/procexec": {"Manifest", "Lease", "Result"},
-	"rix/internal/emu":             {"State", "MemState"},
-	"rix/internal/bpred":           {"PredictorState", "BTBState", "RASState", "CHTState"},
-	"rix/internal/memsys":          {"WarmState", "CacheState", "CacheLineState"},
-	"rix/internal/core":            {"LISPState", "LISPEntryState"},
-	"rix/internal/pipeline":        {"Stats"},
 }
 
 // TrackedConsts maps package path → format constants whose values are
@@ -92,11 +91,10 @@ type GoldenType struct {
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	pkgPath := pass.Pkg.Path()
-	typeNames := Tracked[pkgPath]
+	typeNames := Roots[pkgPath]
 	constNames := TrackedConsts[pkgPath]
-	if len(typeNames) == 0 && len(constNames) == 0 {
-		return nil, nil
-	}
+	// Every package reads the golden, tracked or not: rows left by a
+	// package that no longer declares a root are stale too.
 	goldenFile, err := resolveGoldenPath(pass)
 	if err != nil {
 		return nil, err
@@ -111,15 +109,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		obj, ok := pass.Pkg.Scope().Lookup(name).(*types.TypeName)
 		if !ok {
 			pass.Reportf(pass.Files[0].Pos(),
-				"gobversion tracks %s.%s but the type does not exist; update gobversion.Tracked alongside the rename", pkgPath, name)
+				"gobversion tracks %s.%s but the type does not exist; update gobversion.Roots alongside the rename", pkgPath, name)
 			continue
 		}
-		st, ok := obj.Type().Underlying().(*types.Struct)
-		if !ok {
-			pass.Reportf(obj.Pos(), "gobversion tracks %s.%s but it is not a struct", pkgPath, name)
-			continue
-		}
-		fields := fieldLines(st)
+		fields := structure(obj)
 		types_[pkgPath+"."+name] = GoldenType{Hash: hashFields(fields), Fields: fields}
 	}
 	consts := map[string]string{}
@@ -133,8 +126,12 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		consts[pkgPath+"."+name] = obj.Val().ExactString()
 	}
 
+	stale := staleKeys(golden, pkgPath, types_, consts)
+	if len(types_) == 0 && len(consts) == 0 && len(stale) == 0 {
+		return nil, nil // nothing of this package is pinned
+	}
 	if Update {
-		return nil, writeGolden(goldenFile, golden, pkgPath, types_, consts)
+		return nil, writeGolden(goldenFile, golden, stale, types_, consts)
 	}
 
 	constsBumped := false
@@ -180,7 +177,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				key, golden.Consts[key], consts[key])
 		}
 	}
-	for _, key := range staleKeys(golden, pkgPath, types_, consts) {
+	for _, key := range stale {
 		pass.Reportf(pass.Files[0].Pos(),
 			"golden entry %s is no longer tracked; run `rixvet -update-gob-golden` to drop it", key)
 	}
@@ -213,17 +210,73 @@ func staleKeys(golden *Golden, pkgPath string, types_ map[string]GoldenType, con
 	return stale
 }
 
-// fieldLines renders the exported fields gob would encode, one
-// "Name fully/qualified.Type" line per field, in declaration order.
-// Unexported fields are invisible to gob and excluded.
-func fieldLines(st *types.Struct) []string {
-	var out []string
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if !f.Exported() {
-			continue
+// structure renders what gob encodes of root and of every module type
+// it reaches, depth first from the root: one "pkg.Type.Field type" line
+// per exported field of a struct (unexported fields are invisible to
+// gob and excluded), one "pkg.Type = underlying" line per other named
+// type. Module types are those whose package path has the root
+// package's first path element; others (the standard library) appear
+// only by name in the lines that use them.
+func structure(root *types.TypeName) []string {
+	module, _, _ := strings.Cut(root.Pkg().Path(), "/")
+	inModule := func(obj *types.TypeName) bool {
+		if obj.Pkg() == nil {
+			return false
 		}
-		out = append(out, f.Name()+" "+types.TypeString(f.Type(), nil))
+		p := obj.Pkg().Path()
+		return p == module || strings.HasPrefix(p, module+"/")
+	}
+	var out []string
+	seen := map[*types.TypeName]bool{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Named:
+			obj := t.Obj()
+			if seen[obj] || !inModule(obj) {
+				return
+			}
+			seen[obj] = true
+			name := types.TypeString(t, nil)
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				out = append(out, name+" = "+types.TypeString(t.Underlying(), nil))
+				walk(t.Underlying())
+				return
+			}
+			fields := exportedFields(st)
+			for _, f := range fields {
+				out = append(out, name+"."+f.Name()+" "+types.TypeString(f.Type(), nil))
+			}
+			for _, f := range fields {
+				walk(f.Type())
+			}
+		case *types.Struct:
+			for _, f := range exportedFields(t) {
+				walk(f.Type())
+			}
+		case *types.Pointer:
+			walk(t.Elem())
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		}
+	}
+	walk(root.Type())
+	return out
+}
+
+// exportedFields returns the fields of st gob encodes.
+func exportedFields(st *types.Struct) []*types.Var {
+	var out []*types.Var
+	for i := range st.NumFields() {
+		if f := st.Field(i); f.Exported() {
+			out = append(out, f)
+		}
 	}
 	return out
 }
@@ -316,11 +369,12 @@ func readGolden(path string) (*Golden, error) {
 	return g, nil
 }
 
-// writeGolden replaces this package's entries in the golden and writes
-// it back. Other packages' entries stay, which keeps update mode
-// package-at-a-time safe: the driver runs packages sequentially.
-func writeGolden(path string, golden *Golden, pkgPath string, types_ map[string]GoldenType, consts map[string]string) error {
-	for _, k := range staleKeys(golden, pkgPath, types_, consts) {
+// writeGolden drops the package's stale entries from the golden, sets
+// its current ones and writes it back. Other packages' entries stay,
+// which keeps update mode package-at-a-time safe: rixvet runs
+// packages sequentially.
+func writeGolden(path string, golden *Golden, stale []string, types_ map[string]GoldenType, consts map[string]string) error {
+	for _, k := range stale {
 		delete(golden.Types, k)
 		delete(golden.Consts, k)
 	}

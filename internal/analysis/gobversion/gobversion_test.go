@@ -19,14 +19,14 @@ import (
 // afterwards.
 func withFixtureConfig(t *testing.T) {
 	t.Helper()
-	oldPath, oldTracked, oldConsts, oldUpdate :=
-		gobversion.GoldenPath, gobversion.Tracked, gobversion.TrackedConsts, gobversion.Update
+	oldPath, oldRoots, oldConsts, oldUpdate :=
+		gobversion.GoldenPath, gobversion.Roots, gobversion.TrackedConsts, gobversion.Update
 	t.Cleanup(func() {
-		gobversion.GoldenPath, gobversion.Tracked, gobversion.TrackedConsts, gobversion.Update =
-			oldPath, oldTracked, oldConsts, oldUpdate
+		gobversion.GoldenPath, gobversion.Roots, gobversion.TrackedConsts, gobversion.Update =
+			oldPath, oldRoots, oldConsts, oldUpdate
 	})
 	gobversion.GoldenPath = filepath.Join(t.TempDir(), "golden.json")
-	gobversion.Tracked = map[string][]string{"a": {"Blob"}}
+	gobversion.Roots = map[string][]string{"a": {"Blob"}}
 	gobversion.TrackedConsts = map[string][]string{"a": {"BlobFormat"}}
 	gobversion.Update = false
 }
@@ -80,9 +80,22 @@ func TestGobversionLifecycle(t *testing.T) {
 	analysistest.Run(t, "testdata/bump", gobversion.Analyzer, "a")
 }
 
+// TestGobversionPinsReachableTypes: the root's entry covers the types it
+// reaches in another package, so a field added to a nested struct, or
+// a nested named type retyped, changes the root's structure although
+// the root's own package is untouched.
+func TestGobversionPinsReachableTypes(t *testing.T) {
+	withFixtureConfig(t)
+	gobversion.Update = true
+	findings(t, "testdata")
+	gobversion.Update = false
+	analysistest.Run(t, "testdata/nested", gobversion.Analyzer, "a")
+	analysistest.Run(t, "testdata/retyped", gobversion.Analyzer, "a")
+}
+
 func TestGobversionUntrackedPackageIsIgnored(t *testing.T) {
 	withFixtureConfig(t)
-	gobversion.Tracked = map[string][]string{}
+	gobversion.Roots = map[string][]string{}
 	gobversion.TrackedConsts = map[string][]string{}
 	if got := findings(t, "testdata"); len(got) != 0 {
 		t.Fatalf("untracked package reported findings: %v", got)
@@ -137,23 +150,7 @@ func TestGobversionUpdatePrunesStaleRows(t *testing.T) {
 	if got := findings(t, "testdata"); len(got) != 0 {
 		t.Fatalf("update mode reported findings: %v", got)
 	}
-	data, err := os.ReadFile(gobversion.GoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var g gobversion.Golden
-	if err := json.Unmarshal(data, &g); err != nil {
-		t.Fatal(err)
-	}
-	var types, consts []string
-	for k := range g.Types {
-		types = append(types, k)
-	}
-	for k := range g.Consts {
-		consts = append(consts, k)
-	}
-	sort.Strings(types)
-	sort.Strings(consts)
+	types, consts := goldenKeys(t)
 	if want := []string{"a.Blob", "a/sub.Keep", "ab.Keep"}; !reflect.DeepEqual(types, want) {
 		t.Errorf("golden types after update = %v, want %v", types, want)
 	}
@@ -178,4 +175,57 @@ func TestGobversionReportsStaleRows(t *testing.T) {
 			t.Errorf("finding %d = %q, want the stale row %s", i, got[i], key)
 		}
 	}
+}
+
+// TestGobversionDropsRowsOfUntrackedPackage: a package that declares no
+// root or const any more still owns its golden rows, so compare mode
+// names each of them and update mode drops them.
+func TestGobversionDropsRowsOfUntrackedPackage(t *testing.T) {
+	withFixtureConfig(t)
+	writeFixtureGolden(t, staleGolden(t))
+	gobversion.Roots = map[string][]string{}
+	gobversion.TrackedConsts = map[string][]string{}
+
+	got := findings(t, "testdata")
+	keys := []string{"a.Blob", "a.BlobFormat", "a.Gone", "a.GoneFormat"}
+	if len(got) != len(keys) {
+		t.Fatalf("expected %d stale-row findings, got %v", len(keys), got)
+	}
+	for i, key := range keys {
+		if !strings.Contains(got[i], "golden entry "+key+" is no longer tracked") {
+			t.Errorf("finding %d = %q, want the stale row %s", i, got[i], key)
+		}
+	}
+
+	gobversion.Update = true
+	findings(t, "testdata")
+	types, consts := goldenKeys(t)
+	if want := []string{"a/sub.Keep", "ab.Keep"}; !reflect.DeepEqual(types, want) {
+		t.Errorf("golden types after update = %v, want %v", types, want)
+	}
+	if want := []string{"a/sub.KeepFormat"}; !reflect.DeepEqual(consts, want) {
+		t.Errorf("golden consts after update = %v, want %v", consts, want)
+	}
+}
+
+// goldenKeys returns the golden file's type and const keys, sorted.
+func goldenKeys(t *testing.T) (types, consts []string) {
+	t.Helper()
+	data, err := os.ReadFile(gobversion.GoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g gobversion.Golden
+	if err := json.Unmarshal(data, &g); err != nil {
+		t.Fatal(err)
+	}
+	for k := range g.Types {
+		types = append(types, k)
+	}
+	for k := range g.Consts {
+		consts = append(consts, k)
+	}
+	sort.Strings(types)
+	sort.Strings(consts)
+	return types, consts
 }

@@ -50,14 +50,8 @@ type Entry struct {
 // Out returns the entry's output physical register and generation.
 func (e *Entry) Out() (regfile.PReg, uint8) { return e.out, e.outGen }
 
-// IsReverse reports whether this is a reverse-integration entry.
-func (e *Entry) IsReverse() bool { return e.reverse }
-
 // Taken returns a branch entry's recorded outcome.
 func (e *Entry) Taken() bool { return e.taken }
-
-// CreatedSeq returns the rename sequence number at entry creation.
-func (e *Entry) CreatedSeq() uint64 { return e.createdSeq }
 
 // Stamp returns the entry's write stamp (changes on every overwrite).
 func (e *Entry) Stamp() uint64 { return e.stamp }

@@ -201,14 +201,6 @@ func (c *Cache) set(i uint64) []cacheLine {
 	return c.lines[base : base+c.assoc]
 }
 
-// MissRate returns misses/accesses.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}
-
 // stampClock issues set stamps to every cache in the process, a block
 // at a time; it starts at 0, which is never issued.
 var stampClock atomic.Uint64

@@ -48,16 +48,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// PerfectConfig returns a hierarchy in which every access hits in the L1
-// (used by limit studies and unit tests of the core pipeline).
-func PerfectConfig() Config {
-	c := DefaultConfig()
-	c.L1I.SizeBytes = 16 << 20
-	c.L1D.SizeBytes = 16 << 20
-	c.TLBMissPenalty = 0
-	return c
-}
-
 // Hierarchy is the assembled memory system.
 type Hierarchy struct {
 	cfg Config

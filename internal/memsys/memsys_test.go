@@ -219,26 +219,6 @@ func TestHierarchyIFetch(t *testing.T) {
 	}
 }
 
-func TestPerfectConfigAlwaysHits(t *testing.T) {
-	h := New(PerfectConfig())
-	rng := rand.New(rand.NewSource(3))
-	// Touch a working set far larger than the real L1 but within the
-	// perfect 16MB.
-	base := uint64(0x10_0000)
-	for i := 0; i < 1000; i++ {
-		h.Load(base+uint64(rng.Intn(1<<22)), uint64(i*10))
-	}
-	warmMisses := h.L1D.Misses
-	for i := 0; i < 1000; i++ {
-		h.Load(base+uint64(rng.Intn(1<<22))&^7, uint64(100000+i*10))
-	}
-	// After warmup the 16MB cache must absorb everything (no capacity
-	// misses; only cold ones).
-	if h.L1D.Misses-warmMisses > 1000 {
-		t.Errorf("perfect config misses: %d", h.L1D.Misses-warmMisses)
-	}
-}
-
 func TestHierarchyMonotonicBusTimes(t *testing.T) {
 	// Stress random loads; bus reservations must never go backwards and
 	// results must be >= request time + min latency.

@@ -52,10 +52,10 @@ type Options struct {
 	ProgressEvery uint64
 
 	// Scheduler runs a sampled request's detail-window phase on a
-	// shared work-stealing pool (see sample.Scheduler) instead of a
-	// per-run worker set: concurrent Do calls passing the same
-	// scheduler steal each other's idle slots, and each slot's pooled
-	// boot state is reused across every window it executes. The pool is
+	// shared slot pool (see sample.Scheduler) instead of a pool of the
+	// run's own: concurrent Do calls passing the same scheduler take
+	// each other's free slots, and each slot's pooled boot state is
+	// reused across every window it executes. The pool is
 	// a live resource, not part of the serializable Request — the
 	// request's Jobs field records the intended pool size, and the
 	// caller (e.g. the runner engine) owns the scheduler's lifecycle.

@@ -40,7 +40,7 @@ func ExampleDo_observer() {
 	// IPC above zero: true
 }
 
-// ExampleDo_schedulerTelemetry shares one work-stealing scheduler with
+// ExampleDo_schedulerTelemetry shares one window scheduler with
 // a sampled run (run.WithScheduler — the pool the runner engine passes
 // to every cell of a matrix) and reads the run's speculation economy
 // two ways: the deterministic counters on Result.Sampled, and the

@@ -47,12 +47,12 @@ type Engine struct {
 	// WindowJobs sizes the shared window-scheduler pool every sampled
 	// cell in a Stream/Gather call draws from. 0 (the default) sizes
 	// the pool to Parallel: there is no static per-cell split — a cell
-	// that settles its speculative waves early simply stops submitting,
-	// and its slots immediately execute the windows other cells still
-	// have queued (work stealing). Each pool slot reuses one set of boot
+	// that settles its speculative waves early simply stops asking for
+	// slots, and they go at once to the windows other cells have
+	// waiting (work stealing). Each pool slot reuses one set of boot
 	// structures across every window it runs, whatever the cell. 1
 	// gives each cell a one-slot pool of its own instead, so cells never
-	// queue behind one another's windows.
+	// wait behind one another's windows.
 	WindowJobs int
 
 	// CheckpointCache, when set, is the content-addressed warm-set cache
@@ -196,10 +196,10 @@ func (e *Engine) Stream(ctx context.Context, s *Spec, fn func(Result) error) err
 		return err
 	}
 	// One shared window-scheduler pool for the whole matrix: every
-	// sampled cell dispatches its speculative detail windows into it, so
+	// sampled cell runs its speculative detail windows on its slots, so
 	// the WindowJobs budget is never stranded on a cell that settled
-	// early — its slots immediately pick up the windows other cells
-	// still have queued.
+	// early — its slots go at once to the windows other cells have
+	// waiting.
 	sched, slots, release := e.scheduler()
 	defer release()
 

@@ -318,7 +318,7 @@ func TestAdHocSpecValidation(t *testing.T) {
 
 // TestStreamCancellation: cancelling the context mid-matrix aborts
 // scheduling, interrupts in-flight cells, surfaces the context error,
-// and leaks no worker goroutines.
+// and leaks no goroutine: every cell goroutine Stream started returns.
 func TestStreamCancellation(t *testing.T) {
 	var counts sync.Map
 	e := testEngine([]string{"a", "b", "c"}, &counts)

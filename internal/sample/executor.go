@@ -12,12 +12,13 @@ import (
 // and its execution layer. The coordinator (parallel.go) owns *what*
 // runs — dispatch order, index-ordered settlement, feedback validation,
 // discard-and-re-dispatch — and an Executor owns *how* one window runs:
-// on the in-process work-stealing pool (Scheduler, the default) or on
+// on a slot of the in-process pool (Scheduler, the default) or on
 // cooperating worker processes sharing a worker directory
-// (procexec.Coordinator). The coordinator never asks which one it has.
-// Because a window's result depends only on its WindowJob, swapping
-// executors can never change the estimate — the bit-identity tests pin
-// this for both implementations.
+// (procexec.Coordinator), whose workers run it on a pool of their own.
+// The coordinator never asks which one it has. Because a window's
+// result depends only on its WindowJob, swapping executors can never
+// change the estimate — the bit-identity tests pin this for both
+// implementations.
 
 // WindowJob is one detail window as pure data: everything an executor —
 // in this process or another one — needs to produce the window's
@@ -83,15 +84,4 @@ type WindowResult struct {
 type Executor interface {
 	Run(ctx context.Context, job WindowJob) (WindowResult, error)
 	Width() int
-}
-
-// ExecuteWindow runs one window job locally on a fresh slot — the
-// execution primitive behind the cross-process worker mode, which holds
-// no scheduler slots. The slot's boot restores a pooled set in full, as
-// a scheduler slot does, so the result is bit-identical to the
-// scheduler's: the checkpoint-parity tests pin both to the same bytes.
-func ExecuteWindow(ctx context.Context, job WindowJob) (WindowResult, error) {
-	sl := new(slot)
-	defer sl.release()
-	return sl.run(ctx, job)
 }

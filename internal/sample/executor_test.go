@@ -15,15 +15,15 @@ import (
 	"rix/internal/sim"
 )
 
-// recordExecutor runs every window on a fresh slot from its Detached
-// job, as an out-of-process executor would, and checks the detached
+// recordExecutor runs every window's Detached job on its pool, as an
+// out-of-process executor would, and checks the detached
 // boundary against the warm pass's own (want) while the job is still
 // lent: the emulator state and warm tables must match, and the gob
 // encoding byte for byte with the memory pages (a map, so encoded in
 // no fixed order) and the LISP (the coordinator's to chain) aside.
 type recordExecutor struct {
-	width int
-	want  *sample.WarmSet
+	pool *sample.Scheduler
+	want *sample.WarmSet
 
 	mu      sync.Mutex
 	seen    map[int]bool
@@ -32,7 +32,7 @@ type recordExecutor struct {
 	errs    []error
 }
 
-func (x *recordExecutor) Width() int { return x.width }
+func (x *recordExecutor) Width() int { return x.pool.Width() }
 
 func (x *recordExecutor) Run(ctx context.Context, job sample.WindowJob) (sample.WindowResult, error) {
 	d := job.Detached()
@@ -47,7 +47,7 @@ func (x *recordExecutor) Run(ctx context.Context, job sample.WindowJob) (sample.
 		x.errs = append(x.errs, err)
 	}
 	x.mu.Unlock()
-	return sample.ExecuteWindow(ctx, d)
+	return x.pool.Run(ctx, d)
 }
 
 func (x *recordExecutor) check(b sample.Boundary) error {
@@ -102,7 +102,7 @@ func TestDetachedJobs(t *testing.T) {
 	}
 	for _, ckpt := range []bool{false, true} {
 		t.Run(fmt.Sprintf("checkpoint=%v", ckpt), func(t *testing.T) {
-			x := &recordExecutor{width: 3, want: want, seen: map[int]bool{}}
+			x := &recordExecutor{pool: newPool(t, 3), want: want, seen: map[int]bool{}}
 			sc := sample.Config{Scheduler: x}
 			if ckpt {
 				sc.CheckpointDir = t.TempDir()

@@ -7,8 +7,8 @@ import (
 )
 
 // TestMain fails the package if the parallel window tests leak
-// goroutines — Scheduler.Close must stop every pool worker, and
-// EstimateParallel must reap its own workers even on error paths.
+// goroutines: runParallel must join every window goroutine it starts,
+// even on error paths.
 func TestMain(m *testing.M) {
 	testutil.VerifyNoLeaks(m)
 }

@@ -13,10 +13,10 @@ import (
 
 // This file is the sampled engine's window coordinator: it pulls the
 // run's window boundaries from a source (warmpass.go) — the live warm
-// pass, or stored boundaries — and schedules each boundary's detail
-// window onto an Executor (executor.go): the in-process work-stealing
-// pool by default, a cross-process worker fleet (procexec) when
-// configured.
+// pass, or stored boundaries — and runs each boundary's detail window
+// on a goroutine of its own through an Executor (executor.go): the
+// in-process slot pool by default, a cross-process worker fleet
+// (procexec) when configured.
 //
 // The only cross-window dependency is the DIVA feedback chain: window
 // j+1 must boot with window j's final LISP state. The coordinator runs
@@ -41,7 +41,7 @@ import (
 // regardless of which executor, how many slots, or how many competing
 // cells execute the windows.
 
-// outcome is one in-flight window's delivery from its executor
+// outcome is one in-flight window's delivery from its window
 // goroutine.
 type outcome struct {
 	res WindowResult
@@ -51,7 +51,7 @@ type outcome struct {
 // inflight tracks one dispatched window on the coordinator: its job,
 // whose feedback is the LISP guess it booted with (for feedback
 // validation and the checkpoint rewrite), the cancel releasing its job
-// context, and the buffered delivery channel its executor goroutine
+// context, and the buffered delivery channel its window goroutine
 // writes exactly once.
 type inflight struct {
 	job    WindowJob
@@ -78,9 +78,9 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 	var flights []*inflight // in-flight windows, by window index
 	var exhausted bool      // src has no boundaries beyond frames
 	// No goroutine outlives the run: every exit path waits for each
-	// window's executor goroutine (released by the cancel below, so the
-	// wait is short), and only then may the deferred Close of an
-	// ephemeral pool run — a straggler can never submit to a closed pool.
+	// window's goroutine (released by the cancel below, so the wait is
+	// short), and only then may the deferred Close of an ephemeral pool
+	// run — a straggler can never submit to a closed pool.
 	var running sync.WaitGroup
 	defer running.Wait()
 	// Cancel whatever is still in flight on every exit path, so an error

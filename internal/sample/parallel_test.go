@@ -58,12 +58,12 @@ func TestParallelEstimateBitEqual(t *testing.T) {
 }
 
 // TestSharedSchedulerBitEqual drives two concurrent sampled runs
-// through one shared work-stealing scheduler — the cross-cell pool the
+// through one shared slot pool — the cross-cell scheduler the
 // runner engine uses — and requires both estimates bit-identical to
 // their naive-loop counterparts. It also pins the wave-telemetry
 // invariant: every dispatched window is either settled or discarded,
 // and the counts are deterministic (the coordinator's dispatch/settle
-// interleaving does not depend on worker timing).
+// interleaving does not depend on slot timing).
 func TestSharedSchedulerBitEqual(t *testing.T) {
 	testutil.NoLeaks(t)
 	ctx := context.Background()

@@ -15,7 +15,7 @@
 //
 //	<base>.job     the manifest: program, machine config, window
 //	               layout, boundary snapshot, and boot feedback —
-//	               everything sample.ExecuteWindow needs. Written
+//	               everything a worker needs to run the window. Written
 //	               atomically (temp file + rename) by the coordinator.
 //	<base>.lease   the claim: created by a worker with O_CREATE|O_EXCL,
 //	               which makes claiming atomic on any POSIX filesystem —
@@ -92,7 +92,7 @@ const JobsDir = "windows"
 
 // Manifest is one dispatched window job on disk: the pure-data form of
 // a sample.WindowJob plus identification, everything a worker process
-// needs to execute the window with sample.ExecuteWindow.
+// needs to execute the window on its sample.Scheduler.
 type Manifest struct {
 	Format   int
 	Job      string // file base name, echoed back in Lease and Result
@@ -185,7 +185,7 @@ func (c Config) withDefaults() Config {
 // each create their own (distinct run IDs keep their files apart), and
 // any number of worker processes serve them all.
 type Coordinator struct {
-	dir   string // <cachedir>/windows
+	dir   string // <worker dir>/windows
 	cfg   Config
 	runID string
 	seq   atomic.Uint64

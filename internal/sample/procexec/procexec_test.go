@@ -188,7 +188,9 @@ func oneJob(t *testing.T) (sample.WindowJob, sample.WindowResult) {
 		Boundary: b,
 		Feedback: b.Warm.LISP,
 	}
-	want, err := sample.ExecuteWindow(ctx, job)
+	pool := sample.NewScheduler(1)
+	defer pool.Close()
+	want, err := pool.Run(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,9 @@ func (w WorkerConfig) withDefaults() WorkerConfig {
 
 // Work is the worker loop behind `rixsim -worker <dir>`: scan the
 // directory's windows/ subdirectory for unclaimed job manifests, claim
-// one at a time with an exclusive lease, execute it locally
-// (sample.ExecuteWindow), and write the result back atomically. The
+// one at a time with an exclusive lease, execute it on the loop's
+// one-slot sample.Scheduler, and write the result back atomically. The
+// slot keeps its boot structures and pipeline scratch across jobs. The
 // loop serves every coordinator sharing the directory and runs until
 // ctx is cancelled (returning ctx.Err()) or, when wc.Idle is set, until
 // no job has been claimed for that long (returning nil).
@@ -76,11 +77,13 @@ func Work(ctx context.Context, dir string, wc WorkerConfig) error {
 	if err := os.MkdirAll(jobs, 0o755); err != nil {
 		return fmt.Errorf("procexec: jobs dir: %w", err)
 	}
+	pool := sample.NewScheduler(1)
+	defer pool.Close()
 	ticker := time.NewTicker(wc.Poll)
 	defer ticker.Stop()
 	idleSince := time.Now()
 	for {
-		claimed, err := scanOnce(ctx, jobs, wc)
+		claimed, err := scanOnce(ctx, pool, jobs, wc)
 		if err != nil {
 			return err
 		}
@@ -106,7 +109,7 @@ func Work(ctx context.Context, dir string, wc WorkerConfig) error {
 // competing workers start from the same candidate, which loses nothing
 // (the O_EXCL claim settles ownership) and keeps lower window indexes —
 // the ones the coordinators settle first — flowing out first.
-func scanOnce(ctx context.Context, jobs string, wc WorkerConfig) (bool, error) {
+func scanOnce(ctx context.Context, pool *sample.Scheduler, jobs string, wc WorkerConfig) (bool, error) {
 	paths, err := filepath.Glob(filepath.Join(jobs, "*.job"))
 	if err != nil {
 		return false, err
@@ -128,7 +131,7 @@ func scanOnce(ctx context.Context, jobs string, wc WorkerConfig) (bool, error) {
 		if !claimLease(leasePath, base, wc.ID) {
 			continue // lost the race
 		}
-		if err := executeJob(ctx, jobPath, leasePath, resultPath, base, wc); err != nil {
+		if err := executeJob(ctx, pool, jobPath, leasePath, resultPath, base, wc); err != nil {
 			return false, err
 		}
 		return true, nil
@@ -159,11 +162,11 @@ func claimLease(path, base, worker string) bool {
 	return true
 }
 
-// executeJob runs one claimed window: heartbeat the lease while the
-// manifest is read and sample.ExecuteWindow runs, and write the result.
+// executeJob runs one claimed window on pool: heartbeat the lease while
+// the manifest is read and the window runs, and write the result.
 // Only a worker-fatal condition (ctx cancellation) is returned as an
 // error; per-job failures are reported through the result file.
-func executeJob(ctx context.Context, jobPath, leasePath, resultPath, base string, wc WorkerConfig) error {
+func executeJob(ctx context.Context, pool *sample.Scheduler, jobPath, leasePath, resultPath, base string, wc WorkerConfig) error {
 	// Heartbeat the lease from the claim on — decoding a manifest takes
 	// time too — so the coordinator can tell "long window" from "dead
 	// worker".
@@ -197,7 +200,7 @@ func executeJob(ctx context.Context, jobPath, leasePath, resultPath, base string
 	if wc.OnClaim != nil {
 		wc.OnClaim(base, m.Boundary.Index)
 	}
-	res, runErr := sample.ExecuteWindow(ctx, sample.WindowJob{
+	res, runErr := pool.Run(ctx, sample.WindowJob{
 		Prog:     m.Prog,
 		Config:   m.Config,
 		Sampling: m.Sampling,

@@ -9,13 +9,11 @@ import (
 	"rix/internal/pipeline"
 )
 
-// slot is one window executor's private state: a pooled set of boot
+// slot is one Scheduler slot's private state: a pooled set of boot
 // structures plus the recycled pipeline scratch, reused across every
-// window (and every cell) it runs. Each scheduler worker owns one, and
-// ExecuteWindow uses a fresh one per call. Every boot restores the set
-// in full — by copy from a ring entry or from the boundary's snapshot —
-// so whichever set a slot holds, every path boots windows
-// bit-identically.
+// window (and every cell) it runs. Every boot restores the set in full
+// — by copy from a ring entry or from the boundary's snapshot — so
+// whichever set a slot holds, every window boots bit-identically.
 type slot struct {
 	parts   *warmParts // nil until the first boot that needs its own set
 	scratch *pipeline.Scratch
@@ -70,10 +68,10 @@ func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, 
 }
 
 // run executes one detail window job on the slot — the one window
-// runner behind the scheduler's workers and ExecuteWindow. The window span is re-derived from the boundary's
-// emulator state (emu.ResumeStream), so a window's result depends only
-// on its job: the checkpoint-parity tests pin it to the naive
-// sequential loop's in-memory record replay.
+// runner, reached only through Scheduler.Run. The window span is
+// re-derived from the boundary's emulator state (emu.ResumeStream), so
+// a window's result depends only on its job: the checkpoint-parity
+// tests pin it to the naive sequential loop's in-memory record replay.
 func (sl *slot) run(ctx context.Context, job WindowJob) (WindowResult, error) {
 	p, cfg, sp, b := job.Prog, job.Config, job.Sampling, &job.Boundary
 	if err := sp.Validate(); err != nil {

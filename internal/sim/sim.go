@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"rix/internal/core"
-	"rix/internal/memsys"
 	"rix/internal/pipeline"
 	"rix/internal/sample"
 )
@@ -64,7 +63,6 @@ type Options struct {
 	ReverseAllStores bool `json:"reverse_all_stores,omitempty"`
 	ReverseALU       bool `json:"reverse_alu,omitempty"`
 	NoCallDepth      bool `json:"no_call_depth,omitempty"`
-	PerfectMemory    bool `json:"perfect_memory,omitempty"`
 
 	// Sampling switches the run to checkpointed interval sampling
 	// (internal/sample). nil means full-detail simulation; the machine
@@ -124,9 +122,6 @@ func (o Options) Label() string {
 	}
 	if o.NoCallDepth {
 		parts = append(parts, "nodepth")
-	}
-	if o.PerfectMemory {
-		parts = append(parts, "pmem")
 	}
 	if o.Sampling != nil {
 		parts = append(parts, fmt.Sprintf("smp%d-%d-%d",
@@ -218,9 +213,6 @@ func (o Options) Config() (pipeline.Config, error) {
 	}
 	if o.PhysRegs > 0 {
 		cfg.PhysRegs = o.PhysRegs
-	}
-	if o.PerfectMemory {
-		cfg.Mem = memsys.PerfectConfig()
 	}
 	return cfg, nil
 }

@@ -106,13 +106,6 @@ func TestITAndRegfileKnobs(t *testing.T) {
 	}
 }
 
-func TestPerfectMemoryOption(t *testing.T) {
-	cfg, _ := Options{PerfectMemory: true}.Config()
-	if cfg.Mem.L1D.SizeBytes < 1<<24 || cfg.Mem.TLBMissPenalty != 0 {
-		t.Errorf("perfect memory: %+v", cfg.Mem.L1D)
-	}
-}
-
 func TestOptionsEndToEnd(t *testing.T) {
 	b := workload.Synth(workload.SynthParams{Seed: 99, Iters: 300, CallEvery: 4, MemFrac: 0.2})
 	bw, err := b.BuildContext(context.Background())
@@ -126,11 +119,6 @@ func TestOptionsEndToEnd(t *testing.T) {
 	}
 	if st.IntegratedReverse == 0 {
 		t.Error("call-dense synth workload produced no reverse integrations")
-	}
-	// Perfect memory must never be slower than the real hierarchy.
-	perf := runDetail(t, p, bw.Source(), Options{Integration: IntReverse, PerfectMemory: true})
-	if perf.Cycles > st.Cycles {
-		t.Errorf("perfect memory slower: %d > %d", perf.Cycles, st.Cycles)
 	}
 }
 
