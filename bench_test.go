@@ -56,7 +56,7 @@ func runFigure(b *testing.B, id string) {
 	c := benchCache(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.RunSpec(context.Background(), id); err != nil {
+		if _, err := c.RunSuite(context.Background(), id, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

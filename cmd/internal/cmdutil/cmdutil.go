@@ -24,7 +24,7 @@ const interruptExit = 130
 // ended because a signal cancelled the context, and 1 on any other
 // error — including a -timeout deadline, reported as "tool: timed
 // out". The body returns rather than exiting, so its deferred cleanup
-// (partial-file removal, flushes) always runs — os.Exit happens only
+// (closing files, flushes) always runs — os.Exit happens only
 // here, after the body is done.
 func Main(tool string, body func(ctx context.Context) error) {
 	os.Exit(runBody(tool, body))

@@ -34,7 +34,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,22 +46,7 @@ import (
 	"rix/internal/run"
 	"rix/internal/runner"
 	"rix/internal/sample"
-	"rix/internal/stats"
 )
-
-// jsonTable / jsonSuite shape the -json output; one suite per spec run.
-type jsonTable struct {
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-	Notes  []string   `json:"notes,omitempty"`
-}
-
-type jsonSuite struct {
-	ID          string      `json:"id"`
-	Description string      `json:"description"`
-	Tables      []jsonTable `json:"tables"`
-}
 
 func main() { cmdutil.Main("rixbench", body) }
 
@@ -131,54 +115,33 @@ func body(ctx context.Context) error {
 		selected = runner.IDs()
 	}
 
-	var out []jsonSuite
+	var suites []runner.Suite
 	for _, id := range selected {
-		spec, ok := runner.Lookup(id)
-		if !ok {
-			return fmt.Errorf("unknown suite %q (registered: %s)", id, strings.Join(runner.IDs(), ", "))
-		}
-		var tables []*stats.Table
-		var err error
-		if sampling != nil {
-			// Sampled variant: same matrix and collector, every cell
-			// through the interval-sampling engine. The variant's
-			// id/description replace the original's in all output so
-			// sampled estimates are never mistaken for full detail.
-			sampled := runner.Sampled(spec, *sampling)
-			spec = &sampled
-			var rs *runner.ResultSet
-			if rs, err = engine.Gather(ctx, &sampled); err == nil {
-				tables, err = sampled.Collect(rs)
-			}
-		} else {
-			tables, err = engine.RunSpec(ctx, id)
-		}
+		s, err := engine.RunSuite(ctx, id, sampling)
 		if err != nil {
 			return err
 		}
 		switch {
 		case *asJSON:
-			out = append(out, jsonSuite{ID: spec.ID, Description: spec.Description, Tables: toJSON(tables)})
+			suites = append(suites, s)
 		case *csv:
 			if sampling != nil {
-				fmt.Printf("# %s\n", spec.Description)
+				fmt.Printf("# %s\n", s.Description)
 			}
-			for _, t := range tables {
+			for _, t := range s.Tables {
 				fmt.Printf("# %s\n%s\n", t.Title, t.CSV())
 			}
 		default:
 			if sampling != nil {
-				fmt.Printf("## %s\n\n", spec.Description)
+				fmt.Printf("## %s\n\n", s.Description)
 			}
-			for _, t := range tables {
+			for _, t := range s.Tables {
 				fmt.Println(t.String())
 			}
 		}
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
+		return runner.WriteJSON(os.Stdout, suites)
 	}
 	return nil
 }
@@ -208,12 +171,4 @@ func (l *cellLogger) Observe(e run.Event) {
 	default:
 		fmt.Fprintf(os.Stderr, "[%s] done   %s [%s] (%d retired)\n", time.Now().Format("15:04:05"), e.Workload, e.Label, e.Instrs)
 	}
-}
-
-func toJSON(tables []*stats.Table) []jsonTable {
-	out := make([]jsonTable, len(tables))
-	for i, t := range tables {
-		out[i] = jsonTable{Title: t.Title, Header: t.Header(), Rows: t.Rows(), Notes: t.Notes()}
-	}
-	return out
 }

@@ -1,40 +1,28 @@
 // rixtrace functionally executes a workload on the golden emulator and
 // reports its dynamic profile: instruction mix, call-depth distribution,
-// save/restore density, and program output. With -out it additionally
-// records the golden trace to a binary file (20 bytes per record:
-// little-endian CodeIdx u32, Value u64, Addr u64).
+// save/restore density, and program output.
 //
 // The profile is computed from the streaming emu.TraceSource — records
 // are folded into counters as they are produced, so memory stays O(1)
-// regardless of trace length (the pre-streaming version materialized the
-// whole trace first). Trace recording streams through a buffered writer
-// the same way; a write failure mid-stream aborts with a non-zero exit
-// and removes the partial file instead of leaving a silently truncated
-// trace behind.
+// regardless of trace length.
 //
 // The tool runs under the shared cmdutil harness: a SIGINT (or
-// -timeout) cancels the stream at a batched poll boundary, the partial
-// trace file is removed on the way out (deferred cleanup runs — the
-// old hand-rolled os.Exit path could skip it), and a second SIGINT
-// hard-kills.
+// -timeout) cancels the stream at a batched poll boundary, and a second
+// SIGINT hard-kills.
 //
 // Usage:
 //
 //	rixtrace -bench vortex
 //	rixtrace -file prog.s
 //	rixtrace -bench gcc -max 1048576     # bound the streamed instruction budget
-//	rixtrace -bench gcc -out gcc.trace   # record the golden trace to a file
 //	rixtrace -bench perl.d -echo 256     # cap the echoed program output bytes
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"rix/cmd/internal/cmdutil"
 	"rix/internal/asm"
@@ -50,7 +38,6 @@ func body(ctx context.Context) error {
 	bench := flag.String("bench", "", "workload name")
 	file := flag.String("file", "", "assembly file")
 	maxInstrs := flag.Uint64("max", workload.MaxInstrs, "instruction budget for the streamed trace")
-	outFile := flag.String("out", "", "record the golden trace to this file (binary, 20 bytes/record)")
 	outCap := flag.Int("echo", 1<<10, "max program-output bytes to echo (0 = none)")
 	timeout := flag.Duration("timeout", 0, "cancel the trace after this duration (0 = none)")
 	flag.Parse()
@@ -87,22 +74,6 @@ func body(ctx context.Context) error {
 	src := emu.Stream(p, *maxInstrs)
 	src.SetContext(ctx)
 
-	var tw *traceWriter
-	if *outFile != "" {
-		// -out used to be the echo-byte cap (now -echo); a bare number
-		// here is almost certainly stale usage — fail loudly rather
-		// than create a trace file named "256".
-		if _, err := strconv.ParseUint(*outFile, 10, 64); err == nil {
-			return fmt.Errorf("-out now takes a trace file path (got %q); the echo cap moved to -echo", *outFile)
-		}
-		if tw, err = newTraceWriter(*outFile); err != nil {
-			return err
-		}
-		// Cancellation or any error below must not leave a silently
-		// truncated trace behind; finish() disarms this.
-		defer tw.abort()
-	}
-
 	var n, loads, stores, branches, taken, calls, rets, alu, fp, spStores, spLoads uint64
 	depth, maxDepth := 0, 0
 	depthSum := uint64(0)
@@ -110,11 +81,6 @@ func body(ctx context.Context) error {
 		r, ok := src.Next()
 		if !ok {
 			break
-		}
-		if tw != nil {
-			if err := tw.write(r); err != nil {
-				return fmt.Errorf("writing %s: %w (partial file removed)", tw.path, err)
-			}
 		}
 		n++
 		in := p.Code[r.CodeIdx]
@@ -153,16 +119,7 @@ func body(ctx context.Context) error {
 		depthSum += uint64(depth)
 	}
 	if err := src.Err(); err != nil {
-		// A failed (or cancelled) production leaves the recorded prefix
-		// incomplete; the deferred abort removes it rather than leave a
-		// silently truncated trace.
 		return err
-	}
-	if tw != nil {
-		if err := tw.finish(); err != nil {
-			return fmt.Errorf("writing %s: %w (partial file removed)", tw.path, err)
-		}
-		fmt.Printf("trace        %d records -> %s\n", tw.n, tw.path)
 	}
 	e := src.Emulator()
 	pc := func(v uint64) string { return fmt.Sprintf("%5.1f%%", 100*float64(v)/float64(n)) }
@@ -192,105 +149,4 @@ func maxU(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// traceRecBytes is the on-disk record size: CodeIdx u32, Value u64,
-// Addr u64, little-endian.
-const traceRecBytes = 20
-
-// traceWriter streams golden-trace records into a file. Any error —
-// mid-stream write, final flush, or close — is propagated, and abort or
-// a failed finish removes the partial file so downstream consumers never
-// see a silently truncated trace (the old implementation exited 0 and
-// left the truncated file in place). abort is idempotent and a no-op
-// after a successful finish, so it can run unconditionally as a defer.
-type traceWriter struct {
-	path string
-	f    *os.File
-	w    *bufio.Writer
-	n    uint64
-	done bool
-	buf  [traceRecBytes]byte
-}
-
-func newTraceWriter(path string) (*traceWriter, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &traceWriter{path: path, f: f, w: bufio.NewWriterSize(f, 1<<16)}, nil
-}
-
-// write appends one record. bufio errors are sticky, so a failure
-// surfaces on the write that hits it and every one after.
-func (t *traceWriter) write(r emu.TraceRec) error {
-	putRec(&t.buf, r)
-	if _, err := t.w.Write(t.buf[:]); err != nil {
-		return err
-	}
-	t.n++
-	return nil
-}
-
-// putRec encodes one record into buf.
-func putRec(buf *[traceRecBytes]byte, r emu.TraceRec) {
-	binary.LittleEndian.PutUint32(buf[0:4], r.CodeIdx)
-	binary.LittleEndian.PutUint64(buf[4:12], r.Value)
-	binary.LittleEndian.PutUint64(buf[12:20], r.Addr)
-}
-
-// readRec decodes one record (the inverse of putRec; tests and future
-// replay consumers).
-func readRec(buf *[traceRecBytes]byte) emu.TraceRec {
-	return emu.TraceRec{
-		CodeIdx: binary.LittleEndian.Uint32(buf[0:4]),
-		Value:   binary.LittleEndian.Uint64(buf[4:12]),
-		Addr:    binary.LittleEndian.Uint64(buf[12:20]),
-	}
-}
-
-// finish flushes and closes the file; on any failure the partial file is
-// removed and the error returned. Success disarms the deferred abort.
-func (t *traceWriter) finish() error {
-	if t.done {
-		return nil
-	}
-	t.done = true
-	err := t.w.Flush()
-	if cerr := t.f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(t.path)
-	}
-	return err
-}
-
-// abort closes and removes the partial file (no-op once finished).
-func (t *traceWriter) abort() {
-	if t.done {
-		return
-	}
-	t.done = true
-	t.f.Close()
-	os.Remove(t.path)
-}
-
-// readTraceFile loads a recorded trace (tests and replay tooling).
-func readTraceFile(path string) ([]emu.TraceRec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data)%traceRecBytes != 0 {
-		return nil, fmt.Errorf("%s: %d bytes is not a whole number of %d-byte records",
-			path, len(data), traceRecBytes)
-	}
-	recs := make([]emu.TraceRec, 0, len(data)/traceRecBytes)
-	var buf [traceRecBytes]byte
-	for off := 0; off < len(data); off += traceRecBytes {
-		copy(buf[:], data[off:off+traceRecBytes])
-		recs = append(recs, readRec(&buf))
-	}
-	return recs, nil
 }

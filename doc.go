@@ -99,7 +99,7 @@
 //	cmd/rixsim            single-run driver over run.Do (-sample/-resume/-req/-json/-timeout)
 //	cmd/rixbench          figure/table reproduction harness (-sample for the fast matrix)
 //	cmd/rixasm            assembler / disassembler
-//	cmd/rixtrace          functional profiler (streaming; -out records the trace)
+//	cmd/rixtrace          functional profiler (streaming)
 //	cmd/benchgate         bench output -> BENCH_pipeline.json + perf gates (-update refreshes baseline)
 //	examples/             quickstart, membypass, complexity, customworkload, runapi
 //

@@ -7,18 +7,20 @@
 // structural change to a persisted type to bump the owning format
 // constant so stale artifacts are rejected rather than misread.
 //
-// A format is named by its root, the type a file holds whole (Roots).
-// The analyzer renders the structure of every module type reachable
-// from a root — a struct by its exported fields (name + fully qualified
-// type, in declaration order), any other named type by its underlying
-// type — so a field added to a struct three pointers down changes the
-// root's entry too. It hashes that structure and compares it, along
-// with the tracked format-constant values, against the committed
-// golden file (golden.json next to this package). A mismatch is a
-// diagnostic at the root's declaration:
+// A format is named by its root, the type a file holds whole, and is
+// guarded by one format constant (Roots). The analyzer renders the
+// structure of every module type reachable from a root — a struct by
+// its exported fields (name + fully qualified type, in declaration
+// order), any other named type by its underlying type — so a field
+// added to a struct three pointers down changes the root's entry too.
+// It hashes that structure and compares it, along with the value of
+// the root's guard constant, against the committed golden file
+// (golden.json next to this package). A mismatch is a diagnostic at the
+// root's declaration:
 //
-//   - structure changed, format consts unchanged → the dangerous case:
-//     bump the format const, then refresh the golden;
+//   - structure changed, the root's own guard unchanged → the dangerous
+//     case (bumping another root's constant does not count): bump the
+//     guard, then refresh the golden;
 //   - structure or const changed and the golden is stale → refresh
 //     with `rixvet -update-gob-golden`;
 //   - a golden entry of the package that no tracked name produces (a
@@ -45,20 +47,21 @@ import (
 	"rix/internal/analysis"
 )
 
-// Roots maps package path → the format roots declared there: the types
-// gob writes to a file whole. Every module type they reach is pinned
-// with them.
-var Roots = map[string][]string{
-	"rix/internal/sample":          {"Checkpoint", "warmSetFile"},
-	"rix/internal/sample/procexec": {"Manifest", "Lease", "Result"},
-}
-
-// TrackedConsts maps package path → format constants whose values are
-// recorded so the analyzer can tell "changed with a bump" from
-// "changed silently".
-var TrackedConsts = map[string][]string{
-	"rix/internal/sample":          {"CheckpointFormat", "WarmCacheFormat"},
-	"rix/internal/sample/procexec": {"ManifestFormat", "LeaseFormat", "ResultFormat"},
+// Roots maps package path → the format roots declared there (the types
+// gob writes to a file whole), each to the format constant in the same
+// package that guards it. Every module type a root reaches is pinned
+// with it, and the guard's value is recorded so the analyzer can tell
+// "changed with a bump" from "changed silently".
+var Roots = map[string]map[string]string{
+	"rix/internal/sample": {
+		"Checkpoint":  "CheckpointFormat",
+		"warmSetFile": "WarmCacheFormat",
+	},
+	"rix/internal/sample/procexec": {
+		"Manifest": "ManifestFormat",
+		"Lease":    "LeaseFormat",
+		"Result":   "ResultFormat",
+	},
 }
 
 // GoldenPath locates the golden file: absolute paths are used as-is
@@ -91,8 +94,7 @@ type GoldenType struct {
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	pkgPath := pass.Pkg.Path()
-	typeNames := Roots[pkgPath]
-	constNames := TrackedConsts[pkgPath]
+	roots := Roots[pkgPath]
 	// Every package reads the golden, tracked or not: rows left by a
 	// package that no longer declares a root are stale too.
 	goldenFile, err := resolveGoldenPath(pass)
@@ -105,25 +107,29 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 
 	types_ := map[string]GoldenType{}
-	for _, name := range typeNames {
-		obj, ok := pass.Pkg.Scope().Lookup(name).(*types.TypeName)
-		if !ok {
+	consts := map[string]string{}
+	guard := map[string]string{} // root key → its guard const's key
+	var rootNames []string
+	for name := range roots {
+		rootNames = append(rootNames, name)
+	}
+	sort.Strings(rootNames)
+	for _, name := range rootNames {
+		if obj, ok := pass.Pkg.Scope().Lookup(name).(*types.TypeName); ok {
+			fields := structure(obj)
+			types_[pkgPath+"."+name] = GoldenType{Hash: hashFields(fields), Fields: fields}
+		} else {
 			pass.Reportf(pass.Files[0].Pos(),
 				"gobversion tracks %s.%s but the type does not exist; update gobversion.Roots alongside the rename", pkgPath, name)
-			continue
 		}
-		fields := structure(obj)
-		types_[pkgPath+"."+name] = GoldenType{Hash: hashFields(fields), Fields: fields}
-	}
-	consts := map[string]string{}
-	for _, name := range constNames {
-		obj, ok := pass.Pkg.Scope().Lookup(name).(*types.Const)
-		if !ok {
+		constName := roots[name]
+		if obj, ok := pass.Pkg.Scope().Lookup(constName).(*types.Const); ok {
+			consts[pkgPath+"."+constName] = obj.Val().ExactString()
+			guard[pkgPath+"."+name] = pkgPath + "." + constName
+		} else {
 			pass.Reportf(pass.Files[0].Pos(),
-				"gobversion tracks const %s.%s but it does not exist; update gobversion.TrackedConsts", pkgPath, name)
-			continue
+				"gobversion tracks const %s.%s but it does not exist; update gobversion.Roots", pkgPath, constName)
 		}
-		consts[pkgPath+"."+name] = obj.Val().ExactString()
 	}
 
 	stale := staleKeys(golden, pkgPath, types_, consts)
@@ -134,11 +140,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		return nil, writeGolden(goldenFile, golden, stale, types_, consts)
 	}
 
-	constsBumped := false
-	for key, val := range consts {
-		if old, ok := golden.Consts[key]; ok && old != val {
-			constsBumped = true
-		}
+	// bumped reports whether the const guarding root key moved since the
+	// golden was written.
+	bumped := func(key string) bool {
+		old, ok := golden.Consts[guard[key]]
+		return ok && old != consts[guard[key]]
 	}
 	var typeKeys []string
 	for key := range types_ {
@@ -152,14 +158,14 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		switch {
 		case !ok:
 			pass.Reportf(pos, "gob-serialized type %s has no golden entry; run `rixvet -update-gob-golden` to pin its structure", key)
-		case old.Hash != cur.Hash && !constsBumped:
+		case old.Hash != cur.Hash && !bumped(key):
 			pass.Reportf(pos,
-				"gob-serialized type %s changed structure (%s) without a format-const bump; bump the owning format const in doc/FORMATS.md's table, then run `rixvet -update-gob-golden`",
-				key, diffFields(old.Fields, cur.Fields))
+				"gob-serialized type %s changed structure (%s) without a format-const bump; bump %s in doc/FORMATS.md's table, then run `rixvet -update-gob-golden`",
+				key, diffFields(old.Fields, cur.Fields), guard[key])
 		case old.Hash != cur.Hash:
 			pass.Reportf(pos,
-				"gob-serialized type %s changed structure (%s); format const is bumped — refresh the golden with `rixvet -update-gob-golden`",
-				key, diffFields(old.Fields, cur.Fields))
+				"gob-serialized type %s changed structure (%s); format const %s is bumped — refresh the golden with `rixvet -update-gob-golden`",
+				key, diffFields(old.Fields, cur.Fields), guard[key])
 		}
 	}
 	var constKeys []string

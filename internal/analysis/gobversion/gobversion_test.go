@@ -19,15 +19,12 @@ import (
 // afterwards.
 func withFixtureConfig(t *testing.T) {
 	t.Helper()
-	oldPath, oldRoots, oldConsts, oldUpdate :=
-		gobversion.GoldenPath, gobversion.Roots, gobversion.TrackedConsts, gobversion.Update
+	oldPath, oldRoots, oldUpdate := gobversion.GoldenPath, gobversion.Roots, gobversion.Update
 	t.Cleanup(func() {
-		gobversion.GoldenPath, gobversion.Roots, gobversion.TrackedConsts, gobversion.Update =
-			oldPath, oldRoots, oldConsts, oldUpdate
+		gobversion.GoldenPath, gobversion.Roots, gobversion.Update = oldPath, oldRoots, oldUpdate
 	})
 	gobversion.GoldenPath = filepath.Join(t.TempDir(), "golden.json")
-	gobversion.Roots = map[string][]string{"a": {"Blob"}}
-	gobversion.TrackedConsts = map[string][]string{"a": {"BlobFormat"}}
+	gobversion.Roots = map[string]map[string]string{"a": {"Blob": "BlobFormat"}}
 	gobversion.Update = false
 }
 
@@ -93,10 +90,21 @@ func TestGobversionPinsReachableTypes(t *testing.T) {
 	analysistest.Run(t, "testdata/retyped", gobversion.Analyzer, "a")
 }
 
+// TestGobversionGuardsEachRoot: each root is guarded by its own const.
+// In the wrongbump fixture Blob changes while only Note's const moves,
+// which must read as a change without a bump, not as a stale golden.
+func TestGobversionGuardsEachRoot(t *testing.T) {
+	withFixtureConfig(t)
+	gobversion.Roots = map[string]map[string]string{"a": {"Blob": "BlobFormat", "Note": "NoteFormat"}}
+	gobversion.Update = true
+	findings(t, "testdata")
+	gobversion.Update = false
+	analysistest.Run(t, "testdata/wrongbump", gobversion.Analyzer, "a")
+}
+
 func TestGobversionUntrackedPackageIsIgnored(t *testing.T) {
 	withFixtureConfig(t)
-	gobversion.Roots = map[string][]string{}
-	gobversion.TrackedConsts = map[string][]string{}
+	gobversion.Roots = map[string]map[string]string{}
 	if got := findings(t, "testdata"); len(got) != 0 {
 		t.Fatalf("untracked package reported findings: %v", got)
 	}
@@ -183,8 +191,7 @@ func TestGobversionReportsStaleRows(t *testing.T) {
 func TestGobversionDropsRowsOfUntrackedPackage(t *testing.T) {
 	withFixtureConfig(t)
 	writeFixtureGolden(t, staleGolden(t))
-	gobversion.Roots = map[string][]string{}
-	gobversion.TrackedConsts = map[string][]string{}
+	gobversion.Roots = map[string]map[string]string{}
 
 	got := findings(t, "testdata")
 	keys := []string{"a.Blob", "a.BlobFormat", "a.Gone", "a.GoneFormat"}

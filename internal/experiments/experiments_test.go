@@ -10,22 +10,13 @@ import (
 	"rix/internal/sim"
 )
 
-// smallCache builds a fast 3-benchmark cache shared by the tests.
-var smallCacheNames = []string{"gzip", "crafty", "vortex"}
-
 var bg = context.Background()
 
-func smallCache(t *testing.T) *runner.Engine {
-	t.Helper()
-	c, err := runner.NewEngine(smallCacheNames)
+func TestCacheBasics(t *testing.T) {
+	c, err := runner.NewEngine([]string{"gzip", "crafty", "vortex"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
-}
-
-func TestCacheBasics(t *testing.T) {
-	c := smallCache(t)
 	if len(c.Names()) != 3 {
 		t.Fatalf("names = %v", c.Names())
 	}
@@ -45,21 +36,18 @@ func TestCacheBasics(t *testing.T) {
 }
 
 func TestFigure4Structure(t *testing.T) {
-	c := smallCache(t)
-	tables, err := c.RunSpec(bg, "fig4")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := detail.suite(t, "fig4").Tables
 	if len(tables) != 2 {
 		t.Fatalf("want 2 tables, got %d", len(tables))
 	}
 	speed, rate := tables[0], tables[1]
-	// 3 benchmarks + mean row.
-	if speed.NumRows() != 4 || rate.NumRows() != 4 {
+	// 4 benchmarks + mean row.
+	if speed.NumRows() != 5 || rate.NumRows() != 5 {
 		t.Fatalf("rows: %d, %d", speed.NumRows(), rate.NumRows())
 	}
-	// The +reverse rate column must dominate squash for crafty/vortex.
-	for r := 0; r < 3; r++ {
+	// The +reverse rate column must dominate squash for every benchmark
+	// but gzip.
+	for r := 0; r < rate.NumRows()-1; r++ {
 		sq := cellF(t, rate, r, 1)
 		rev := cellF(t, rate, r, 4)
 		if rate.Cell(r, 0) != "gzip" && rev <= sq {
@@ -77,11 +65,7 @@ func TestFigure4Structure(t *testing.T) {
 }
 
 func TestFigure5Structure(t *testing.T) {
-	c := smallCache(t)
-	tables, err := c.RunSpec(bg, "fig5")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := detail.suite(t, "fig5").Tables
 	if len(tables) != 4 {
 		t.Fatalf("want 4 tables, got %d", len(tables))
 	}
@@ -112,11 +96,7 @@ func TestFigure5Structure(t *testing.T) {
 }
 
 func TestFigure6Structure(t *testing.T) {
-	c := smallCache(t)
-	tables, err := c.RunSpec(bg, "fig6")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := detail.suite(t, "fig6").Tables
 	if len(tables) != 2 {
 		t.Fatalf("want 2 tables, got %d", len(tables))
 	}
@@ -132,11 +112,7 @@ func TestFigure6Structure(t *testing.T) {
 }
 
 func TestFigure7Structure(t *testing.T) {
-	c := smallCache(t)
-	tables, err := c.RunSpec(bg, "fig7")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := detail.suite(t, "fig7").Tables
 	tb := tables[0]
 	mean := tb.NumRows() - 1
 	// Complexity reductions must cost performance without integration...
@@ -161,11 +137,7 @@ func TestFigure7Structure(t *testing.T) {
 }
 
 func TestDiagnosticsStructure(t *testing.T) {
-	c := smallCache(t)
-	tables, err := c.RunSpec(bg, "diag")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := detail.suite(t, "diag").Tables
 	tb := tables[0]
 	mean := tb.NumRows() - 1
 	// Integration must reduce executed instructions on average.
@@ -182,11 +154,7 @@ func TestDiagnosticsStructure(t *testing.T) {
 }
 
 func TestAblationsStructure(t *testing.T) {
-	c := smallCache(t)
-	tables, err := c.RunSpec(bg, "ablate")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := detail.suite(t, "ablate").Tables
 	speed, mis := tables[0], tables[1]
 	if speed.NumRows() != 4 || mis.NumRows() != 3 {
 		t.Fatalf("rows: %d, %d", speed.NumRows(), mis.NumRows())

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 
 	"rix/internal/pipeline"
 	"rix/internal/run"
 	"rix/internal/sample"
-	"rix/internal/stats"
 	"rix/internal/workload"
 )
 
@@ -270,19 +268,4 @@ func (e *Engine) Gather(ctx context.Context, s *Spec) (*ResultSet, error) {
 		return nil, err
 	}
 	return rs, nil
-}
-
-// RunSpec looks a registered spec up, executes it, and renders its
-// tables through the spec's collector.
-func (e *Engine) RunSpec(ctx context.Context, id string) ([]*stats.Table, error) {
-	sp, ok := Lookup(id)
-	if !ok {
-		return nil, fmt.Errorf("runner: unknown spec %q (registered: %s)",
-			id, strings.Join(SortedIDs(), ", "))
-	}
-	rs, err := e.Gather(ctx, sp)
-	if err != nil {
-		return nil, err
-	}
-	return sp.Collect(rs)
 }

@@ -123,8 +123,8 @@ func TestRegisterValidation(t *testing.T) {
 func TestUnknownSpecAndWorkload(t *testing.T) {
 	var counts sync.Map
 	e := testEngine([]string{"a"}, &counts)
-	if _, err := e.RunSpec(bg, "t-nope"); err == nil || !strings.Contains(err.Error(), "unknown spec") {
-		t.Errorf("RunSpec unknown: %v", err)
+	if _, err := e.RunSuite(bg, "t-nope", nil); err == nil || !strings.Contains(err.Error(), "unknown spec") {
+		t.Errorf("RunSuite unknown: %v", err)
 	}
 	if _, err := NewEngine([]string{"not-a-benchmark"}); err == nil {
 		t.Error("NewEngine accepted unregistered workload")

@@ -6,15 +6,16 @@
 // cross-product through a bounded worker pool with back-pressure, and
 // streams per-cell results to collectors.
 //
-// cmd/rixbench enumerates the registry; internal/experiments populates
-// it with the paper's figure and diagnostic suites. Adding a scenario is
+// cmd/rixbench enumerates the registry through Engine.RunSuite, and
+// WriteJSON renders its -json output, the format of the committed figure
+// goldens; internal/experiments populates the registry with the paper's
+// figure and diagnostic suites and checks those goldens. Adding a scenario is
 // declaring a Spec and registering it — no fan-out or result-indexing
 // code.
 package runner
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"rix/internal/sample"
@@ -164,14 +165,6 @@ func Specs() []*Spec {
 		out = append(out, registry.specs[id])
 	}
 	return out
-}
-
-// SortedIDs returns registered spec ids in lexical order (for stable
-// diagnostics; display order is IDs()).
-func SortedIDs() []string {
-	ids := IDs()
-	sort.Strings(ids)
-	return ids
 }
 
 // Sampled derives the interval-sampled variant of a spec: the same

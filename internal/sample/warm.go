@@ -205,11 +205,13 @@ func (w *warmer) observe(in isa.Instr, pc uint64, rec emu.TraceRec, nextPC uint6
 }
 
 // WarmSnapshot is the serializable warm state at a window boundary — the
-// microarchitectural half of a Checkpoint. LISP and CHT carry the
-// feedback chained from completed windows (the warmer itself never
-// trains them); their contents depend on the cell's policy, which makes
-// a checkpoint set specific to one machine configuration. LastLine is
-// the warmer's I-side touch deduplication cursor, carried so a restored
+// microarchitectural half of a Checkpoint. LISP carries the feedback
+// chained from completed windows (the warmer itself never trains it);
+// its contents depend on the cell's policy, which makes a checkpoint set
+// specific to one machine configuration. CHT, the collision history
+// table (store→load dependence), is carried cold: the warmer never
+// trains it and the coordinator does not chain it. LastLine is the
+// warmer's I-side touch deduplication cursor, carried so a restored
 // warmer (Continue) folds exactly the same touches an uninterrupted one
 // would.
 type WarmSnapshot struct {
