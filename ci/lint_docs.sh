@@ -23,6 +23,10 @@
 # benchmark or example (a backticked `TestXxx`, `BenchmarkXxx` or
 # `ExampleXxx`) that no _test.go file defines, so docs cannot keep
 # pointing at a deleted or renamed test.
+#
+# And it fails if a doc/FORMATS.md row "must equal `pkg.XFormat`
+# (currently **N**)" disagrees with the constant's value, read with
+# `go doc`, so a format bump cannot leave the table behind.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -102,7 +106,24 @@ for doc in README.md EXPERIMENTS.md doc/*.md; do
   done
 done
 
+rows=$(grep -oE 'must equal `[a-z]+\.[A-Za-z]+Format` \(currently \*\*[0-9]+\*\*\)' doc/FORMATS.md \
+  | sed -E 's/must equal `([a-z]+)\.([A-Za-z]+)` \(currently \*\*([0-9]+)\*\*\)/\1 \2 \3/')
+if [ -z "$rows" ]; then
+  echo "lint_docs: found no format-version rows in doc/FORMATS.md — the grep is broken" >&2
+  exit 1
+fi
+while read -r pkg name want; do
+  path=$pkg
+  [ "$pkg" = procexec ] && path=sample/procexec
+  have=$(go doc "rix/internal/$path.$name" 2>/dev/null \
+    | sed -nE "s/^[[:space:]]*(const )?$name[[:space:]]*=[[:space:]]*([0-9]+)[[:space:]]*\$/\2/p" | head -1)
+  if [ "$have" != "$want" ]; then
+    echo "lint_docs: doc/FORMATS.md says $pkg.$name is currently $want, but the code has ${have:-no such constant}" >&2
+    fail=1
+  fi
+done <<<"$rows"
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "lint_docs: every doc-referenced flag is defined by a command, every named Go identifier and test exists"
+echo "lint_docs: every doc-referenced flag is defined by a command, every named Go identifier and test exists, every format version matches"

@@ -3,8 +3,8 @@
 // (internal/run): the flags assemble a run.Request, run.Do executes it
 // under a signal-cancelled (and optionally deadlined) context, and the
 // result can be printed as text or JSON. Ctrl-C cancels gracefully — a
-// sampled run flushes a final checkpoint so -resume can finish it later;
-// a second Ctrl-C hard-kills.
+// sampled run keeps the checkpoints of the windows it dispatched so
+// -resume can finish it later; a second Ctrl-C hard-kills.
 //
 // Usage:
 //

@@ -10,7 +10,7 @@
 //
 //  2. The same run again with the context cancelled from an observer
 //     after the second measurement window — then a Resume request
-//     finishes the interrupted run from its flushed checkpoints and the
+//     finishes the interrupted run from the checkpoints it left and the
 //     program verifies the aggregate matches the uninterrupted run
 //     exactly (the resume-after-cancel guarantee).
 //
@@ -92,7 +92,7 @@ func main() {
 	}
 	fmt.Printf("cancelled run returned: %v\n", err)
 
-	// Finish it from the flushed checkpoints.
+	// Finish it from the checkpoints it left.
 	req.Resume = true
 	resumed, err := run.Do(context.Background(), req)
 	if err != nil {

@@ -68,7 +68,8 @@ const (
 	// the checkpoint cache; Path names the entry.
 	CacheWritten EventKind = "cache-written"
 	// CheckpointWritten fires after a sampled-run checkpoint lands on
-	// disk; Path names the file and Window the index.
+	// disk, as the run hands the window's boundary out and before the
+	// window is dispatched; Path names the file and Window the index.
 	CheckpointWritten EventKind = "checkpoint-written"
 	// CellFinished fires once per Do call that got as far as
 	// CellStarted, success or failure (Err carries the failure text).

@@ -16,9 +16,9 @@
 // window iteration all poll the context at batched intervals, so a
 // cancelled run returns ctx.Err() within a bounded amount of simulated
 // work while the hot loops stay allocation-free. A cancelled sampled
-// run that was writing checkpoints flushes one final checkpoint, so a
-// later ModeResume request reproduces the uninterrupted run's stats
-// bit-for-bit.
+// run that was writing checkpoints leaves the checkpoint of every
+// window it dispatched, so a later ModeResume request reproduces the
+// uninterrupted run's stats bit-for-bit.
 //
 // The runner engine (internal/runner) executes its experiment matrices
 // through Do, and the simulation CLIs (rixsim, rixbench, rixtrace)

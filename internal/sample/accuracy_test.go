@@ -148,7 +148,7 @@ func TestCheckpointResumeBitEqual(t *testing.T) {
 
 // TestContinueCancelledRunBitEqual is the resume-after-cancel
 // acceptance criterion: a sampled run cancelled mid-flight (after its
-// second window) flushes its checkpoints; Continue then finishes the
+// second window) leaves its checkpoints; Continue then finishes the
 // run, and the combined windows and aggregate must equal an
 // uninterrupted run's bit-for-bit.
 func TestContinueCancelledRunBitEqual(t *testing.T) {
@@ -169,8 +169,8 @@ func TestContinueCancelledRunBitEqual(t *testing.T) {
 	}
 
 	// Cancel deterministically after the second completed window; the
-	// run notices at its next batched poll and flushes a partial
-	// checkpoint.
+	// run notices at its next batched poll, leaving the checkpoints of
+	// every window it dispatched.
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
@@ -246,13 +246,12 @@ func TestContinueFromWindowZeroFiresNoWarmHooks(t *testing.T) {
 }
 
 // TestContinueCancelledTwoPhaseBitEqual: a checkpointing run writes
-// each boundary checkpoint as the warm pass reaches it, with the pass's
-// untrained LISP, and rewrites it only as its window settles, so a run
-// cancelled with windows in flight leaves stale provisional files
-// behind. Continue must chain the feedback over them: its windows and
-// aggregate equal the naive loop's, and afterwards every checkpoint
-// decodes equal to the naive loop's. crafty trains its LISP mid-run, so
-// a stale boot LISP shows there.
+// each boundary's checkpoint as it dispatches the window, so a run
+// cancelled with windows in flight leaves checkpoints of windows that
+// never settled. Continue must re-run them, chaining the feedback from
+// window 0: its windows and aggregate equal the naive loop's, and
+// afterwards every checkpoint decodes equal to the naive loop's. crafty
+// trains its LISP mid-run, so a wrong boot LISP shows there.
 func TestContinueCancelledTwoPhaseBitEqual(t *testing.T) {
 	bg := context.Background()
 	cfg, err := sim.Options{Integration: sim.IntReverse}.Config()
@@ -327,6 +326,53 @@ func TestContinueCancelledTwoPhaseBitEqual(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestContinueAcrossPresets: a checkpoint holds no LISP, so a set
+// written under one integration policy serves every other of the same
+// geometry. A +reverse run cancelled after window 1 is finished under
+// the no-integration preset, and the set then re-measured under oracle
+// suppression; each estimate equals the naive loop's for its own
+// policy, bit for bit.
+func TestContinueAcrossPresets(t *testing.T) {
+	bg := context.Background()
+	bw := buildBench(t, "crafty")
+	cfg, err := sim.Options{Integration: sim.IntReverse}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	sc := sample.Config{CheckpointDir: dir, Scheduler: newPool(t, 2)}
+	sc.Hooks.WindowDone = func(w sample.WindowStat) {
+		if w.Index == 1 {
+			cancel()
+		}
+	}
+	if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sc); err != context.Canceled {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	for _, o := range []sim.Options{
+		{Integration: sim.IntNone},
+		{Integration: sim.IntReverse, Suppression: sim.SuppressOracle},
+	} {
+		cfg, err := o.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sample.NaiveRun(bg, bw.Prog, bw.DynLen, cfg, sample.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sample.Continue(bg, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: dir, Scheduler: newPool(t, 2)})
+		if err != nil {
+			t.Fatalf("[%s]: %v", o.Label(), err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("[%s]: continued estimate diverges from the naive loop's", o.Label())
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // WarmCacheFormat versions the on-disk warm-set encoding
 // (doc/FORMATS.md). Bump it whenever WarmSet, Boundary, WarmSnapshot
 // or emu.State change shape.
-const WarmCacheFormat = 3
+const WarmCacheFormat = 4
 
 // warmSetFile is the cache entry envelope. The embedded key detects a
 // (vanishingly unlikely) truncated-filename collision; the format pair
@@ -37,9 +37,9 @@ type warmSetFile struct {
 // warmKey derives the cache key: a SHA-256 over the format versions,
 // the program's execution content, the window layout plus drain pad,
 // and the warm-relevant machine geometry. doc/FORMATS.md documents
-// each keyed input and why it is (or is not) included — notably one
-// bit, whether the policy chains LISP feedback, standing in for the
-// whole integration preset.
+// each keyed input and why it is (or is not) included — notably that
+// nothing of the integration policy is: a warm set holds no LISP, so
+// every preset of one geometry shares an entry.
 func warmKey(p *prog.Program, cfg pipeline.Config, sp Sampling) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "warmset/%d/%d\n", WarmCacheFormat, CheckpointFormat)
@@ -50,8 +50,6 @@ func warmKey(p *prog.Program, cfg pipeline.Config, sp Sampling) string {
 	fmt.Fprintf(h, "pad/%d\n", detailPad(cfg))
 	fmt.Fprintf(h, "mem/%#v\n", cfg.Mem)
 	fmt.Fprintf(h, "pred/%#v\n", cfg.Pred)
-	fmt.Fprintf(h, "lisp/%#v\n", cfg.LISP)
-	fmt.Fprintf(h, "chained/%v\n", chainsFeedback(cfg.Policy))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

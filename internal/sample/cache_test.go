@@ -51,7 +51,7 @@ func TestConcurrentSaveSameKey(t *testing.T) {
 				} else if got, _ := loadWarmSet(dir, key, p.Name, sc.Sampling); got == nil {
 					misses.Add(1)
 				}
-				path, err := saveBoundary(&sc, p, set.Boundaries[0], false)
+				path, err := saveBoundary(&sc, p, set.Boundaries[0])
 				if err != nil {
 					t.Log(err)
 					saveErrs.Add(1)

@@ -18,26 +18,24 @@ import (
 // state structs change shape; loads reject other versions.
 // doc/FORMATS.md is the authoritative field-by-field description and
 // version history — keep it in lockstep with any change here.
-const CheckpointFormat = 4
+const CheckpointFormat = 5
 
-// Checkpoint is everything one measurement window needs to run in
-// isolation: the emulator's architectural state at the window's
-// detailed start and the warmed microarchitectural state at the same
-// boundary (doc/FORMATS.md). The warm snapshot includes the LISP
-// feedback chained from the windows already run, which is specific to
-// the machine configuration that produced it — so a checkpoint set
-// belongs to one configuration; keep one directory per config.
-// Continue validates the window layout but cannot detect a policy
+// Checkpoint is one window boundary on disk — everything its
+// measurement window needs to run in isolation: the emulator's
+// architectural state at the window's detailed start and the warmed
+// microarchitectural state at the same boundary — in an envelope naming
+// the encoding, the program and the window layout (doc/FORMATS.md).
+// The warm state depends on the machine geometry and the drain pad,
+// never on the integration policy (the coordinator chains the LISP
+// feedback itself), so a checkpoint set serves every policy of one
+// geometry; keep one directory per machine geometry and drain pad.
+// Continue validates the window layout but cannot detect a geometry
 // mismatch.
 type Checkpoint struct {
 	Format   int
 	Program  string
-	Index    int
-	Start    uint64 // dynamic instruction of the detailed (warmup) start
-	Partial  bool   // mid-fast-forward cancellation flush: Start is NOT a window boundary
 	Sampling Sampling
-	Emu      emu.State
-	Warm     WarmSnapshot
+	Boundary
 }
 
 // checkpointName names a window's file. The zero-padded index keeps
@@ -48,9 +46,7 @@ func checkpointName(program string, idx int) string {
 
 // SaveCheckpoint atomically writes a checkpoint into dir (created if
 // missing), returning its path. A crash mid-write leaves no partial
-// file (gobfile.Write). A partial (cancellation) checkpoint shares its
-// window's file name, so the boundary checkpoint written when Continue
-// reaches the window start replaces it.
+// file (gobfile.Write).
 func SaveCheckpoint(dir string, ck *Checkpoint) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("sample: checkpoint dir: %w", err)
@@ -90,17 +86,13 @@ func Checkpoints(dir, program string) ([]string, error) {
 }
 
 // saveBoundary persists boundary b of p's run, under sc's window
-// layout, into sc.CheckpointDir; partial marks a cancellation flush.
-func saveBoundary(sc *Config, p *prog.Program, b Boundary, partial bool) (string, error) {
+// layout, into sc.CheckpointDir.
+func saveBoundary(sc *Config, p *prog.Program, b Boundary) (string, error) {
 	return SaveCheckpoint(sc.CheckpointDir, &Checkpoint{
 		Format:   CheckpointFormat,
 		Program:  p.Name,
-		Index:    b.Index,
-		Start:    b.Start,
-		Partial:  partial,
 		Sampling: sc.Sampling,
-		Emu:      b.Emu,
-		Warm:     b.Warm,
+		Boundary: b,
 	})
 }
 
@@ -108,22 +100,21 @@ func saveBoundary(sc *Config, p *prog.Program, b Boundary, partial bool) (string
 // p in sc.CheckpointDir, and re-measures a completed one. One
 // coordinator run covers it: every window before the newest checkpoint
 // re-runs from its stored boundary, and a live warm pass resumed from
-// the newest checkpoint — a window boundary or a partial cancellation
-// flush — streams the rest of the program's boundaries, writing further
-// checkpoints as it goes (a completed set's pass discovers the
-// program's halt). dynLen scales whole-run estimates exactly as in Run.
-// The aggregate is bit-identical to the uninterrupted run's: re-run
-// windows reproduce their stats exactly, the resumed pass restores the
-// emulator and warmer to the exact state the interrupted run held, and
-// the coordinator chains the LISP feedback from window 0 across both,
-// superseding a provisional checkpoint's stale one and rewriting each
-// file as its window settles.
+// the newest checkpoint streams the rest of the program's boundaries (a
+// completed set's pass discovers the program's halt). Like Run, it
+// writes each boundary's checkpoint as it hands the boundary to its
+// window, so the files it re-runs are rewritten with the same content.
+// dynLen scales whole-run estimates exactly as in Run. The aggregate is
+// bit-identical to the uninterrupted run's: re-run windows reproduce
+// their stats exactly, the resumed pass restores the emulator and
+// warmer to the exact state the interrupted run held, and the
+// coordinator chains the LISP feedback from window 0 across both.
 //
 // Every file must belong to p and carry sc's window layout; rejections
 // name the offending file, and the newest is read first so a layout
-// mismatch names it. A partial checkpoint may only be the newest. The
-// indices must run contiguously from 0: no gap can be bridged over when
-// chaining feedback, so a missing window is an error naming its index.
+// mismatch names it. The indices must run contiguously from 0: no gap
+// can be bridged over when chaining feedback, so a missing window is an
+// error naming its index.
 func Continue(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, sc Config) (*Estimate, error) {
 	sc, err := sc.normalized()
 	if err != nil {
@@ -156,12 +147,12 @@ func Continue(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 	last := cks[len(cks)-1]
 	set := &WarmSet{Program: p.Name, Sampling: sc.Sampling}
 	for i, ck := range cks {
-		if ck.Index != i || (ck.Partial && ck != last) {
+		if ck.Index != i {
 			return nil, fmt.Errorf("sample: checkpoints of %s in %s are missing window %d; feedback cannot chain across the gap",
 				p.Name, sc.CheckpointDir, i)
 		}
 		if ck != last {
-			set.Boundaries = append(set.Boundaries, Boundary{Index: ck.Index, Start: ck.Start, Emu: ck.Emu, Warm: ck.Warm})
+			set.Boundaries = append(set.Boundaries, ck.Boundary)
 		}
 	}
 	e, err := emu.NewFromState(p, last.Emu)

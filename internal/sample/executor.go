@@ -25,8 +25,7 @@ import (
 // measurement. The boundary snapshot carries the emulator state and
 // warm microarchitectural state at the window's detailed start;
 // Feedback is the LISP state the window boots with (the coordinator's
-// speculative chain guess), overriding the snapshot's own warm-pass
-// LISP.
+// speculative chain guess), empty for a cold LISP.
 type WindowJob struct {
 	Prog     *prog.Program
 	Config   pipeline.Config

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"rix/internal/core"
 	"rix/internal/emu"
 	"rix/internal/sample"
 	"rix/internal/sim"
@@ -20,7 +19,7 @@ import (
 // boundary against the warm pass's own (want) while the job is still
 // lent: the emulator state and warm tables must match, and the gob
 // encoding byte for byte with the memory pages (a map, so encoded in
-// no fixed order) and the LISP (the coordinator's to chain) aside.
+// no fixed order) aside.
 type recordExecutor struct {
 	pool *sample.Scheduler
 	want *sample.WarmSet
@@ -74,17 +73,16 @@ func (x *recordExecutor) check(b sample.Boundary) error {
 
 func encodeBoundary(b sample.Boundary) ([]byte, error) {
 	b.Emu.Mem = emu.MemState{}
-	b.Warm.LISP = core.LISPState{}
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(b)
 	return buf.Bytes(), err
 }
 
-// TestDetachedJobs pins the executor contract: whatever a job borrows,
-// its Detached form is self-contained and equals the warm pass's
-// boundary of the same index; a checkpointing run's jobs already are
-// (Detached returns them unchanged); and an executor that runs the
-// detached jobs reproduces the in-process estimate.
+// TestDetachedJobs pins the executor contract: every job of a live warm
+// pass borrows a ring entry's tables, checkpointing or not, and its
+// Detached form is self-contained and equals the warm pass's boundary
+// of the same index; and an executor that runs the detached jobs
+// reproduces the in-process estimate.
 func TestDetachedJobs(t *testing.T) {
 	ctx := context.Background()
 	bw := buildBench(t, "gzip")
@@ -117,10 +115,7 @@ func TestDetachedJobs(t *testing.T) {
 			if len(x.seen) != len(want.Boundaries) {
 				t.Errorf("executor saw %d windows, want %d", len(x.seen), len(want.Boundaries))
 			}
-			if ckpt && x.changed != 0 {
-				t.Errorf("Detached changed %d of %d checkpointing jobs, want none", x.changed, x.jobs)
-			}
-			if !ckpt && x.changed != x.jobs {
+			if x.changed != x.jobs {
 				t.Errorf("Detached changed %d of %d jobs lending ring entries, want all", x.changed, x.jobs)
 			}
 			if !reflect.DeepEqual(est.Agg, base.Agg) || !reflect.DeepEqual(est.Windows, base.Windows) {

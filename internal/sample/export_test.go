@@ -18,7 +18,7 @@ import (
 // window's final LISP straight back into the warmer before moving on.
 // No ring, no pooling, no speculation, no executor: every window runs
 // in index order, one at a time. With sc.CheckpointDir set it writes
-// each boundary's checkpoint once, carrying the feedback chained so far.
+// each boundary's checkpoint once.
 func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, sc Config) (*Estimate, error) {
 	sc, err := sc.normalized()
 	if err != nil {
@@ -29,8 +29,9 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 	c := source{ctx: ctx, p: p, sc: &sc, e: e, w: w}
 	n := sp.Warmup + sp.Window + detailPad(cfg)
 	var windows []WindowStat
+	var fb core.LISPState // the chained feedback; empty boots a cold LISP
 	for idx := 0; ; idx++ {
-		if err := c.seek(idx, windowStart(idx, sp)); err != nil {
+		if err := c.seek(windowStart(idx, sp)); err != nil {
 			return nil, err
 		}
 		if e.Halted {
@@ -38,7 +39,7 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 		}
 		b := c.boundary(idx)
 		if sc.CheckpointDir != "" {
-			if _, err := saveBoundary(&sc, p, b, false); err != nil {
+			if _, err := saveBoundary(&sc, p, b); err != nil {
 				return nil, err
 			}
 		}
@@ -48,9 +49,9 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 			return nil, err
 		}
 		var lisp *core.LISP
-		if chainsFeedback(cfg.Policy) && len(b.Warm.LISP.Entries) > 0 {
+		if chainsFeedback(cfg.Policy) && len(fb.Entries) > 0 {
 			lisp = core.NewLISP(cfg.LISP)
-			if err := lisp.SetState(b.Warm.LISP); err != nil {
+			if err := lisp.SetState(fb); err != nil {
 				return nil, err
 			}
 		}
@@ -77,7 +78,7 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 		}
 		windows = append(windows, WindowStat{Index: idx, Start: b.Start, MeasuredFrom: b.Start + sp.Warmup, Stats: *stats})
 		if chainsFeedback(cfg.Policy) {
-			w.feedback = pl.Integrator().LISP.State()
+			fb = pl.Integrator().LISP.State()
 		}
 	}
 	total := uint64(dynLen)

@@ -50,9 +50,8 @@ type outcome struct {
 
 // inflight tracks one dispatched window on the coordinator: its job,
 // whose feedback is the LISP guess it booted with (for feedback
-// validation and the checkpoint rewrite), the cancel releasing its job
-// context, and the buffered delivery channel its window goroutine
-// writes exactly once.
+// validation), the cancel releasing its job context, and the buffered
+// delivery channel its window goroutine writes exactly once.
 type inflight struct {
 	job    WindowJob
 	cancel context.CancelFunc
@@ -62,9 +61,8 @@ type inflight struct {
 // runParallel runs every boundary src yields as a detail window on
 // sc.Scheduler, or on an ephemeral one-slot pool when it is nil,
 // returning WindowStats in index order. The boundaries must be the
-// run's windows 0, 1, 2, ... without gaps: window 0 boots with its
-// boundary's own LISP, every later one with the chained feedback,
-// whatever LISP its boundary stored.
+// run's windows 0, 1, 2, ... without gaps: window 0 boots a cold LISP,
+// every later one the chained feedback.
 func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc Config, src *source) ([]WindowStat, error) {
 	sp := sc.Sampling
 	exec := sc.Scheduler
@@ -98,26 +96,21 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 	// elsewhere the boot LISP is never read, so speculation is vacuously
 	// correct and validation is skipped.
 	chain := chainsFeedback(cfg.Policy)
-	// Adopted feedback, once the first window has settled (haveFB);
-	// until then windows boot with their boundary's own (warm-pass) LISP.
+	// Adopted feedback: the last settled window's final LISP, empty
+	// (cold) until a window has trained it.
 	var fb core.LISPState
-	var haveFB bool
 
 	// dispatch starts window j; validated says its boot feedback is
 	// final (every earlier window has settled), so nothing can ever
 	// discard it.
 	dispatch := func(j int, validated bool) {
 		f := frames[j]
-		guess := f.b.Warm.LISP
-		if haveFB {
-			guess = fb
-		}
 		if sc.Hooks.WindowScheduled != nil {
 			sc.Hooks.WindowScheduled(f.b.Index)
 		}
 		jctx, cancel := context.WithCancel(ctx)
 		fl := &inflight{cancel: cancel, out: make(chan outcome, 1),
-			job: WindowJob{Prog: p, Config: cfg, Sampling: sp, Boundary: *f.b, Feedback: guess}}
+			job: WindowJob{Prog: p, Config: cfg, Sampling: sp, Boundary: *f.b, Feedback: fb}}
 		if f.entry != nil {
 			// Lend the entry's tables. A window nothing can discard boots
 			// on them itself: a validated one, or any window of a cell
@@ -195,26 +188,13 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 			// slot to whatever cells are still dispatching.
 			sc.Hooks.SlotReturned(b.Index)
 		}
-		if sc.CheckpointDir != "" {
-			// Authoritative rewrite of the provisional warm-pass
-			// checkpoint: the boot feedback replaces the warm-pass LISP.
-			rb := fl.job.Boundary
-			rb.Warm.LISP = fl.job.Feedback
-			path, err := saveBoundary(&sc, p, rb, false)
-			if err != nil {
-				return windows, err
-			}
-			if sc.Hooks.CheckpointWritten != nil {
-				sc.Hooks.CheckpointWritten(path, b.Index)
-			}
-		}
 		if f.entry != nil {
 			src.free = append(src.free, f.entry) // the window let go of its boundary
 		}
 		if !chain {
 			continue
 		}
-		fb, haveFB = o.res.Feedback, true
+		fb = o.res.Feedback
 		if i+1 == next {
 			continue
 		}

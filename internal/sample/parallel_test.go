@@ -364,11 +364,10 @@ func TestCheckpointErrorsNameFile(t *testing.T) {
 }
 
 // TestParallelCheckpointParity: a parallel run with a checkpoint
-// directory must leave checkpoints equal to the naive loop's — the
-// warm-pass provisional writes are rewritten at settle time with the
-// validated feedback. Compared decoded, not byte-wise: gob's map
-// encoding makes the file bytes nondeterministic even across two runs
-// of the same loop.
+// directory must leave checkpoints equal to the naive loop's, each
+// written once as its boundary leaves the ring for its window. Compared
+// decoded, not byte-wise: gob's map encoding makes the file bytes
+// nondeterministic even across two runs of the same loop.
 func TestParallelCheckpointParity(t *testing.T) {
 	ctx := context.Background()
 	bw := buildBench(t, "crafty")
@@ -407,6 +406,127 @@ func TestParallelCheckpointParity(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("checkpoint %s differs between the naive loop and the parallel run", filepath.Base(seqPaths[i]))
 		}
+	}
+}
+
+// TestStoredBoundariesWriteCheckpoints: a checkpointing run writes one
+// checkpoint per window whatever its boundaries come from — an injected
+// warm set, a cache miss or a cache hit — each decoding equal to the
+// one a live warm pass writes, while PrepareWarm writes none.
+func TestStoredBoundariesWriteCheckpoints(t *testing.T) {
+	ctx := context.Background()
+	bw := buildBench(t, "crafty")
+	cfg, err := (sim.Options{Integration: sim.IntReverse}).Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveDir := t.TempDir()
+	want, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sample.Config{CheckpointDir: liveDir, Scheduler: newPool(t, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := sample.Checkpoints(liveDir, bw.Prog.Name)
+	if err != nil || len(live) != len(want.Windows) || len(live) < 4 {
+		t.Fatalf("live run: %d checkpoints for %d windows (%v); want one each, several", len(live), len(want.Windows), err)
+	}
+
+	cacheDir, prepDir := t.TempDir(), t.TempDir()
+	warm, err := sample.PrepareWarm(ctx, bw.Prog, cfg, sample.Config{CheckpointDir: prepDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if paths, _ := sample.Checkpoints(prepDir, bw.Prog.Name); len(paths) != 0 {
+		t.Errorf("PrepareWarm wrote %d checkpoints, want none", len(paths))
+	}
+	for _, c := range []struct {
+		name string
+		sc   sample.Config
+		hits int
+	}{
+		{"warm", sample.Config{Warm: warm}, 0},
+		{"cache-miss", sample.Config{CacheDir: cacheDir}, 0},
+		{"cache-hit", sample.Config{CacheDir: cacheDir}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var hits int
+			var written []int
+			sc := c.sc
+			sc.CheckpointDir, sc.Scheduler = t.TempDir(), newPool(t, 2)
+			sc.Hooks.CacheHit = func(string) { hits++ }
+			sc.Hooks.CheckpointWritten = func(_ string, idx int) { written = append(written, idx) }
+			got, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits != c.hits {
+				t.Errorf("%d cache hits, want %d", hits, c.hits)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("estimate diverges from the live run's")
+			}
+			for i, idx := range written {
+				if idx != i || i >= len(live) {
+					t.Fatalf("CheckpointWritten fired for windows %v; want each of %d once, in order", written, len(live))
+				}
+			}
+			paths, err := sample.Checkpoints(sc.CheckpointDir, bw.Prog.Name)
+			if err != nil || len(paths) != len(live) || len(written) != len(live) {
+				t.Fatalf("%d checkpoints, %d written hooks (%v); want %d", len(paths), len(written), err, len(live))
+			}
+			for i := range live {
+				a, err := sample.LoadCheckpoint(live[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := sample.LoadCheckpoint(paths[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("checkpoint %s differs from the live run's", filepath.Base(paths[i]))
+				}
+			}
+		})
+	}
+}
+
+// TestWarmCacheSharedAcrossPresets: a warm set holds nothing of the
+// integration policy, so Fig. 4's nine sampled configurations of one
+// program share a single cache entry: the first fills it, the other
+// eight hit it.
+func TestWarmCacheSharedAcrossPresets(t *testing.T) {
+	ctx := context.Background()
+	bw := buildBench(t, "gzip")
+	opts := []sim.Options{{Integration: sim.IntNone}}
+	for _, p := range sim.IntegrationPresets() {
+		opts = append(opts,
+			sim.Options{Integration: p, Suppression: sim.SuppressLISP},
+			sim.Options{Integration: p, Suppression: sim.SuppressOracle})
+	}
+	if len(opts) != 9 {
+		t.Fatalf("%d Fig. 4 configurations, want 9", len(opts))
+	}
+	dir := t.TempDir()
+	var hits, writes int
+	sc := sample.Config{CacheDir: dir, Hooks: sample.Hooks{
+		CacheHit:     func(string) { hits++ },
+		CacheWritten: func(string) { writes++ },
+	}}
+	for _, o := range opts {
+		cfg, err := o.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sample.PrepareWarm(ctx, bw.Prog, cfg, sc); err != nil {
+			t.Fatalf("[%s]: %v", o.Label(), err)
+		}
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*.warmset"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || writes != 1 || hits != len(opts)-1 {
+		t.Errorf("%d .warmset entries, %d writes, %d hits; want 1, 1, %d", len(entries), writes, hits, len(opts)-1)
 	}
 }
 

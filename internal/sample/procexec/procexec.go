@@ -81,7 +81,7 @@ import (
 // misses). doc/FORMATS.md is the authoritative description — keep it in
 // lockstep.
 const (
-	ManifestFormat = 3
+	ManifestFormat = 4
 	LeaseFormat    = 1
 	ResultFormat   = 2
 )

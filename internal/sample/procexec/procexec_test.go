@@ -186,7 +186,6 @@ func oneJob(t *testing.T) (sample.WindowJob, sample.WindowResult) {
 		Config:   cfg,
 		Sampling: warm.Sampling,
 		Boundary: b,
-		Feedback: b.Warm.LISP,
 	}
 	pool := sample.NewScheduler(1)
 	defer pool.Close()

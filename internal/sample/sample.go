@@ -48,10 +48,10 @@
 // common quiescent chain reaches full parallelism.
 //
 // When Config.CheckpointDir is set, the run serializes one Checkpoint
-// (emulator + warm state, including the feedback chained so far) per
-// window boundary; Continue finishes the run from disk — bit-identical
-// to the direct run — after an interruption, or re-measures a completed
-// set.
+// (emulator + warm state) per window boundary, once, as the coordinator
+// hands the boundary to its window; Continue finishes the run from disk
+// — bit-identical to the direct run, re-chaining the LISP feedback from
+// window 0 — after an interruption, or re-measures a completed set.
 //
 // Config.CacheDir names a content-addressed warm-set cache: the warm
 // pass's output is keyed by a SHA-256 over the program content, window
@@ -63,9 +63,9 @@
 //
 // Every run accepts a context.Context, checked at batched boundaries
 // (cancelCheckInterval instructions of fast-forward, every poll interval
-// of detailed simulation). Cancelling a checkpointing run flushes one
-// final partial checkpoint at the interruption point, so Continue can
-// later finish the run with stats bit-identical to an uninterrupted one.
+// of detailed simulation). A cancelled checkpointing run leaves the
+// checkpoint of every window it dispatched, so Continue can later
+// finish the run with stats bit-identical to an uninterrupted one.
 package sample
 
 import (
@@ -142,7 +142,9 @@ type Hooks struct {
 	// boundary, with shard and start 0 and end the last boundary's
 	// dynamic instruction (0 when the trace has none).
 	WarmShardDone func(shard int, start, end uint64)
-	// CheckpointWritten fires after each checkpoint lands on disk.
+	// CheckpointWritten fires after each checkpoint lands on disk: as
+	// the coordinator fetches the window's boundary, before the window
+	// is dispatched, in window index order.
 	CheckpointWritten func(path string, index int)
 	// CacheHit fires when a warm pass is skipped because the
 	// content-addressed cache (Config.CacheDir) held a valid warm set.
@@ -160,8 +162,8 @@ type Config struct {
 
 	// CheckpointDir, when non-empty, persists one Checkpoint per window
 	// boundary (atomically, named <program>-w<index>.ckpt) as the run
-	// proceeds, plus one final partial checkpoint if the run is
-	// cancelled mid-fast-forward.
+	// proceeds, whatever the boundaries' source: the warm pass, an
+	// injected warm set, or the cache.
 	CheckpointDir string
 
 	// CacheDir, when non-empty, backs the warm pass with an on-disk
@@ -217,9 +219,9 @@ func (c Config) normalized() (Config, error) {
 // coverage and scaled estimates then use the observed count.
 //
 // Cancelling ctx ends the run with ctx.Err() within a bounded number of
-// instructions; if Config.CheckpointDir is set, the windows completed so
-// far remain checkpointed on disk and one final (possibly partial)
-// checkpoint is flushed, so Continue can finish the run later.
+// instructions; if Config.CheckpointDir is set, every window dispatched
+// so far remains checkpointed on disk, so Continue can finish the run
+// later.
 func Run(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, sc Config) (*Estimate, error) {
 	sc, err := sc.normalized()
 	if err != nil {
@@ -263,13 +265,9 @@ func (s *source) run(ctx context.Context, p *prog.Program, dynLen int, cfg pipel
 }
 
 // seek fast-forwards to dynamic instruction target (or the program's
-// halt) on the way to window idx's boundary, polling ctx and firing
-// Progress every cancelCheckInterval instructions and enforcing
-// sc.MaxInstrs. On cancellation it flushes a partial checkpoint for
-// window idx when sc.CheckpointDir is set, so Continue can pick the run
-// up without repeating the fast-forward (best-effort: the previous
-// boundary checkpoint already makes the run resumable).
-func (s *source) seek(idx int, target uint64) error {
+// halt), polling ctx and firing Progress every cancelCheckInterval
+// instructions and enforcing sc.MaxInstrs.
+func (s *source) seek(target uint64) error {
 	e, w, code, sc := s.e, s.w, s.p.Code, s.sc
 	done := s.ctx.Done()
 	for end := min(target, sc.MaxInstrs); e.Count < end && !e.Halted; {
@@ -277,9 +275,6 @@ func (s *source) seek(idx int, target uint64) error {
 			if done != nil {
 				select {
 				case <-done:
-					if sc.CheckpointDir != "" {
-						s.flushPartial(idx)
-					}
 					return s.ctx.Err()
 				default:
 				}
@@ -304,20 +299,6 @@ func (s *source) seek(idx int, target uint64) error {
 // boundary snapshots the pass's position as window idx's boundary.
 func (s *source) boundary(idx int) Boundary {
 	return Boundary{Index: idx, Start: s.e.Count, Emu: s.e.State(), Warm: s.w.snapshot()}
-}
-
-// flushPartial writes the cancellation checkpoint: the run's state at an
-// arbitrary fast-forward position, tagged Partial because it is no
-// window boundary. Continue fast-forwards from it to the next window
-// boundary, where the regular boundary checkpoint overwrites it (same
-// index, same name). Flushing is best-effort — the run is
-// already ending with ctx.Err(), and the previous boundary checkpoint
-// keeps it resumable even if this write fails.
-func (s *source) flushPartial(idx int) {
-	path, err := saveBoundary(s.sc, s.p, s.boundary(idx), true)
-	if err == nil && s.sc.Hooks.CheckpointWritten != nil {
-		s.sc.Hooks.CheckpointWritten(path, idx)
-	}
 }
 
 // detailPad is the drain pad fed beyond each measurement boundary so

@@ -69,7 +69,8 @@ func TestRunParallelJoinsWindows(t *testing.T) {
 	}
 	x := &lingerExecutor{width: width}
 	p := &prog.Program{Name: "linger"}
-	_, err := runParallel(context.Background(), p, pipeline.Config{}, Config{Scheduler: x}, &source{set: set})
+	sc := Config{Scheduler: x}
+	_, err := runParallel(context.Background(), p, pipeline.Config{}, sc, &source{set: set, p: p, sc: &sc})
 	if err == nil {
 		t.Fatal("runParallel succeeded; want window 0's error")
 	}

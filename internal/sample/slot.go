@@ -94,10 +94,11 @@ func (sl *slot) run(ctx context.Context, job WindowJob) (WindowResult, error) {
 	res := WindowResult{Index: b.Index, Stats: *stats}
 	if chainsFeedback(cfg.Policy) {
 		// A LISP the window neither trained nor reordered still holds
-		// the feedback it booted with (SetState copies it verbatim), so
-		// that is the result: no snapshot.
+		// the feedback it booted with (SetState copies it verbatim, and
+		// empty feedback boots it cold), so that is the result: no
+		// snapshot.
 		res.Feedback = job.Feedback
-		if lisp := pl.Integrator().LISP; lisp.Changed() || len(job.Feedback.Entries) == 0 {
+		if lisp := pl.Integrator().LISP; lisp.Changed() {
 			res.Feedback = lisp.State()
 		}
 	}

@@ -1,7 +1,6 @@
 package sample
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -39,22 +38,23 @@ import (
 //     architectural model reproduces. The window coordinator instead
 //     chains each completed window's final LISP state into the next
 //     window's boot (WindowJob.Feedback), mirroring how a handful of
-//     early training events shape the full machine's entire run. The
-//     LISP keeps its recency as a rank within each set, so the chain
-//     changes only when a window trains the LISP or reorders a set:
-//     most windows settle with exactly the feedback they booted with,
-//     and the coordinator's speculative successors stand. Cells whose
-//     policy never reads the LISP chain nothing (chainsFeedback). The
-//     CHT is deliberately not chained: measured at the default window
-//     length, chaining adopts collision entries born from window-boot
-//     timing accidents, and the over-conservative loads cost more IPC
-//     accuracy than per-window re-discovery does (at very short windows
-//     the trade reverses — keep Window at a few hundred instructions or
-//     more).
+//     early training events shape the full machine's entire run; no
+//     boundary carries it. The LISP keeps its recency as a rank within
+//     each set, so the chain changes only when a window trains the LISP
+//     or reorders a set: most windows settle with exactly the feedback
+//     they booted with, and the coordinator's speculative successors
+//     stand. Cells whose policy never reads the LISP chain nothing
+//     (chainsFeedback).
+//
+// The CHT, trained only by detailed execution too, is neither warmed
+// nor chained: every window boots a cold one and re-discovers its
+// store→load collisions in detail. That biases the call-rich programs:
+// booting each window with the full run's CHT instead (injected
+// through Config.Warm) moves crafty's +general speedup error from
+// −10.7% to −5.4% and vortex's from −3.0% to −0.2% (ROADMAP item 1).
 type warmer struct {
 	*warmParts
-	feedback core.LISPState // the LISP boundary snapshots carry: a cold one's, or empty where nothing chains it
-	lastLine uint64         // last I-side line touched; ^0 = none
+	lastLine uint64 // last I-side line touched; ^0 = none
 	lineMask uint64
 }
 
@@ -155,15 +155,11 @@ func chainsFeedback(p core.Policy) bool { return p.Enable && p.UseLISP }
 
 // newWarmer returns a warmer with the tables of wp, which must be cold.
 func newWarmer(cfg pipeline.Config, wp *warmParts) *warmer {
-	w := &warmer{
+	return &warmer{
 		warmParts: wp,
 		lastLine:  ^uint64(0),
 		lineMask:  ^(uint64(cfg.Mem.L1I.LineBytes) - 1),
 	}
-	if chainsFeedback(cfg.Policy) {
-		w.feedback = core.NewLISP(cfg.LISP).State()
-	}
-	return w
 }
 
 // observe folds one architecturally executed instruction into the warm
@@ -205,35 +201,32 @@ func (w *warmer) observe(in isa.Instr, pc uint64, rec emu.TraceRec, nextPC uint6
 }
 
 // WarmSnapshot is the serializable warm state at a window boundary — the
-// microarchitectural half of a Checkpoint. LISP carries the feedback
-// chained from completed windows (the warmer itself never trains it);
-// its contents depend on the cell's policy, which makes a checkpoint set
-// specific to one machine configuration. CHT, the collision history
-// table (store→load dependence), is carried cold: the warmer never
-// trains it and the coordinator does not chain it. LastLine is the
-// warmer's I-side touch deduplication cursor, carried so a restored
-// warmer (Continue) folds exactly the same touches an uninterrupted one
-// would.
+// microarchitectural half of a Checkpoint: exactly what functional
+// warming computes, so it depends only on the program, the window
+// layout and the machine geometry, never on the integration policy.
+// CHT, the collision history table (store→load dependence), is carried
+// cold: the warmer never trains it, though a caller may inject a
+// trained one (Config.Warm). LastLine is the warmer's I-side touch
+// deduplication cursor, carried so a restored warmer (Continue) folds
+// exactly the same touches an uninterrupted one would.
 type WarmSnapshot struct {
 	Pred     bpred.PredictorState
 	BTB      bpred.BTBState
 	RAS      bpred.RASState
 	CHT      bpred.CHTState
 	Mem      memsys.WarmState
-	LISP     core.LISPState
 	LastLine uint64
 }
 
 // snapshot deep-copies the current warm state.
 func (w *warmer) snapshot() WarmSnapshot {
 	ws := WarmSnapshot{LastLine: w.lastLine}
-	ws.LISP = core.LISPState{Entries: slices.Clone(w.feedback.Entries)}
 	w.warmParts.snapshot(&ws)
 	return ws
 }
 
-// snapshot deep-copies the set's tables into ws, leaving its LISP and
-// I-side touch cursor as they are.
+// snapshot deep-copies the set's tables into ws, leaving its I-side
+// touch cursor as it is.
 func (wp *warmParts) snapshot(ws *WarmSnapshot) {
 	ws.Pred = wp.Pred.State()
 	ws.BTB = wp.BTB.State()
@@ -246,9 +239,7 @@ func (wp *warmParts) snapshot(ws *WarmSnapshot) {
 // snapshot — the continuation path (Continue): the restored warmer keeps
 // folding fast-forwarded instructions into the exact state the
 // interrupted run held, so the continuation's later windows are
-// bit-identical to the uninterrupted run's. Its LISP stays cold, as
-// the interrupted pass's was: the snapshot's LISP is feedback the
-// coordinator chains itself.
+// bit-identical to the uninterrupted run's.
 func warmerFromSnapshot(cfg pipeline.Config, ws WarmSnapshot) (*warmer, error) {
 	wp := getParts(cfg)
 	if err := wp.setState(ws); err != nil {

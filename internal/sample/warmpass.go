@@ -22,10 +22,9 @@ import (
 // (program, window layout, warm-relevant machine geometry) triple. A
 // WarmSet is read-only once built; concurrent runs may share it
 // (Config.Warm), and the content-addressed cache (cache.go) persists it
-// across processes. The boundary snapshots carry the warmer's LISP as
-// of the warm pass — untrained — because DIVA feedback is discovered
-// only by detailed windows; the coordinator substitutes the chained
-// feedback at boot time.
+// across processes. It holds no LISP: DIVA feedback is discovered only
+// by detailed windows, and the coordinator chains it itself
+// (WindowJob.Feedback), so one set serves every integration policy.
 type WarmSet struct {
 	Program    string
 	Sampling   Sampling
@@ -43,10 +42,11 @@ type Boundary struct {
 
 // PrepareWarm returns the warm set for (p, cfg, sc): the injected
 // sc.Warm when present, else a cache load (sc.CacheDir), else one warm
-// pass — saved back into the cache when sc.CacheDir is set. Callers
-// that run the same cell repeatedly (benchmarks, figure regeneration)
-// can prepare once and inject the set via Config.Warm to skip the warm
-// pass on every run.
+// pass — saved back into the cache when sc.CacheDir is set. It writes
+// no checkpoints: those are written as a run hands its boundaries to
+// windows. Callers that run the same cell repeatedly (benchmarks,
+// figure regeneration) can prepare once and inject the set via
+// Config.Warm to skip the warm pass on every run.
 func PrepareWarm(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc Config) (*WarmSet, error) {
 	sc, err := sc.normalized()
 	if err != nil {
@@ -67,6 +67,7 @@ func PrepareWarm(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 // cache miss the pass is drained into a set and saved first, so the
 // next run hits.
 func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *Config) (*source, error) {
+	stored := func(set *WarmSet) *source { return &source{set: set, p: p, sc: sc} }
 	if set := sc.Warm; set != nil {
 		if set.Program != p.Name {
 			return nil, fmt.Errorf("sample: warm set is for %q, not %q", set.Program, p.Name)
@@ -75,7 +76,7 @@ func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *C
 			return nil, fmt.Errorf("sample: warm set layout %s does not match requested %s",
 				set.Sampling, sc.Sampling)
 		}
-		return &source{set: set}, nil
+		return stored(set), nil
 	}
 	pass := func() (*source, error) {
 		wp, err := coldParts(cfg)
@@ -92,7 +93,7 @@ func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *C
 		if sc.Hooks.CacheHit != nil {
 			sc.Hooks.CacheHit(path)
 		}
-		return &source{set: set}, nil
+		return stored(set), nil
 	}
 	src, err := pass()
 	if err != nil {
@@ -109,7 +110,7 @@ func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *C
 			sc.Hooks.CacheWritten(path)
 		}
 	}
-	return &source{set: set}, nil
+	return stored(set), nil
 }
 
 // source feeds the coordinator a run's window boundaries in index
@@ -121,19 +122,18 @@ func openSource(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *C
 // entry. The coordinator holds at most depth entries and hands each back
 // as its window settles, so a refill allocates nothing, copies only the
 // cache sets that changed since the entry last matched the warmer, and
-// the pass never materializes its boundaries — unless it writes
-// checkpoints: then a fetch hands out the snapshot the pass just
-// persisted, and the coordinator drops it as its window settles. The
-// warmer's tables and the entries come from the warm-parts pool and go
-// back to it when the run ends (release).
+// the pass never materializes its boundaries. A run that writes
+// checkpoints writes each boundary once, whatever its source, as fetch
+// hands it out. The warmer's tables and the entries come from the
+// warm-parts pool and go back to it when the run ends (release).
 type source struct {
-	set *WarmSet // stored boundaries; nil when there are none
+	set *WarmSet      // stored boundaries; nil when there are none
+	p   *prog.Program // the program the boundaries belong to
+	sc  *Config       // the run's configuration: layout, checkpoint directory, hooks
 
 	// The live warm pass, if any: the emulator executes each instruction
 	// and the warmer folds it in.
 	ctx   context.Context
-	p     *prog.Program
-	sc    *Config
 	e     *emu.Emulator
 	w     *warmer
 	cfg   pipeline.Config
@@ -144,11 +144,10 @@ type source struct {
 	last  uint64       // the last boundary's start
 	ring  int          // entries taken from the pool: the most the coordinator held at once
 	free  []*liveEntry // entries ready to refill; the coordinator hands each back as its window settles
-	saved *Boundary    // boundary idx as a checkpointing pass persisted it; nil when not checkpointing
 }
 
 // liveEntry is one ring entry: a boundary whose Warm carries only the
-// LISP and touch cursor, the tables living in parts.
+// touch cursor, the tables living in parts.
 type liveEntry struct {
 	b     Boundary
 	parts *warmParts
@@ -194,43 +193,57 @@ func (s *source) peek(j int) (bool, error) {
 }
 
 // fetch returns boundary j (as peek orders them), or false once the
-// trace has no more.
+// trace has no more. When the run writes checkpoints, it persists the
+// boundary as window j's checkpoint before handing it out: the one
+// place a checkpoint is written.
 func (s *source) fetch(j int) (frame, bool, error) {
 	if ok, err := s.peek(j); !ok || err != nil {
 		return frame{}, false, err
 	}
+	var f frame
 	if s.set != nil && j < len(s.set.Boundaries) {
-		return frame{b: &s.set.Boundaries[j]}, true, nil
+		f.b = &s.set.Boundaries[j]
+	} else {
+		s.taken = true
+		if len(s.free) == 0 {
+			s.free, s.ring = append(s.free, &liveEntry{parts: getParts(s.cfg)}), s.ring+1
+		}
+		en := s.free[len(s.free)-1]
+		s.free = s.free[:len(s.free)-1]
+		f.b, f.entry = &en.b, en
+		if err := s.fill(en); err != nil {
+			return f, true, err
+		}
 	}
-	s.taken = true
-	if s.saved != nil {
-		// The snapshot just persisted is the window's stored boundary.
-		return frame{b: s.saved}, true, nil
+	if s.sc.CheckpointDir != "" {
+		b := *f.b
+		if f.entry != nil {
+			f.entry.parts.snapshot(&b.Warm)
+		}
+		path, err := saveBoundary(s.sc, s.p, b)
+		if err != nil {
+			return f, true, err
+		}
+		if s.sc.Hooks.CheckpointWritten != nil {
+			s.sc.Hooks.CheckpointWritten(path, j)
+		}
 	}
-	if len(s.free) == 0 {
-		s.free, s.ring = append(s.free, &liveEntry{parts: getParts(s.cfg)}), s.ring+1
-	}
-	en := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
-	return frame{b: &en.b, entry: en}, true, s.fill(en)
+	return f, true, nil
 }
 
 // advance moves the pass to its next window boundary — on through the
 // record span of the one it stands at, still warming, since the span
 // decides where later (jitter-clamped) boundaries land — or to the
-// halt. It persists the boundary provisionally when sc.CheckpointDir is
-// set (keeping an interrupted run continuable; the coordinator rewrites
-// each file with the validated feedback as its window settles), and
-// keeps the snapshot as the boundary fetch hands out.
+// halt.
 func (s *source) advance() error {
 	sp := s.sc.Sampling
 	if s.at {
-		if err := s.seek(s.idx+1, s.e.Count+sp.Warmup+sp.Window+detailPad(s.cfg)); err != nil {
+		if err := s.seek(s.e.Count + sp.Warmup + sp.Window + detailPad(s.cfg)); err != nil {
 			return err
 		}
 		s.idx++
 	}
-	if err := s.seek(s.idx, windowStart(s.idx, sp)); err != nil {
+	if err := s.seek(windowStart(s.idx, sp)); err != nil {
 		return err
 	}
 	s.at, s.taken = true, false
@@ -241,15 +254,6 @@ func (s *source) advance() error {
 		return nil
 	}
 	s.last = s.e.Count
-	if s.sc.CheckpointDir != "" {
-		// CheckpointWritten fires on the authoritative settle-time
-		// rewrite, not this provisional write.
-		b := s.boundary(s.idx)
-		if _, err := saveBoundary(s.sc, s.p, b, false); err != nil {
-			return err
-		}
-		s.saved = &b
-	}
 	return nil
 }
 
@@ -259,7 +263,7 @@ func (s *source) fill(en *liveEntry) error {
 	e, w := s.e, s.w
 	en.b.Index, en.b.Start = s.idx, e.Count
 	e.StateInto(&en.b.Emu)
-	en.b.Warm.LISP, en.b.Warm.LastLine = w.feedback, w.lastLine
+	en.b.Warm.LastLine = w.lastLine
 	return en.parts.copyFrom(w.warmParts)
 }
 
