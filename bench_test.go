@@ -222,8 +222,9 @@ func BenchmarkSampledParallel(b *testing.B) {
 
 	// A persistent scheduler, as deployed: the runner engine creates one
 	// pool per matrix and every cell's windows flow through it, so the
-	// timed loop sees the steady state — each slot's boot structures and
-	// pipeline scratch already built, rebooted in place per window.
+	// timed loop sees the steady state — each slot's boot structures
+	// already built and a finished pipeline to take over, rebooted in
+	// place per window.
 	sched := sample.NewScheduler(runtime.GOMAXPROCS(0))
 	defer sched.Close()
 	sc := sample.Config{Scheduler: sched, Warm: warm}
@@ -271,6 +272,51 @@ func BenchmarkWarmPass(b *testing.B) {
 		covered += w.Total
 	}
 	b.ReportMetric(float64(covered)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
+// BenchmarkSampledWindowBoot measures window boot: each iteration
+// boots one prepared boundary (gzip, +reverse, the default layout) on a
+// one-slot Scheduler and runs its window, the slot's warm set restored
+// from the boundary's snapshot and its last finished pipeline taken
+// over for parts. One untimed window first builds the slot's
+// structures, so allocs/op is the steady-state cost of a boot: the
+// memory image, the trace emulator and the pipeline's own struct.
+// Minstr/s counts the window's detailed instructions, drain pad aside.
+func BenchmarkSampledWindowBoot(b *testing.B) {
+	bench, _ := workload.ByName("gzip")
+	bw, err := bench.BuildContext(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := sim.Options{Integration: sim.IntReverse}.Config()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	sp := sample.DefaultSampling()
+	warm, err := sample.PrepareWarm(ctx, bw.Prog, cfg, sample.Config{Sampling: sp})
+	if err != nil {
+		b.Fatal(err)
+	}
+	job := sample.WindowJob{Prog: bw.Prog, Config: cfg, Sampling: sp, Boundary: warm.Boundaries[1]}
+	sched := sample.NewScheduler(1)
+	defer sched.Close()
+	want, err := sched.Run(ctx, job)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := sched.Run(ctx, job)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.Stats != want.Stats {
+			b.Fatal("a rebooted window's stats differ from its first run's")
+		}
+	}
+	b.ReportMetric(float64(sp.Warmup+sp.Window)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 // BenchmarkSampledMatrix regenerates the sampled Figure 4 matrix — fig4

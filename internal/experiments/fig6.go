@@ -39,15 +39,33 @@ var fig6Sizes = []fig6Variant{
 	{"4K", sim.Options{ITEntries: 4096, ITAssoc: -1, PhysRegs: 4096}},
 }
 
+// fig6Label is the config label of one cell. The two axes meet at 1K
+// fully associative entries, and the size axis reads that cell from the
+// associativity axis, so it is simulated once per benchmark.
+func fig6Label(group string, v fig6Variant, sup string) string {
+	if group == "size" {
+		for _, a := range fig6Assocs {
+			if a.opt == v.opt {
+				group, v = "assoc", a
+			}
+		}
+	}
+	return group + "/" + v.label + "/" + sup
+}
+
 func fig6Configs() []runner.Config {
 	cfgs := []runner.Config{{Label: "base", Opt: sim.Options{Integration: sim.IntNone}}}
 	add := func(group string, vs []fig6Variant) {
 		for _, v := range vs {
 			for _, sup := range []string{sim.SuppressLISP, sim.SuppressOracle} {
+				label := fig6Label(group, v, sup)
+				if label != group+"/"+v.label+"/"+sup {
+					continue // the other axis' cell
+				}
 				o := v.opt
 				o.Integration = sim.IntReverse
 				o.Suppression = sup
-				cfgs = append(cfgs, runner.Config{Label: group + "/" + v.label + "/" + sup, Opt: o})
+				cfgs = append(cfgs, runner.Config{Label: label, Opt: o})
 			}
 		}
 	}
@@ -68,8 +86,8 @@ func fig6Table(rs *runner.ResultSet, group string, vs []fig6Variant, title strin
 		base := rs.Get(b, "base")
 		row := []interface{}{b}
 		for vi, v := range vs {
-			lisp := rs.Get(b, group+"/"+v.label+"/"+sim.SuppressLISP)
-			orc := rs.Get(b, group+"/"+v.label+"/"+sim.SuppressOracle)
+			lisp := rs.Get(b, fig6Label(group, v, sim.SuppressLISP))
+			orc := rs.Get(b, fig6Label(group, v, sim.SuppressOracle))
 			su := lisp.IPC()/base.IPC() - 1
 			so := orc.IPC()/base.IPC() - 1
 			row = append(row, pct2(su), pct2(so))

@@ -81,8 +81,9 @@ const (
 	groupSets  = 1 << groupShift
 )
 
-// maxAssoc is the most ways a set may have: ages are 16-bit.
-const maxAssoc = 1 << 16
+// maxAssoc is the most ways a set may have: SetState checks a set's
+// ages as the bits of one word (checkAges).
+const maxAssoc = 64
 
 // NewCache builds a cache; sizes must divide evenly.
 func NewCache(cfg CacheConfig) *Cache {
@@ -92,7 +93,7 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic("memsys: set count must be a positive power of two: " + cfg.Name)
 	}
 	if cfg.Assoc > maxAssoc {
-		panic("memsys: more than 65536 ways: " + cfg.Name)
+		panic("memsys: more than 64 ways: " + cfg.Name)
 	}
 	return &Cache{
 		setShift: log2(uint64(cfg.LineBytes)), setMask: uint64(nSets - 1), last: -1,
@@ -110,8 +111,8 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)
 }
 
-// Probe reports whether addr hits without updating any state (used by
-// tests and by the hierarchy to overlap L1 hits under misses).
+// Probe reports whether addr hits without updating any state. Only
+// tests call it: the hierarchy's accesses go through Access.
 func (c *Cache) Probe(addr uint64) bool {
 	set := c.set((addr >> c.setShift) & c.setMask)
 	tag := addr >> c.setShift >> c.setBits

@@ -114,7 +114,6 @@ var cacheGeometries = []struct {
 	{"4-way", CacheConfig{Name: "t", SizeBytes: 1024, LineBytes: 64, Assoc: 4}},
 	{"8-way", CacheConfig{Name: "t", SizeBytes: 1024, LineBytes: 32, Assoc: 8}},
 	{"full", CacheConfig{Name: "t", SizeBytes: 512, LineBytes: 32, Assoc: 16}},
-	{"full-128", CacheConfig{Name: "t", SizeBytes: 4096, LineBytes: 32, Assoc: 128}},
 	{"2-way-64-sets", CacheConfig{Name: "t", SizeBytes: 4096, LineBytes: 32, Assoc: 2}}, // 4 stamp groups
 	{"1-way-256-sets", CacheConfig{Name: "t", SizeBytes: 8192, LineBytes: 32, Assoc: 1}},
 }
@@ -227,6 +226,18 @@ func TestCacheSetStateRejectsBrokenAges(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCacheRejectsWideSets: a cache of more than 64 ways is refused
+// when it is built, so SetState's one-word age check covers every set.
+func TestCacheRejectsWideSets(t *testing.T) {
+	NewCache(CacheConfig{Name: "t", SizeBytes: 2048, LineBytes: 32, Assoc: 64})
+	defer func() {
+		if recover() == nil {
+			t.Error("a 128-way cache was built")
+		}
+	}()
+	NewCache(CacheConfig{Name: "t", SizeBytes: 4096, LineBytes: 32, Assoc: 128})
 }
 
 // TestCacheLineSize pins the 16-byte line: the L2's tag array is 512 KB,

@@ -69,14 +69,11 @@ func (c *Cache) SetState(st CacheState) error {
 	return nil
 }
 
-// checkAges reports the first set of lines, assoc ways each, that does
-// not hold an age order. Its valid lines' ages, as bits, must fill the
-// low k bits exactly once each: one word per set of at most 64 ways,
-// a bitmap for a wider one.
+// checkAges reports the first set of lines, assoc ways each (at most
+// 64), that does not hold an age order. Its valid lines' ages, as bits
+// of one word, must fill the low k bits exactly once each; an age of 64
+// or more is never one.
 func checkAges(lines []CacheLineState, assoc int) error {
-	if assoc > 64 {
-		return checkWideAges(lines, assoc)
-	}
 	var k, mask, wide uint64
 	way := 0
 	for i := range lines {
@@ -95,34 +92,6 @@ func checkAges(lines []CacheLineState, assoc int) error {
 			return fmt.Errorf("set %d: ages are not 0..%d once each", i/assoc, int(k)-1)
 		}
 		k, mask, way = 0, 0, 0
-	}
-	return nil
-}
-
-// checkWideAges is checkAges for sets of more than 64 ways.
-func checkWideAges(lines []CacheLineState, assoc int) error {
-	seen := make([]uint64, (assoc+63)/64)
-	for s := 0; s < len(lines); s += assoc {
-		set := lines[s : s+assoc]
-		var k uint64
-		for _, l := range set {
-			if l.Valid {
-				k++
-			} else if l != (CacheLineState{}) {
-				return fmt.Errorf("set %d: invalid line holds %+v", s/assoc, l)
-			}
-		}
-		clear(seen)
-		for _, l := range set {
-			if !l.Valid {
-				continue
-			}
-			a := uint64(l.Age)
-			if a >= k || seen[a/64]&(1<<(a%64)) != 0 {
-				return fmt.Errorf("set %d: age %d is not a distinct age in 0..%d", s/assoc, a, int(k)-1)
-			}
-			seen[a/64] |= 1 << (a % 64)
-		}
 	}
 	return nil
 }

@@ -274,111 +274,55 @@ type BootState struct {
 
 	Warm
 
-	// LISP seeds the integrator's suppression predictor: it is PC-keyed,
-	// so it is safe to carry between pipelines; nil boots a cold one.
-	// The integration table always starts empty — its entries name
-	// physical registers, which only mean something inside one pipeline.
-	LISP *core.LISP
-
-	// Scratch recycles a finished pipeline's allocation pools, ring
-	// buffers, integration table and register file (Pipeline.Recycle)
-	// into this one. The pools and rings are adopted only when every one
-	// matches the Config's sizing, the table and register file each when
-	// its geometry matches (reset in place to the empty table and the
-	// freshly built file); whatever does not fit, or a nil Scratch, falls
-	// back to fresh allocations. Purely an allocation optimization:
-	// recycled parts never change simulated behavior.
-	Scratch *Scratch
+	// Prev hands over a finished pipeline — one whose RunContext or
+	// RunWindowContext returned successfully — for parts: its allocation
+	// pools, ring buffers and trace ring when every one matches the
+	// Config's sizing, and its integration table, register file and LISP
+	// each when its geometry matches, reset in place to the empty table,
+	// the freshly built file and a cold LISP. Whatever does not fit, or a
+	// nil Prev, is built fresh. Purely an allocation optimization: adopted
+	// parts never change simulated behavior. Prev must not be used again.
+	// The LISP is PC-keyed, so a caller may seed the new pipeline's
+	// (Integrator().LISP.SetState) before it runs; the integration table
+	// always starts empty — its entries name physical registers, which
+	// only mean something inside one pipeline.
+	Prev *Pipeline
 }
 
-// Scratch is the recyclable allocation state of a finished pipeline:
-// the uop and event pools, the ROB/RS/LSQ/fetch-queue rings, the RS
-// wakeup masks, the producer map, the trace-window ring, the
-// integration table and the register file. The sampling engine threads
-// one Scratch through its per-window pipelines so steady-state window
-// simulation allocates almost nothing. A Scratch is single-owner: hand
-// it to at most one NewFrom at a time.
-type Scratch struct {
-	it     *core.Table
-	rf     *regfile.File
-	uops   []*uop
-	events [][]event
-	evFree [][]event
-	prod   []*uop
-	rob    []*uop
-	rs     []*uop
-	lsq    []*uop
-	fq     []*uop
-	cand   []*uop
-	wake   wakeup
-	win    []emu.TraceRec
-}
-
-// fits reports whether every recycled buffer matches cfg's sizing.
-func (s *Scratch) fits(cfg Config) bool {
-	return s != nil &&
-		len(s.rob) == cfg.ROBSize &&
-		len(s.rs) == cfg.NumRS &&
-		s.wake.fits(cfg.NumRS, cfg.PhysRegs) &&
-		len(s.lsq) == cfg.LSQSize &&
-		len(s.fq) == cfg.FetchQueue &&
-		len(s.prod) == cfg.PhysRegs &&
-		len(s.events) == eventHorizon &&
-		len(s.win) >= winCap(cfg)
+// fits reports whether every buffer of the finished pipeline pl matches
+// cfg's sizing.
+func (pl *Pipeline) fits(cfg Config) bool {
+	return len(pl.rob) == cfg.ROBSize &&
+		len(pl.rs) == cfg.NumRS &&
+		pl.wake.fits(cfg.NumRS, cfg.PhysRegs) &&
+		len(pl.lsq) == cfg.LSQSize &&
+		len(pl.fq) == cfg.FetchQueue &&
+		len(pl.prod) == cfg.PhysRegs &&
+		len(pl.win.buf) >= winCap(cfg)
 }
 
 // winCap is the trace-window ring sizing hint: the in-flight window
 // (ROB + fetch queue) plus slack.
 func winCap(cfg Config) int { return cfg.ROBSize + cfg.FetchQueue + 8 }
 
-// Recycle strips a finished pipeline for parts, returning a Scratch a
-// successor pipeline of the same configuration can adopt through
-// BootState.Scratch. Call it only after RunContext or RunWindowContext
-// returned successfully — the machine is halted and its in-flight
-// window drained — and do not touch the pipeline afterwards.
-func (pl *Pipeline) Recycle() *Scratch {
-	pl.drainInFlight() // idempotent: audit already drained on the success paths
-	for i := range pl.events {
-		if buf := pl.events[i]; buf != nil {
-			pl.events[i] = nil
-			pl.evFree = append(pl.evFree, buf[:0])
+// adoptBuffers takes over the drained pipeline prev's pools and rings,
+// emptied: its pending event buffers go back to the free list and every
+// ring slot is cleared. The wakeup masks need no reset: draining freed
+// every station, which leaves them all-zero (TestWakeupMatchesScan
+// checks).
+func (pl *Pipeline) adoptBuffers(prev *Pipeline) {
+	for i, buf := range prev.events {
+		if buf != nil {
+			prev.events[i] = nil
+			prev.evFree = append(prev.evFree, buf[:0])
 		}
 	}
-	for i := range pl.rob {
-		pl.rob[i] = nil
+	for _, ring := range [][]*uop{prev.rob, prev.rs, prev.lsq, prev.fq, prev.prod, prev.cand} {
+		clear(ring)
 	}
-	for i := range pl.rs {
-		pl.rs[i] = nil
-	}
-	for i := range pl.lsq {
-		pl.lsq[i] = nil
-	}
-	for i := range pl.fq {
-		pl.fq[i] = nil
-	}
-	for i := range pl.prod {
-		pl.prod[i] = nil
-	}
-	for i := range pl.cand {
-		pl.cand[i] = nil
-	}
-	// The wakeup masks need no reset: draining freed every station,
-	// which leaves them all-zero (TestWakeupMatchesScan checks).
-	return &Scratch{
-		it:     pl.integ.Table,
-		rf:     pl.rf,
-		uops:   pl.uopFree,
-		events: pl.events,
-		evFree: pl.evFree,
-		prod:   pl.prod,
-		rob:    pl.rob,
-		rs:     pl.rs,
-		lsq:    pl.lsq,
-		fq:     pl.fq,
-		cand:   pl.cand[:0],
-		wake:   pl.wake,
-		win:    pl.win.buf,
-	}
+	pl.rob, pl.rs, pl.lsq, pl.fq = prev.rob, prev.rs, prev.lsq, prev.fq
+	pl.events, pl.evFree, pl.uopFree = prev.events, prev.evFree, prev.uopFree
+	pl.prod, pl.cand, pl.wake = prev.prod, prev.cand[:0], prev.wake
 }
 
 // NewFrom builds a pipeline booted from boot, which must not be nil.
@@ -408,24 +352,27 @@ func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) 
 		NumRegs: cfg.PhysRegs, GenBits: cfg.GenBits, RefBits: cfg.RefBits,
 		GeneralMode: cfg.Policy.GeneralReuse,
 	}
-	var it *core.Table
-	if s := boot.Scratch; s != nil {
-		it, pl.rf = s.it, s.rf
+	var (
+		it     *core.Table
+		lisp   *core.LISP
+		winBuf []emu.TraceRec
+	)
+	if prev := boot.Prev; prev != nil {
+		prev.drainInFlight() // before its register file is reset for pl
+		it, pl.rf = prev.integ.Table, prev.rf
+		if prev.cfg.LISP == cfg.LISP {
+			lisp = prev.integ.LISP
+			lisp.Reset()
+		}
+		if prev.fits(cfg) {
+			pl.adoptBuffers(prev)
+			winBuf = prev.win.buf
+		}
 	}
 	if pl.rf == nil || !pl.rf.Reset(rcfg) {
 		pl.rf = regfile.New(rcfg)
 	}
-	var winBuf []emu.TraceRec
-	if s := boot.Scratch; s.fits(cfg) {
-		pl.rob, pl.rs, pl.lsq, pl.fq = s.rob, s.rs, s.lsq, s.fq
-		pl.events = s.events
-		pl.evFree = s.evFree
-		pl.uopFree = s.uops
-		pl.prod = s.prod
-		pl.cand = s.cand[:0]
-		pl.wake = s.wake
-		winBuf = s.win
-	} else {
+	if pl.rob == nil {
 		pl.rob = make([]*uop, cfg.ROBSize)
 		pl.rs = make([]*uop, cfg.NumRS)
 		pl.lsq = make([]*uop, cfg.LSQSize)
@@ -437,7 +384,6 @@ func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) 
 		pl.wake = newWakeup(cfg.NumRS, cfg.PhysRegs)
 	}
 	pl.win.init(src, winCap(cfg), winBuf)
-	lisp := boot.LISP
 	if lisp == nil {
 		lisp = core.NewLISP(cfg.LISP)
 	}
@@ -550,6 +496,10 @@ func (pl *Pipeline) RunWindowContext(ctx context.Context, warmup, measure uint64
 	if err := pl.auditRegisters(); err != nil {
 		return nil, err
 	}
+	// A finished pipeline may wait for a successor to take it over
+	// (BootState.Prev): it keeps neither its trace source nor its
+	// memory image.
+	pl.win.src, pl.archMem = nil, nil
 	if base == nil {
 		// Stream ended inside warmup: nothing was measured.
 		return &Stats{}, nil

@@ -99,8 +99,8 @@ func sources(u *uop) (ps [3]regfile.PReg, n int) {
 // wakeup state against a full station scan after every cycle, across
 // every integration policy, the reduced RS/IW cores, the two-station
 // stress machines, and squash-heavy programs (mispredicts, wrong-path
-// calls, DIVA flushes, load violations). Recycle must hand back
-// all-zero masks.
+// calls, DIVA flushes, load violations). A finished pipeline must hand
+// its successor (BootState.Prev) all-zero masks.
 func TestWakeupMatchesScan(t *testing.T) {
 	cores := map[string]func(*Config){
 		"base":  func(c *Config) {},
@@ -144,7 +144,11 @@ func TestWakeupMatchesScan(t *testing.T) {
 						t.Fatal(err)
 					}
 					seen.Add(&pl.Stats)
-					checkZero(t, pl.Recycle())
+					next := NewFrom(cfg, p, emu.FromSlice(nil), &BootState{Prev: pl})
+					if &next.wake.busy[0] != &pl.wake.busy[0] {
+						t.Fatal("successor did not adopt the wakeup masks")
+					}
+					checkZero(t, &next.wake)
 				})
 			}
 		}
@@ -155,16 +159,16 @@ func TestWakeupMatchesScan(t *testing.T) {
 	}
 }
 
-func checkZero(t *testing.T, s *Scratch) {
+func checkZero(t *testing.T, w *wakeup) {
 	t.Helper()
-	for name, m := range map[string][]uint64{"busy": s.wake.busy, "ready": s.wake.ready, "wait": s.wake.wait} {
+	for name, m := range map[string][]uint64{"busy": w.busy, "ready": w.ready, "wait": w.wait} {
 		for i, b := range m {
 			if b != 0 {
 				t.Fatalf("recycled %s mask word %d = %#x", name, i, b)
 			}
 		}
 	}
-	for i, n := range s.wake.pending {
+	for i, n := range w.pending {
 		if n != 0 {
 			t.Fatalf("recycled pending[%d] = %d", i, n)
 		}

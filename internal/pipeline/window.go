@@ -25,9 +25,10 @@ type traceWindow struct {
 }
 
 // init binds the window to a source, rounding capHint up to a power of
-// two. A recycled ring buffer (Scratch) of that size is adopted instead
-// of allocating; ring capacity never affects behavior (grow is a safety
-// valve, and peak tracks occupancy, not size).
+// two. A finished pipeline's ring buffer (BootState.Prev) of at least
+// that size is adopted instead of allocating; ring capacity never
+// affects behavior (grow is a safety valve, and peak tracks occupancy,
+// not size).
 func (w *traceWindow) init(src emu.TraceSource, capHint int, buf []emu.TraceRec) {
 	size := 16
 	for size < capHint {
@@ -107,5 +108,11 @@ func (w *traceWindow) release(lo int) {
 	w.n -= d
 }
 
-// err surfaces a source production failure after the stream ends.
-func (w *traceWindow) err() error { return w.src.Err() }
+// err surfaces a source production failure after the stream ends; a
+// finished pipeline's window has released its source and reports none.
+func (w *traceWindow) err() error {
+	if w.src == nil {
+		return nil
+	}
+	return w.src.Err()
+}

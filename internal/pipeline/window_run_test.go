@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"rix/internal/bpred"
+	"rix/internal/core"
 	"rix/internal/emu"
+	"rix/internal/regfile"
 	"rix/internal/workload"
 )
 
@@ -211,32 +213,35 @@ func bpredMistrained(cfg Config) *bpred.Predictor {
 	return p
 }
 
-// TestScratchRecyclesIntegrationState chains one Scratch through
-// pipelines that alternate squash-only and general register files, PC
-// and opcode IT indexing, and change the IT and register-file sizes in
-// between: each run's stats equal a freshly built pipeline's, and the
-// integration table and register file are reused exactly when their
-// geometry matches.
-func TestScratchRecyclesIntegrationState(t *testing.T) {
+// TestNewFromAdoptsPrev hands each finished pipeline to the next
+// through BootState.Prev, alternating squash-only and general register
+// files, PC and opcode IT indexing, and changing the IT, register-file
+// and LISP sizes in between: each run's stats equal a freshly built
+// pipeline's, and the integration table, register file and LISP are
+// reused exactly when their geometry matches, the LISP reset cold.
+func TestNewFromAdoptsPrev(t *testing.T) {
 	bw := buildWorkload(t, "gzip")
 	pol := paperPolicies()
 	small := func(c *Config) { c.IT.Entries = 256 }
 	fewRegs := func(c *Config) { c.PhysRegs = 512 }
+	smallLISP := func(c *Config) { c.LISP.Entries = 256 }
 	steps := []struct {
-		pol              string
-		mod              func(*Config)
-		reuseIT, reuseRF bool
+		pol                         string
+		mod                         func(*Config)
+		reuseIT, reuseRF, reuseLISP bool
 	}{
-		{"squash", nil, false, false},
-		{"+opcode", nil, true, true},
-		{"+general", nil, true, true},
-		{"+reverse", small, false, true},
-		{"squash", small, true, true},
-		{"+reverse", nil, false, true},
-		{"+opcode", fewRegs, true, false},
-		{"+general", fewRegs, true, true},
+		{"squash", nil, false, false, false},
+		{"+opcode", nil, true, true, true},
+		{"+general", nil, true, true, true},
+		{"+reverse", small, false, true, true},
+		{"squash", small, true, true, true},
+		{"+reverse", nil, false, true, true},
+		{"+opcode", fewRegs, true, false, true},
+		{"+general", fewRegs, true, true, true},
+		{"+general", smallLISP, true, false, false},
+		{"+general", smallLISP, true, true, true},
 	}
-	var s *Scratch
+	var prev *Pipeline
 	for i, st := range steps {
 		cfg := DefaultConfig()
 		cfg.Policy = pol[st.pol]
@@ -248,22 +253,34 @@ func TestScratchRecyclesIntegrationState(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := emu.New(bw.Prog)
-		pl := NewFrom(cfg, bw.Prog, emu.Limit(bw.Source(), 20000), &BootState{PC: e.PC, Regs: e.Regs, Mem: e.Mem, Scratch: s})
-		if s != nil {
-			if got := pl.integ.Table == s.it; got != st.reuseIT {
+		var it *core.Table
+		var rf *regfile.File
+		var lisp *core.LISP
+		if prev != nil {
+			it, rf, lisp = prev.integ.Table, prev.rf, prev.integ.LISP
+		}
+		pl := NewFrom(cfg, bw.Prog, emu.Limit(bw.Source(), 20000), &BootState{PC: e.PC, Regs: e.Regs, Mem: e.Mem, Prev: prev})
+		if prev != nil {
+			if got := pl.integ.Table == it; got != st.reuseIT {
 				t.Errorf("step %d (%s): IT reused = %v, want %v", i, st.pol, got, st.reuseIT)
 			}
-			if got := pl.rf == s.rf; got != st.reuseRF {
+			if got := pl.rf == rf; got != st.reuseRF {
 				t.Errorf("step %d (%s): register file reused = %v, want %v", i, st.pol, got, st.reuseRF)
 			}
+			if got := pl.integ.LISP == lisp; got != st.reuseLISP {
+				t.Errorf("step %d (%s): LISP reused = %v, want %v", i, st.pol, got, st.reuseLISP)
+			}
+		}
+		if !reflect.DeepEqual(pl.integ.LISP.State(), core.NewLISP(cfg.LISP).State()) {
+			t.Errorf("step %d (%s): boot LISP is not cold", i, st.pol)
 		}
 		got, err := pl.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("step %d (%s): recycled pipeline's stats diverge from a fresh one's", i, st.pol)
+			t.Errorf("step %d (%s): adopting pipeline's stats diverge from a fresh one's", i, st.pol)
 		}
-		s = pl.Recycle()
+		prev = pl
 	}
 }

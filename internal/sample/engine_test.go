@@ -3,12 +3,14 @@ package sample_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
 	"testing"
+	"time"
 
 	"rix/internal/pipeline"
 	"rix/internal/sample"
@@ -171,8 +173,8 @@ func TestNonChainingWindowsBootOnEntries(t *testing.T) {
 // TestSlotRecyclesAcrossPolicies runs gzip's cells on a one-slot
 // scheduler, twice over, alternating squash-only and general register
 // files and PC and opcode IT indexing, with and without the LISP: the
-// slot's one pipeline scratch carries its integration table and
-// register file from window to window and from cell to cell, and every
+// slot's last finished pipeline hands its integration table, register
+// file and LISP from window to window and from cell to cell, and every
 // estimate still equals the naive loop's, which builds both afresh for
 // every window.
 func TestSlotRecyclesAcrossPolicies(t *testing.T) {
@@ -316,5 +318,72 @@ func sameCheckpoints(t *testing.T, what, program, want, dir string) {
 		if !reflect.DeepEqual(ca, cb) {
 			t.Errorf("%s: checkpoint %d differs from the naive loop's", what, i)
 		}
+	}
+}
+
+// TestCancelledWindowLeavesSlotClean: a window cancelled mid-run leaves
+// its slot nothing to reuse. On a one-slot scheduler with a long layout
+// (crafty +reverse, 60000/20000/1000, so a window runs well past the
+// pipeline's first context check), two windows run to completion, the
+// second timed; the second is then re-run and cancelled from a timer
+// part-way through until Run reports context.Canceled, and a third
+// window runs: its result equals a fresh slot's.
+func TestCancelledWindowLeavesSlotClean(t *testing.T) {
+	ctx := context.Background()
+	bw := buildBench(t, "crafty")
+	cfg, err := sim.Options{Integration: sim.IntReverse}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := sample.Sampling{Interval: 60000, Window: 20000, Warmup: 1000}
+	set, err := sample.PrepareWarm(ctx, bw.Prog, cfg, sample.Config{Sampling: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.Boundaries) < 3 {
+		t.Fatalf("crafty has %d windows at this layout, want 3 or more", len(set.Boundaries))
+	}
+	job := func(i int) sample.WindowJob {
+		return sample.WindowJob{Prog: bw.Prog, Config: cfg, Sampling: sp, Boundary: set.Boundaries[i]}
+	}
+	want, err := newPool(t, 1).Run(ctx, job(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sched := newPool(t, 1)
+	if _, err := sched.Run(ctx, job(0)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := sched.Run(ctx, job(1)); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+	cancelled := false
+	for try := 0; try < 40 && !cancelled; try++ {
+		// A tenth to a half of the window's run time: after its boot
+		// and its first context check, before its end.
+		cctx, cancel := context.WithCancel(ctx)
+		timer := time.AfterFunc(full*time.Duration(1+try%5)/10, cancel)
+		_, err := sched.Run(cctx, job(1))
+		timer.Stop()
+		cancel()
+		switch {
+		case errors.Is(err, context.Canceled):
+			cancelled = true
+		case err != nil:
+			t.Fatal(err)
+		}
+	}
+	if !cancelled {
+		t.Fatal("no attempt cancelled the window before it finished")
+	}
+	got, err := sched.Run(ctx, job(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the window after a cancelled one differs from a fresh slot's")
 	}
 }

@@ -48,13 +48,6 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 		if err := parts.setState(b.Warm); err != nil {
 			return nil, err
 		}
-		var lisp *core.LISP
-		if chainsFeedback(cfg.Policy) && len(fb.Entries) > 0 {
-			lisp = core.NewLISP(cfg.LISP)
-			if err := lisp.SetState(fb); err != nil {
-				return nil, err
-			}
-		}
 		mem, err := emu.NewMemoryFromState(b.Emu.Mem)
 		if err != nil {
 			return nil, err
@@ -70,8 +63,13 @@ func NaiveRun(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Con
 			w.observe(p.Code[rec.CodeIdx], pc, rec, e.PC)
 		}
 		pl := pipeline.NewFrom(cfg, p, emu.FromSlice(recs), &pipeline.BootState{
-			PC: b.Emu.PC, Regs: b.Emu.Regs, Mem: mem, Warm: parts.Warm, LISP: lisp,
+			PC: b.Emu.PC, Regs: b.Emu.Regs, Mem: mem, Warm: parts.Warm,
 		})
+		if chainsFeedback(cfg.Policy) && len(fb.Entries) > 0 {
+			if err := pl.Integrator().LISP.SetState(fb); err != nil {
+				return nil, err
+			}
+		}
 		stats, err := pl.RunWindowContext(ctx, sp.Warmup, sp.Window)
 		if err != nil {
 			return nil, fmt.Errorf("sample: window %d of %s: %w", idx, p.Name, err)

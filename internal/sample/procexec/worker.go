@@ -61,7 +61,8 @@ func (w WorkerConfig) withDefaults() WorkerConfig {
 // directory's windows/ subdirectory for unclaimed job manifests, claim
 // one at a time with an exclusive lease, execute it on the loop's
 // one-slot sample.Scheduler, and write the result back atomically. The
-// slot keeps its boot structures and pipeline scratch across jobs. The
+// slot keeps its boot structures and last finished pipeline across
+// jobs. The
 // loop serves every coordinator sharing the directory and runs until
 // ctx is cancelled (returning ctx.Err()) or, when wc.Idle is set, until
 // no job has been claimed for that long (returning nil).

@@ -8,12 +8,13 @@ import (
 
 // This file is the window scheduler: a process-wide pool of slots that
 // every sampled cell draws from. A slot is a window's boot structures
-// (predictor, BTB, RAS, CHT, hierarchy, LISP, pipeline scratch), which
-// it recycles across every window it runs, whichever cell the window
-// belongs to. The pool holds slots, not goroutines: each window already
-// has a goroutine of its own (runParallel dispatches one per in-flight
-// window), so Run takes a free slot and runs the window on the calling
-// goroutine. Stealing is implicit in the slot hand-out: a cell that has
+// (predictor, BTB, RAS, CHT, hierarchy) and the last pipeline it
+// finished, which it recycles across every window it runs, whichever
+// cell the window belongs to; a window that fails or is cancelled
+// leaves it no pipeline. The pool holds slots, not goroutines: each
+// window already has a goroutine of its own (runParallel dispatches one
+// per in-flight window), so Run takes a free slot and runs the window
+// on the calling goroutine. Stealing is implicit in the slot hand-out: a cell that has
 // settled its speculative waves stops asking for slots, so its share of
 // them passes at once to the cells still waiting. See
 // doc/ARCHITECTURE.md for the slot lifecycle diagram.
@@ -26,9 +27,11 @@ import (
 // still dispatching pick them up.
 //
 // Each slot carries pooled boot structures that are restored in place
-// (SetState into existing arrays) for every window it runs, so
-// steady-state window boot allocates only the per-window memory image
-// instead of a full set of predictor and cache clones.
+// (SetState into existing arrays) for every window it runs, and the
+// window's pipeline takes over the slot's last finished one for parts,
+// so steady-state window boot allocates only the per-window memory
+// image, trace emulator and pipeline struct instead of a full set of
+// predictor and cache clones.
 //
 // The zero Scheduler is not usable; construct with NewScheduler and
 // release with Close after every run sharing it has returned.

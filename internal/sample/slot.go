@@ -4,30 +4,29 @@ import (
 	"context"
 	"sync/atomic"
 
-	"rix/internal/core"
 	"rix/internal/emu"
 	"rix/internal/pipeline"
 )
 
 // slot is one Scheduler slot's private state: a pooled set of boot
-// structures plus the recycled pipeline scratch, reused across every
+// structures plus the last pipeline it finished, reused across every
 // window (and every cell) it runs. Every boot restores the set in full
-// — by copy from a ring entry or from the boundary's snapshot — so
-// whichever set a slot holds, every window boots bit-identically.
+// — by copy from a ring entry or from the boundary's snapshot — and the
+// new pipeline resets whatever it adopts from the finished one, so
+// whichever set and pipeline a slot holds, every window boots
+// bit-identically.
 type slot struct {
-	parts   *warmParts // nil until the first boot that needs its own set
-	scratch *pipeline.Scratch
-	bs      pipeline.BootState // the boot state last handed to a pipeline
+	parts *warmParts         // nil until the first boot that needs its own set
+	prev  *pipeline.Pipeline // the last window's pipeline, kept only if it finished
 }
 
-// boot readies the job's boundary state — the live ring entry's tables
-// when the job owns them, else the slot's set (drawn from the pool when
-// the slot has never served cfg's geometry), copied from the entry or
-// restored from the boundary's snapshot — with the job's feedback as
-// the boot LISP, and returns the window's boot state. The result is
-// owned by the next pipeline until it finishes; boot the slot again
-// only after that.
-func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, error) {
+// boot builds the job's window pipeline over src on the boundary's warm
+// tables — the live ring entry's when the job owns them, else the
+// slot's set (drawn from the pool when the slot has never served cfg's
+// geometry), copied from the entry or restored from the boundary's
+// snapshot — taking over the slot's last finished pipeline for parts,
+// and seeds its LISP with the job's feedback.
+func (sl *slot) boot(cfg pipeline.Config, src emu.TraceSource, job *WindowJob) (*pipeline.Pipeline, error) {
 	wp := job.live
 	if !job.own {
 		if sl.parts == nil || sl.parts.geom != geomOf(cfg) {
@@ -46,25 +45,26 @@ func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, 
 			return nil, err
 		}
 	}
-	// The feedback is the boot LISP; with none, or where nothing chains
-	// it, the window boots the set's LISP reset to cold.
-	if wp.lisp == nil {
-		wp.lisp = core.NewLISP(cfg.LISP)
-	}
-	if chainsFeedback(cfg.Policy) && len(job.Feedback.Entries) > 0 {
-		if err := wp.lisp.SetState(job.Feedback); err != nil {
-			return nil, err
-		}
-	} else {
-		wp.lisp.Reset()
-	}
 	st := &job.Boundary.Emu
 	mem, err := emu.NewMemoryFromState(st.Mem)
 	if err != nil {
 		return nil, err
 	}
-	sl.bs = pipeline.BootState{PC: st.PC, Regs: st.Regs, Mem: mem, Warm: wp.Warm, LISP: wp.lisp, Scratch: sl.scratch}
-	return &sl.bs, nil
+	// The new pipeline owns the finished one from here: a window that
+	// fails or is cancelled leaves the slot nothing to adopt.
+	prev := sl.prev
+	sl.prev = nil
+	pl := pipeline.NewFrom(cfg, job.Prog, src, &pipeline.BootState{
+		PC: st.PC, Regs: st.Regs, Mem: mem, Warm: wp.Warm, Prev: prev,
+	})
+	// The feedback is the boot LISP; with none, or where nothing chains
+	// it, the window boots the cold LISP NewFrom built.
+	if chainsFeedback(cfg.Policy) && len(job.Feedback.Entries) > 0 {
+		if err := pl.Integrator().LISP.SetState(job.Feedback); err != nil {
+			return nil, err
+		}
+	}
+	return pl, nil
 }
 
 // run executes one detail window job on the slot — the one window
@@ -73,24 +73,24 @@ func (sl *slot) boot(cfg pipeline.Config, job *WindowJob) (*pipeline.BootState, 
 // a window's result depends only on its job: the checkpoint-parity
 // tests pin it to the naive sequential loop's in-memory record replay.
 func (sl *slot) run(ctx context.Context, job WindowJob) (WindowResult, error) {
-	p, cfg, sp, b := job.Prog, job.Config, job.Sampling, &job.Boundary
+	cfg, sp, b := job.Config, job.Sampling, &job.Boundary
 	if err := sp.Validate(); err != nil {
 		return WindowResult{}, err
 	}
-	boot, err := sl.boot(cfg, &job)
-	if err != nil {
-		return WindowResult{}, err
-	}
 	n := sp.Warmup + sp.Window + detailPad(cfg)
-	src, err := emu.ResumeStream(p, b.Emu, b.Emu.Count+n+1)
+	src, err := emu.ResumeStream(job.Prog, b.Emu, b.Emu.Count+n+1)
 	if err != nil {
 		return WindowResult{}, err
 	}
-	pl := pipeline.NewFrom(cfg, p, emu.Limit(src, n), boot)
+	pl, err := sl.boot(cfg, emu.Limit(src, n), &job)
+	if err != nil {
+		return WindowResult{}, err
+	}
 	stats, err := pl.RunWindowContext(ctx, sp.Warmup, sp.Window)
 	if err != nil {
 		return WindowResult{}, err
 	}
+	sl.prev = pl
 	res := WindowResult{Index: b.Index, Stats: *stats}
 	if chainsFeedback(cfg.Policy) {
 		// A LISP the window neither trained nor reordered still holds
@@ -102,7 +102,6 @@ func (sl *slot) run(ctx context.Context, job WindowJob) (WindowResult, error) {
 			res.Feedback = lisp.State()
 		}
 	}
-	sl.scratch = pl.Recycle()
 	return res, nil
 }
 

@@ -67,7 +67,6 @@ type warmer struct {
 type warmParts struct {
 	pipeline.Warm
 	geom bootGeom
-	lisp *core.LISP // the window's boot LISP, set from its feedback or reset cold; built on first use
 }
 
 // bootGeom is the machine geometry a set of warm parts is built for:
@@ -76,11 +75,10 @@ type warmParts struct {
 type bootGeom struct {
 	Pred bpred.Config
 	Mem  memsys.Config
-	LISP core.LISPConfig
 }
 
 func geomOf(cfg pipeline.Config) bootGeom {
-	return bootGeom{Pred: cfg.Pred, Mem: cfg.Mem, LISP: cfg.LISP}
+	return bootGeom{Pred: cfg.Pred, Mem: cfg.Mem}
 }
 
 // partsBuilt counts the warm part sets built, for the pooling tests.
@@ -250,10 +248,10 @@ func warmerFromSnapshot(cfg pipeline.Config, ws WarmSnapshot) (*warmer, error) {
 	return w, nil
 }
 
-// setState restores a warm snapshot's tables in place (the LISP is the
-// window boot's to set). Each structure's SetState zeroes its tallies
-// and the hierarchy's empties its timing state, so a reused set is
-// indistinguishable from a freshly built one.
+// setState restores a warm snapshot's tables in place. Each
+// structure's SetState zeroes its tallies and the hierarchy's empties
+// its timing state, so a reused set is indistinguishable from a freshly
+// built one.
 func (wp *warmParts) setState(ws WarmSnapshot) error {
 	if err := wp.Pred.SetState(ws.Pred); err != nil {
 		return err
@@ -271,10 +269,9 @@ func (wp *warmParts) setState(ws WarmSnapshot) error {
 }
 
 // copyFrom overwrites the set's tables with src's behavioral state
-// without allocating (the LISP is the window boot's to set): each
-// structure's CopyFrom leaves it as its SetState of src's snapshot
-// would, the hierarchy's copying only the cache sets whose stamps
-// differ. Both sets must share one geometry.
+// without allocating: each structure's CopyFrom leaves it as its
+// SetState of src's snapshot would, the hierarchy's copying only the
+// cache sets whose stamps differ. Both sets must share one geometry.
 func (wp *warmParts) copyFrom(src *warmParts) error {
 	if err := wp.Pred.CopyFrom(src.Pred); err != nil {
 		return err
