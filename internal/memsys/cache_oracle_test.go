@@ -114,8 +114,28 @@ var cacheGeometries = []struct {
 	{"4-way", CacheConfig{Name: "t", SizeBytes: 1024, LineBytes: 64, Assoc: 4}},
 	{"8-way", CacheConfig{Name: "t", SizeBytes: 1024, LineBytes: 32, Assoc: 8}},
 	{"full", CacheConfig{Name: "t", SizeBytes: 512, LineBytes: 32, Assoc: 16}},
+	{"full-64", CacheConfig{Name: "t", SizeBytes: 2048, LineBytes: 32, Assoc: 64}},      // the widest NewCache builds
+	{"full-128", CacheConfig{Name: "t", SizeBytes: 4096, LineBytes: 32, Assoc: 128}},    // refused
 	{"2-way-64-sets", CacheConfig{Name: "t", SizeBytes: 4096, LineBytes: 32, Assoc: 2}}, // 4 stamp groups
 	{"1-way-256-sets", CacheConfig{Name: "t", SizeBytes: 8192, LineBytes: 32, Assoc: 1}},
+}
+
+// refusedWide reports whether a geometry is wider than NewCache builds,
+// failing t unless NewCache refuses it: SetState checks a set's ages as
+// the bits of one word, so no set may have more than 64 ways.
+func refusedWide(t *testing.T, cfg CacheConfig) (wide bool) {
+	t.Helper()
+	if cfg.Assoc <= maxAssoc {
+		return false
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("a %d-way cache was built", cfg.Assoc)
+		}
+		wide = true
+	}()
+	NewCache(cfg)
+	return true
 }
 
 // TestCacheMatchesTickOracle drives age-ordered caches and tick-clock
@@ -124,10 +144,13 @@ var cacheGeometries = []struct {
 // same line, the last-line fast path), broken by SetState and CopyFrom
 // between the pairs. Every Access result and every tally agrees, and
 // after every operation each cache's State is exactly its oracle's
-// contents aged.
+// contents aged. A geometry wider than 64 ways must be refused.
 func TestCacheMatchesTickOracle(t *testing.T) {
 	for gi, g := range cacheGeometries {
 		t.Run(g.name, func(t *testing.T) {
+			if refusedWide(t, g.cfg) {
+				return
+			}
 			rng := rand.New(rand.NewPCG(24, uint64(gi)))
 			const n = 3
 			var cs [n]*Cache
@@ -185,13 +208,16 @@ func TestCacheMatchesTickOracle(t *testing.T) {
 
 // TestCacheSetStateRejectsBrokenAges feeds SetState snapshots whose
 // sets are not an age order: each is an error, not a panic, and leaves
-// the cache as it was.
+// the cache as it was. A geometry wider than 64 ways must be refused.
 func TestCacheSetStateRejectsBrokenAges(t *testing.T) {
 	for _, g := range cacheGeometries {
 		if g.cfg.Assoc < 2 {
 			continue
 		}
 		t.Run(g.name, func(t *testing.T) {
+			if refusedWide(t, g.cfg) {
+				return
+			}
 			c := NewCache(g.cfg)
 			for i := 0; i < 4*g.cfg.SizeBytes/g.cfg.LineBytes; i++ {
 				c.Access(uint64(i*g.cfg.LineBytes*3), i%3 == 0)
@@ -226,18 +252,6 @@ func TestCacheSetStateRejectsBrokenAges(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestCacheRejectsWideSets: a cache of more than 64 ways is refused
-// when it is built, so SetState's one-word age check covers every set.
-func TestCacheRejectsWideSets(t *testing.T) {
-	NewCache(CacheConfig{Name: "t", SizeBytes: 2048, LineBytes: 32, Assoc: 64})
-	defer func() {
-		if recover() == nil {
-			t.Error("a 128-way cache was built")
-		}
-	}()
-	NewCache(CacheConfig{Name: "t", SizeBytes: 4096, LineBytes: 32, Assoc: 128})
 }
 
 // TestCacheLineSize pins the 16-byte line: the L2's tag array is 512 KB,
