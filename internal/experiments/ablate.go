@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"rix/internal/pipeline"
 	"rix/internal/runner"
 	"rix/internal/sim"
 	"rix/internal/stats"
@@ -39,32 +40,13 @@ var ablateVariants = []runner.Config{
 }
 
 func collectAblate(rs *runner.ResultSet) ([]*stats.Table, error) {
-	header := []string{"bench"}
+	var speeds, mis []column
 	for _, v := range ablateVariants {
-		header = append(header, v.Label)
+		speeds = append(speeds, speedup(v.Label, v.Label, "base"))
+		mis = append(mis, metric(v.Label, v.Label, (*pipeline.Stats).MisIntPerMillion, count))
 	}
-	speed := stats.NewTable("Ablations: speedup % vs no-integration baseline", header...)
-	mis := stats.NewTable("Ablations: mis-integrations per 1M retired (reg+load)", header...)
-	gm := make([][]float64, len(ablateVariants))
-	for _, b := range rs.Benches() {
-		base := rs.Get(b, "base")
-		srow := []interface{}{b}
-		mrow := []interface{}{b}
-		for vi, v := range ablateVariants {
-			st := rs.Get(b, v.Label)
-			su := st.IPC()/base.IPC() - 1
-			srow = append(srow, pct2(su))
-			mrow = append(mrow, int(st.MisIntPerMillion()))
-			gm[vi] = append(gm[vi], 1+su)
-		}
-		speed.Row(srow...)
-		mis.Row(mrow...)
-	}
-	grow := []interface{}{"GMean"}
-	for vi := range ablateVariants {
-		grow = append(grow, pct2(stats.GeoMean(gm[vi])-1))
-	}
-	speed.Row(grow...)
-	mis.Note("gen0 disables generation counters: register mis-integrations reappear (§2.2)")
-	return []*stats.Table{speed, mis}, nil
+	speed := table(rs, "Ablations: speedup % vs no-integration baseline", "GMean", speeds...)
+	misint := table(rs, "Ablations: mis-integrations per 1M retired (reg+load)", "", mis...)
+	misint.Note("gen0 disables generation counters: register mis-integrations reappear (§2.2)")
+	return []*stats.Table{speed, misint}, nil
 }

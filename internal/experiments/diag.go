@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"rix/internal/pipeline"
 	"rix/internal/runner"
 	"rix/internal/sim"
 	"rix/internal/stats"
@@ -25,37 +26,32 @@ var diagSpec = runner.Spec{
 }
 
 func collectDiag(rs *runner.ResultSet) ([]*stats.Table, error) {
-	t := stats.NewTable("§3.2/§3.5 diagnostics: base vs +reverse",
-		"bench", "resolve", "resolve+int", "fetchΔ%", "execΔ%", "loadExecΔ%",
-		"RSocc", "RSocc+int", "load-int%", "sp-load-int%")
-	var resolveB, resolveI, fetchD, execD, loadD, occB, occI, loadR, spR []float64
-	for _, b := range rs.Benches() {
-		base, integ := rs.Get(b, "base"), rs.Get(b, "+reverse/lisp")
-		fd := float64(integ.Fetched)/float64(base.Fetched) - 1
-		ed := float64(integ.Executed)/float64(base.Executed) - 1
-		baseLoadsExec := float64(base.LoadsRetired) // loads that executed = retired loads in base
-		intLoadsExec := baseLoadsExec - float64(integ.IntType[0]+integ.IntType[1])
-		ld := intLoadsExec/baseLoadsExec - 1
-		t.Row(b,
-			base.MispredictResolutionAvg(), integ.MispredictResolutionAvg(),
-			pct2(fd), pct2(ed), pct2(ld),
-			base.AvgRSOccupancy(), integ.AvgRSOccupancy(),
-			pct(integ.LoadIntegrationRate()), pct(integ.SPLoadIntegrationRate()))
-		resolveB = append(resolveB, base.MispredictResolutionAvg())
-		resolveI = append(resolveI, integ.MispredictResolutionAvg())
-		fetchD = append(fetchD, fd)
-		execD = append(execD, ed)
-		loadD = append(loadD, ld)
-		occB = append(occB, base.AvgRSOccupancy())
-		occI = append(occI, integ.AvgRSOccupancy())
-		loadR = append(loadR, integ.LoadIntegrationRate())
-		spR = append(spR, integ.SPLoadIntegrationRate())
+	const base, integ = "base", "+reverse/lisp"
+	// change is a counter's relative change from base to integ.
+	change := func(header string, counter func(*pipeline.Stats) uint64) column {
+		return column{header: header, render: pct2, summary: stats.AMean,
+			value: func(rs *runner.ResultSet, b string) float64 {
+				return float64(counter(rs.Get(b, integ)))/float64(counter(rs.Get(b, base))) - 1
+			}}
 	}
-	t.Row("AMean",
-		stats.AMean(resolveB), stats.AMean(resolveI),
-		pct2(stats.AMean(fetchD)), pct2(stats.AMean(execD)), pct2(stats.AMean(loadD)),
-		stats.AMean(occB), stats.AMean(occI),
-		pct(stats.AMean(loadR)), pct(stats.AMean(spR)))
+	resolve, occupancy := (*pipeline.Stats).MispredictResolutionAvg, (*pipeline.Stats).AvgRSOccupancy
+	t := table(rs, "§3.2/§3.5 diagnostics: base vs +reverse", "AMean",
+		metric("resolve", base, resolve, num),
+		metric("resolve+int", integ, resolve, num),
+		change("fetchΔ%", func(st *pipeline.Stats) uint64 { return st.Fetched }),
+		change("execΔ%", func(st *pipeline.Stats) uint64 { return st.Executed }),
+		column{header: "loadExecΔ%", render: pct2, summary: stats.AMean,
+			value: func(rs *runner.ResultSet, b string) float64 {
+				// Loads that executed in base are its retired loads;
+				// with integration, less the integrated ones.
+				loads := float64(rs.Get(b, base).LoadsRetired)
+				in := rs.Get(b, integ)
+				return (loads-float64(in.IntType[0]+in.IntType[1]))/loads - 1
+			}},
+		metric("RSocc", base, occupancy, num),
+		metric("RSocc+int", integ, occupancy, num),
+		metric("load-int%", integ, (*pipeline.Stats).LoadIntegrationRate, pct),
+		metric("sp-load-int%", integ, (*pipeline.Stats).SPLoadIntegrationRate, pct))
 	t.Note("paper: resolution 26 -> 23.5, fetched -0.6%%, executed -17%%, loads executed -27%%, RS occupancy 31 -> 27, loads integrate at 27%%, stack loads at 60%%")
 	return []*stats.Table{t}, nil
 }

@@ -1,10 +1,11 @@
 // Package experiments declares every table and figure in the paper's
 // evaluation section (§3) as a runner.Spec: a labeled matrix of
-// sim.Options crossed with workloads plus a collector that renders the
-// keyed results into text tables. The specs register with the
-// internal/runner registry at package init; cmd/rixbench enumerates and
-// executes them, and EXPERIMENTS.md records the results against the
-// paper's numbers and explains how to add a spec.
+// sim.Options crossed with workloads plus a collector that declares
+// each table as a list of columns over the keyed results. The specs
+// register with the internal/runner registry at package init;
+// cmd/rixbench enumerates and executes them, and EXPERIMENTS.md records
+// the results against the paper's numbers and explains how to add a
+// spec.
 package experiments
 
 import (
@@ -20,5 +21,9 @@ func init() {
 	}
 }
 
-func pct(x float64) string  { return fmt.Sprintf("%.1f", 100*x) }
-func pct2(x float64) string { return fmt.Sprintf("%+.1f", 100*x) }
+// Cell renderers: a percentage, a signed percentage, a raw float and a
+// truncated count.
+func pct(x float64) interface{}   { return fmt.Sprintf("%.1f", 100*x) }
+func pct2(x float64) interface{}  { return fmt.Sprintf("%+.1f", 100*x) }
+func num(x float64) interface{}   { return x }
+func count(x float64) interface{} { return int(x) }

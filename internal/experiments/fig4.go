@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"rix/internal/pipeline"
 	"rix/internal/runner"
 	"rix/internal/sim"
 	"rix/internal/stats"
@@ -32,79 +33,23 @@ func fig4Configs() []runner.Config {
 
 func collectFig4(rs *runner.ResultSet) ([]*stats.Table, error) {
 	presets := sim.IntegrationPresets()
-
-	speed := stats.NewTable("Figure 4 (top): speedup % over no-integration baseline",
-		"bench", "squash", "+general", "+opcode", "+reverse",
-		"squash/or", "+general/or", "+opcode/or", "+reverse/or", "baseIPC")
-	rate := stats.NewTable("Figure 4 (bottom): integration rate % (direct+reverse) and mis-integrations per 1M retired",
-		"bench", "squash", "+general", "+opcode", "+reverse", "rev-part",
-		"squash/or", "+general/or", "+opcode/or", "+reverse/or", "misint/M")
-
-	var speedups [8][]float64 // per preset x suppression
-	var rates [8][]float64
-	for _, bench := range rs.Benches() {
-		base := rs.Get(bench, "base")
-		row := []interface{}{bench}
-		rrow := []interface{}{bench}
-		// Collect per-preset stats: order lisp, oracle.
-		var sp [8]float64
-		var rt [8]float64
-		var revPart, misM float64
-		for pi, p := range presets {
-			lisp := rs.Get(bench, p+"/lisp")
-			orc := rs.Get(bench, p+"/or")
-			sp[pi] = lisp.IPC()/base.IPC() - 1
-			sp[4+pi] = orc.IPC()/base.IPC() - 1
-			rt[pi] = lisp.IntegrationRate()
-			rt[4+pi] = orc.IntegrationRate()
-			if pi == len(presets)-1 {
-				revPart = lisp.ReverseRate()
-				misM = lisp.MisIntPerMillion()
-			}
-			speedups[pi] = append(speedups[pi], 1+sp[pi])
-			speedups[4+pi] = append(speedups[4+pi], 1+sp[4+pi])
-			rates[pi] = append(rates[pi], rt[pi])
-			rates[4+pi] = append(rates[4+pi], rt[4+pi])
-		}
-		for i := 0; i < 4; i++ {
-			row = append(row, pct2(sp[i]))
-		}
-		for i := 4; i < 8; i++ {
-			row = append(row, pct2(sp[i]))
-		}
-		row = append(row, base.IPC())
-		speed.Row(row...)
-
-		for i := 0; i < 4; i++ {
-			rrow = append(rrow, pct(rt[i]))
-		}
-		rrow = append(rrow, pct(revPart))
-		for i := 4; i < 8; i++ {
-			rrow = append(rrow, pct(rt[i]))
-		}
-		rrow = append(rrow, int(misM))
-		rate.Row(rrow...)
+	last := presets[len(presets)-1] + "/lisp"
+	rate := (*pipeline.Stats).IntegrationRate
+	var speeds, orSpeeds, rates, orRates []column
+	for _, p := range presets {
+		speeds = append(speeds, speedup(p, p+"/lisp", "base"))
+		orSpeeds = append(orSpeeds, speedup(p+"/or", p+"/or", "base"))
+		rates = append(rates, metric(p, p+"/lisp", rate, pct))
+		orRates = append(orRates, metric(p+"/or", p+"/or", rate, pct))
 	}
+	speeds = append(append(speeds, orSpeeds...), metric("baseIPC", "base", (*pipeline.Stats).IPC, num).unsummed())
+	rates = append(rates, metric("rev-part", last, (*pipeline.Stats).ReverseRate, pct).unsummed())
+	rates = append(append(rates, orRates...), metric("misint/M", last, (*pipeline.Stats).MisIntPerMillion, count).unsummed())
 
 	// Means: geometric for speedups (paper), arithmetic for rates.
-	srow := []interface{}{"GMean"}
-	for i := 0; i < 8; i++ {
-		srow = append(srow, pct2(stats.GeoMean(speedups[i])-1))
-	}
-	srow = append(srow, "")
-	speed.Row(srow...)
-	rrow := []interface{}{"AMean"}
-	for i := 0; i < 4; i++ {
-		rrow = append(rrow, pct(stats.AMean(rates[i])))
-	}
-	rrow = append(rrow, "")
-	for i := 4; i < 8; i++ {
-		rrow = append(rrow, pct(stats.AMean(rates[i])))
-	}
-	rrow = append(rrow, "")
-	rate.Row(rrow...)
-
-	speed.Note("paper (realistic LISP): squash ~1%%, +general 3.6%%, +opcode 5%%, +reverse 8%% mean speedup")
-	rate.Note("paper (realistic LISP): squash ~2%%, +general 10%%, +opcode 12.3%%, +reverse 17%% mean rate")
-	return []*stats.Table{speed, rate}, nil
+	top := table(rs, "Figure 4 (top): speedup % over no-integration baseline", "GMean", speeds...)
+	bottom := table(rs, "Figure 4 (bottom): integration rate % (direct+reverse) and mis-integrations per 1M retired", "AMean", rates...)
+	top.Note("paper (realistic LISP): squash ~1%%, +general 3.6%%, +opcode 5%%, +reverse 8%% mean speedup")
+	bottom.Note("paper (realistic LISP): squash ~2%%, +general 10%%, +opcode 12.3%%, +reverse 17%% mean rate")
+	return []*stats.Table{top, bottom}, nil
 }

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"rix/internal/core"
+	"rix/internal/pipeline"
 	"rix/internal/runner"
 	"rix/internal/sim"
 	"rix/internal/stats"
@@ -28,47 +28,28 @@ var fig5Spec = runner.Spec{
 }
 
 func collectFig5(rs *runner.ResultSet) ([]*stats.Table, error) {
-	typ := stats.NewTable("Figure 5 (Type): integration stream by instruction type, % of integrations",
-		"bench", "rate%", "load-sp", "load", "ALU", "branch", "FP")
-	dist := stats.NewTable("Figure 5 (Distance): rename-stream distance from entry creation, % of integrations",
-		"bench", "<4", "<16", "<64", ">=64")
-	status := stats.NewTable("Figure 5 (Status): result state at integration time, % of integrations",
-		"bench", "rename", "issue", "retire", "shadow/squash")
-	ref := stats.NewTable("Figure 5 (Refcount): post-integration reference count, % of register integrations",
-		"bench", "=1", "<=3", "<=7", ">7")
-
-	for _, b := range rs.Benches() {
-		st := rs.Get(b, "+reverse/lisp")
-		tot := float64(st.Integrated)
-		if tot == 0 {
-			tot = 1
-		}
-		typ.Row(b, pct(st.IntegrationRate()),
-			pctOf(st.IntType[0], tot), pctOf(st.IntType[1], tot),
-			pctOf(st.IntType[2], tot), pctOf(st.IntType[3], tot),
-			pctOf(st.IntType[4], tot))
-		dist.Row(b,
-			pctOf(st.IntDistance[0], tot), pctOf(st.IntDistance[1], tot),
-			pctOf(st.IntDistance[2], tot), pctOf(st.IntDistance[3], tot))
-		status.Row(b,
-			pctOf(st.IntStatus[core.StatusRename], tot),
-			pctOf(st.IntStatus[core.StatusIssue], tot),
-			pctOf(st.IntStatus[core.StatusRetire], tot),
-			pctOf(st.IntStatus[core.StatusShadowSquash], tot))
-		regTot := float64(st.IntRefcount[0] + st.IntRefcount[1] + st.IntRefcount[2] + st.IntRefcount[3])
-		if regTot == 0 {
-			regTot = 1
-		}
-		ref.Row(b,
-			pctOf(st.IntRefcount[0], regTot), pctOf(st.IntRefcount[1], regTot),
-			pctOf(st.IntRefcount[2], regTot), pctOf(st.IntRefcount[3], regTot))
+	const l = "+reverse/lisp"
+	integrated := func(st *pipeline.Stats) uint64 { return st.Integrated }
+	refcounts := func(st *pipeline.Stats) uint64 {
+		return st.IntRefcount[0] + st.IntRefcount[1] + st.IntRefcount[2] + st.IntRefcount[3]
 	}
+	typ := table(rs, "Figure 5 (Type): integration stream by instruction type, % of integrations", "",
+		append([]column{metric("rate%", l, (*pipeline.Stats).IntegrationRate, pct)},
+			shares(l, func(st *pipeline.Stats) []uint64 { return st.IntType[:] }, integrated,
+				"load-sp", "load", "ALU", "branch", "FP")...)...)
+	dist := table(rs, "Figure 5 (Distance): rename-stream distance from entry creation, % of integrations", "",
+		shares(l, func(st *pipeline.Stats) []uint64 { return st.IntDistance[:] }, integrated,
+			"<4", "<16", "<64", ">=64")...)
+	// IntStatus is indexed by core.ResultStatus: rename, issue, retire,
+	// shadow/squash.
+	status := table(rs, "Figure 5 (Status): result state at integration time, % of integrations", "",
+		shares(l, func(st *pipeline.Stats) []uint64 { return st.IntStatus[:] }, integrated,
+			"rename", "issue", "retire", "shadow/squash")...)
+	ref := table(rs, "Figure 5 (Refcount): post-integration reference count, % of register integrations", "",
+		shares(l, func(st *pipeline.Stats) []uint64 { return st.IntRefcount[:] }, refcounts,
+			"=1", "<=3", "<=7", ">7")...)
 	dist.Note("paper: <10%% of integrations within 4 instructions, <20%% within 16")
 	status.Note("paper: 10-20%% of results integrated before the producer executed")
 	ref.Note("paper: ~60%% of integrations share with an active mapping; degrees 2-3 dominate")
 	return []*stats.Table{typ, dist, status, ref}, nil
-}
-
-func pctOf(n uint64, tot float64) string {
-	return pct(float64(n) / tot)
 }

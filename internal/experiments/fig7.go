@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"rix/internal/pipeline"
 	"rix/internal/runner"
 	"rix/internal/sim"
 	"rix/internal/stats"
@@ -36,36 +37,20 @@ func fig7Configs() []runner.Config {
 }
 
 func collectFig7(rs *runner.ResultSet) ([]*stats.Table, error) {
-	t := stats.NewTable("Figure 7: reduced-complexity cores, speedup % vs un-integrated Base",
-		"bench", "baseIPC",
-		"base+int", "RS", "RS+int", "IW", "IW+int", "IW+RS", "IW+RS+int",
-		"base+or", "RS+or", "IW+or", "IW+RS+or")
-	// Column order: base+int, RS, RS+int, IW, IW+int, IWRS, IWRS+int,
-	// then the oracle column block.
-	cols := []string{
-		sim.CoreBase + "/lisp",
-		sim.CoreRS + "/none", sim.CoreRS + "/lisp",
-		sim.CoreIW + "/none", sim.CoreIW + "/lisp",
-		sim.CoreIWRS + "/none", sim.CoreIWRS + "/lisp",
-		sim.CoreBase + "/or", sim.CoreRS + "/or",
-		sim.CoreIW + "/or", sim.CoreIWRS + "/or",
-	}
-	gm := make([][]float64, len(cols))
-	for _, b := range rs.Benches() {
-		baseIPC := rs.Get(b, sim.CoreBase+"/none").IPC()
-		row := []interface{}{b, baseIPC}
-		for ci, label := range cols {
-			v := rs.Get(b, label).IPC()/baseIPC - 1
-			row = append(row, pct2(v))
-			gm[ci] = append(gm[ci], 1+v)
-		}
-		t.Row(row...)
-	}
-	grow := []interface{}{"GMean", ""}
-	for ci := range cols {
-		grow = append(grow, pct2(stats.GeoMean(gm[ci])-1))
-	}
-	t.Row(grow...)
+	base := sim.CoreBase + "/none"
+	t := table(rs, "Figure 7: reduced-complexity cores, speedup % vs un-integrated Base", "GMean",
+		metric("baseIPC", base, (*pipeline.Stats).IPC, num).unsummed(),
+		speedup("base+int", sim.CoreBase+"/lisp", base),
+		speedup("RS", sim.CoreRS+"/none", base),
+		speedup("RS+int", sim.CoreRS+"/lisp", base),
+		speedup("IW", sim.CoreIW+"/none", base),
+		speedup("IW+int", sim.CoreIW+"/lisp", base),
+		speedup("IW+RS", sim.CoreIWRS+"/none", base),
+		speedup("IW+RS+int", sim.CoreIWRS+"/lisp", base),
+		speedup("base+or", sim.CoreBase+"/or", base),
+		speedup("RS+or", sim.CoreRS+"/or", base),
+		speedup("IW+or", sim.CoreIW+"/or", base),
+		speedup("IW+RS+or", sim.CoreIWRS+"/or", base))
 	t.Note("paper: RS alone -10%%, IW alone -12%%, IW+RS -18%%; integration recovers to -1%%, -2%%, -7%%")
 	return []*stats.Table{t}, nil
 }

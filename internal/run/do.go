@@ -351,18 +351,15 @@ func sampleHooks(c *config, ev Event) sample.Hooks {
 			e.Window = index
 			c.Observer.Observe(e)
 		},
-		WarmShardStarted: func(shard int, start, end uint64) {
+		WarmPassStarted: func() {
 			e := ev
 			e.Kind = WarmShardStarted
-			e.Shard = shard
-			e.SpanStart, e.SpanEnd = start, end
 			c.Observer.Observe(e)
 		},
-		WarmShardDone: func(shard int, start, end uint64) {
+		WarmPassDone: func(last uint64) {
 			e := ev
 			e.Kind = WarmShardDone
-			e.Shard = shard
-			e.SpanStart, e.SpanEnd = start, end
+			e.SpanEnd = last
 			c.Observer.Observe(e)
 		},
 		SlotReturned: func(index int) {

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"rix/internal/asm"
+	"rix/internal/emu"
 	"rix/internal/pipeline"
 	"rix/internal/run"
 	"rix/internal/sample"
@@ -194,6 +196,11 @@ func TestDoSampledMatchesEngine(t *testing.T) {
 	}
 	if res.Mode != run.ModeSampled || res.Sampled == nil || len(res.Sampled.Windows) == 0 {
 		t.Fatalf("sampled result shape: %+v", res)
+	}
+	// The run API's summary and the engine's share sample.Summary; the
+	// engine's adds only its historical trailing newline.
+	if got, want := res.Sampled.String(), est.String(); got+"\n" != want {
+		t.Errorf("Result.Sampled.String() = %q; want Estimate.String() without its newline, %q", got, want)
 	}
 
 	data, err := json.Marshal(res)
@@ -522,5 +529,47 @@ loop:   addqi t0, t0, -1
 	}
 	if res.Workload != "tiny.s" {
 		t.Errorf("workload name = %q", res.Workload)
+	}
+}
+
+// TestInlineSourceSampled: a sampled inline-assembly request (rixsim
+// -file x.s -sample default) has no validated dynamic length, so its
+// estimate scales by the live warm pass's count, which must be the
+// program's emulated length.
+func TestInlineSourceSampled(t *testing.T) {
+	testutil.NoLeaks(t)
+	const src = `
+        .text
+main:   addqi t0, zero, 20000
+        clr   t1
+loop:   addq  t1, t1, t0
+        xor   t2, t1, t0
+        addqi t0, t0, -1
+        bne   t0, loop
+        clr   v0
+        syscall
+`
+	p, err := asm.Assemble("loop.s", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := emu.New(p)
+	if err := e.Run(workload.MaxInstrs); err != nil || !e.Halted {
+		t.Fatalf("emulate: halted %v, %v", e.Halted, err)
+	}
+	sp := sample.DefaultSampling()
+	res, err := run.Do(context.Background(), run.Request{Source: src, SourceName: "loop.s",
+		Options: sim.Options{Integration: sim.IntReverse, Sampling: &sp}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DynLen != 0 || res.Sampled == nil {
+		t.Fatalf("inline sampled result: DynLen %d, Sampled %v; want 0 and an estimate", res.DynLen, res.Sampled)
+	}
+	if got := res.Sampled.TotalInstrs; got != e.Count {
+		t.Errorf("Sampled.TotalInstrs = %d; want the emulated length %d", got, e.Count)
+	}
+	if n := len(res.Sampled.Windows); n < 4 {
+		t.Errorf("%d windows over %d instructions; want at least 4", n, e.Count)
 	}
 }

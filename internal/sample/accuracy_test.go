@@ -231,14 +231,14 @@ func TestContinueFromWindowZeroFiresNoWarmHooks(t *testing.T) {
 
 	var started, done int
 	sc := sample.Config{CheckpointDir: dir}
-	sc.Hooks.WarmShardStarted = func(int, uint64, uint64) { started++ }
-	sc.Hooks.WarmShardDone = func(int, uint64, uint64) { done++ }
+	sc.Hooks.WarmPassStarted = func() { started++ }
+	sc.Hooks.WarmPassDone = func(uint64) { done++ }
 	got, err := sample.Continue(bg, bw.Prog, bw.DynLen, cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if started != 0 || done != 0 {
-		t.Errorf("Continue fired WarmShardStarted %d and WarmShardDone %d times, want 0", started, done)
+		t.Errorf("Continue fired WarmPassStarted %d and WarmPassDone %d times, want 0", started, done)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("continued estimate diverges from the naive loop")

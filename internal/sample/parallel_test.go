@@ -171,18 +171,10 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 			writes++
 			lastWarm = path
 		},
-		WarmShardStarted: func(shard int, start, end uint64) {
-			if shard != 0 || start != 0 || end != 0 {
-				t.Errorf("WarmShardStarted(%d, %d, %d); want (0, 0, 0)", shard, start, end)
-			}
-			passes++
-		},
-		WarmShardDone: func(shard int, start, end uint64) {
-			if shard != 0 || start != 0 {
-				t.Errorf("WarmShardDone(%d, %d, _); want shard 0 from 0", shard, start)
-			}
+		WarmPassStarted: func() { passes++ },
+		WarmPassDone: func(last uint64) {
 			passesDone++
-			lastEnd = end
+			lastEnd = last
 		},
 	}}
 	first, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sc)

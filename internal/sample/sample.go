@@ -131,17 +131,15 @@ type Hooks struct {
 	// in-flight set, releasing a pool slot to cells still dispatching.
 	// Fires from the coordinating goroutine, deterministically.
 	SlotReturned func(index int)
-	// WarmShardStarted fires when a warm pass starts from the program
+	// WarmPassStarted fires when a warm pass starts from the program
 	// entry — feeding the coordinator, or drained into a warm set by
 	// PrepareWarm or a cache miss — never on a cache hit, an injected
-	// warm set, or Continue's resumed pass. The pass is one span
-	// over the whole trace: shard and start are always 0, and end is 0
-	// because the last boundary is not known yet.
-	WarmShardStarted func(shard int, start, end uint64)
-	// WarmShardDone fires when that warm pass has reached every
-	// boundary, with shard and start 0 and end the last boundary's
-	// dynamic instruction (0 when the trace has none).
-	WarmShardDone func(shard int, start, end uint64)
+	// warm set, or Continue's resumed pass.
+	WarmPassStarted func()
+	// WarmPassDone fires when that warm pass has reached every
+	// boundary, with the last boundary's dynamic instruction (0 when
+	// the trace has none).
+	WarmPassDone func(last uint64)
 	// CheckpointWritten fires after each checkpoint lands on disk: as
 	// the coordinator fetches the window's boundary, before the window
 	// is dispatched, in window index order.

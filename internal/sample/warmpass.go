@@ -137,7 +137,7 @@ type source struct {
 	e     *emu.Emulator
 	w     *warmer
 	cfg   pipeline.Config
-	hooks bool         // a pass from the program entry: fires the WarmShard hooks
+	hooks bool         // a pass from the program entry: fires the WarmPass hooks
 	idx   int          // index of the boundary the pass stands at, or reaches next
 	at    bool         // the pass stands at boundary idx (or the halt), its window's record span ahead
 	taken bool         // boundary idx is in a ring entry already
@@ -163,14 +163,14 @@ type frame struct {
 // newPass starts a live warm pass at boundary idx from an emulator and
 // warmer: the program entry for Run (fromEntry), a checkpoint's
 // restored state for Continue. A pass from the program entry fires
-// WarmShardStarted now and WarmShardDone when it reaches the halt;
+// WarmPassStarted now and WarmPassDone when it reaches the halt;
 // Continue's resumed pass fires neither, whatever its index.
 func newPass(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc *Config,
 	e *emu.Emulator, w *warmer, idx int, fromEntry bool) *source {
 
 	s := &source{ctx: ctx, p: p, sc: sc, e: e, w: w, cfg: cfg, idx: idx, hooks: fromEntry}
-	if s.hooks && sc.Hooks.WarmShardStarted != nil {
-		sc.Hooks.WarmShardStarted(0, 0, 0)
+	if s.hooks && sc.Hooks.WarmPassStarted != nil {
+		sc.Hooks.WarmPassStarted()
 	}
 	return s
 }
@@ -248,8 +248,8 @@ func (s *source) advance() error {
 	}
 	s.at, s.taken = true, false
 	if s.e.Halted {
-		if s.hooks && s.sc.Hooks.WarmShardDone != nil {
-			s.sc.Hooks.WarmShardDone(0, 0, s.last)
+		if s.hooks && s.sc.Hooks.WarmPassDone != nil {
+			s.sc.Hooks.WarmPassDone(s.last)
 		}
 		return nil
 	}
