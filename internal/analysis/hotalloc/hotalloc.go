@@ -28,8 +28,9 @@
 // known hot functions (Required): the per-cycle pipeline stages, the
 // emulator step and trace streamer, the sampling warmer's
 // per-instruction observe, the cache access behind every warm and timed
-// memory reference, and the integration table and decision logic that
-// rename runs for every instruction. Renaming or splitting one of those functions
+// memory reference, the integration table and decision logic that
+// rename runs for every instruction, and the pipeline's program-order
+// ring operations. Renaming or splitting one of those functions
 // updates Required in the same commit, so coverage can't silently rot.
 package hotalloc
 
@@ -57,6 +58,7 @@ var Required = map[string][]string{
 		"Pipeline.renameStage", "Pipeline.issueStage", "Pipeline.retireStage",
 		"Pipeline.schedule", "Pipeline.newUop",
 		"Pipeline.setReady", "Pipeline.allocRS", "Pipeline.unwaitRS",
+		"ring.at", "ring.push", "ring.popHead", "ring.popTail", "ring.pos",
 	},
 	"rix/internal/emu":    {"Emulator.Step", "Streamer.Next"},
 	"rix/internal/sample": {"warmer.observe"},

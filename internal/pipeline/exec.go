@@ -61,14 +61,12 @@ func (pl *Pipeline) execComplete(u *uop) {
 			pl.setReady(u.destPreg, v)
 		}
 		u.execDone = true
-		u.doneCyc = pl.now
 
 	case isa.ClassBranch:
 		taken := isa.EvalBranch(u.in.Op, a)
 		u.resolvedTaken = taken
 		u.resolvedAt = pl.now
 		u.execDone = true
-		u.doneCyc = pl.now
 		// Extension-2/3 machinery: branch outcome entries are inserted at
 		// resolution, keyed by the rename-time input mapping.
 		pl.integ.NoteBranchResolved(u.in, u.pc, u.callDepth, u.seq, u.src1, taken)
@@ -77,7 +75,10 @@ func (pl *Pipeline) execComplete(u *uop) {
 			if taken {
 				target = u.in.Target(u.pc)
 			}
-			pl.branchMispredict(u, target)
+			// Squash younger, refetch the correct target, and repair
+			// the history to reflect the actual outcome.
+			pl.refetch(u, false, target)
+			pl.pred.RestoreAfter(u.histSnap, taken)
 		}
 
 	case isa.ClassCallIndirect, isa.ClassJumpIndirect, isa.ClassRet:
@@ -85,12 +86,11 @@ func (pl *Pipeline) execComplete(u *uop) {
 		u.resolvedTarget = target
 		u.resolvedAt = pl.now
 		u.execDone = true
-		u.doneCyc = pl.now
 		if u.in.Op.ClassOf() != isa.ClassRet {
 			pl.btb.Train(u.pc, target)
 		}
 		if target != u.predTarget {
-			pl.indirectMispredict(u, target)
+			pl.refetch(u, false, target)
 		}
 	}
 }
@@ -109,8 +109,8 @@ func (pl *Pipeline) loadAddrGen(u *uop) {
 // past them (paper §3.1).
 func (pl *Pipeline) loadAccess(u *uop) {
 	var match *uop
-	for i := pl.lsqIndexOf(u) - 1; i >= 0; i-- {
-		v := pl.lsq[wrap(pl.lsqHead+i, len(pl.lsq))]
+	for i := pl.lsq.pos(u.lsqPos) - 1; i >= 0; i-- {
+		v := pl.lsq.at(i)
 		if !v.isStore {
 			continue
 		}
@@ -174,12 +174,10 @@ func width(op isa.Opcode) uint64 {
 
 // loadComplete publishes the load's value.
 func (pl *Pipeline) loadComplete(u *uop, v uint64) {
-	u.loadValue = v
 	if u.hasDest {
 		pl.setReady(u.destPreg, v)
 	}
 	u.execDone = true
-	u.doneCyc = pl.now
 }
 
 // storeExec resolves a store's address and data, then scans younger
@@ -189,14 +187,12 @@ func (pl *Pipeline) storeExec(u *uop) {
 	u.storeData = pl.val(u.src2.P)
 	u.addrValid = true
 	u.execDone = true
-	u.doneCyc = pl.now
 
 	// Violation scan: a younger load that already obtained its value from
 	// memory or from a store older than this one, at an overlapping
 	// address, mis-speculated.
-	n := pl.lsqLen
-	for i := pl.lsqIndexOf(u) + 1; i < n; i++ {
-		v := pl.lsq[wrap(pl.lsqHead+i, len(pl.lsq))]
+	for i := pl.lsq.pos(u.lsqPos) + 1; i < pl.lsq.len(); i++ {
+		v := pl.lsq.at(i)
 		if !v.isLoad || !v.addrValid || v.squashed {
 			continue
 		}
@@ -215,7 +211,7 @@ func (pl *Pipeline) storeExec(u *uop) {
 		// train the collision history table.
 		pl.Stats.LoadViolations++
 		pl.cht.Train(v.pc)
-		pl.loadViolationSquash(v)
+		pl.refetch(v, true, v.pc)
 		return
 	}
 }

@@ -15,7 +15,7 @@ func (pl *Pipeline) fetchStage() {
 	if pl.fetchPC == 0 || pl.now < pl.fetchReadyAt {
 		return
 	}
-	if pl.fqLen >= pl.cfg.FetchQueue {
+	if pl.fq.full() {
 		return
 	}
 
@@ -31,7 +31,7 @@ func (pl *Pipeline) fetchStage() {
 	}
 	pl.icachePaid = false
 
-	for n := 0; n < pl.cfg.FetchWidth && pl.fqLen < pl.cfg.FetchQueue; n++ {
+	for n := 0; n < pl.cfg.FetchWidth && !pl.fq.full(); n++ {
 		in, ok := pl.prog.InstrAt(pl.fetchPC)
 		if !ok {
 			// Wrong-path fetch ran off the text segment; wait for a
@@ -115,7 +115,7 @@ func (pl *Pipeline) fetchStage() {
 			groupEnds = true
 		}
 
-		pl.fqPush(u)
+		pl.fq.push(u)
 		pl.fetchPC = nextPC
 		if groupEnds || nextPC == 0 {
 			return
@@ -124,18 +124,19 @@ func (pl *Pipeline) fetchStage() {
 }
 
 // redirectFetch points fetch at pc starting next cycle and resets the
-// golden cursor. afterTraceIdx is the trace index of the instruction the
-// redirect logically follows (-1 when it was on the wrong path);
-// inclusive redirects (DIVA, load violations) pass the instruction's own
-// index via exactTraceIdx >= 0.
-func (pl *Pipeline) redirectFetch(pc uint64, cursorAt int64) {
+// golden cursor after the instruction at traceIdx, or at it when
+// inclusive (it is refetched itself); a wrong-path instruction
+// (traceIdx < 0) leaves fetch off the path. refetch and renameRedirect
+// call it.
+func (pl *Pipeline) redirectFetch(pc uint64, traceIdx int64, inclusive bool) {
 	pl.fetchPC = pc
 	pl.fetchReadyAt = pl.now + 1
 	pl.icachePaid = false
-	if cursorAt >= 0 {
-		pl.cursor = int(cursorAt)
-		pl.onPath = true
-	} else {
-		pl.onPath = false
+	pl.onPath = traceIdx >= 0
+	if pl.onPath {
+		pl.cursor = int(traceIdx)
+		if !inclusive {
+			pl.cursor++
+		}
 	}
 }

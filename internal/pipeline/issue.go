@@ -45,22 +45,13 @@ func (pl *Pipeline) loadMayIssue(u *uop) bool {
 // olderStoresResolved scans the LSQ for older stores with unresolved
 // addresses.
 func (pl *Pipeline) olderStoresResolved(u *uop) bool {
-	for i := pl.lsqIndexOf(u) - 1; i >= 0; i-- {
-		v := pl.lsq[wrap(pl.lsqHead+i, len(pl.lsq))]
+	for i := pl.lsq.pos(u.lsqPos) - 1; i >= 0; i-- {
+		v := pl.lsq.at(i)
 		if v.isStore && !v.addrValid {
 			return false
 		}
 	}
 	return true
-}
-
-// lsqIndexOf converts a uop's ring position to its ordinal in the LSQ.
-func (pl *Pipeline) lsqIndexOf(u *uop) int {
-	d := u.lsqPos - pl.lsqHead
-	if d < 0 {
-		d += len(pl.lsq)
-	}
-	return d
 }
 
 // issueStage selects up to IssueWidth ready instructions under the
@@ -147,7 +138,6 @@ func (pl *Pipeline) issueStage() {
 // issue dispatches one uop, freeing its reservation station.
 func (pl *Pipeline) issue(u *uop) {
 	u.issued = true
-	u.issueCyc = pl.now
 	pl.Stats.Executed++
 	pl.freeRS(u)
 

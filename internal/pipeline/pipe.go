@@ -135,25 +135,18 @@ type Pipeline struct {
 	now    uint64
 	halted bool
 
-	// ROB: ring of in-flight renamed uops.
-	rob     []*uop
-	robHead int
-	robLen  int
-
-	// Fetch queue: ring of fetched, not-yet-renamed uops.
-	fq     []*uop
-	fqHead int
-	fqLen  int
+	// In-flight uops in program order: the ROB holds every renamed one,
+	// the fetch queue the fetched ones not yet renamed.
+	rob ring
+	fq  ring
 
 	// Reservation stations and their wakeup/select masks (wakeup.go).
 	rs     []*uop
 	rsUsed int
 	wake   wakeup
 
-	// LSQ: ring of memory operations in program order.
-	lsq     []*uop
-	lsqHead int
-	lsqLen  int
+	// LSQ: the renamed memory operations in program order.
+	lsq ring
 
 	// Producer map: physical register -> in-flight producing uop.
 	prod []*uop
@@ -292,11 +285,11 @@ type BootState struct {
 // fits reports whether every buffer of the finished pipeline pl matches
 // cfg's sizing.
 func (pl *Pipeline) fits(cfg Config) bool {
-	return len(pl.rob) == cfg.ROBSize &&
+	return len(pl.rob.buf) == cfg.ROBSize &&
 		len(pl.rs) == cfg.NumRS &&
 		pl.wake.fits(cfg.NumRS, cfg.PhysRegs) &&
-		len(pl.lsq) == cfg.LSQSize &&
-		len(pl.fq) == cfg.FetchQueue &&
+		len(pl.lsq.buf) == cfg.LSQSize &&
+		len(pl.fq.buf) == cfg.FetchQueue &&
 		len(pl.prod) == cfg.PhysRegs &&
 		len(pl.win.buf) >= winCap(cfg)
 }
@@ -317,8 +310,11 @@ func (pl *Pipeline) adoptBuffers(prev *Pipeline) {
 			prev.evFree = append(prev.evFree, buf[:0])
 		}
 	}
-	for _, ring := range [][]*uop{prev.rob, prev.rs, prev.lsq, prev.fq, prev.prod, prev.cand} {
-		clear(ring)
+	prev.rob.reset()
+	prev.lsq.reset()
+	prev.fq.reset()
+	for _, slots := range [][]*uop{prev.rs, prev.prod, prev.cand} {
+		clear(slots)
 	}
 	pl.rob, pl.rs, pl.lsq, pl.fq = prev.rob, prev.rs, prev.lsq, prev.fq
 	pl.events, pl.evFree, pl.uopFree = prev.events, prev.evFree, prev.uopFree
@@ -372,11 +368,11 @@ func NewFrom(cfg Config, p *prog.Program, src emu.TraceSource, boot *BootState) 
 	if pl.rf == nil || !pl.rf.Reset(rcfg) {
 		pl.rf = regfile.New(rcfg)
 	}
-	if pl.rob == nil {
-		pl.rob = make([]*uop, cfg.ROBSize)
+	if pl.rs == nil {
+		pl.rob = newRing(cfg.ROBSize)
 		pl.rs = make([]*uop, cfg.NumRS)
-		pl.lsq = make([]*uop, cfg.LSQSize)
-		pl.fq = make([]*uop, cfg.FetchQueue)
+		pl.lsq = newRing(cfg.LSQSize)
+		pl.fq = newRing(cfg.FetchQueue)
 		pl.events = make([][]event, eventHorizon)
 		pl.uopFree = make([]*uop, 0, cfg.ROBSize+cfg.FetchQueue+1)
 		pl.cand = make([]*uop, 0, cfg.NumRS)
@@ -535,47 +531,19 @@ func (pl *Pipeline) freeUop(u *uop) {
 	pl.uopFree = append(pl.uopFree, u)
 }
 
-// wrap reduces a ring index in [0, 2n) to [0, n) without a division:
-// exact for any ring size, where a mask would need a power of two.
-func wrap(i, n int) int {
-	if i >= n {
-		i -= n
-	}
-	return i
-}
-
-// fqPush appends a fetched uop; the ring is sized to cfg.FetchQueue and
-// callers check fqLen first.
-func (pl *Pipeline) fqPush(u *uop) {
-	pl.fq[wrap(pl.fqHead+pl.fqLen, len(pl.fq))] = u
-	pl.fqLen++
-}
-
-// fqPop removes and returns the oldest fetched uop.
-func (pl *Pipeline) fqPop() *uop {
-	u := pl.fq[pl.fqHead]
-	pl.fq[pl.fqHead] = nil
-	pl.fqHead = wrap(pl.fqHead+1, len(pl.fq))
-	pl.fqLen--
-	return u
-}
-
 // fqDrain squashes and recycles every fetched-but-unrenamed uop,
 // returning the oldest (the squash recovery checkpoint), or nil when the
 // queue was empty.
 func (pl *Pipeline) fqDrain() *uop {
 	var oldest *uop
-	for i := 0; i < pl.fqLen; i++ {
-		pos := wrap(pl.fqHead+i, len(pl.fq))
-		v := pl.fq[pos]
-		pl.fq[pos] = nil
+	for pl.fq.len() > 0 {
+		v := pl.fq.popHead()
 		v.squashed = true
 		if oldest == nil {
 			oldest = v
 		}
 		pl.freeUop(v)
 	}
-	pl.fqLen = 0
 	return oldest
 }
 
@@ -592,7 +560,7 @@ func (pl *Pipeline) step() {
 		pl.fetchStage()
 	}
 	pl.Stats.RSOccupancySum += uint64(pl.rsUsed)
-	pl.Stats.ROBOccupancySum += uint64(pl.robLen)
+	pl.Stats.ROBOccupancySum += uint64(pl.rob.len())
 	pl.now++
 }
 
@@ -639,12 +607,9 @@ func (pl *Pipeline) auditRegisters() error {
 
 // drainInFlight squashes everything still in flight (post-halt cleanup).
 func (pl *Pipeline) drainInFlight() {
-	for pl.robLen > 0 {
-		tail := wrap(pl.robHead+pl.robLen-1, len(pl.rob))
-		u := pl.rob[tail]
+	for pl.rob.len() > 0 {
+		u := pl.rob.popTail()
 		pl.undoUop(u)
-		pl.rob[tail] = nil
-		pl.robLen--
 		pl.freeUop(u)
 	}
 	pl.fqDrain()

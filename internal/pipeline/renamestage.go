@@ -67,20 +67,20 @@ func needsExecution(in isa.Instr) bool {
 //rix:hotpath
 func (pl *Pipeline) renameStage() {
 	for n := 0; n < pl.cfg.RenameWidth; n++ {
-		if pl.fqLen == 0 {
+		if pl.fq.len() == 0 {
 			return
 		}
-		u := pl.fq[pl.fqHead]
+		u := pl.fq.at(0)
 		if u.renameReady > pl.now {
 			return
 		}
 		// Conservative resource pre-check (rename stalls on any shortage).
-		if pl.robLen >= pl.cfg.ROBSize {
+		if pl.rob.full() {
 			pl.Stats.RenameStallsResources++
 			return
 		}
 		isMem := u.in.Op.IsMem()
-		if isMem && pl.lsqLen >= pl.cfg.LSQSize {
+		if isMem && pl.lsq.full() {
 			pl.Stats.RenameStallsResources++
 			return
 		}
@@ -93,7 +93,7 @@ func (pl *Pipeline) renameStage() {
 			return
 		}
 
-		pl.fqPop()
+		pl.fq.popHead()
 		pl.seqCounter++
 		u.seq = pl.seqCounter
 		pl.Stats.Renamed++
@@ -163,15 +163,11 @@ func (pl *Pipeline) renameStage() {
 			u.src1, u.src2, outMap, u.oldDest, u.integrated)
 
 		// Dispatch.
-		u.robPos = wrap(pl.robHead+pl.robLen, len(pl.rob))
-		pl.rob[u.robPos] = u
-		pl.robLen++
+		pl.rob.push(u)
 		if isMem {
 			u.isLoad = u.in.Op.IsLoad()
 			u.isStore = u.in.Op.IsStore()
-			u.lsqPos = wrap(pl.lsqHead+pl.lsqLen, len(pl.lsq))
-			pl.lsq[u.lsqPos] = u
-			pl.lsqLen++
+			u.lsqPos = pl.lsq.push(u)
 		}
 		if !u.integrated && needsExecution(u.in) {
 			u.needsRS = true
@@ -196,14 +192,11 @@ func (pl *Pipeline) renameStage() {
 
 // renameRedirect handles an integrated branch whose recorded outcome
 // disagrees with the fetch-time prediction: drop the (younger) fetch
-// queue, repair history, and refetch.
+// queue, repair history, and refetch. Nothing renamed is squashed, so it
+// bypasses refetch and counts no Stats.Squashes.
 func (pl *Pipeline) renameRedirect(u *uop, target uint64) {
 	pl.fqDrain()
 	pl.pred.RestoreAfter(u.histSnap, u.resolvedTaken)
 	pl.ras.Restore(u.rasSnap) // conditional branches have no RAS effect
-	cursorAt := int64(-1)
-	if u.traceIdx >= 0 {
-		cursorAt = u.traceIdx + 1
-	}
-	pl.redirectFetch(target, cursorAt)
+	pl.redirectFetch(target, u.traceIdx, false)
 }

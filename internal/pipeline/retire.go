@@ -21,8 +21,8 @@ func (pl *Pipeline) retireStage() {
 	if pl.now < pl.retireStall {
 		return
 	}
-	for n := 0; n < pl.cfg.RetireWidth && pl.robLen > 0; n++ {
-		u := pl.rob[pl.robHead]
+	for n := 0; n < pl.cfg.RetireWidth && pl.rob.len() > 0; n++ {
+		u := pl.rob.at(0)
 		if !u.completed(pl.rf) {
 			return
 		}
@@ -82,11 +82,9 @@ func (pl *Pipeline) retireStage() {
 			pl.noteIntegrationRetired(u)
 		}
 
-		pl.rob[pl.robHead] = nil
-		pl.robHead = wrap(pl.robHead+1, len(pl.rob))
-		pl.robLen--
-		if u.lsqPos >= 0 {
-			pl.popLSQHead(u)
+		pl.rob.popHead()
+		if u.lsqPos >= 0 && pl.lsq.popHead() != u {
+			panic("pipeline: retiring memory op is not the LSQ head")
 		}
 		pl.Stats.Retired++
 		pl.win.release(int(pl.Stats.Retired))
@@ -102,16 +100,6 @@ func (pl *Pipeline) retireStage() {
 			return
 		}
 	}
-}
-
-// popLSQHead removes a retiring memory op, which must be the LSQ head.
-func (pl *Pipeline) popLSQHead(u *uop) {
-	if pl.lsq[pl.lsqHead] != u {
-		panic("pipeline: retiring memory op is not the LSQ head")
-	}
-	pl.lsq[pl.lsqHead] = nil
-	pl.lsqHead = wrap(pl.lsqHead+1, len(pl.lsq))
-	pl.lsqLen--
 }
 
 // divaKind classifies DIVA faults.
@@ -170,9 +158,7 @@ func (pl *Pipeline) handleDIVAFault(u *uop, kind divaKind) {
 		pl.cht.Train(u.pc)
 	}
 	pl.Stats.DIVAFlushes++
-	pc, cursorAt := u.pc, u.traceIdx // capture: the inclusive squash recycles u
-	pl.squashFrom(u, true)
-	pl.redirectFetch(pc, cursorAt)
+	pl.refetch(u, true, u.pc)
 }
 
 // commitStore writes the store architecturally and charges the write

@@ -26,7 +26,10 @@ func (pl *Pipeline) undoUop(u *uop) {
 // squashFrom squashes every instruction younger than u, and u itself when
 // inclusive. It restores the map table by walking the ROB serially from
 // the tail, repairs the RAS and branch history from the oldest squashed
-// instruction's checkpoints, and drops the fetch queue.
+// instruction's checkpoints, and drops the fetch queue. refetch is its
+// only caller: renameRedirect drops just the fetch queue, and
+// drainInFlight empties the ROB without counting a squash or repairing
+// the RAS and history.
 func (pl *Pipeline) squashFrom(u *uop, inclusive bool) {
 	pl.Stats.Squashes++
 
@@ -36,18 +39,16 @@ func (pl *Pipeline) squashFrom(u *uop, inclusive bool) {
 	// below stays valid.
 	oldest := pl.fqDrain()
 
-	for pl.robLen > 0 {
-		tail := wrap(pl.robHead+pl.robLen-1, len(pl.rob))
-		v := pl.rob[tail]
+	for pl.rob.len() > 0 {
+		v := pl.rob.at(pl.rob.len() - 1)
 		if v == u && !inclusive {
 			break
 		}
+		pl.rob.popTail()
 		pl.undoUop(v)
-		if v.lsqPos >= 0 {
-			pl.popLSQTail(v)
+		if v.lsqPos >= 0 && pl.lsq.popTail() != v {
+			panic("pipeline: squashed memory op is not the LSQ tail")
 		}
-		pl.rob[tail] = nil
-		pl.robLen--
 		pl.freeUop(v)
 		oldest = v
 		if v == u {
@@ -61,44 +62,13 @@ func (pl *Pipeline) squashFrom(u *uop, inclusive bool) {
 	}
 }
 
-// popLSQTail removes a squashed memory op, which must be the LSQ tail.
-func (pl *Pipeline) popLSQTail(v *uop) {
-	tail := wrap(pl.lsqHead+pl.lsqLen-1, len(pl.lsq))
-	if pl.lsq[tail] != v {
-		panic("pipeline: squashed memory op is not the LSQ tail")
-	}
-	pl.lsq[tail] = nil
-	pl.lsqLen--
-}
-
-// branchMispredict recovers from a resolved conditional branch whose
-// direction disagrees with the prediction: squash younger, repair the
-// history to reflect the actual outcome, and refetch the correct target.
-func (pl *Pipeline) branchMispredict(u *uop, target uint64) {
-	pl.squashFrom(u, false)
-	pl.pred.RestoreAfter(u.histSnap, u.resolvedTaken)
-	cursorAt := int64(-1)
-	if u.traceIdx >= 0 {
-		cursorAt = u.traceIdx + 1
-	}
-	pl.redirectFetch(target, cursorAt)
-}
-
-// indirectMispredict recovers from a wrong indirect target (JSR/JMP/RET).
-func (pl *Pipeline) indirectMispredict(u *uop, target uint64) {
-	pl.squashFrom(u, false)
-	cursorAt := int64(-1)
-	if u.traceIdx >= 0 {
-		cursorAt = u.traceIdx + 1
-	}
-	pl.redirectFetch(target, cursorAt)
-}
-
-// loadViolationSquash recovers from a memory-order violation: full squash
-// from the violating load inclusive, so it refetches and re-executes.
-func (pl *Pipeline) loadViolationSquash(v *uop) {
-	cursorAt := v.traceIdx // may be -1 (wrong path)
-	pc := v.pc
-	pl.squashFrom(v, true)
-	pl.redirectFetch(pc, cursorAt)
+// refetch is the recovery from every squash that redirects fetch: a
+// mispredicted branch or indirect target (exclusive: u stays and fetch
+// resumes at its resolved target) and a memory-order violation or DIVA
+// fault (inclusive: u itself is refetched from its own pc). The caller
+// repairs anything else, such as a branch's history.
+func (pl *Pipeline) refetch(u *uop, inclusive bool, pc uint64) {
+	traceIdx := u.traceIdx // read first: an inclusive squash recycles u
+	pl.squashFrom(u, inclusive)
+	pl.redirectFetch(pc, traceIdx, inclusive)
 }

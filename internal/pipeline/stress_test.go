@@ -44,6 +44,8 @@ func TestTinyResources(t *testing.T) {
 			c.PhysRegs = 40
 			c.FetchQueue = 1
 		},
+		// Odd sizes: wrap must be exact where a mask would not be.
+		func(c *Config) { c.ROBSize, c.LSQSize, c.FetchQueue = 7, 3, 3 },
 	}
 	for i, mod := range variants {
 		for _, pol := range []core.Policy{{}, {Enable: true, GeneralReuse: true, OpcodeIndex: true, Reverse: true, UseLISP: true}} {

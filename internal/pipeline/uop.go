@@ -11,6 +11,11 @@
 // integrated instruction is a mis-integration (flush + LISP training, as
 // in the paper); a mismatch anywhere else is a simulator bug and panics.
 //
+// The ROB, the LSQ and the fetch queue are each one program-order ring
+// (ring.go), and every squash that redirects fetch — a mispredicted
+// branch or indirect target, a memory-order violation, a DIVA fault —
+// recovers through the one path, refetch (squash.go).
+//
 // Issue is wakeup/select rather than a per-cycle scan of the stations.
 // Bitmasks over RS slots record which slots are occupied, which are
 // ready, and, per physical register, which slots wait on it. Allocation
@@ -68,16 +73,13 @@ type uop struct {
 	prio     int // priorityOf, computed once at RS allocation
 	issued   bool
 	execDone bool
-	issueCyc uint64
-	doneCyc  uint64
 
 	// Memory state.
 	isLoad, isStore bool
-	lsqPos          int // ring index in the LSQ; -1 otherwise
+	lsqPos          int // LSQ storage index (ring.push); -1 otherwise
 	addr            uint64
 	addrValid       bool
 	storeData       uint64
-	loadValue       uint64
 	fwdFromSeq      uint64 // store this load forwarded from; 0 = memory
 	specPastStores  bool   // issued while an older store address was unknown
 
@@ -87,7 +89,6 @@ type uop struct {
 	resolvedAt     uint64
 
 	squashed bool
-	robPos   int
 }
 
 // completed reports whether the uop may retire.

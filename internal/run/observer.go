@@ -53,12 +53,12 @@ const (
 	// the program entry — the fast-forward that streams its window
 	// boundaries, or fills the checkpoint cache on a miss — and not on a
 	// cache hit, an injected warm set, or the pass Continue resumes from
-	// a checkpoint. The pass is one span over the whole
-	// trace, so Shard, SpanStart and SpanEnd are 0.
+	// a checkpoint. The pass is one span over the whole trace, so Shard
+	// and SpanEnd are 0.
 	WarmShardStarted EventKind = "warm-shard-started"
 	// WarmShardDone fires when that warm pass reaches the program's
-	// halt, past its last window boundary: Shard and SpanStart are 0 and
-	// SpanEnd is the last boundary's dynamic instruction. Together with
+	// halt, past its last window boundary: Shard is 0 and SpanEnd is
+	// the last boundary's dynamic instruction. Together with
 	// WarmShardStarted it brackets the warm pass as one span.
 	WarmShardDone EventKind = "warm-shard-done"
 	// CacheHit fires when a sampled run finds its warm set in the
@@ -100,14 +100,13 @@ type Event struct {
 	Label    string    `json:"label"`
 	Mode     Mode      `json:"mode"`
 
-	Instrs    uint64 `json:"instrs,omitempty"`     // Progress, WindowDone
-	Window    int    `json:"window,omitempty"`     // WindowDone, WindowScheduled, WindowDiscarded, SlotReturned, CheckpointWritten, LeaseClaimed, ResultCollected
-	Shard     int    `json:"shard,omitempty"`      // WarmShardStarted, WarmShardDone
-	SpanStart uint64 `json:"span_start,omitempty"` // WarmShardStarted, WarmShardDone
-	SpanEnd   uint64 `json:"span_end,omitempty"`   // WarmShardStarted, WarmShardDone
-	Path      string `json:"path,omitempty"`       // CheckpointWritten, CacheHit, CacheWritten, ResultCollected
-	Worker    string `json:"worker,omitempty"`     // WorkerJoined, LeaseClaimed
-	Err       string `json:"err,omitempty"`        // CellFinished on failure
+	Instrs  uint64 `json:"instrs,omitempty"`   // Progress, WindowDone
+	Window  int    `json:"window,omitempty"`   // WindowDone, WindowScheduled, WindowDiscarded, SlotReturned, CheckpointWritten, LeaseClaimed, ResultCollected
+	Shard   int    `json:"shard,omitempty"`    // WarmShardStarted, WarmShardDone
+	SpanEnd uint64 `json:"span_end,omitempty"` // WarmShardStarted, WarmShardDone
+	Path    string `json:"path,omitempty"`     // CheckpointWritten, CacheHit, CacheWritten, ResultCollected
+	Worker  string `json:"worker,omitempty"`   // WorkerJoined, LeaseClaimed
+	Err     string `json:"err,omitempty"`      // CellFinished on failure
 }
 
 // Observer receives a run's typed progress events. Observe is called
